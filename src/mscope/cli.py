@@ -231,7 +231,7 @@ def cmd_pretrain_birads(args):
     out = _ensure_out(args.out, args.force)
 
     tcfg = TrainRunConfig(
-        task="birads", lr=cfg["train.lr"],
+        lr=cfg["train.lr"],
         batch_size=cfg["train.birads_batch_size"], l2=cfg["train.l2"],
         patience=cfg["train.patience"], max_epochs=cfg["train.max_epochs"],
         seed=args.seed, max_offset=cfg["train.max_offset"],
@@ -251,12 +251,11 @@ def _cancer_cfg(cfg, args, seed):
     if getattr(args, "heatmaps", None):
         channels = 3
     return TrainRunConfig(
-        task="cancer", lr=cfg["train.lr"], batch_size=cfg["train.batch_size"],
+        lr=cfg["train.lr"], batch_size=cfg["train.batch_size"],
         l2=cfg["train.l2"], patience=cfg["train.patience"],
         max_epochs=cfg["train.max_epochs"], seed=seed,
         max_offset=cfg["train.max_offset"],
         tta_samples=cfg["train.tta_samples"],
-        ensemble_size=cfg["train.ensemble_size"],
         variant=cfg["model.variant"], input_channels=channels,
         epoch_exams=cfg["train.epoch_exams"], val_exams=cfg["train.val_exams"])
 

@@ -17,10 +17,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _log_uniform(text):
-    return float(text)
-
-
 # key -> (parser, desk default, paper default)
 KEYS = {
     "profile": (str, "desk", "paper"),
@@ -55,7 +51,7 @@ KEYS = {
     "patch.save_every": (int, 5, 200),
     "patch.batch_size": (int, 100, 100),
     "patch.lr": (float, 5e-4, 1e-5),
-    "patch.l2": (_log_uniform, 10 ** -4.5, 10 ** -4.5),
+    "patch.l2": (float, 10 ** -4.5, 10 ** -4.5),
     "patch.select_exams": (int, 48, 0),     # 0 = full validation split
 
     "heatmap.stride": (int, 18, 70),
@@ -66,7 +62,7 @@ KEYS = {
     "train.lr": (float, 2e-4, 1e-5),
     "train.batch_size": (int, 4, 4),
     "train.birads_batch_size": (int, 24, 24),
-    "train.l2": (_log_uniform, 10 ** -4.5, 10 ** -4.5),
+    "train.l2": (float, 10 ** -4.5, 10 ** -4.5),
     "train.patience": (int, 20, 20),
     "train.max_epochs": (int, 60, 1000),
     "train.max_offset": (int, 8, 100),

@@ -144,10 +144,6 @@ def pr_curve_points(scores, labels):
 # ---------------------------------------------------------------------------
 # populations
 
-SUBPOPULATION_KINDS = ("screening", "biopsied", "reader_study",
-                       "one_class_biopsied", "by_age", "by_density")
-
-
 def subpopulation(records, kind, rng=None, reader_counts=(368, 372)):
     """Breast-id sets for an evaluation population over test-split records.
 
@@ -369,21 +365,3 @@ def read_predictions(path):
                 p_benign=float(row["p_benign"]),
                 model_id=row["model_id"]))
     return out
-
-
-def export_activations(model, exams, data_dir, tap, path, heatmap_dir=None):
-    """CSV of exam_id plus the concatenated activation vector at ``tap``."""
-    from .training import exam_activations
-
-    rows = []
-    width = None
-    for rec in exams:
-        vec = exam_activations(model, rec, data_dir, tap, heatmap_dir)
-        width = len(vec)
-        rows.append((rec.exam_id, vec))
-    with open(path, "w", newline="") as f:
-        cols = width if width is not None else 0
-        f.write("exam_id" + "".join(f",a{i}" for i in range(cols)) + "\n")
-        for exam_id, vec in rows:
-            f.write(exam_id + "".join(f",{v:.6f}" for v in vec) + "\n")
-    return path

@@ -1,111 +1,22 @@
-"""Layer set shared by the patch-level and breast-level networks.
+"""Module tree shared by the patch-level and breast-level networks.
 
-Two surfaces over the same numerics: a declarative one (``LayerSpec`` +
-``layer_forward``) used for shape audits and spot checks, and a module
-tree (``Conv2d``, ``BatchNorm2d``, ...) used by the actual networks.
+``Module`` walks its attributes to find parameters (``Parameter``), buffers
+(arrays named ``running_*``) and child modules, and gives every network
+``parameters``, ``state_dict``/``load_state_dict`` and ``train``/``eval``.
+``Conv2d``, ``BatchNorm2d`` and ``Linear`` check their outputs for
+non-finite values while ``tensor.CHECK_FINITE`` is set; during training
+(a step or a validation pass), the ``NumericsError`` they raise counts as
+divergence (see ``optim._fit``). Pooling layers and ``ReLU`` cannot create
+non-finite values from finite input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 
-LAYER_KINDS = ("conv2d", "batchnorm", "relu", "maxpool", "avgpool",
-               "global_avgpool", "linear", "concat", "softmax")
-
-
-@dataclass
-class LayerSpec:
-    """Declarative description of one layer."""
-    kind: str
-    kernel: tuple = None          # (kh, kw) for conv/pool
-    stride: int = 1
-    padding: int = 0
-    in_channels: int = None
-    out_channels: int = None
-    eps: float = 1e-5
-    momentum: float = 0.1
-    axis: int = 1                 # concat / softmax axis
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "batchnorm" and self.eps <= 0:
-            raise ValueError("batchnorm eps must be positive")
-
-    def output_shape(self, in_shape):
-        """Shape rule for a (C, H, W) input; raises on non-positive extents."""
-        if self.kind == "conv2d":
-            c, h, w = in_shape
-            if self.in_channels is not None and c != self.in_channels:
-                raise ValueError(f"conv2d expects {self.in_channels} channels, got {c}")
-            kh, kw = self.kernel
-            return (self.out_channels,
-                    T.conv2d_shape(h, kh, self.stride, self.padding),
-                    T.conv2d_shape(w, kw, self.stride, self.padding))
-        if self.kind in ("maxpool", "avgpool"):
-            c, h, w = in_shape
-            kh, kw = self.kernel
-            return (c,
-                    T.conv2d_shape(h, kh, self.stride, 0),
-                    T.conv2d_shape(w, kw, self.stride, 0))
-        if self.kind == "global_avgpool":
-            return (in_shape[0],)
-        if self.kind == "linear":
-            return (self.out_channels,)
-        return tuple(in_shape)
-
-
-def layer_forward(spec: LayerSpec, x: Tensor, params=None, mode="eval"):
-    """Apply one layer; accepts (C,H,W) or (N,C,H,W) spatial inputs.
-
-    ``params`` holds the layer's tensors by role: conv2d needs ``weight``;
-    linear needs ``weight`` and optionally ``bias``; batchnorm needs
-    ``gamma``, ``beta``, ``running_mean``, ``running_var``.
-    """
-    params = params or {}
-    squeeze = False
-    if spec.kind in ("conv2d", "batchnorm", "maxpool", "avgpool", "global_avgpool") \
-            and x.data.ndim == 3:
-        x = T.reshape(x, (1,) + x.data.shape)
-        squeeze = True
-
-    if spec.kind == "conv2d":
-        out = T.conv2d(x, params["weight"], stride=spec.stride, padding=spec.padding)
-    elif spec.kind == "batchnorm":
-        out = T.batchnorm2d(x, params["gamma"], params["beta"],
-                            params["running_mean"], params["running_var"],
-                            training=(mode == "train"),
-                            momentum=spec.momentum, eps=spec.eps)
-    elif spec.kind == "relu":
-        out = T.relu(x)
-    elif spec.kind == "maxpool":
-        out = T.maxpool2d(x, spec.kernel, spec.stride)
-    elif spec.kind == "avgpool":
-        out = T.avgpool2d(x, spec.kernel, spec.stride)
-    elif spec.kind == "global_avgpool":
-        out = T.global_avgpool2d(x)
-    elif spec.kind == "linear":
-        out = T.linear(x, params["weight"], params.get("bias"))
-    elif spec.kind == "concat":
-        raise ValueError("concat takes multiple inputs; use tensor.concat")
-    elif spec.kind == "softmax":
-        out = T.softmax(x, axis=spec.axis)
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
-
-    if T.CHECK_FINITE:
-        T.check_finite(out.data, spec.kind)
-    if squeeze:
-        out = T.reshape(out, out.data.shape[1:])
-    return out
-
-
-# -- module tree --
 
 class Parameter(Tensor):
     def __init__(self, data):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, Module, ReLU
+from .layers import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, Module
 from .seeding import substream
 
 COLUMN_CHANNELS = (16, 16, 32, 64, 128, 256)
@@ -121,8 +121,7 @@ class FusionHead(Module):
         self.fc2 = Linear(hidden, out_features, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        h = T.relu(self.fc1(x))
-        return self.fc2(h), h
+        return self.fc2(T.relu(self.fc1(x)))
 
 
 _HEAD_PLANS = {
@@ -170,7 +169,6 @@ class MultiViewNet(Module):
                 nout = 3
             self.heads[key] = FusionHead(256 * len(views), hidden, nout,
                                          head_rng, dtype)
-        self.last_taps = None
 
     def column_for(self, view):
         return self.cc_column if view.endswith("cc") else self.mlo_column
@@ -184,18 +182,11 @@ class MultiViewNet(Module):
 
     def fuse(self, vecs):
         """Fusion over per-view 256-vectors (Tensors shaped (N, 256))."""
-        taps = {"column_concat": np.concatenate(
-            [vecs[v].data for v in VIEW_ORDER], axis=1)}
         head_out = {}
-        fc1_parts = []
         for key, views, _, _ in _HEAD_PLANS[self.variant]:
             x = vecs[views[0]] if len(views) == 1 else \
                 T.concat([vecs[v] for v in views], axis=1)
-            logits, hidden = self.heads[key](x)
-            head_out[key] = logits
-            fc1_parts.append(hidden.data)
-        taps["fc1_concat"] = np.concatenate(fc1_parts, axis=1)
-        self.last_taps = taps
+            head_out[key] = self.heads[key](x)
 
         if self.task == "birads":
             cc = T.softmax(head_out["cc"], axis=1)
@@ -216,18 +207,6 @@ class MultiViewNet(Module):
             return T.concat([T.sigmoid(head_out["left"]),
                              T.sigmoid(head_out["right"])], axis=1)
         return T.sigmoid(head_out["all"])  # joint
-
-
-def column_forward(net: MultiViewNet, view, image_batch):
-    """256-vector(s) for one view's prepared (N, C, H, W) batch."""
-    return net.column_for(view)(T.Tensor(image_batch))
-
-
-def fuse_and_predict(net: MultiViewNet, vectors):
-    """Probabilities from four per-view 256-vectors (numpy, (N, 256))."""
-    vecs = {v: T.Tensor(np.asarray(vectors[v], dtype=np.float32))
-            for v in VIEW_ORDER}
-    return net.fuse(vecs).data
 
 
 def count_parameters(net: Module):

@@ -1,4 +1,4 @@
-"""Adam optimizer with decoupled-from-nothing classic L2, and training losses."""
+"""Adam with classic L2, the one training loop, and the training losses."""
 
 from __future__ import annotations
 
@@ -59,31 +59,41 @@ def adam_step(params, grads, state: AdamState):
     return params, state
 
 
-class Adam:
-    """Object wrapper holding parameters alongside their AdamState."""
+def _fit(net, lr, l2, max_epochs, epoch_batches, batch_loss, end_epoch, log):
+    """The one Adam training loop behind every trainer.
 
-    def __init__(self, params, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
-        self.params = list(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                               weight_decay=weight_decay)
+    Each epoch puts ``net`` in train mode and takes one Adam step per item
+    of ``epoch_batches(epoch)``, on the scalar loss ``batch_loss(item)``.
+    ``end_epoch(epoch, losses)`` then gets the epoch's step losses and
+    returns True to stop early.
 
-    def step(self, loss):
-        grads = T.collect_gradients(loss, self.params)
-        adam_step(self.params, grads, self.state)
-
-
-def weighted_softmax_cross_entropy(logits: Tensor, label: int, weights):
-    """-w[label] * log softmax(logits)[label] for a single example."""
-    w = np.asarray(weights, dtype=np.float64)
-    k = logits.data.shape[-1]
-    if not (0 <= label < k):
-        raise IndexError(f"label {label} out of range for {k} classes")
-    if len(w) != k:
-        raise ValueError("one weight per class required")
-    if (w < 0).any():
-        raise ValueError("class weights must be nonnegative")
-    return weighted_batch_cross_entropy(logits, np.array([label]), w)
+    Divergence: a non-finite loss, or a ``NumericsError`` raised inside a
+    step (by a layer's finiteness check or by ``adam_step``) or by
+    ``end_epoch`` (an eval-mode validation pass overflowing), ends training
+    at once and discards the epoch; ``end_epoch`` must therefore record
+    nothing before its last chance to raise. Returns the diverged epoch,
+    or None when training did not diverge.
+    """
+    params = net.parameters()
+    state = AdamState(lr=lr, weight_decay=l2)
+    for epoch in range(1, max_epochs + 1):
+        net.train()
+        losses = []
+        try:
+            for batch in epoch_batches(epoch):
+                loss = batch_loss(batch)
+                if not np.isfinite(loss.data):
+                    raise T.NumericsError("non-finite loss")
+                adam_step(params, T.collect_gradients(loss, params), state)
+                losses.append(float(loss.data))
+            stop = end_epoch(epoch, losses)
+        except T.NumericsError as exc:
+            log(f"training diverged in epoch {epoch} ({exc}); "
+                "discarding that epoch")
+            return epoch
+        if stop:
+            break
+    return None
 
 
 def weighted_batch_cross_entropy(logits: Tensor, labels, weights):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import tensor as T
 from .checkpoint import save_checkpoint
 from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, MaxPool2d,
                      Module, ReLU, Sequential)
-from .optim import AdamState, adam_step, weighted_batch_cross_entropy
+from .optim import _fit, weighted_batch_cross_entropy
 from .pgm import read_pgm
 from .phantom import MAXVAL, VIEWS, image_path, load_mask
 from .seeding import substream
@@ -352,56 +352,49 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig,
     epochs (plus the final epoch when it is off-cycle).
 
     Returns (checkpoints, history): checkpoints as [(epoch, path)], history
-    as per-epoch lists of minibatch losses. On a non-finite loss the run
-    aborts, retaining the checkpoint of the last completed epoch.
+    as per-epoch lists of minibatch losses. Divergence (a non-finite loss,
+    or a ``NumericsError`` raised in a training step) ends the run and
+    discards the diverged epoch; when no checkpoint was saved yet, the last
+    completed epoch is saved.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     weights = class_weights(cfg.plan_counts)
     net = PatchNet(patch_size=patch_size, seed=cfg.seed)
-    params = net.parameters()
-    state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-
     checkpoints = []
     history = []
-    last_good = None
+    last_good = {}
 
     def save(epoch):
         path = out_dir / f"patch_ep{epoch:04d}.ckpt"
         save_checkpoint(path, net.state_dict())
         checkpoints.append((epoch, path))
-        return path
 
-    for epoch in range(1, cfg.epochs + 1):
+    def epoch_batches(epoch):
         plan = EpochPlan(cfg.plan_counts, seed=cfg.seed)
         samples = build_epoch(pools, plan, substream(cfg.seed, "epoch", epoch))
-        losses = []
-        net.train()
-        diverged = False
         for start in range(0, len(samples), cfg.batch_size):
-            batch = samples[start:start + cfg.batch_size]
-            x = np.stack([s.pixels for s in batch])[:, None]
-            y = np.array([s.label for s in batch])
-            logits = net(T.Tensor(x))
-            loss = weighted_batch_cross_entropy(logits, y, weights)
-            if not np.isfinite(loss.data):
-                diverged = True
-                break
-            grads = T.collect_gradients(loss, params)
-            adam_step(params, grads, state)
-            losses.append(float(loss.data))
-        if diverged:
-            log(f"patch training diverged in epoch {epoch}; stopping")
-            if last_good is not None and not checkpoints:
-                net.load_state_dict(last_good)
-                save(epoch - 1)
-            break
+            yield samples[start:start + cfg.batch_size]
+
+    def batch_loss(batch):
+        x = np.stack([s.pixels for s in batch])[:, None]
+        y = np.array([s.label for s in batch])
+        return weighted_batch_cross_entropy(net(T.Tensor(x)), y, weights)
+
+    def end_epoch(epoch, losses):
         history.append(losses)
-        last_good = {k: v.copy() for k, v in net.state_dict().items()}
+        last_good.update({k: v.copy() for k, v in net.state_dict().items()})
         if epoch % cfg.save_every == 0:
             save(epoch)
         log(f"patch epoch {epoch}/{cfg.epochs} loss {np.mean(losses):.4f}")
-    else:
+        return False
+
+    diverged = _fit(net, cfg.lr, cfg.weight_decay, cfg.epochs, epoch_batches,
+                    batch_loss, end_epoch, log)
+    if diverged is None:
         if cfg.epochs % cfg.save_every != 0:
             save(cfg.epochs)
+    elif last_good and not checkpoints:
+        net.load_state_dict(last_good)
+        save(diverged - 1)
     return checkpoints, history

@@ -57,9 +57,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype})"
 
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -113,11 +110,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape)
-
-
-def _needs_grad(*tensors):
-    return any(isinstance(t, Tensor) and t.requires_grad or
-               (isinstance(t, Tensor) and t._parents) for t in tensors)
 
 
 def _wrap_const(x, like):
@@ -214,17 +206,6 @@ def softmax(x, axis=1):
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         x._accumulate((g - dot) * y)
-
-    out._backward = bwd
-    return out
-
-
-def mean_all(x):
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.dtype), _parents=(x,))
-    n = x.data.size
-
-    def bwd(g):
-        x._accumulate(np.full_like(x.data, float(g) / n))
 
     out._backward = bwd
     return out
@@ -375,7 +356,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
     return out
 
 
-def _pool_prepare(x, kernel, stride):
+def maxpool2d(x, kernel, stride=None):
+    """Max over (kh, kw) windows; ``stride`` defaults to the kernel."""
     kh, kw = (kernel, kernel) if np.isscalar(kernel) else kernel
     sh, sw = (kh, kw) if stride is None else ((stride, stride) if np.isscalar(stride) else stride)
     n, c, h, w = x.data.shape
@@ -383,49 +365,19 @@ def _pool_prepare(x, kernel, stride):
     wo = conv2d_shape(w, kw, sw, 0)
     win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
     win = win[:, :, ::sh, ::sw, :, :].reshape(n, c, ho, wo, kh * kw)
-    return win, (n, c, h, w), (ho, wo), (kh, kw), (sh, sw)
-
-
-def _pool_scatter(shape, idx_or_none, g, dims, kernel, stride, avg):
-    n, c, h, w = shape
-    ho, wo = dims
-    kh, kw = kernel
-    sh, sw = stride
-    dx = np.zeros(shape, dtype=g.dtype)
-    oy, ox = np.meshgrid(np.arange(ho) * sh, np.arange(wo) * sw, indexing="ij")
-    if avg:
-        gshare = g / (kh * kw)
-        for dy in range(kh):
-            for dxx in range(kw):
-                np.add.at(dx, (slice(None), slice(None), oy + dy, ox + dxx), gshare)
-    else:
-        ky = idx_or_none // kw
-        kx = idx_or_none % kw
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (ni, ci, oy[None, None] + ky, ox[None, None] + kx), g)
-    return dx
-
-
-def maxpool2d(x, kernel, stride=None):
-    win, shape, dims, k, s = _pool_prepare(x, kernel, stride)
     idx = win.argmax(axis=-1)
     y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
     out = Tensor(np.ascontiguousarray(y), _parents=(x,))
 
     def bwd(g):
-        x._accumulate(_pool_scatter(shape, idx, g, dims, k, s, avg=False))
-
-    out._backward = bwd
-    return out
-
-
-def avgpool2d(x, kernel, stride=None):
-    win, shape, dims, k, s = _pool_prepare(x, kernel, stride)
-    out = Tensor(np.ascontiguousarray(win.mean(axis=-1)), _parents=(x,))
-
-    def bwd(g):
-        x._accumulate(_pool_scatter(shape, None, g, dims, k, s, avg=True))
+        dx = np.zeros(x.data.shape, dtype=g.dtype)
+        oy, ox = np.meshgrid(np.arange(ho) * sh, np.arange(wo) * sw,
+                             indexing="ij")
+        ni = np.arange(n)[:, None, None, None]
+        ci = np.arange(c)[None, :, None, None]
+        np.add.at(dx, (ni, ci, oy[None, None] + idx // kw,
+                       ox[None, None] + idx % kw), g)
+        x._accumulate(dx)
 
     out._backward = bwd
     return out

@@ -10,7 +10,7 @@ changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +18,9 @@ import numpy as np
 from . import tensor as T
 from .evaluation import MetricError, roc_auc
 from .heatmaps import load_heatmap
-from .layers import Module
 from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
                         transfer_from_pretrained)
-from .optim import AdamState, adam_step, binary_cross_entropy, nll_on_probs
+from .optim import _fit, binary_cross_entropy, nll_on_probs
 from .pgm import read_pgm
 from .phantom import MAXVAL, image_path
 from .resample import bicubic_resize
@@ -32,7 +31,6 @@ TRAIN_LOG_HEADER = "epoch,split,label,auc,loss"
 
 @dataclass
 class TrainRunConfig:
-    task: str = "cancer"              # cancer | birads
     lr: float = 1e-5
     batch_size: int = 4               # 24 for the 3-way task, 100 for patches
     l2: float = 10 ** -4.5
@@ -41,7 +39,6 @@ class TrainRunConfig:
     seed: int = 0
     max_offset: int = 8               # crop jitter; 100 at full scale
     tta_samples: int = 10
-    ensemble_size: int = 5
     variant: str = "view_wise"
     input_channels: int = 1
     epoch_exams: int = 0              # cap on exams per epoch (0 = no cap)
@@ -51,16 +48,6 @@ class TrainRunConfig:
     def __post_init__(self):
         if self.patience < 1 or self.batch_size < 1 or self.tta_samples < 1:
             raise ValueError("patience, batch size, and tta_samples must be >= 1")
-
-
-@dataclass
-class EnsembleSpec:
-    member_seeds: tuple
-    init_checkpoint: str = ""         # shared column initialization
-
-    def __post_init__(self):
-        if len(self.member_seeds) < 1:
-            raise ValueError("an ensemble needs at least one member")
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +235,28 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
-def _write_log(path, rows):
-    with open(path, "w", newline="") as f:
-        f.write(TRAIN_LOG_HEADER + "\n")
-        for epoch, split, label, auc, loss in rows:
-            auc_s = "" if auc is None else f"{auc:.6f}"
-            loss_s = "" if loss is None else f"{loss:.6f}"
-            f.write(f"{epoch},{split},{label},{auc_s},{loss_s}\n")
+def _fit_early_stopping(net, cfg: TrainRunConfig, epoch_batches, batch_loss,
+                        validate, log):
+    """``optim._fit`` with a validation pass and early stopping after each
+    epoch; ``validate(epoch, losses)`` returns the epoch's metric. Restores
+    the best state, puts ``net`` in eval mode and returns the best epoch.
+    Raises ``NumericsError`` when the first epoch diverges: there is no
+    state to keep."""
+    stopper = EarlyStopper(cfg.patience, cfg.improvement_eps)
+
+    def end_epoch(epoch, losses):
+        if stopper.update(validate(epoch, losses), epoch, net):
+            log(f"no improvement for {cfg.patience} epochs; stopping")
+            return True
+        return False
+
+    if _fit(net, cfg.lr, cfg.l2, cfg.max_epochs, epoch_batches, batch_loss,
+            end_epoch, log) == 1:
+        raise T.NumericsError("training diverged in its first epoch")
+    if stopper.best_state is not None:
+        net.load_state_dict(stopper.best_state)
+    net.eval()
+    return stopper.best_epoch
 
 
 def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
@@ -267,7 +269,14 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
     forward passes still move the BatchNorm running statistics, so the
     validation metric can change from epoch to epoch.
 
-    Returns (net restored to its best state, log rows, best_epoch).
+    Divergence (a non-finite loss, or a ``NumericsError`` raised in a
+    training step or in the epoch's validation pass) ends training and
+    discards the diverged epoch: it logs no rows, and the net returns to
+    the best epoch so far. If the first epoch diverges, ``NumericsError``
+    is raised.
+
+    Returns (net restored to its best state, in eval mode, log rows,
+    best_epoch).
     """
     if init_state is not None:
         net = transfer_from_pretrained(init_state, variant=cfg.variant,
@@ -277,43 +286,37 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
         net = MultiViewNet(variant=cfg.variant,
                            input_channels=cfg.input_channels,
                            task="cancer", seed=cfg.seed)
-    params = net.parameters()
-    state = AdamState(lr=cfg.lr, weight_decay=cfg.l2)
-    stopper = EarlyStopper(cfg.patience, cfg.improvement_eps)
+    by_id = {r.exam_id: r for r in records}
     val_records = _val_subset(records, "val", cfg.val_exams, cfg.seed)
+    val_y = np.stack([exam_labels(r) for r in val_records])
     log_rows = []
+    seen = []                         # (probs, labels) of this epoch's steps
 
-    for epoch in range(1, cfg.max_epochs + 1):
+    def epoch_batches(epoch):
+        seen.clear()
         rng = substream(cfg.seed, "epoch", epoch)
         ids = subsample_epoch(records, rng)
         if cfg.epoch_exams and len(ids) > cfg.epoch_exams:
             ids = ids[:cfg.epoch_exams]
-        by_id = {r.exam_id: r for r in records}
-        net.train()
-        losses = []
-        train_probs, train_labels = [], []
-        diverged = False
-        for chunk_ids in _batched(ids, cfg.batch_size):
-            recs = [by_id[i] for i in chunk_ids]
-            probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
-                                   heatmap_dir, rng, cfg.max_offset)
-            y = np.stack([exam_labels(r) for r in recs])
-            loss = binary_cross_entropy(probs, y)
-            if not np.isfinite(loss.data):
-                diverged = True
-                break
-            grads = T.collect_gradients(loss, params)
-            adam_step(params, grads, state)
-            losses.append(float(loss.data))
-            train_probs.append(probs.data)
-            train_labels.append(y)
-        if diverged:
-            log(f"training diverged in epoch {epoch}; keeping best checkpoint")
-            break
+        for chunk in _batched(ids, cfg.batch_size):
+            yield [by_id[i] for i in chunk], rng
 
+    def batch_loss(batch):
+        recs, rng = batch
+        probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
+                               heatmap_dir, rng, cfg.max_offset)
+        y = np.stack([exam_labels(r) for r in recs])
+        seen.append((probs.data, y))
+        return binary_cross_entropy(probs, y)
+
+    def validate(epoch, losses):
+        # the validation pass comes first: it may raise NumericsError, and
+        # a diverged epoch must leave no rows
+        val_probs = predict_exams(net, val_records, data_dir,
+                                  cfg.input_channels, heatmap_dir)
         train_loss = float(np.mean(losses))
-        tp = np.concatenate(train_probs)
-        tl = np.concatenate(train_labels)
+        tp = np.concatenate([p for p, _ in seen])
+        tl = np.concatenate([y for _, y in seen])
         for i, name in enumerate(OUTPUT_ORDER):
             try:
                 auc_i = roc_auc(tp[:, i], tl[:, i].astype(int))
@@ -321,9 +324,6 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
                 auc_i = None
             log_rows.append((epoch, "train", name, auc_i, train_loss))
 
-        val_probs = predict_exams(net, val_records, data_dir,
-                                  cfg.input_channels, heatmap_dir)
-        val_y = np.stack([exam_labels(r) for r in val_records])
         val_loss = float(binary_cross_entropy(
             T.Tensor(val_probs), val_y).data)
         metric, per_label = mean_label_auc(val_probs, val_y, log)
@@ -332,14 +332,11 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
         log_rows.append((epoch, "val", "mean", metric, val_loss))
         log(f"epoch {epoch}: train loss {train_loss:.4f} val mean auc "
             f"{metric:.4f}")
-        if stopper.update(metric, epoch, net):
-            log(f"no improvement for {cfg.patience} epochs; stopping")
-            break
+        return metric
 
-    if stopper.best_state is not None:
-        net.load_state_dict(stopper.best_state)
-    net.eval()
-    return net, log_rows, stopper.best_epoch
+    best_epoch = _fit_early_stopping(net, cfg, epoch_batches, batch_loss,
+                                     validate, log)
+    return net, log_rows, best_epoch
 
 
 def birads_ovr_auc(probs, labels, log=print):
@@ -359,41 +356,34 @@ def birads_ovr_auc(probs, labels, log=print):
 
 
 def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
-    """3-way assessment pretraining; metric is the mean one-vs-rest AUC."""
+    """3-way assessment pretraining; metric is the mean one-vs-rest AUC.
+
+    Stops early and handles divergence as ``train_cancer_model`` does:
+    a diverged epoch logs no rows and the best epoch so far is restored.
+    Returns (net in eval mode, log rows, best_epoch).
+    """
     net = MultiViewNet(variant="view_wise", input_channels=cfg.input_channels,
                        task="birads", seed=cfg.seed)
-    params = net.parameters()
-    state = AdamState(lr=cfg.lr, weight_decay=cfg.l2)
-    stopper = EarlyStopper(cfg.patience, cfg.improvement_eps)
     train = [r for r in records if r.split == "train"]
     val_records = _val_subset(records, "val", cfg.val_exams, cfg.seed)
     val_y = np.array([r.birads for r in val_records])
     log_rows = []
 
-    for epoch in range(1, cfg.max_epochs + 1):
+    def epoch_batches(epoch):
         rng = substream(cfg.seed, "birads-epoch", epoch)
         order = rng.permutation(len(train))
         if cfg.epoch_exams and len(order) > cfg.epoch_exams:
             order = order[:cfg.epoch_exams]
-        net.train()
-        losses = []
-        diverged = False
         for chunk in _batched(list(order), cfg.batch_size):
-            recs = [train[i] for i in chunk]
-            probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
-                                   None, rng, cfg.max_offset)
-            y = np.array([r.birads for r in recs])
-            loss = nll_on_probs(probs, y)
-            if not np.isfinite(loss.data):
-                diverged = True
-                break
-            grads = T.collect_gradients(loss, params)
-            adam_step(params, grads, state)
-            losses.append(float(loss.data))
-        if diverged:
-            log(f"pretraining diverged in epoch {epoch}; keeping best state")
-            break
+            yield [train[i] for i in chunk], rng
 
+    def batch_loss(batch):
+        recs, rng = batch
+        probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
+                               None, rng, cfg.max_offset)
+        return nll_on_probs(probs, np.array([r.birads for r in recs]))
+
+    def validate(epoch, losses):
         val_probs = predict_exams(net, val_records, data_dir,
                                   cfg.input_channels, None)
         metric = birads_ovr_auc(val_probs, val_y, log)
@@ -402,14 +392,11 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
         log_rows.append((epoch, "val", "birads", metric, None))
         log(f"pretrain epoch {epoch}: loss {train_loss if train_loss is None else round(train_loss, 4)} "
             f"val ovr auc {metric:.4f}")
-        if stopper.update(metric, epoch, net):
-            log(f"no improvement for {cfg.patience} epochs; stopping")
-            break
+        return metric
 
-    if stopper.best_state is not None:
-        net.load_state_dict(stopper.best_state)
-    net.eval()
-    return net, log_rows, stopper.best_epoch
+    best_epoch = _fit_early_stopping(net, cfg, epoch_batches, batch_loss,
+                                     validate, log)
+    return net, log_rows, best_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +429,10 @@ def ensemble_predict(nets, record, data_dir, seed, channels=1,
     return np.mean(outs, axis=0)
 
 
-def exam_activations(net, record, data_dir, tap, heatmap_dir=None):
-    """Concatenated activation vector at ``tap`` for one exam (eval mode)."""
-    net.eval()
-    views = prepare_views(record, data_dir, net.input_channels, heatmap_dir)
-    tensors = {v: T.Tensor(views[v]) for v in VIEW_ORDER}
-    net(tensors)
-    if tap not in net.last_taps:
-        raise ValueError(f"tap {tap!r} not available "
-                         f"(choose from {sorted(net.last_taps)})")
-    return net.last_taps[tap][0]
-
-
 def save_train_log(path, rows):
-    _write_log(path, rows)
+    with open(path, "w", newline="") as f:
+        f.write(TRAIN_LOG_HEADER + "\n")
+        for epoch, split, label, auc, loss in rows:
+            auc_s = "" if auc is None else f"{auc:.6f}"
+            loss_s = "" if loss is None else f"{loss:.6f}"
+            f.write(f"{epoch},{split},{label},{auc_s},{loss_s}\n")

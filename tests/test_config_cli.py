@@ -240,3 +240,15 @@ def test_rerun_reproducibility(pipeline, tmp_path):
                  "--model-id", "image_only", *sets()]) == 0
     assert (twin_pred / "predictions.csv").read_bytes() == \
         (p["pred"] / "predictions.csv").read_bytes()
+
+    # the three trainers: checkpoints, logs and selection tables
+    reruns = {
+        "patch": ["train-patch"],
+        "birads": ["pretrain-birads"],
+        "cancer": ["train-cancer", "--init", str(p["birads"])],
+    }
+    for key, argv in reruns.items():
+        out = tmp_path / f"{key}2"
+        assert main([argv[0], "--data", str(p["data"]), "--out", str(out),
+                     "--seed", "5", *argv[1:], *sets()]) == 0, key
+        assert tree_hash(out) == tree_hash(p[key]), key

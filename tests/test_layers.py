@@ -2,36 +2,33 @@ import numpy as np
 import pytest
 
 from mscope import tensor as T
-from mscope.layers import (BatchNorm2d, Conv2d, LayerSpec, Linear, Parameter,
-                           Sequential, layer_forward)
+from mscope.layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear,
+                           Sequential)
 
 
 def test_identity_kernel_conv_is_identity():
-    spec = LayerSpec("conv2d", kernel=(1, 1), stride=1, padding=0,
-                     in_channels=1, out_channels=1)
+    conv = Conv2d(1, 1, 1, stride=1, padding=0)
+    conv.weight.data = np.ones((1, 1, 1, 1), dtype=np.float32)
     rng = np.random.default_rng(0)
-    x = T.Tensor(rng.standard_normal((1, 9, 7)).astype(np.float32))
-    w = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-    out = layer_forward(spec, x, {"weight": w})
+    x = T.Tensor(rng.standard_normal((1, 1, 9, 7)).astype(np.float32))
+    out = conv(x)
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_fullscale_stem_shape():
     # 7x7 stride-2 pad-3 stem on a full-scale CC image
-    spec = LayerSpec("conv2d", kernel=(7, 7), stride=2, padding=3,
-                     in_channels=1, out_channels=16)
-    assert spec.output_shape((1, 2677, 1942)) == (16, 1339, 971)
-    x = T.Tensor(np.zeros((1, 2677, 1942), dtype=np.float32))
-    w = T.Tensor(np.zeros((16, 1, 7, 7), dtype=np.float32))
-    out = layer_forward(spec, x, {"weight": w})
-    assert out.shape == (16, 1339, 971)
+    assert (T.conv2d_shape(2677, 7, 2, 3), T.conv2d_shape(1942, 7, 2, 3)) \
+        == (1339, 971)
+    stem = Conv2d(1, 16, 7, stride=2, padding=3)
+    out = stem(T.Tensor(np.zeros((1, 1, 2677, 1942), dtype=np.float32)))
+    assert out.shape == (1, 16, 1339, 971)
 
 
 def test_global_avgpool_constant():
     c = 3.25
-    x = T.Tensor(np.full((256, 42, 31), c, dtype=np.float32))
-    out = layer_forward(LayerSpec("global_avgpool"), x)
-    assert out.shape == (256,)
+    x = T.Tensor(np.full((1, 256, 42, 31), c, dtype=np.float32))
+    out = GlobalAvgPool2d()(x)
+    assert out.shape == (1, 256)
     np.testing.assert_allclose(out.data, c, rtol=1e-6)
 
 
@@ -50,22 +47,12 @@ def test_batchnorm_train_vs_eval():
     np.testing.assert_array_equal(y1, y2)
 
 
-def test_batchnorm_eps_validation():
-    with pytest.raises(ValueError):
-        LayerSpec("batchnorm", eps=0.0)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        LayerSpec("deconv")
-
-
 def test_layer_forward_nan_detected():
-    spec = LayerSpec("conv2d", kernel=(1, 1), in_channels=1, out_channels=1)
-    x = T.Tensor(np.array([[[np.inf]]], dtype=np.float32))
-    w = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
+    conv = Conv2d(1, 1, 1)
+    conv.weight.data = np.ones((1, 1, 1, 1), dtype=np.float32)
+    x = T.Tensor(np.array([[[[np.inf]]]], dtype=np.float32))
     with pytest.raises(T.NumericsError):
-        layer_forward(spec, x, {"weight": w})
+        conv(x)
 
 
 def test_channel_mismatch_rejected():
@@ -75,12 +62,10 @@ def test_channel_mismatch_rejected():
         T.conv2d(x, w)
 
 
-def test_maxpool_and_avgpool_values():
+def test_maxpool_values():
     x = T.Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-    mp = layer_forward(LayerSpec("maxpool", kernel=(2, 2), stride=2), x)
+    mp = T.maxpool2d(x, (2, 2), 2)
     np.testing.assert_array_equal(mp.data[0, 0], [[5, 7], [13, 15]])
-    ap = layer_forward(LayerSpec("avgpool", kernel=(2, 2), stride=2), x)
-    np.testing.assert_array_equal(ap.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
 
 def test_state_dict_roundtrip():

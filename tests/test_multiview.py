@@ -4,8 +4,7 @@ import pytest
 from mscope import tensor as T
 from mscope.multiview import (ColumnConfig, FUSION_VARIANTS, MultiViewNet,
                               VIEW_ORDER, column_shape_audit, count_parameters,
-                              fuse_and_predict, hidden_budget,
-                              transfer_from_pretrained)
+                              hidden_budget, transfer_from_pretrained)
 
 TINY_CC = (48, 36)
 TINY_MLO = (56, 32)
@@ -99,7 +98,7 @@ def test_view_wise_final_is_branch_mean():
     rng = np.random.default_rng(8)
     vecs = {v: rng.standard_normal((2, 256)).astype(np.float32)
             for v in VIEW_ORDER}
-    out = fuse_and_predict(net, vecs)
+    out = net.fuse({v: T.Tensor(vecs[v]) for v in VIEW_ORDER}).data
 
     def branch(key, views):
         x = np.concatenate([vecs[v] for v in views], axis=1)

@@ -4,7 +4,7 @@ import pytest
 from mscope import tensor as T
 from mscope.layers import Parameter
 from mscope.optim import (AdamState, adam_step, binary_cross_entropy,
-                          weighted_softmax_cross_entropy)
+                          weighted_batch_cross_entropy)
 
 
 def test_adam_zero_grads_no_decay_leaves_params():
@@ -56,7 +56,7 @@ def test_adam_rejects_nonfinite_grads():
 
 def test_weighted_ce_uniform_logits():
     logits = T.Tensor(np.zeros(4, dtype=np.float32))
-    loss = weighted_softmax_cross_entropy(logits, 2, [1.0, 1.0, 1.0, 1.0])
+    loss = weighted_batch_cross_entropy(logits, [2], [1.0, 1.0, 1.0, 1.0])
     np.testing.assert_allclose(float(loss.data), np.log(4.0), rtol=1e-6)
 
 
@@ -66,7 +66,7 @@ def test_weighted_ce_scales_by_label_weight():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal(4).astype(np.float32)
     logits = T.Tensor(raw)
-    loss = weighted_softmax_cross_entropy(logits, 0, w)
+    loss = weighted_batch_cross_entropy(logits, [0], w)
     shifted = raw - raw.max()
     logp = shifted[0] - np.log(np.exp(shifted).sum())
     np.testing.assert_allclose(float(loss.data), -w[0] * logp, rtol=1e-5)
@@ -75,7 +75,7 @@ def test_weighted_ce_scales_by_label_weight():
 
 def test_weighted_ce_zero_weight_zero_loss_and_grad():
     logits = Parameter(np.array([0.3, -0.2, 1.0], dtype=np.float32))
-    loss = weighted_softmax_cross_entropy(logits, 1, [1.0, 0.0, 1.0])
+    loss = weighted_batch_cross_entropy(logits, [1], [1.0, 0.0, 1.0])
     assert float(loss.data) == 0.0
     loss.backward()
     np.testing.assert_allclose(logits.grad, 0.0, atol=1e-8)
@@ -84,12 +84,12 @@ def test_weighted_ce_zero_weight_zero_loss_and_grad():
 def test_weighted_ce_label_out_of_range():
     logits = T.Tensor(np.zeros(4, dtype=np.float32))
     with pytest.raises(IndexError):
-        weighted_softmax_cross_entropy(logits, 4, np.ones(4))
+        weighted_batch_cross_entropy(logits, [4], np.ones(4))
 
 
 def test_weighted_ce_gradient_flows_only_through_logits():
     logits = Parameter(np.array([0.1, 0.9, -0.4, 0.2], dtype=np.float32))
-    loss = weighted_softmax_cross_entropy(logits, 1, [0.1, 0.5, 0.2, 0.2])
+    loss = weighted_batch_cross_entropy(logits, [1], [0.1, 0.5, 0.2, 0.2])
     loss.backward()
     # gradient of -w*log softmax: w * (softmax - onehot)
     e = np.exp(logits.data - logits.data.max())

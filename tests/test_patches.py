@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mscope import tensor as T
 from mscope.patches import (EpochPlan, PATCH_CLASSES, PatchConfig, PatchNet,
                             PatchSample, PatchTrainConfig, _extract_window,
                             build_epoch, class_weights, load_patch_cache,
@@ -280,3 +281,35 @@ def test_lr_zero_keeps_parameters(tmp_path):
     for k, v in before.items():
         assert after[k].dtype == v.dtype, k
         np.testing.assert_array_equal(after[k], v, err_msg=k)
+
+
+def test_divergence_keeps_last_completed_epoch(tmp_path, monkeypatch):
+    from mscope import patches
+    pools = separable_pools(np.random.default_rng(5), n=10)
+    cfg = PatchTrainConfig(epochs=3, save_every=2, batch_size=20,
+                           plan_counts=(5, 5, 5, 5), seed=4)
+    real_build = patches.build_epoch
+    built = []
+
+    def diverge(net, x):
+        raise T.NumericsError("non-finite values produced: conv2d")
+
+    def build_epoch(*args, **kwargs):
+        built.append(True)
+        if len(built) == 2:
+            monkeypatch.setattr(PatchNet, "forward", diverge)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(patches, "build_epoch", build_epoch)
+    ckpts, history = train_patch_classifier(pools, tmp_path / "run", cfg,
+                                            patch_size=16, log=lambda *_: None)
+    assert [e for e, _ in ckpts] == [1]
+    assert len(history) == 1
+
+    # the saved state is the one a clean one-epoch run ends with
+    monkeypatch.undo()
+    one = PatchTrainConfig(epochs=1, save_every=1, batch_size=20,
+                           plan_counts=(5, 5, 5, 5), seed=4)
+    ref, _ = train_patch_classifier(pools, tmp_path / "ref", one,
+                                    patch_size=16, log=lambda *_: None)
+    assert ckpts[0][1].read_bytes() == ref[0][1].read_bytes()

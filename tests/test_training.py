@@ -4,7 +4,7 @@ import pytest
 from mscope.multiview import MultiViewNet
 from mscope.phantom import DatasetConfig, generate_dataset, load_manifest
 from mscope.seeding import substream
-from mscope.training import (EarlyStopper, EnsembleSpec, TrainRunConfig,
+from mscope.training import (EarlyStopper, TrainRunConfig,
                              augment_window, birads_ovr_auc, ensemble_predict,
                              exam_labels, mean_label_auc, predict_exams,
                              predict_tta, pretrain_birads, prepare_views,
@@ -222,11 +222,6 @@ def test_ensemble_averages_members(tiny_dataset):
         ensemble_predict([], records[0], root, seed=0)
 
 
-def test_ensemble_spec_validation():
-    with pytest.raises(ValueError):
-        EnsembleSpec(member_seeds=())
-
-
 # -- flip convention end-to-end --
 
 def test_left_views_flipped_to_rightward(tmp_path):
@@ -264,7 +259,7 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
     # epoch to epoch; the stop must come `patience` epochs after the last
     # strict improvement.
     root, records = tiny_dataset
-    cfg = TrainRunConfig(task="cancer", lr=0.0, batch_size=4, patience=2,
+    cfg = TrainRunConfig(lr=0.0, batch_size=4, patience=2,
                          max_epochs=10, seed=31, max_offset=0)
     net, rows, best_epoch = train_cancer_model(records, root, cfg, log=quiet)
     epochs = sorted({r[0] for r in rows})
@@ -300,7 +295,7 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
 
 def test_cancer_training_replay_determinism(tiny_dataset):
     root, records = tiny_dataset
-    cfg = TrainRunConfig(task="cancer", lr=3e-4, batch_size=4, patience=2,
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2,
                          max_epochs=2, seed=32, max_offset=2)
     _, rows1, _ = train_cancer_model(records, root, cfg, log=quiet)
     _, rows2, _ = train_cancer_model(records, root, cfg, log=quiet)
@@ -309,7 +304,7 @@ def test_cancer_training_replay_determinism(tiny_dataset):
 
 def test_pretrain_birads_runs_and_logs(tiny_dataset):
     root, records = tiny_dataset
-    cfg = TrainRunConfig(task="birads", lr=3e-4, batch_size=6, patience=2,
+    cfg = TrainRunConfig(lr=3e-4, batch_size=6, patience=2,
                          max_epochs=3, seed=33, max_offset=0)
     net, rows, best_epoch = pretrain_birads(records, root, cfg, log=quiet)
     assert net.task == "birads"
@@ -328,3 +323,79 @@ def test_exam_labels_order(tiny_dataset):
     y = exam_labels(rec)
     assert y.tolist() == [rec.left_benign, rec.left_malignant,
                           rec.right_benign, rec.right_malignant]
+
+
+# -- divergence --
+
+def _diverge_after_first_validation(monkeypatch, where="step"):
+    """Make the epoch after the first validation pass raise, as a layer's
+    finiteness check does when the parameters blow up: in its training
+    steps, or (``where="validation"``) in its own validation pass."""
+    from mscope import tensor as T
+    from mscope import training
+
+    real_forward, real_predict = training._forward_batch, training.predict_exams
+    validated = []
+
+    def forward(net, recs, data_dir, channels, heatmap_dir, rng, max_offset):
+        if rng is None:
+            validated.append(True)
+        elif validated and where == "step":
+            raise T.NumericsError("non-finite values produced: conv2d")
+        return real_forward(net, recs, data_dir, channels, heatmap_dir, rng,
+                            max_offset)
+
+    def predict(*args, **kwargs):
+        if validated and where == "validation":
+            raise T.NumericsError("non-finite values produced: batchnorm")
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_forward_batch", forward)
+    monkeypatch.setattr(training, "predict_exams", predict)
+
+
+@pytest.mark.parametrize("where", ["step", "validation"])
+def test_cancer_training_divergence_keeps_best_epoch(tiny_dataset,
+                                                     monkeypatch, where):
+    root, records = tiny_dataset
+    _diverge_after_first_validation(monkeypatch, where)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2, max_epochs=3,
+                         seed=34, max_offset=2)
+    net, rows, best_epoch = train_cancer_model(records, root, cfg, log=quiet)
+    assert best_epoch == 1
+    assert {r[0] for r in rows} == {1}
+    assert not any(m.training for m in net.modules())
+    monkeypatch.undo()
+    val = [r for r in records if r.split == "val"]
+    probs = predict_exams(net, val, root, cfg.input_channels)
+    metric, _ = mean_label_auc(probs, np.stack([exam_labels(r) for r in val]),
+                               quiet)
+    logged = [r[3] for r in rows if r[1] == "val" and r[2] == "mean"]
+    assert logged == [metric]
+
+
+def test_pretrain_birads_divergence_keeps_best_epoch(tiny_dataset,
+                                                     monkeypatch):
+    root, records = tiny_dataset
+    _diverge_after_first_validation(monkeypatch)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=6, patience=2, max_epochs=3,
+                         seed=35, max_offset=0)
+    net, rows, best_epoch = pretrain_birads(records, root, cfg, log=quiet)
+    assert best_epoch == 1
+    assert {r[0] for r in rows} == {1}
+    assert not any(m.training for m in net.modules())
+
+
+def test_divergence_in_first_epoch_raises(tiny_dataset, monkeypatch):
+    from mscope import tensor as T
+    from mscope import training
+
+    def forward(*args, **kwargs):
+        raise T.NumericsError("non-finite values produced: conv2d")
+
+    monkeypatch.setattr(training, "_forward_batch", forward)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2, max_epochs=3,
+                         seed=36, max_offset=0)
+    with pytest.raises(T.NumericsError, match="first epoch"):
+        train_cancer_model(records=tiny_dataset[1], data_dir=tiny_dataset[0],
+                           cfg=cfg, log=quiet)
