@@ -17,6 +17,7 @@ import hashlib
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError
 from .seeding import substream
+from .tensor import NumericsError
 
 
 class UserError(Exception):
@@ -77,6 +79,17 @@ def _ensure_out(path, force):
             raise UserError(f"{path} exists; pass --force to overwrite")
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+@contextmanager
+def _lr_diverges(cfg, key):
+    """A trainer that diverges in its first epoch raises ``NumericsError``;
+    that is a learning rate too high for the data, so report it as a user
+    error naming the config key ``key``."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise UserError(f"{exc}; lower {key} (now {cfg[key]:g})") from exc
 
 
 def _limit_worker_threads():
@@ -151,8 +164,9 @@ def cmd_train_patch(args):
         plan_counts=cfg.ints("patch.plan"),
         seed=args.seed)
     ckpt_dir = out / "checkpoints"
-    checkpoints, history = train_patch_classifier(pools, ckpt_dir, tcfg,
-                                                  patch_size=patch_size)
+    with _lr_diverges(cfg, "patch.lr"):
+        checkpoints, history = train_patch_classifier(pools, ckpt_dir, tcfg,
+                                                      patch_size=patch_size)
 
     val = [r for r in records if r.split == "val"]
     n_select = cfg["patch.select_exams"]
@@ -237,7 +251,8 @@ def cmd_pretrain_birads(args):
         seed=args.seed, max_offset=cfg["train.max_offset"],
         input_channels=1, epoch_exams=cfg["train.birads_epoch_exams"],
         val_exams=cfg["train.val_exams"])
-    net, rows, best_epoch = pretrain_birads(records, data, tcfg)
+    with _lr_diverges(cfg, "train.lr"):
+        net, rows, best_epoch = pretrain_birads(records, data, tcfg)
     save_checkpoint(out / "best.ckpt", net.state_dict())
     save_train_log(out / "log.csv", rows)
     cfg.dump(out / "config.txt")
@@ -284,9 +299,10 @@ def cmd_train_cancer(args):
     if tcfg.input_channels == 3 and not args.heatmaps:
         raise UserError("model.input_channels=3 requires --heatmaps DIR")
 
-    net, rows, best_epoch = train_cancer_model(
-        records, data, tcfg, heatmap_dir=args.heatmaps,
-        init_state=_init_state(args))
+    with _lr_diverges(cfg, "train.lr"):
+        net, rows, best_epoch = train_cancer_model(
+            records, data, tcfg, heatmap_dir=args.heatmaps,
+            init_state=_init_state(args))
     save_checkpoint(out / "best.ckpt", net.state_dict())
     save_train_log(out / "log.csv", rows)
     resolved = dict(cfg.values)
@@ -318,8 +334,10 @@ def cmd_ensemble(args):
     logs = None
     for mi in range(members):
         tcfg = _cancer_cfg(cfg, args, seed=args.seed + 1000 * (mi + 1))
-        net, rows, best_epoch = train_cancer_model(
-            records, data, tcfg, heatmap_dir=args.heatmaps, init_state=shared)
+        with _lr_diverges(cfg, "train.lr"):
+            net, rows, best_epoch = train_cancer_model(
+                records, data, tcfg, heatmap_dir=args.heatmaps,
+                init_state=shared)
         save_checkpoint(out / "members" / f"m{mi}.ckpt", net.state_dict())
         if logs is None:
             logs = rows

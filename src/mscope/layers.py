@@ -66,11 +66,21 @@ class Module:
                 yield from child.modules()
 
     def train(self, flag=True):
+        """Train mode (``flag`` True) or eval mode for every submodule.
+
+        Parameters require gradients exactly in train mode, so an
+        eval-mode forward records no graph (see ``tensor``) and
+        ``train()`` restores gradient recording.
+        """
         for m in self.modules():
             m.training = flag
+        for p in self.parameters():
+            p.requires_grad = flag
         return self
 
     def eval(self):
+        """Eval mode: BatchNorm uses its running statistics and the
+        parameters stop requiring gradients; see ``train``."""
         return self.train(False)
 
     def state_dict(self):

@@ -355,7 +355,8 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig,
     as per-epoch lists of minibatch losses. Divergence (a non-finite loss,
     or a ``NumericsError`` raised in a training step) ends the run and
     discards the diverged epoch; when no checkpoint was saved yet, the last
-    completed epoch is saved.
+    completed epoch is saved. If the first epoch diverges, ``NumericsError``
+    is raised: there is no state to save.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -391,10 +392,12 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig,
 
     diverged = _fit(net, cfg.lr, cfg.weight_decay, cfg.epochs, epoch_batches,
                     batch_loss, end_epoch, log)
+    if diverged == 1:
+        raise T.NumericsError("training diverged in its first epoch")
     if diverged is None:
         if cfg.epochs % cfg.save_every != 0:
             save(cfg.epochs)
-    elif last_good and not checkpoints:
+    elif not checkpoints:
         net.load_state_dict(last_good)
         save(diverged - 1)
     return checkpoints, history

@@ -1,11 +1,16 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Tensors wrap a numpy array (float32 by default, float64 for gradient
-checking) together with an optional gradient slot. Operations build a
-computation graph of closures; calling ``backward`` on a scalar walks the
-graph once in reverse topological order and accumulates gradients into
-every node that requires them. A graph is single-use: building a fresh
-forward pass is required before differentiating again.
+checking) together with an optional gradient slot. An operation records
+its inputs and a backward closure on its output only when some input
+wants a gradient, that is, requires one or was itself recorded. Otherwise
+the output is a plain leaf, and the arrays the closure would hold are
+freed when the op returns. ``Module.eval`` stops a net's parameters
+requiring gradients, so an eval-mode forward keeps no graph. Calling
+``backward`` on a scalar walks the recorded graph once in reverse
+topological order and accumulates gradients into every node in it. A
+graph is single-use: building a fresh forward pass is required before
+differentiating again.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ CHECK_FINITE = True
 
 
 class GraphError(RuntimeError):
-    """Raised on misuse of the computation graph (re-backward, non-scalar loss)."""
+    """Raised on misuse of the computation graph (re-backward, non-scalar
+    loss, a loss that reaches no parameter)."""
 
 
 class NumericsError(ArithmeticError):
@@ -118,6 +124,18 @@ def _wrap_const(x, like):
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
+def _wants_grad(t):
+    return t.requires_grad or bool(t._parents)
+
+
+def _node(data, parents, bwd):
+    """An op's output: records ``parents`` and the closure ``bwd`` only
+    when some parent wants a gradient, else a leaf that drops both."""
+    if any(_wants_grad(p) for p in parents):
+        return Tensor(data, _parents=parents, _backward=bwd)
+    return Tensor(data)
+
+
 def _unbroadcast(g, shape):
     """Sum a broadcast gradient back down to ``shape``."""
     extra = g.ndim - len(shape)
@@ -131,94 +149,75 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     b = _wrap_const(b, a)
-    out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bwd(g):
         a._accumulate(_unbroadcast(g, a.data.shape))
         b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = bwd
-    return out
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b):
     b = _wrap_const(b, a)
-    out = Tensor(a.data * b.data, _parents=(a, b))
 
     def bwd(g):
         a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = bwd
-    return out
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), _parents=(a,))
-
     def bwd(g):
         a._accumulate(g.reshape(a.data.shape))
 
-    out._backward = bwd
-    return out
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def concat(tensors, axis=1):
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), _parents=tuple(tensors))
     splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def bwd(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             t._accumulate(piece)
 
-    out._backward = bwd
-    return out
+    return _node(np.concatenate(datas, axis=axis), tuple(tensors), bwd)
 
 
 def relu(x):
-    out = Tensor(np.maximum(x.data, 0), _parents=(x,))
-
     def bwd(g):
         x._accumulate(g * (x.data > 0))
 
-    out._backward = bwd
-    return out
+    return _node(np.maximum(x.data, 0), (x,), bwd)
 
 
 def sigmoid(x):
     y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         x._accumulate(g * y * (1.0 - y))
 
-    out._backward = bwd
-    return out
+    return _node(y, (x,), bwd)
 
 
 def softmax(x, axis=1):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(x,))
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         x._accumulate((g - dot) * y)
 
-    out._backward = bwd
-    return out
+    return _node(y, (x,), bwd)
 
 
 def sum_all(x):
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype), _parents=(x,))
-
     def bwd(g):
         x._accumulate(np.full_like(x.data, float(g)))
 
-    out._backward = bwd
-    return out
+    return _node(np.asarray(x.data.sum(), dtype=x.dtype), (x,), bwd)
 
 
 def linear(x, w, b=None):
@@ -228,7 +227,6 @@ def linear(x, w, b=None):
     y = xd @ w.data.T
     if b is not None:
         y = y + b.data
-    out = Tensor(y[0] if squeeze else y, _parents=(x, w) + ((b,) if b is not None else ()))
 
     def bwd(g):
         g2 = g[None, :] if squeeze else g
@@ -238,8 +236,8 @@ def linear(x, w, b=None):
         gx = g2 @ w.data
         x._accumulate(gx[0] if squeeze else gx)
 
-    out._backward = bwd
-    return out
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(y[0] if squeeze else y, parents, bwd)
 
 
 # -- spatial ops; all take (N, C, H, W) --
@@ -251,10 +249,6 @@ def conv2d_shape(extent, kernel, stride, padding):
             f"conv2d output extent {out} not positive "
             f"(in={extent}, k={kernel}, s={stride}, p={padding})")
     return out
-
-
-def _wants_grad(t):
-    return t.requires_grad or bool(t._parents)
 
 
 def _im2col_nhwc(xc, kh, kw, sh, sw):
@@ -294,8 +288,6 @@ def conv2d(x, w, stride=1, padding=0):
     wmat = np.ascontiguousarray(
         w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, cout))
     y = (cols @ wmat).reshape(n, ho, wo, cout)
-    out = Tensor(np.ascontiguousarray(y.transpose(0, 3, 1, 2)),
-                 _parents=(x, w))
 
     def bwd(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
@@ -314,8 +306,7 @@ def conv2d(x, w, stride=1, padding=0):
             dx = dxp[:, ph:ph + h, pw:pw + wdt, :]
             x._accumulate(np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
 
-    out._backward = bwd
-    return out
+    return _node(np.ascontiguousarray(y.transpose(0, 3, 1, 2)), (x, w), bwd)
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
@@ -339,7 +330,6 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
     y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    out = Tensor(y.astype(xd.dtype, copy=False), _parents=(x, gamma, beta))
 
     def bwd(g):
         gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
@@ -352,8 +342,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
         else:
             x._accumulate(gi * g)
 
-    out._backward = bwd
-    return out
+    return _node(y.astype(xd.dtype, copy=False), (x, gamma, beta), bwd)
 
 
 def maxpool2d(x, kernel, stride=None):
@@ -367,7 +356,6 @@ def maxpool2d(x, kernel, stride=None):
     win = win[:, :, ::sh, ::sw, :, :].reshape(n, c, ho, wo, kh * kw)
     idx = win.argmax(axis=-1)
     y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    out = Tensor(np.ascontiguousarray(y), _parents=(x,))
 
     def bwd(g):
         dx = np.zeros(x.data.shape, dtype=g.dtype)
@@ -379,19 +367,16 @@ def maxpool2d(x, kernel, stride=None):
                        ox[None, None] + idx % kw), g)
         x._accumulate(dx)
 
-    out._backward = bwd
-    return out
+    return _node(np.ascontiguousarray(y), (x,), bwd)
 
 
 def global_avgpool2d(x):
     n, c, h, w = x.data.shape
-    out = Tensor(x.data.mean(axis=(2, 3)), _parents=(x,))
 
     def bwd(g):
         x._accumulate(np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape))
 
-    out._backward = bwd
-    return out
+    return _node(x.data.mean(axis=(2, 3)), (x,), bwd)
 
 
 def check_finite(arr, context=""):
@@ -400,10 +385,18 @@ def check_finite(arr, context=""):
 
 
 def collect_gradients(loss, params):
-    """Run backward from ``loss`` and return one gradient per parameter."""
+    """Run backward from ``loss`` and return one gradient per parameter.
+
+    Raises ``GraphError`` when no parameter gets a gradient: the forward
+    recorded no graph (it ran in eval mode), so every gradient would be
+    zero.
+    """
     for p in params:
         p.zero_grad()
     loss.backward()
+    if params and all(p.grad is None for p in params):
+        raise GraphError("loss has no graph to any parameter; "
+                         "was the forward run in eval mode?")
     grads = []
     for p in params:
         if p.grad is None:

@@ -128,9 +128,11 @@ def exam_labels(record):
 # ---------------------------------------------------------------------------
 # epoch construction
 
-def subsample_epoch(records, rng):
+def subsample_epoch(records, rng, log=print):
     """All biopsied train exams plus an equally sized random draw of
-    non-biopsied ones, shuffled. Returns exam ids."""
+    non-biopsied ones, shuffled. Returns exam ids. When there are fewer
+    non-biopsied exams than biopsied ones, all are taken and ``log`` gets
+    a warning."""
     train = [r for r in records if r.split == "train"]
     biopsied = [r.exam_id for r in train
                 if r.left_biopsied or r.right_biopsied]
@@ -139,8 +141,8 @@ def subsample_epoch(records, rng):
     if not biopsied:
         raise ValueError("no biopsied exams in the train split")
     if len(clean) < len(biopsied):
-        print(f"warning: only {len(clean)} non-biopsied train exams for "
-              f"{len(biopsied)} biopsied ones; taking all")
+        log(f"warning: only {len(clean)} non-biopsied train exams for "
+            f"{len(biopsied)} biopsied ones; taking all")
         chosen = clean
     else:
         idx = rng.choice(len(clean), size=len(biopsied), replace=False)
@@ -295,7 +297,7 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
     def epoch_batches(epoch):
         seen.clear()
         rng = substream(cfg.seed, "epoch", epoch)
-        ids = subsample_epoch(records, rng)
+        ids = subsample_epoch(records, rng, log=log)
         if cfg.epoch_exams and len(ids) > cfg.epoch_exams:
             ids = ids[:cfg.epoch_exams]
         for chunk in _batched(ids, cfg.batch_size):

@@ -252,3 +252,20 @@ def test_rerun_reproducibility(pipeline, tmp_path):
         assert main([argv[0], "--data", str(p["data"]), "--out", str(out),
                      "--seed", "5", *argv[1:], *sets()]) == 0, key
         assert tree_hash(out) == tree_hash(p[key]), key
+
+
+@pytest.mark.parametrize("command,key", [
+    ("train-patch", "patch.lr"), ("pretrain-birads", "train.lr"),
+    ("train-cancer", "train.lr"), ("ensemble", "train.lr")])
+def test_first_epoch_divergence_names_lr(pipeline, tmp_path, capsys, command,
+                                          key):
+    """A learning rate that diverges at once is a config error: exit 1 and
+    name the key, not the exit-2 internal-error path."""
+    argv = [command, "--data", str(pipeline["data"]), "--out",
+            str(tmp_path / "o"), "--seed", "5", *sets((f"{key}=1e30",))]
+    if command == "ensemble":
+        argv += ["--members", "2"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert key in err and "diverged" in err

@@ -4,6 +4,7 @@ import pytest
 from mscope import tensor as T
 from mscope.layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear,
                            Sequential)
+from mscope.optim import binary_cross_entropy
 
 
 def test_identity_kernel_conv_is_identity():
@@ -87,3 +88,13 @@ def test_load_state_shape_mismatch():
     bad = {k: np.zeros((5, 5), dtype=np.float32) for k, _ in net.named_parameters()}
     with pytest.raises(ValueError):
         net.load_state_dict(bad)
+
+
+def test_collect_gradients_rejects_eval_mode_loss():
+    # an eval-mode forward records no graph; training on it would get
+    # all-zero gradients
+    lin = Linear(3, 2).eval()
+    x = T.Tensor(np.ones((4, 3), dtype=np.float32))
+    loss = binary_cross_entropy(T.sigmoid(lin(x)), np.ones((4, 2)))
+    with pytest.raises(T.GraphError):
+        T.collect_gradients(loss, lin.parameters())

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mscope import tensor as T
 from mscope.multiview import (ColumnConfig, FUSION_VARIANTS, MultiViewNet,
-                              VIEW_ORDER, column_shape_audit, count_parameters,
-                              hidden_budget, transfer_from_pretrained)
+                              ResNetColumn, VIEW_ORDER, column_shape_audit,
+                              count_parameters, hidden_budget,
+                              transfer_from_pretrained)
+from mscope.optim import binary_cross_entropy
 
 TINY_CC = (48, 36)
 TINY_MLO = (56, 32)
@@ -202,3 +206,56 @@ def test_transfer_architecture_mismatch_rejected():
            for k, v in state.items()}
     with pytest.raises(ValueError):
         transfer_from_pretrained(bad, input_channels=1, seed=0)
+
+
+# -- eval mode records no graph --
+
+def test_eval_output_has_no_graph():
+    net = MultiViewNet(seed=27)
+    views = random_views(np.random.default_rng(28), n=2)
+    assert net(views)._backward is not None
+    out = net.eval()(views)
+    assert out._parents == () and out._backward is None
+
+
+def test_eval_column_forward_retains_under_1mb():
+    # a held eval-mode output must not keep the activations and padded
+    # im2col inputs of the forward alive
+    col = ResNetColumn(ColumnConfig(), np.random.default_rng(29)).eval()
+    x = T.Tensor(np.random.default_rng(30)
+                 .uniform(0, 1, (2, 1, 448, 324)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = col(x)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2, 256)
+    assert retained < 1e6
+
+
+def test_eval_output_equals_graph_recording_forward():
+    net = MultiViewNet(variant="joint", seed=31).eval()
+    views = random_views(np.random.default_rng(32), n=2)
+    plain = net(views)
+    for p in net.parameters():
+        p.requires_grad = True
+    recorded = net(views)
+    assert recorded._backward is not None
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def test_gradients_unchanged_by_eval_train_round_trip():
+    views = random_views(np.random.default_rng(33), n=2)
+    y = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=np.float32)
+
+    def gradients(net):
+        net.train()
+        return T.collect_gradients(binary_cross_entropy(net(views), y),
+                                   net.parameters())
+
+    stayed = MultiViewNet(seed=34)
+    left = MultiViewNet(seed=34).eval()
+    left(views)
+    for a, b in zip(gradients(stayed), gradients(left)):
+        np.testing.assert_array_equal(a, b)

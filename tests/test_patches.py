@@ -313,3 +313,20 @@ def test_divergence_keeps_last_completed_epoch(tmp_path, monkeypatch):
     ref, _ = train_patch_classifier(pools, tmp_path / "ref", one,
                                     patch_size=16, log=lambda *_: None)
     assert ckpts[0][1].read_bytes() == ref[0][1].read_bytes()
+
+
+def test_eval_output_has_no_graph():
+    net = PatchNet(patch_size=16, seed=6).eval()
+    x = np.random.default_rng(7).uniform(0, 1, (3, 1, 16, 16))
+    out = net(T.Tensor(x.astype(np.float32)))
+    assert out._parents == () and out._backward is None
+
+
+def test_predict_proba_keeps_train_mode_gradients():
+    net = PatchNet(patch_size=16, seed=8)
+    x = np.random.default_rng(9).uniform(0, 1, (3, 16, 16))
+    probs = net.predict_proba(x)
+    assert probs.shape == (3, 4)
+    assert net.training
+    assert all(p.requires_grad for p in net.parameters())
+    assert net(T.Tensor(x[:, None].astype(np.float32)))._backward is not None

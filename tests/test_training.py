@@ -108,6 +108,19 @@ def test_subsample_few_clean_warns(capsys):
     assert "warning" in capsys.readouterr().out
 
 
+def test_cancer_trainer_sends_subsample_warning_to_log(tiny_dataset, capsys):
+    root, records = tiny_dataset
+    clean = [r for r in records if r.split == "train"
+             and not (r.left_biopsied or r.right_biopsied)]
+    records = [r for r in records if r not in clean[2:]]
+    seen = []
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2, max_epochs=1,
+                         seed=35, max_offset=0)
+    train_cancer_model(records, root, cfg, log=seen.append)
+    assert any("non-biopsied" in line for line in seen)
+    assert capsys.readouterr().out == ""
+
+
 # -- early stopping --
 
 def test_early_stopper_patience_semantics():
