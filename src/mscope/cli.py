@@ -24,6 +24,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError
+from .evaluation import MetricError
+from .phantom import GeneratorError
 from .seeding import substream
 from .tensor import NumericsError
 
@@ -90,14 +92,6 @@ def _lr_diverges(cfg, key):
         yield
     except NumericsError as exc:
         raise UserError(f"{exc}; lower {key} (now {cfg[key]:g})") from exc
-
-
-def _limit_worker_threads():
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(1)
-    except Exception:
-        pass
 
 
 def _sha256_file(path):
@@ -226,7 +220,7 @@ def cmd_gen_heatmaps(args):
                      seed=args.seed)
     if args.jobs > 1:
         from multiprocessing import Pool
-        with Pool(args.jobs, initializer=_limit_worker_threads) as pool:
+        with Pool(args.jobs) as pool:
             done = pool.map(_heatmap_task, range(len(records)), chunksize=4)
     else:
         done = [_heatmap_task(i) for i in range(len(records))]
@@ -413,7 +407,7 @@ def cmd_predict(args):
                      offset=run_cfg["train.max_offset"], model_id=model_id)
     if args.jobs > 1:
         from multiprocessing import Pool
-        with Pool(args.jobs, initializer=_limit_worker_threads) as pool:
+        with Pool(args.jobs) as pool:
             nested = pool.map(_predict_task, range(len(records)), chunksize=2)
     else:
         nested = [_predict_task(i) for i in range(len(records))]
@@ -445,7 +439,7 @@ def _labels_for(records):
 
 
 def cmd_evaluate(args):
-    from .evaluation import (MetricError, pr_auc, pr_curve_points,
+    from .evaluation import (pr_auc, pr_curve_points,
                              read_predictions, roc_auc, roc_curve_points,
                              malignant_vs_benign_score, biopsy_score,
                              subpopulation)
@@ -478,16 +472,15 @@ def cmd_evaluate(args):
             y = [labels[b][("malignant" if task == "malignant_vs_benign"
                             else task)] for b in ids]
             s = [scores[b] for b in ids]
-            try:
-                auc = roc_auc(s, y)
-                prauc = pr_auc(s, y)
-            except MetricError:
-                return
-            rows.append((model_id, pop_name, task, "auc", auc))
-            rows.append((model_id, pop_name, task, "prauc", prauc))
-            rows.append((model_id, pop_name, task, "n_pos", sum(y)))
-            rows.append((model_id, pop_name, task, "n_neg", len(y) - sum(y)))
-            if pop_name in ("screening", "biopsied") and \
+            n_pos = sum(y)
+            # a single-class population keeps its counts, with no AUC rows
+            both = 0 < n_pos < len(y)
+            if both:
+                rows.append((model_id, pop_name, task, "auc", roc_auc(s, y)))
+                rows.append((model_id, pop_name, task, "prauc", pr_auc(s, y)))
+            rows.append((model_id, pop_name, task, "n_pos", n_pos))
+            rows.append((model_id, pop_name, task, "n_neg", len(y) - n_pos))
+            if both and pop_name in ("screening", "biopsied") and \
                     task in ("malignant", "benign"):
                 tag = f"{model_id}_{pop_name}_{task}"
                 with open(out / "curves" / f"{tag}_roc.csv", "w") as f:
@@ -771,7 +764,8 @@ def main(argv=None):
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ConfigError, MetricError, GeneratorError, FileNotFoundError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

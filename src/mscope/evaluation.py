@@ -1,11 +1,15 @@
 """Evaluation mathematics: ranking metrics, test subpopulations, derived
 score transforms, simulated readers, and the reader-model hybrid sweep.
 
-ROC AUC is the exact Mann-Whitney statistic (ties count half) computed via
-midranks. PR AUC uses a stepwise convention: precision is evaluated at
-each achieved recall level with tie groups processed atomically and no
-interpolation between points. Single-class inputs raise instead of
-returning NaN.
+The four ranking metrics share one kernel, ``_tie_groups``: a stable sort
+by descending score, then the cumulative true- and false-positive counts
+at each distinct score (Fawcett 2006, "An introduction to ROC analysis",
+Alg. 2). Scores must be finite and labels must be 0 or 1; anything else
+raises ``MetricError``. ROC AUC is the exact Mann-Whitney statistic (ties
+count half), computed in integers and divided once. PR AUC uses a
+stepwise convention: precision is evaluated at each achieved recall level
+with tie groups processed atomically and no interpolation between points.
+Single-class inputs raise instead of returning NaN.
 """
 
 from __future__ import annotations
@@ -34,111 +38,72 @@ class PredictionRecord:
         return f"{self.exam_id}:{self.side}"
 
 
-def _midranks(values):
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sv = values[order]
-    i = 0
-    while i < len(sv):
-        j = i
-        while j + 1 < len(sv) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _tie_groups(scores, labels):
+    """Cumulative (tp, fp) counts, as int64 arrays, at each distinct score
+    from the highest down, with a leading (0, 0); ``tp[-1]`` and ``fp[-1]``
+    are the class sizes."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise MetricError(f"scores {scores.shape} and labels {labels.shape} "
+                          "must be 1-d and of equal length")
+    if not np.isfinite(scores).all():
+        raise MetricError("scores must be finite")
+    pos = labels == 1
+    if not (pos | (labels == 0)).all():
+        raise MetricError("labels must be 0 or 1")
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    # a group ends where the next score differs, and at the last score
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], len(s) > 0))
+    tp = np.concatenate(([0], np.cumsum(pos[order], dtype=np.int64)[ends]))
+    fp = np.concatenate(([0], ends + 1)) - tp
+    return tp, fp
 
 
 def roc_auc(scores, labels):
     """P(score_pos > score_neg) + 0.5 * P(tie), exact over all pairs."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    tp, fp = _tie_groups(scores, labels)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise MetricError("roc_auc undefined: need both classes")
-    ranks = _midranks(scores)
-    r_pos = ranks[labels == 1].sum()
-    u = r_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    # each negative in a tie group is outscored by the tp_prev positives
+    # above the group and ties with its tp - tp_prev own ones, so twice the
+    # Mann-Whitney U sums tp_prev + tp over the negatives
+    u2 = (np.diff(fp) * (tp[:-1] + tp[1:])).sum()
+    return u2 / (2 * n_pos * n_neg)
 
 
 def pr_auc(scores, labels):
     """Area under the stepwise precision-recall curve."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
+    tp, fp = _tie_groups(scores, labels)
+    n_pos = int(tp[-1])
     if n_pos == 0:
         raise MetricError("pr_auc undefined: no positives")
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    area = 0.0
-    tp = 0
-    fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i:j + 1].sum())
-        fp += int((j - i + 1) - y[i:j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area
+    recall = tp / n_pos
+    precision = tp[1:] / (tp[1:] + fp[1:])
+    # cumsum adds left to right, as a running total does; np.sum's pairwise
+    # order would change the last bit
+    return float(np.cumsum(np.diff(recall) * precision)[-1])
 
 
 def roc_curve_points(scores, labels):
     """(fpr, tpr) pairs over all distinct thresholds, ends included."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    tp, fp = _tie_groups(scores, labels)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise MetricError("roc curve undefined: need both classes")
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    pts = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i:j + 1].sum())
-        fp += (j - i + 1) - int(y[i:j + 1].sum())
-        pts.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return pts
+    return list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
 
 
 def pr_curve_points(scores, labels):
     """(recall, precision) pairs over all distinct thresholds."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
+    tp, fp = _tie_groups(scores, labels)
+    n_pos = int(tp[-1])
     if n_pos == 0:
         raise MetricError("pr curve undefined: no positives")
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    pts = []
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i:j + 1].sum())
-        fp += (j - i + 1) - int(y[i:j + 1].sum())
-        pts.append((tp / n_pos, tp / (tp + fp)))
-        i = j + 1
-    return pts
+    tp, fp = tp[1:], fp[1:]
+    return list(zip((tp / n_pos).tolist(), (tp / (tp + fp)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +324,27 @@ def read_predictions(path):
         if reader.fieldnames != PREDICTIONS_HEADER.split(","):
             raise MetricError(f"{path}: unexpected predictions header")
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row or None in row.values():
+                raise MetricError(f"{where}: expected "
+                                  f"{len(reader.fieldnames)} fields")
+            if row["side"] not in ("L", "R"):
+                raise MetricError(f"{where}: side {row['side']!r} is not L "
+                                  "or R")
             out.append(PredictionRecord(
                 exam_id=row["exam_id"], side=row["side"],
-                p_malignant=float(row["p_malignant"]),
-                p_benign=float(row["p_benign"]),
+                p_malignant=_probability(row["p_malignant"], where),
+                p_benign=_probability(row["p_benign"], where),
                 model_id=row["model_id"]))
     return out
+
+
+def _probability(text, where):
+    try:
+        p = float(text)
+    except ValueError:
+        p = math.nan
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise MetricError(f"{where}: probability {text!r} is not a number "
+                          "in [0, 1]")
+    return p

@@ -3,11 +3,11 @@
 ``Module`` walks its attributes to find parameters (``Parameter``), buffers
 (arrays named ``running_*``) and child modules, and gives every network
 ``parameters``, ``state_dict``/``load_state_dict`` and ``train``/``eval``.
-``Conv2d``, ``BatchNorm2d`` and ``Linear`` check their outputs for
-non-finite values while ``tensor.CHECK_FINITE`` is set; during training
-(a step or a validation pass), the ``NumericsError`` they raise counts as
-divergence (see ``optim._fit``). Pooling layers and ``ReLU`` cannot create
-non-finite values from finite input.
+``Conv2d``, ``BatchNorm2d`` and ``Linear`` check every output for
+non-finite values; during training (a step or a validation pass), the
+``NumericsError`` they raise counts as divergence (see ``optim._fit``).
+Pooling layers and ``ReLU`` cannot create non-finite values from finite
+input.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ class Conv2d(Module):
 
     def forward(self, x):
         out = T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        if T.CHECK_FINITE:
-            T.check_finite(out.data, "conv2d")
+        T.check_finite(out.data, "conv2d")
         return out
 
 
@@ -151,8 +150,7 @@ class BatchNorm2d(Module):
                             self.running_mean, self.running_var,
                             training=self.training,
                             momentum=self.momentum, eps=self.eps)
-        if T.CHECK_FINITE:
-            T.check_finite(out.data, "batchnorm")
+        T.check_finite(out.data, "batchnorm")
         return out
 
 
@@ -168,8 +166,7 @@ class Linear(Module):
 
     def forward(self, x):
         out = T.linear(x, self.weight, self.bias)
-        if T.CHECK_FINITE:
-            T.check_finite(out.data, "linear")
+        T.check_finite(out.data, "linear")
         return out
 
 

@@ -567,6 +567,14 @@ def write_manifest(path, records):
                 r.view_paths["rmlo"], r.view_paths["lmlo"])) + "\n")
 
 
+# the label and flag fields, and the 3-way assessment, with their codes
+_MANIFEST_CODES = dict.fromkeys(
+    ("left_benign", "left_malignant", "right_benign", "right_malignant",
+     "left_biopsied", "right_biopsied", "left_occult", "right_occult"),
+    {"0": 0, "1": 1})
+_MANIFEST_CODES["birads"] = {"0": 0, "1": 1, "2": 2}
+
+
 def load_manifest(path):
     records = []
     with open(path, newline="") as f:
@@ -574,19 +582,21 @@ def load_manifest(path):
         if reader.fieldnames != MANIFEST_HEADER.split(","):
             raise GeneratorError(f"{path}: unexpected manifest header")
         for row in reader:
+            if None in row or None in row.values():
+                raise GeneratorError(f"{path}, line {reader.line_num}: "
+                                     f"expected {len(reader.fieldnames)} "
+                                     "fields")
+            codes = {k: allowed.get(row[k])
+                     for k, allowed in _MANIFEST_CODES.items()}
+            if None in codes.values():
+                key = next(k for k, v in codes.items() if v is None)
+                raise GeneratorError(
+                    f"{path}, line {reader.line_num}: {key} {row[key]!r} is "
+                    f"not one of {', '.join(_MANIFEST_CODES[key])}")
             records.append(ExamRecord(
                 exam_id=row["exam_id"], patient_id=row["patient_id"],
                 split=row["split"], age_band=row["age_band"],
-                density=row["density"],
-                left_benign=int(row["left_benign"]),
-                left_malignant=int(row["left_malignant"]),
-                right_benign=int(row["right_benign"]),
-                right_malignant=int(row["right_malignant"]),
-                left_biopsied=int(row["left_biopsied"]),
-                right_biopsied=int(row["right_biopsied"]),
-                left_occult=int(row["left_occult"]),
-                right_occult=int(row["right_occult"]),
-                birads=int(row["birads"]),
+                density=row["density"], **codes,
                 view_paths={v: row[f"{v}_path"] for v in VIEWS}))
     return records
 

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Layer wrappers validate their outputs when this is set; raw ops do not.
-CHECK_FINITE = True
-
 
 class GraphError(RuntimeError):
     """Raised on misuse of the computation graph (re-backward, non-scalar

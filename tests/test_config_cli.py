@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -269,3 +270,95 @@ def test_first_epoch_divergence_names_lr(pipeline, tmp_path, capsys, command,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert key in err and "diverged" in err
+
+
+def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path):
+    """gen-data, gen-heatmaps and predict write the same bytes with two
+    worker processes as with one."""
+    p = pipeline
+    runs = {
+        "data": ["gen-data"],
+        "heatmaps": ["gen-heatmaps", "--data", str(p["data"]),
+                     "--checkpoint", str(p["patch"] / "best.ckpt")],
+        "pred": ["predict", "--data", str(p["data"]), "--run",
+                 str(p["cancer"]), "--model-id", "image_only"],
+    }
+    for key, argv in runs.items():
+        out = tmp_path / key
+        assert main([*argv, "--out", str(out), "--seed", "5", "--jobs", "2",
+                     *sets()]) == 0, key
+        assert tree_hash(out) == tree_hash(p[key]), key
+
+
+def _set_field(col, value):
+    return lambda fields: fields[:col] + [value] + fields[col + 1:]
+
+
+# file, line index (0 = header), edit of that line's fields
+GARBLED_INPUTS = {
+    "predictions-header": ("predictions.csv", 0, _set_field(1, "view")),
+    "probability-text": ("predictions.csv", 1, _set_field(2, "oops")),
+    "probability-nan": ("predictions.csv", 1, _set_field(2, "nan")),
+    "probability-above-1": ("predictions.csv", 1, _set_field(3, "1.5")),
+    "side": ("predictions.csv", 1, _set_field(1, "X")),
+    "short-row": ("predictions.csv", 1, lambda fields: fields[:-1]),
+    "manifest-header": ("manifest.csv", 0, _set_field(6, "left_cancer")),
+    "manifest-label": ("manifest.csv", 1, _set_field(6, "2")),
+    "manifest-flag": ("manifest.csv", 1, _set_field(9, "x")),
+    "manifest-birads": ("manifest.csv", 1, _set_field(13, "9")),
+    "manifest-short-row": ("manifest.csv", 1, lambda fields: fields[:-1]),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reader-study"])
+@pytest.mark.parametrize("case", sorted(GARBLED_INPUTS))
+def test_garbled_evaluation_inputs_exit_1(pipeline, tmp_path, capsys,
+                                          command, case):
+    """A malformed predictions file or manifest is a user error that names
+    the file (and the line of a bad row), not an internal error."""
+    name, line, edit = GARBLED_INPUTS[case]
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(pipeline["data"] / "manifest.csv", data / "manifest.csv")
+    preds = tmp_path / "predictions.csv"
+    shutil.copy(pipeline["pred"] / "predictions.csv", preds)
+    bad = data / name if name == "manifest.csv" else preds
+    lines = bad.read_text().splitlines()
+    lines[line] = ",".join(edit(lines[line].split(",")))
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--predictions", str(preds),
+                 "--out", str(tmp_path / "o"), "--seed", "5", *sets()]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if line:
+        assert f"line {line + 1}" in err
+
+
+def test_single_class_band_keeps_counts(pipeline, tmp_path):
+    """A population with one class gets its n_pos/n_neg rows and no AUC."""
+    lines = (pipeline["data"] / "manifest.csv").read_text().splitlines()
+    col = {k: i for i, k in enumerate(lines[0].split(","))}
+    findings = ("left_benign", "left_malignant", "right_benign",
+                "right_malignant")
+    for i in range(1, len(lines)):
+        fields = lines[i].split(",")
+        if fields[col["split"]] == "test" and \
+                all(fields[col[k]] == "0" for k in findings):
+            fields[col["age_band"]] = "90+"
+            lines[i] = ",".join(fields)
+            break
+    else:
+        pytest.fail("no test exam without findings")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--data", str(data), "--predictions",
+                 str(pipeline["pred"] / "predictions.csv"), "--out", str(out),
+                 "--population", "by_age", "--seed", "5", *sets()]) == 0
+    rows = [r.split(",") for r in
+            (out / "metrics.csv").read_text().splitlines()[1:]]
+    band = {(r[2], r[3]): float(r[4]) for r in rows if r[1] == "age:90+"}
+    assert band == {("malignant", "n_pos"): 0.0, ("malignant", "n_neg"): 2.0,
+                    ("benign", "n_pos"): 0.0, ("benign", "n_neg"): 2.0}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mscope.evaluation import (MetricError, PredictionRecord, biopsy_score,
                                hybrid_scores, hybrid_sweep,
@@ -42,6 +44,24 @@ def sweep_pr_auc(scores, labels):
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return area
+
+
+def sweep_curves(scores, labels):
+    """Threshold-sweep oracle for the ROC and PR curve points; needs a
+    positive, and gives no ROC points without a negative."""
+    scores = np.asarray(scores)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    roc, pr = [(0.0, 0.0)], []
+    for t in sorted(set(scores.tolist()), reverse=True):
+        sel = scores >= t
+        tp = int((labels[sel] == 1).sum())
+        fp = int(sel.sum()) - tp
+        if n_neg:
+            roc.append((fp / n_neg, tp / n_pos))
+        pr.append((tp / n_pos, tp / (tp + fp)))
+    return roc, pr
 
 
 # -- ROC AUC --
@@ -108,8 +128,7 @@ def test_pr_auc_matches_threshold_sweep():
         labels = rng.integers(0, 2, n)
         if labels.sum() == 0:
             labels[0] = 1
-        assert pr_auc(scores, labels) == pytest.approx(
-            sweep_pr_auc(scores, labels), abs=1e-9)
+        assert pr_auc(scores, labels) == sweep_pr_auc(scores, labels)
 
 
 def test_pr_auc_no_positives_rejected():
@@ -124,6 +143,58 @@ def test_curve_points_shapes():
     assert roc[0] == (0.0, 0.0) and roc[-1] == (1.0, 1.0)
     pr = pr_curve_points(scores, labels)
     assert pr[-1][0] == 1.0
+
+
+def test_curve_points_match_threshold_sweep():
+    rng = substream(12, "curves")
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        scores = rng.uniform(0, 1, n)
+        if trial % 2 == 0:
+            scores = np.round(scores, 1)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        roc, pr = sweep_curves(scores, labels)
+        assert roc_curve_points(scores, labels) == roc
+        assert pr_curve_points(scores, labels) == pr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)),
+                min_size=1, max_size=60))
+def test_ranking_metrics_match_oracles_on_ties(pairs):
+    scores = [0.25 * level for level, _ in pairs]
+    labels = [y for _, y in pairs]
+    n_pos = sum(labels)
+    if n_pos == 0:
+        with pytest.raises(MetricError):
+            pr_auc(scores, labels)
+    else:
+        roc, pr = sweep_curves(scores, labels)
+        assert pr_auc(scores, labels) == sweep_pr_auc(scores, labels)
+        assert pr_curve_points(scores, labels) == pr
+    if 0 < n_pos < len(labels):
+        assert roc_auc(scores, labels) == pair_count_auc(scores, labels)
+        assert roc_curve_points(scores, labels) == roc
+    else:
+        with pytest.raises(MetricError):
+            roc_auc(scores, labels)
+        with pytest.raises(MetricError):
+            roc_curve_points(scores, labels)
+
+
+@pytest.mark.parametrize("metric", [roc_auc, pr_auc, roc_curve_points,
+                                    pr_curve_points])
+@pytest.mark.parametrize("scores,labels,message", [
+    ([0.1, 0.2, 0.3], [0, 2, 1], "labels must be 0 or 1"),
+    ([0.1, 0.2, 0.3], [0, -1, 1], "labels must be 0 or 1"),
+    ([0.1, np.nan, 0.3, 0.7], [0, 1, 0, 1], "scores must be finite"),
+    ([0.1, np.inf, 0.3, 0.7], [0, 1, 0, 1], "scores must be finite"),
+    ([0.1, 0.2, 0.3], [0, 1, 0, 1], "equal length"),
+], ids=["label-2", "label-minus-1", "nan-score", "inf-score", "lengths"])
+def test_ranking_metrics_reject_bad_inputs(metric, scores, labels, message):
+    with pytest.raises(MetricError, match=message):
+        metric(scores, labels)
 
 
 # -- subpopulations --
