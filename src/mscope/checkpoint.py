@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from .layers import StateDictError
+
 MAGIC = b"MSCK"
 VERSION = 1
 
@@ -66,3 +68,13 @@ def load_checkpoint(path) -> dict:
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return out
+
+
+def load_into(module, path):
+    """Load the checkpoint at ``path`` into ``module``. A state that does
+    not fit the module raises ``StateDictError`` naming ``path`` and the
+    first key at fault."""
+    try:
+        module.load_state_dict(load_checkpoint(path))
+    except StateDictError as exc:
+        raise StateDictError(f"{path}: {exc}") from None

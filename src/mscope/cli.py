@@ -6,7 +6,8 @@ subcommand writes its fully resolved config into its output directory,
 refuses to overwrite an existing non-empty output unless --force is given,
 and prints a one-line summary on success.
 
-Exit codes: 0 success, 1 user error (bad flags, config, or paths), 2
+Exit codes: 0 success, 1 user error (bad flags, config, or paths; input
+files that do not parse, or checkpoints that do not fit the model), 2
 internal invariant violation.
 """
 
@@ -23,8 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from .checkpoint import CheckpointError
 from .config import ConfigError
 from .evaluation import MetricError
+from .layers import StateDictError
 from .phantom import GeneratorError
 from .seeding import substream
 from .tensor import NumericsError
@@ -171,8 +174,14 @@ def cmd_train_patch(args):
         need = max(0, n_select - len(biopsied))
         idx = rng.choice(len(rest), size=min(need, len(rest)), replace=False)
         val = biopsied + [rest[i] for i in idx]
-    best, table = select_patch_checkpoint(
-        checkpoints, val, data, patch_size, cfg["heatmap.stride"], args.seed)
+    try:
+        best, table = select_patch_checkpoint(
+            checkpoints, val, data, patch_size, cfg["heatmap.stride"],
+            args.seed)
+    except MetricError as exc:
+        raise UserError(f"{exc}; raise patch.select_exams (now {n_select}) "
+                        "or use a validation split with both classes") \
+            from exc
 
     import shutil
     shutil.copyfile(best[1], out / "best.ckpt")
@@ -201,7 +210,7 @@ def _heatmap_task(idx):
 
 
 def cmd_gen_heatmaps(args):
-    from .checkpoint import load_checkpoint
+    from .checkpoint import load_into
     from .patches import PatchNet
 
     cfg = _load_config(args)
@@ -211,7 +220,7 @@ def cmd_gen_heatmaps(args):
 
     patch_size = cfg["patch.size"]
     net = PatchNet(patch_size=patch_size)
-    net.load_state_dict(load_checkpoint(args.checkpoint))
+    load_into(net, args.checkpoint)
     net.eval()
 
     global _POOL_CTX
@@ -348,7 +357,7 @@ def cmd_ensemble(args):
 
 
 def _load_run_models(run_dir, use_members):
-    from .checkpoint import load_checkpoint
+    from .checkpoint import load_into
     from .multiview import MultiViewNet
 
     run_dir = Path(run_dir)
@@ -363,7 +372,7 @@ def _load_run_models(run_dir, use_members):
     for p in paths:
         net = MultiViewNet(variant=variant, input_channels=channels,
                            task="cancer")
-        net.load_state_dict(load_checkpoint(p))
+        load_into(net, p)
         net.eval()
         nets.append(net)
     return nets, channels, run_cfg
@@ -764,8 +773,8 @@ def main(argv=None):
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, MetricError, GeneratorError, FileNotFoundError,
-            NotADirectoryError) as exc:
+    except (ConfigError, MetricError, GeneratorError, CheckpointError,
+            StateDictError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

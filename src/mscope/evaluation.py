@@ -170,10 +170,15 @@ def biopsy_score(p_mal, p_ben):
 
 
 def malignant_vs_benign_score(p_mal, p_ben):
-    """Malignant probability renormalized over the two finding classes."""
+    """Malignant probability renormalized over the two finding classes.
+
+    At (0, 0) the model gives no evidence either way, and the score is 0.5.
+    Predictions are written to 6 decimals, so a confident model can produce
+    that pair.
+    """
     total = p_mal + p_ben
     if total <= 0:
-        raise MetricError("malignant_vs_benign_score undefined for (0, 0)")
+        return 0.5
     return p_mal / total
 
 

@@ -163,36 +163,44 @@ def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
     """Pick the checkpoint whose heatmap-derived breast scores maximize the
     mean of malignant and benign AUC over ``records``; ties go to the
     earliest checkpoint.
+
+    Raises ``MetricError`` before any heatmap is made when the breasts of
+    ``records`` have a single malignant or a single benign class: the
+    labels do not depend on the checkpoint, and neither AUC is defined.
     """
-    from .checkpoint import load_checkpoint
-    from .evaluation import roc_auc
+    from .checkpoint import load_into
+    from .evaluation import MetricError, roc_auc
     from .patches import PatchNet
 
     if not checkpoints:
         raise ValueError("no checkpoints to select from")
+    sides = (("L", ("lcc", "lmlo")), ("R", ("rcc", "rmlo")))
+    labels = {"malignant": [], "benign": []}
+    for rec in records:
+        for side, _ in sides:
+            benign, malignant = rec.labels(side)
+            labels["malignant"].append(malignant)
+            labels["benign"].append(benign)
+    for task in ("malignant", "benign"):
+        if len(set(labels[task])) < 2:
+            raise MetricError(f"the {len(records)} selection exams have a "
+                              f"single {task} class; checkpoint selection "
+                              "undefined")
     best = None
     table = []
     for epoch, path in checkpoints:
         net = PatchNet(patch_size=patch_size)
-        net.load_state_dict(load_checkpoint(path))
+        load_into(net, path)
         scores = {"malignant": [], "benign": []}
-        labels = {"malignant": [], "benign": []}
         for rec in records:
             maps = heatmaps_for_exam(rec, data_dir, net.predict_proba,
                                      patch_size, prefixed_stride, seed)
-            for side, views in (("L", ("lcc", "lmlo")), ("R", ("rcc", "rmlo"))):
+            for _, views in sides:
                 p_mal, p_ben = heatmap_breast_score([maps[v] for v in views])
-                benign, malignant = rec.labels(side)
                 scores["malignant"].append(p_mal)
-                labels["malignant"].append(malignant)
                 scores["benign"].append(p_ben)
-                labels["benign"].append(benign)
-        aucs = {}
-        for task in ("malignant", "benign"):
-            if len(set(labels[task])) < 2:
-                raise ValueError(f"validation set has a single {task} class; "
-                                 "checkpoint selection undefined")
-            aucs[task] = roc_auc(scores[task], labels[task])
+        aucs = {task: roc_auc(scores[task], labels[task])
+                for task in ("malignant", "benign")}
         mean_auc = (aucs["malignant"] + aucs["benign"]) / 2.0
         table.append((epoch, path, aucs["malignant"], aucs["benign"], mean_auc))
         log(f"checkpoint epoch {epoch}: auc_mal {aucs['malignant']:.3f} "

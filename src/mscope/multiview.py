@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, Module
+from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, Module,
+                     conv_bn)
 from .seeding import substream
 
 COLUMN_CHANNELS = (16, 16, 32, 64, 128, 256)
@@ -78,10 +79,10 @@ class ResidualBlock(Module):
             self.shortcut_bn = None
 
     def forward(self, x):
-        h = T.relu(self.bn1(self.conv1(x)))
-        h = self.bn2(self.conv2(h))
+        h = T.relu(conv_bn(self.conv1, self.bn1, x))
+        h = conv_bn(self.conv2, self.bn2, h)
         if self.shortcut_conv is not None:
-            x = self.shortcut_bn(self.shortcut_conv(x))
+            x = conv_bn(self.shortcut_conv, self.shortcut_bn, x)
         return T.relu(h + x)
 
 
@@ -105,7 +106,7 @@ class ResNetColumn(Module):
         self.pool = GlobalAvgPool2d()
 
     def forward(self, x):
-        h = T.relu(self.stem_bn(self.stem(x)))
+        h = T.relu(conv_bn(self.stem, self.stem_bn, x))
         for block in self.blocks:
             h = block(h)
         return self.pool(h)

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, MaxPool2d,
-                     Module, ReLU, Sequential)
+from .layers import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 from .optim import _fit, weighted_batch_cross_entropy
 from .pgm import read_pgm
 from .phantom import MAXVAL, VIEWS, image_path, load_mask
@@ -304,22 +303,25 @@ class PatchNet(Module):
         self.patch_size = patch_size
         # full-resolution first layer: fine speck/margin structure must be
         # seen before any downsampling
-        self.features = Sequential(
-            Conv2d(1, 8, 3, stride=1, padding=1, rng=rng, dtype=dtype),
-            BatchNorm2d(8, dtype=dtype), ReLU(),
-            Conv2d(8, 16, 3, stride=2, padding=1, rng=rng, dtype=dtype),
-            BatchNorm2d(16, dtype=dtype), ReLU(), MaxPool2d(2),
-            Conv2d(16, 32, 3, stride=1, padding=1, rng=rng, dtype=dtype),
-            BatchNorm2d(32, dtype=dtype), ReLU(), MaxPool2d(2),
-            Conv2d(32, 64, 3, stride=1, padding=1, rng=rng, dtype=dtype),
-            BatchNorm2d(64, dtype=dtype), ReLU(), GlobalAvgPool2d(),
-        )
+        self.conv1 = Conv2d(1, 8, 3, stride=1, padding=1, rng=rng, dtype=dtype)
+        self.bn1 = BatchNorm2d(8, dtype=dtype)
+        self.conv2 = Conv2d(8, 16, 3, stride=2, padding=1, rng=rng, dtype=dtype)
+        self.bn2 = BatchNorm2d(16, dtype=dtype)
+        self.conv3 = Conv2d(16, 32, 3, stride=1, padding=1, rng=rng, dtype=dtype)
+        self.bn3 = BatchNorm2d(32, dtype=dtype)
+        self.conv4 = Conv2d(32, 64, 3, stride=1, padding=1, rng=rng, dtype=dtype)
+        self.bn4 = BatchNorm2d(64, dtype=dtype)
         self.fc1 = Linear(64, 32, rng=rng, dtype=dtype)
         self.fc2 = Linear(32, 4, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        h = self.features(x)
-        h = T.relu(self.fc1(h))
+        h = T.relu(conv_bn(self.conv1, self.bn1, x))
+        h = T.relu(conv_bn(self.conv2, self.bn2, h))
+        h = T.maxpool2d(h, 2)
+        h = T.relu(conv_bn(self.conv3, self.bn3, h))
+        h = T.maxpool2d(h, 2)
+        h = T.relu(conv_bn(self.conv4, self.bn4, h))
+        h = T.relu(self.fc1(T.global_avgpool2d(h)))
         return self.fc2(h)
 
     def predict_proba(self, batch):

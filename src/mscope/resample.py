@@ -1,9 +1,11 @@
 """Image resampling primitives: bilinear point sampling, separable bicubic
-resize, and a small separable blur. All pure numpy, so results are
-bit-reproducible across runs on the same platform.
+resize of image stacks, and a small separable blur. All pure numpy, so
+results are bit-reproducible across runs on the same platform.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,27 +38,55 @@ def _cubic_kernel(t: np.ndarray, a=-0.5) -> np.ndarray:
     return w
 
 
-def _resize_matrix(src: int, dst: int) -> np.ndarray:
-    """Dense (dst, src) map realizing 1-D convolution-based cubic resize."""
+@functools.lru_cache(maxsize=256)
+def _cubic_taps(src: int, dst: int):
+    """Source indices and weights, each (4, dst), of a 1-D cubic resize
+    from ``src`` to ``dst`` samples.
+
+    Output sample ``k`` sits at source coordinate ``(k + 0.5) * src / dst
+    - 0.5``; its four taps are the Keys kernel (a = -0.5; Keys 1981, IEEE
+    TASSP 29(6)) at the nearest sources, indices clamped at the borders and
+    weights normalised to sum to 1. The arrays are cached, so they are
+    read-only.
+    """
     centers = (np.arange(dst) + 0.5) * (src / dst) - 0.5
     base = np.floor(centers).astype(np.int64)
-    mat = np.zeros((dst, src))
-    for tap in range(-1, 3):
-        idx = np.clip(base + tap, 0, src - 1)
-        wgt = _cubic_kernel(centers - (base + tap))
-        np.add.at(mat, (np.arange(dst), idx), wgt)
-    mat /= mat.sum(axis=1, keepdims=True)
-    return mat
+    offsets = np.arange(-1, 3)[:, None]
+    idx = np.clip(base + offsets, 0, src - 1)
+    wgt = _cubic_kernel(centers - (base + offsets))
+    wgt /= wgt.sum(axis=0)
+    idx.setflags(write=False)
+    wgt.setflags(write=False)
+    return idx, wgt
+
+
+def _resize_axis(arr: np.ndarray, dst: int, axis: int) -> np.ndarray:
+    """Resize ``arr`` along ``axis`` (-2 or -1): four weighted gathers."""
+    idx, wgt = _cubic_taps(arr.shape[axis], dst)
+    shape = (dst, 1) if axis == -2 else (dst,)
+    out = np.take(arr, idx[0], axis=axis)
+    out *= wgt[0].reshape(shape)
+    for i, w in zip(idx[1:], wgt[1:]):
+        tap = np.take(arr, i, axis=axis)
+        tap *= w.reshape(shape)
+        out += tap
+    return out
 
 
 def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable cubic-convolution resize of a (H, W) float image."""
-    h, w = img.shape
-    if (h, w) == (out_h, out_w):
-        return img.astype(np.float64, copy=True)
-    wy = _resize_matrix(h, out_h)
-    wx = _resize_matrix(w, out_w)
-    return wy @ img.astype(np.float64) @ wx.T
+    """Separable cubic-convolution resize of a (..., H, W) stack.
+
+    Returns a new float64 (..., out_h, out_w) array; each leading index
+    (a plane of a (C, H, W) crop, say) is resized on its own. Rows are
+    resampled first, then columns; an axis whose size does not change is
+    copied as it is.
+    """
+    out = np.array(img, dtype=np.float64)
+    if out.shape[-2] != out_h:
+        out = _resize_axis(out, out_h, -2)
+    if out.shape[-1] != out_w:
+        out = _resize_axis(out, out_w, -1)
+    return out
 
 
 def _correlate1d(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:

@@ -261,13 +261,17 @@ def _im2col_nhwc(xc, kh, kw, sh, sw):
     return win.reshape(n * ho * wo, kh * kw * win.shape[5]), ho, wo
 
 
-def conv2d(x, w, stride=1, padding=0):
+def conv2d(x, w, stride=1, padding=0, bias=None):
     """Cross-correlation of x:(N,C,H,W) with w:(Cout,C,kh,kw).
 
     Internally channels-last; the kernel is reordered to a (kh*kw*C, Cout)
-    matrix so forward is a single column-matrix product. The input gradient
-    is built tap by tap with strided scatter-adds, and gradients into
-    non-differentiable leaves (raw image batches) are skipped entirely.
+    matrix so forward is a single column-matrix product. ``bias`` is an
+    optional per-channel constant array (Cout,), added to the
+    channels-last product before the layout transpose; it gets no
+    gradient (``layers.conv_bn`` passes folded BatchNorm shifts here). The
+    input gradient is built tap by tap with strided scatter-adds, and
+    gradients into non-differentiable leaves (raw image batches) are
+    skipped entirely.
     """
     sh, sw = (stride, stride) if np.isscalar(stride) else stride
     ph, pw = (padding, padding) if np.isscalar(padding) else padding
@@ -285,6 +289,8 @@ def conv2d(x, w, stride=1, padding=0):
     wmat = np.ascontiguousarray(
         w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, cout))
     y = (cols @ wmat).reshape(n, ho, wo, cout)
+    if bias is not None:
+        y += bias
 
     def bwd(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
@@ -311,7 +317,10 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
     """Per-channel normalization; batch statistics in training, running in eval.
 
     ``running_mean``/``running_var`` are plain arrays mutated in place during
-    training (biased variance convention throughout).
+    training (biased variance convention throughout). Eval forwards of the
+    networks fold BatchNorm into the preceding convolution
+    (``layers.conv_bn``), so the eval branch here is the reference that
+    the fold is tested against, within float32 rounding.
     """
     xd = x.data
     if training:
@@ -342,29 +351,34 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
     return _node(y.astype(xd.dtype, copy=False), (x, gamma, beta), bwd)
 
 
-def maxpool2d(x, kernel, stride=None):
-    """Max over (kh, kw) windows; ``stride`` defaults to the kernel."""
+def maxpool2d(x, kernel):
+    """Max over non-overlapping (kh, kw) windows (the stride is the kernel).
+
+    The forward is an elementwise maximum over the kh*kw strided tap
+    slices. Backward sends each window's gradient to the first tap, in
+    row-major order, that equals the window's max: on ties the earliest
+    tap wins, the rule of ``argmax`` over the flattened window.
+    """
     kh, kw = (kernel, kernel) if np.isscalar(kernel) else kernel
-    sh, sw = (kh, kw) if stride is None else ((stride, stride) if np.isscalar(stride) else stride)
-    n, c, h, w = x.data.shape
-    ho = conv2d_shape(h, kh, sh, 0)
-    wo = conv2d_shape(w, kw, sw, 0)
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw, :, :].reshape(n, c, ho, wo, kh * kw)
-    idx = win.argmax(axis=-1)
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    xd = x.data
+    ho = conv2d_shape(xd.shape[2], kh, kh, 0)
+    wo = conv2d_shape(xd.shape[3], kw, kw, 0)
+    taps = [np.s_[:, :, i:i + kh * ho:kh, j:j + kw * wo:kw]
+            for i in range(kh) for j in range(kw)]
+    y = xd[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(y, xd[tap], out=y)
 
     def bwd(g):
-        dx = np.zeros(x.data.shape, dtype=g.dtype)
-        oy, ox = np.meshgrid(np.arange(ho) * sh, np.arange(wo) * sw,
-                             indexing="ij")
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (ni, ci, oy[None, None] + idx // kw,
-                       ox[None, None] + idx % kw), g)
+        dx = np.zeros(xd.shape, dtype=g.dtype)
+        pending = np.ones(y.shape, dtype=bool)  # windows not yet given g
+        for tap in taps:
+            hit = pending & (xd[tap] == y)
+            dx[tap] = np.where(hit, g, 0)
+            pending &= ~hit
         x._accumulate(dx)
 
-    return _node(np.ascontiguousarray(y), (x,), bwd)
+    return _node(y, (x,), bwd)
 
 
 def global_avgpool2d(x):

@@ -81,7 +81,7 @@ def augment_window(stack, rng, max_offset, target_dims=None):
     if max_offset == 0:
         out = stack
         if (h, w) != tuple(target_dims):
-            out = np.stack([bicubic_resize(p, *target_dims) for p in stack])
+            out = bicubic_resize(stack, *target_dims)
         return np.ascontiguousarray(out, dtype=np.float32)
 
     d_top, d_bottom, d_left, d_right = rng.integers(
@@ -94,7 +94,7 @@ def augment_window(stack, rng, max_offset, target_dims=None):
     sx0, sx1 = max(left, 0), min(right, w)
     window[:, sy0 - top:sy1 - top, sx0 - left:sx1 - left] = \
         stack[:, sy0:sy1, sx0:sx1]
-    out = np.stack([bicubic_resize(p, *target_dims) for p in window])
+    out = bicubic_resize(window, *target_dims)
     return np.ascontiguousarray(out, dtype=np.float32)
 
 

@@ -362,3 +362,70 @@ def test_single_class_band_keeps_counts(pipeline, tmp_path):
     band = {(r[2], r[3]): float(r[4]) for r in rows if r[1] == "age:90+"}
     assert band == {("malignant", "n_pos"): 0.0, ("malignant", "n_neg"): 2.0,
                     ("benign", "n_pos"): 0.0, ("benign", "n_neg"): 2.0}
+
+
+def test_evaluate_survives_zero_probability_pair(pipeline, tmp_path):
+    """A one-class biopsied breast predicted (0, 0) scores 0.5 in the
+    malignant-vs-benign task instead of aborting evaluate."""
+    preds = tmp_path / "predictions.csv"
+    lines = (pipeline["pred"] / "predictions.csv").read_text().splitlines()
+    hits = 0
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if fields[:2] == ["e00012", "R"]:
+            lines[i] = ",".join(fields[:2] + ["0.000000", "0.000000"]
+                                + fields[4:])
+            hits += 1
+    assert hits == 1
+    preds.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--data", str(pipeline["data"]),
+                 "--predictions", str(preds), "--out", str(out),
+                 "--seed", "5", *sets()]) == 0
+
+    def populations(path):
+        return {r.split(",")[1]
+                for r in path.read_text().splitlines()[1:]}
+    assert populations(out / "metrics.csv") == \
+        populations(pipeline["eval"] / "metrics.csv")
+    assert "one_class_biopsied" in populations(out / "metrics.csv")
+
+
+def test_single_class_selection_exams_exit_1(pipeline, tmp_path, capsys):
+    """Selection exams without a malignant breast: train-patch exits 1 and
+    names patch.select_exams, instead of the exit-2 internal-error path."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "manifest.csv").read_text().splitlines()
+    col = {k: i for i, k in enumerate(lines[0].split(","))}
+    cleared = ("left_benign", "left_malignant", "right_benign",
+               "right_malignant", "left_biopsied", "right_biopsied")
+    for i in range(1, len(lines)):
+        fields = lines[i].split(",")
+        if fields[col["split"]] == "val":
+            for key in cleared:
+                fields[col[key]] = "0"
+            lines[i] = ",".join(fields)
+    (data / "manifest.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train-patch", "--data", str(data), "--out",
+                 str(tmp_path / "o"), "--seed", "5",
+                 *sets(("patch.epochs=2",))]) == 1
+    err = capsys.readouterr().err
+    assert "patch.select_exams" in err and "single" in err
+
+
+def test_checkpoint_that_does_not_fit_exits_1(pipeline, tmp_path, capsys):
+    """A checkpoint of the wrong model, or with a bad magic, is a user
+    error naming the file; a misfit also names the first key at fault."""
+    bad_magic = tmp_path / "bad.ckpt"
+    bad_magic.write_bytes(b"NOPE" + bytes(8))
+    cases = [(pipeline["cancer"] / "best.ckpt", "'conv1.weight'"),
+             (bad_magic, "bad magic")]
+    for i, (ckpt, detail) in enumerate(cases):
+        capsys.readouterr()
+        assert main(["gen-heatmaps", "--data", str(pipeline["data"]),
+                     "--out", str(tmp_path / f"o{i}"), "--checkpoint",
+                     str(ckpt), "--seed", "5", *sets()]) == 1, ckpt
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and detail in err

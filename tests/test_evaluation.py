@@ -266,8 +266,8 @@ def test_malignant_vs_benign_score():
     a = malignant_vs_benign_score(0.2, 0.6)
     b = malignant_vs_benign_score(0.02, 0.06)
     assert a == pytest.approx(b)
-    with pytest.raises(MetricError):
-        malignant_vs_benign_score(0.0, 0.0)
+    # no evidence either way
+    assert malignant_vs_benign_score(0.0, 0.0) == 0.5
 
 
 # -- hybrid --

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from mscope import multiview, patches
 from mscope import tensor as T
 from mscope.layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear,
-                           Sequential)
+                           StateDictError)
+from mscope.multiview import MultiViewNet
 from mscope.optim import binary_cross_entropy
+from mscope.patches import PatchNet
 
 
 def test_identity_kernel_conv_is_identity():
@@ -65,29 +68,127 @@ def test_channel_mismatch_rejected():
 
 def test_maxpool_values():
     x = T.Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-    mp = T.maxpool2d(x, (2, 2), 2)
+    mp = T.maxpool2d(x, (2, 2))
     np.testing.assert_array_equal(mp.data[0, 0], [[5, 7], [13, 15]])
+
+
+def _argmax_maxpool(xd, g, k):
+    """The argmax + ``np.add.at`` max-pool: outputs and input gradient."""
+    n, c, h, w = xd.shape
+    ho, wo = h // k, w // k
+    win = np.lib.stride_tricks.sliding_window_view(xd, (k, k), axis=(2, 3))
+    win = win[:, :, ::k, ::k].reshape(n, c, ho, wo, k * k)
+    idx = win.argmax(axis=-1)
+    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dx = np.zeros(xd.shape, dtype=g.dtype)
+    oy, ox = np.meshgrid(np.arange(ho) * k, np.arange(wo) * k, indexing="ij")
+    ni = np.arange(n)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    np.add.at(dx, (ni, ci, oy[None, None] + idx // k,
+                   ox[None, None] + idx % k), g)
+    return y, dx
+
+
+@pytest.mark.parametrize("k,shape", [(2, (2, 3, 8, 6)), (2, (1, 2, 7, 9)),
+                                     (3, (2, 1, 9, 7))])
+def test_maxpool_matches_argmax_rule_on_ties(k, shape):
+    # few distinct values, so most windows hold tied maxima
+    rng = np.random.default_rng(k + shape[2])
+    xd = rng.integers(-2, 3, size=shape).astype(np.float32)
+    x = T.Tensor(xd, requires_grad=True)
+    out = T.maxpool2d(x, k)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    T.sum_all(T.mul(out, g)).backward()
+    y_ref, dx_ref = _argmax_maxpool(xd, g, k)
+    np.testing.assert_array_equal(out.data, y_ref)
+    np.testing.assert_array_equal(x.grad, dx_ref)
+
+
+def _moved_batchnorm(net, run_train_forward, rng):
+    """Give every BatchNorm non-trivial gamma/beta and running statistics
+    moved by train-mode forwards, then switch the net to eval mode."""
+    for m in net.modules():
+        if isinstance(m, BatchNorm2d):
+            m.gamma.data = rng.uniform(0.5, 1.5, m.gamma.shape).astype(np.float32)
+            m.beta.data = (rng.standard_normal(m.beta.shape) * 0.2) \
+                .astype(np.float32)
+    net.train()
+    for _ in range(3):
+        run_train_forward()
+    return net.eval()
+
+
+def _unfused(monkeypatch, *modules):
+    """Make ``conv_bn`` run ``bn(conv(x))`` in eval mode too: the reference
+    that the folded forward is compared against."""
+    for mod in modules:
+        monkeypatch.setattr(mod, "conv_bn", lambda conv, bn, x: bn(conv(x)))
+
+
+def test_folded_eval_matches_batchnorm_patchnet(monkeypatch):
+    rng = np.random.default_rng(4)
+    net = PatchNet(patch_size=32, seed=3)
+    batch = rng.uniform(0, 1, (12, 32, 32)).astype(np.float32)
+    _moved_batchnorm(net, lambda: net(T.Tensor(
+        rng.uniform(0, 1, (8, 1, 32, 32)).astype(np.float32) * 2)), rng)
+    folded = net.predict_proba(batch)
+    _unfused(monkeypatch, patches)
+    reference = net.predict_proba(batch)
+    np.testing.assert_allclose(folded, reference, rtol=0, atol=1e-5)
+    assert not np.array_equal(folded, reference)  # the fold did run
+
+
+def test_folded_eval_matches_batchnorm_multiview(monkeypatch):
+    rng = np.random.default_rng(5)
+    net = MultiViewNet(variant="view_wise", seed=2)
+
+    def views(n):
+        return {v: T.Tensor(rng.uniform(0, 1, (n, 1, 64, 48))
+                            .astype(np.float32)) for v in multiview.VIEW_ORDER}
+
+    def head_logits(inputs):
+        vecs = {v: net.column_for(v)(inputs[v]) for v in inputs}
+        return np.concatenate([
+            net.heads["cc"](T.concat([vecs["lcc"], vecs["rcc"]])).data,
+            net.heads["mlo"](T.concat([vecs["lmlo"], vecs["rmlo"]])).data])
+
+    _moved_batchnorm(net, lambda: net(views(3)), rng)
+    inputs = views(2)
+    folded = head_logits(inputs)
+    _unfused(monkeypatch, multiview)
+    reference = head_logits(inputs)
+    np.testing.assert_allclose(folded, reference, rtol=1e-4)
 
 
 def test_state_dict_roundtrip():
     rng = np.random.default_rng(2)
-    net = Sequential(Conv2d(1, 4, 3, padding=1, rng=rng), BatchNorm2d(4))
-    x = T.Tensor(rng.standard_normal((2, 1, 6, 6)).astype(np.float32))
-    net(x)  # populate running stats
+    net = PatchNet(patch_size=16, seed=1)
+    net(T.Tensor(rng.standard_normal((2, 1, 16, 16)).astype(np.float32)))
     state = {k: v.copy() for k, v in net.state_dict().items()}
-    net2 = Sequential(Conv2d(1, 4, 3, padding=1), BatchNorm2d(4))
+    net2 = PatchNet(patch_size=16, seed=2)
     net2.load_state_dict(state)
-    for (k1, v1), (k2, v2) in zip(sorted(net.state_dict().items()),
-                                  sorted(net2.state_dict().items())):
-        assert k1 == k2
-        np.testing.assert_array_equal(v1, v2)
+    assert list(net2.state_dict()) == list(state)
+    for k, v in net2.state_dict().items():
+        np.testing.assert_array_equal(v, state[k])
 
 
 def test_load_state_shape_mismatch():
     net = Linear(3, 2)
     bad = {k: np.zeros((5, 5), dtype=np.float32) for k, _ in net.named_parameters()}
-    with pytest.raises(ValueError):
+    with pytest.raises(StateDictError, match="'weight'"):
         net.load_state_dict(bad)
+
+
+def test_load_state_names_first_key_at_fault():
+    net = PatchNet(patch_size=16)
+    state = net.state_dict()
+    with pytest.raises(StateDictError, match="missing parameter 'conv1.weight'"):
+        net.load_state_dict({k: v for k, v in state.items()
+                             if k != "conv1.weight"})
+    with pytest.raises(StateDictError, match="unexpected entry 'a.extra'"):
+        net.load_state_dict({**state, "b.extra": 0, "a.extra": 0})
+    with pytest.raises(StateDictError, match="'bn4.running_var'"):
+        net.load_state_dict({**state, "bn4.running_var": np.ones(3)})
 
 
 def test_collect_gradients_rejects_eval_mode_loss():

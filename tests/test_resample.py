@@ -1,6 +1,22 @@
 import numpy as np
+import pytest
 
-from mscope.resample import (bicubic_resize, bilinear_sample, gaussian_blur)
+from mscope.resample import (_cubic_kernel, bicubic_resize, bilinear_sample,
+                             gaussian_blur)
+
+
+def _resize_matrix(src, dst):
+    """Dense (dst, src) map realizing 1-D convolution-based cubic resize:
+    the reference the banded resize is checked against."""
+    centers = (np.arange(dst) + 0.5) * (src / dst) - 0.5
+    base = np.floor(centers).astype(np.int64)
+    mat = np.zeros((dst, src))
+    for tap in range(-1, 3):
+        idx = np.clip(base + tap, 0, src - 1)
+        wgt = _cubic_kernel(centers - (base + tap))
+        np.add.at(mat, (np.arange(dst), idx), wgt)
+    mat /= mat.sum(axis=1, keepdims=True)
+    return mat
 
 
 def test_bilinear_at_pixel_centers_is_exact():
@@ -20,6 +36,22 @@ def test_bicubic_same_size_identity():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 1, (7, 5))
     np.testing.assert_array_equal(bicubic_resize(img, 7, 5), img)
+
+
+@pytest.mark.parametrize("out_h,out_w", [(17, 12), (40, 31), (17, 31),
+                                         (23, 12), (23, 19)])
+def test_bicubic_stack_matches_dense_reference(out_h, out_w):
+    # (23, 19) planes: downscale, upscale, mixed, and one axis unchanged
+    stack = np.random.default_rng(4).uniform(0, 1, (3, 23, 19)) \
+        .astype(np.float32)
+    wy = _resize_matrix(23, out_h)
+    wx = _resize_matrix(19, out_w)
+    ref = np.stack([wy @ p.astype(np.float64) @ wx.T for p in stack])
+    out = bicubic_resize(stack, out_h, out_w)
+    assert out.dtype == np.float64 and out.shape == (3, out_h, out_w)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(bicubic_resize(stack[1], out_h, out_w),
+                                  out[1])
 
 
 def test_bicubic_preserves_constants():
