@@ -4,23 +4,22 @@ Layout (all integers little-endian):
     magic "MSCK" | u32 version=1 | u32 tensor count
     per tensor: u16 name length | UTF-8 name | u8 rank | u32 dims... | f32 payload
 
-Payloads are written float32 regardless of in-memory dtype.
+Payloads are written float32 regardless of in-memory dtype. A file that
+does not parse raises ``binary.FormatError``.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
+from .binary import Reader
 from .layers import StateDictError
 
 MAGIC = b"MSCK"
 VERSION = 1
-
-
-class CheckpointError(IOError):
-    pass
 
 
 def save_checkpoint(path, tensors: dict):
@@ -32,9 +31,9 @@ def save_checkpoint(path, tensors: dict):
             arr = np.ascontiguousarray(arr, dtype=np.float32)
             enc = name.encode("utf-8")
             if len(enc) > 0xFFFF:
-                raise CheckpointError(f"tensor name too long: {name!r}")
+                raise ValueError(f"tensor name too long: {name!r}")
             if arr.ndim > 0xFF:
-                raise CheckpointError(f"tensor rank too large: {arr.ndim}")
+                raise ValueError(f"tensor rank too large: {arr.ndim}")
             f.write(struct.pack("<H", len(enc)))
             f.write(enc)
             f.write(struct.pack("<B", arr.ndim))
@@ -43,38 +42,42 @@ def save_checkpoint(path, tensors: dict):
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    r = Reader(path)
+    if r.take(len(MAGIC), "magic") != MAGIC:
+        r.fail(f"bad magic {r.blob[:4]!r}, expected {MAGIC!r}", at=0)
+    version, count = r.unpack("<II", "header")
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    off = 12
+        r.fail(f"unsupported version {version}", at=len(MAGIC))
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        out[name] = arr.copy()
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+        at = r.off
+        (nlen,) = r.unpack("<H", "name length")
+        try:
+            name = str(r.take(nlen, "tensor name"), "utf-8")
+        except UnicodeDecodeError:
+            r.fail("tensor name is not UTF-8", at=at + 2)
+        if name in out:
+            r.fail(f"duplicate tensor {name!r}", at=at)
+        (rank,) = r.unpack("<B", "rank")
+        dims = r.unpack(f"<{rank}I", "dims")
+        out[name] = r.array("<f4", dims, f"tensor {name!r}").copy()
+    r.end()
     return out
+
+
+@contextmanager
+def named(path):
+    """Prefix a ``StateDictError`` raised inside with ``path``, the
+    checkpoint whose state does not fit."""
+    try:
+        yield
+    except StateDictError as exc:
+        raise StateDictError(f"{path}: {exc}") from None
 
 
 def load_into(module, path):
     """Load the checkpoint at ``path`` into ``module``. A state that does
     not fit the module raises ``StateDictError`` naming ``path`` and the
     first key at fault."""
-    try:
+    with named(path):
         module.load_state_dict(load_checkpoint(path))
-    except StateDictError as exc:
-        raise StateDictError(f"{path}: {exc}") from None

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .checkpoint import CheckpointError
+from .binary import FormatError
 from .config import ConfigError
 from .evaluation import MetricError
 from .layers import StateDictError
@@ -278,20 +278,21 @@ def _cancer_cfg(cfg, args, seed):
         epoch_exams=cfg["train.epoch_exams"], val_exams=cfg["train.val_exams"])
 
 
-def _init_state(args):
+def _init_path(args):
+    """The checkpoint ``--init`` names (a run dir means its best.ckpt), or
+    None without ``--init``."""
     if not getattr(args, "init", None):
         return None
-    from .checkpoint import load_checkpoint
     path = Path(args.init)
     if path.is_dir():
         path = path / "best.ckpt"
     if not path.exists():
         raise UserError(f"init checkpoint {path} not found")
-    return load_checkpoint(path)
+    return path
 
 
 def cmd_train_cancer(args):
-    from .checkpoint import save_checkpoint
+    from .checkpoint import load_checkpoint, named, save_checkpoint
     from .training import save_train_log, train_cancer_model
 
     cfg = _load_config(args)
@@ -302,10 +303,11 @@ def cmd_train_cancer(args):
     if tcfg.input_channels == 3 and not args.heatmaps:
         raise UserError("model.input_channels=3 requires --heatmaps DIR")
 
-    with _lr_diverges(cfg, "train.lr"):
+    init = _init_path(args)
+    with _lr_diverges(cfg, "train.lr"), named(init):
         net, rows, best_epoch = train_cancer_model(
             records, data, tcfg, heatmap_dir=args.heatmaps,
-            init_state=_init_state(args))
+            init_state=load_checkpoint(init) if init else None)
     save_checkpoint(out / "best.ckpt", net.state_dict())
     save_train_log(out / "log.csv", rows)
     resolved = dict(cfg.values)
@@ -316,7 +318,7 @@ def cmd_train_cancer(args):
 
 
 def cmd_ensemble(args):
-    from .checkpoint import save_checkpoint
+    from .checkpoint import load_checkpoint, named, save_checkpoint
     from .multiview import MultiViewNet
     from .training import save_train_log, train_cancer_model
 
@@ -326,7 +328,8 @@ def cmd_ensemble(args):
     out = _ensure_out(args.out, args.force)
     members = args.members or cfg["train.ensemble_size"]
 
-    shared = _init_state(args)
+    init = _init_path(args)
+    shared = load_checkpoint(init) if init else None
     if shared is None:
         # members must share their column initialization
         base = MultiViewNet(variant=cfg["model.variant"], input_channels=1,
@@ -337,7 +340,7 @@ def cmd_ensemble(args):
     logs = None
     for mi in range(members):
         tcfg = _cancer_cfg(cfg, args, seed=args.seed + 1000 * (mi + 1))
-        with _lr_diverges(cfg, "train.lr"):
+        with _lr_diverges(cfg, "train.lr"), named(init):
             net, rows, best_epoch = train_cancer_model(
                 records, data, tcfg, heatmap_dir=args.heatmaps,
                 init_state=shared)
@@ -773,7 +776,7 @@ def main(argv=None):
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, MetricError, GeneratorError, CheckpointError,
+    except (ConfigError, MetricError, GeneratorError, FormatError,
             StateDictError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

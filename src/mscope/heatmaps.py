@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .binary import Reader
 from .seeding import substream
 
 HEATMAP_MAGIC = b"MSHM"
@@ -121,16 +121,16 @@ def save_heatmap(path, malignant, benign):
 
 
 def load_heatmap(path):
-    blob = Path(path).read_bytes()
-    if blob[:4] != HEATMAP_MAGIC:
-        raise IOError(f"{path}: bad heatmap magic")
-    version, h, w = struct.unpack_from("<III", blob, 4)
+    r = Reader(path)
+    if r.take(len(HEATMAP_MAGIC), "magic") != HEATMAP_MAGIC:
+        r.fail(f"bad magic {r.blob[:4]!r}, expected {HEATMAP_MAGIC!r}", at=0)
+    version, h, w = r.unpack("<III", "header")
     if version != HEATMAP_VERSION:
-        raise IOError(f"{path}: unsupported version {version}")
-    n = h * w
-    mal = np.frombuffer(blob, dtype="<f4", count=n, offset=16).reshape(h, w)
-    ben = np.frombuffer(blob, dtype="<f4", count=n, offset=16 + 4 * n).reshape(h, w)
-    return mal.copy(), ben.copy()
+        r.fail(f"unsupported version {version}", at=len(HEATMAP_MAGIC))
+    mal = r.array("<f4", (h, w), "malignant plane").copy()
+    ben = r.array("<f4", (h, w), "benign plane").copy()
+    r.end()
+    return mal, ben
 
 
 def heatmap_breast_score(heatmap_pairs):

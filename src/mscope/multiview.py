@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, Module,
-                     conv_bn)
+                     StateDictError, conv_bn)
 from .seeding import substream
 
 COLUMN_CHANNELS = (16, 16, 32, 64, 128, 256)
@@ -219,34 +219,40 @@ def transfer_from_pretrained(source_state, variant="view_wise",
                              dtype=np.float32):
     """New model with columns copied from a 1-channel source checkpoint.
 
-    The stem kernel is replicated across the target's input channels; every
-    other column weight and buffer is copied verbatim; head weights stay at
-    their fresh seeded initialization.
+    Every column weight and buffer of the new model is copied from the
+    source, the stem kernel replicated across the target's input channels;
+    head weights stay at their fresh seeded initialization, and source
+    entries outside the columns are ignored. A source that does not fit
+    (a column entry missing or without a target, a shape mismatch, a stem
+    that is not single-channel) raises ``StateDictError`` naming the first
+    key at fault.
     """
     net = MultiViewNet(variant=variant, input_channels=input_channels,
                        task=task, seed=seed, dtype=dtype)
-    targets = dict(net.named_parameters())
-    buffers = dict(net.named_buffers())
-    for name, src in source_state.items():
-        if not (name.startswith("cc_column.") or name.startswith("mlo_column.")):
-            continue  # head weights stay randomly initialized
-        if name in targets:
-            dst = targets[name]
-        elif name in buffers:
-            buffers[name][...] = src
-            continue
-        else:
-            raise ValueError(f"source tensor {name!r} has no target")
+    columns = ("cc_column.", "mlo_column.")
+    params = dict(net.named_parameters())
+    entries = [(n, p.data) for n, p in params.items()]
+    entries += list(net.named_buffers())
+    targets = {n: arr for n, arr in entries if n.startswith(columns)}
+    for name in targets:
+        if name not in source_state:
+            raise StateDictError(f"missing column entry {name!r} in source")
+    extra = sorted(n for n in source_state
+                   if n.startswith(columns) and n not in targets)
+    if extra:
+        raise StateDictError(f"source entry {extra[0]!r} has no target")
+    for name, dst in targets.items():
+        src = source_state[name]
         if name.endswith(".stem.weight"):
-            if src.shape[1] != 1:
-                raise ValueError("source stem must be single-channel")
-            if src.shape[0] != dst.data.shape[0] or src.shape[2:] != dst.data.shape[2:]:
-                raise ValueError(f"stem shape mismatch: {src.shape} vs {dst.data.shape}")
-            dst.data = np.repeat(src, input_channels, axis=1).astype(dst.dtype)
+            if src.ndim != 4 or src.shape[1] != 1:
+                raise StateDictError(f"source stem {name!r} must be "
+                                     f"single-channel, got {src.shape}")
+            src = np.repeat(src, input_channels, axis=1)
+        if src.shape != dst.shape:
+            raise StateDictError(f"shape mismatch for {name!r}: "
+                                 f"{src.shape} vs {dst.shape}")
+        if name in params:
+            params[name].data = src.astype(dst.dtype, copy=True)
         else:
-            if src.shape != dst.data.shape:
-                raise ValueError(
-                    f"architecture mismatch at {name!r}: {src.shape} vs "
-                    f"{dst.data.shape}")
-            dst.data = src.astype(dst.dtype, copy=True)
+            dst[...] = src
     return net

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .binary import Reader
 from .checkpoint import save_checkpoint
 from .layers import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 from .optim import _fit, weighted_batch_cross_entropy
@@ -276,15 +277,13 @@ def save_patch_cache(path, samples):
 
 
 def load_patch_cache(path, patch_size):
+    r = Reader(path)
     samples = []
-    rec_bytes = 8 + patch_size * patch_size * 4
-    blob = Path(path).read_bytes()
-    if len(blob) % rec_bytes:
-        raise IOError(f"{path}: truncated patch cache")
-    for off in range(0, len(blob), rec_bytes):
-        label, side = struct.unpack_from("<II", blob, off)
-        pixels = np.frombuffer(blob, dtype="<f4", count=patch_size * patch_size,
-                               offset=off + 8).reshape(patch_size, patch_size)
+    while r.off < len(r.blob):
+        label, side = r.unpack("<II", "patch record")
+        if label >= len(PATCH_CLASSES):
+            r.fail(f"label {label} is not a patch class index", at=r.off - 8)
+        pixels = r.array("<f4", (patch_size, patch_size), "patch pixels")
         samples.append(PatchSample(pixels=pixels.copy(), label=label,
                                    source_id="cache", center=(0, 0),
                                    side=float(side), angle=0.0))

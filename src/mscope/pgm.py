@@ -6,7 +6,17 @@ use maxval 255 (0 background, 255 lesion).
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+from .binary import Reader
+
+# magic, width, height and maxval, separated by whitespace and comments,
+# then the single whitespace byte before the raster; fields longer than
+# ten digits are not a header (and would exceed int()'s digit limit)
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_HEADER = re.compile(rb"P5" + (_SEP + rb"(\d{1,10})") * 3 + rb"\s")
 
 
 def write_pgm16(path, img: np.ndarray):
@@ -31,27 +41,15 @@ def write_pgm8(path, img: np.ndarray):
 
 def read_pgm(path) -> np.ndarray:
     """Read P5, returning uint16 (maxval > 255) or uint8."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    fields = []
-    off = 0
-    while len(fields) < 4:
-        while off < len(blob) and blob[off:off + 1].isspace():
-            off += 1
-        if blob[off:off + 1] == b"#":
-            while off < len(blob) and blob[off] != 0x0A:
-                off += 1
-            continue
-        start = off
-        while off < len(blob) and not blob[off:off + 1].isspace():
-            off += 1
-        fields.append(blob[start:off])
-    off += 1  # single whitespace after maxval
-    if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval > 255:
-        arr = np.frombuffer(blob, dtype=">u2", count=h * w, offset=off)
-        return arr.reshape(h, w).astype(np.uint16)
-    arr = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=off)
-    return arr.reshape(h, w).copy()
+    r = Reader(path)
+    header = _HEADER.match(r.blob)
+    if header is None:
+        r.fail("bad binary PGM header")
+    w, h, maxval = map(int, header.groups())
+    r.take(header.end(), "header")
+    if w == 0 or h == 0 or not 0 < maxval <= 0xFFFF:
+        r.fail(f"bad PGM dims {w}x{h} or maxval {maxval}", at=0)
+    wide = maxval > 255
+    arr = r.array(">u2" if wide else np.uint8, (h, w), "raster")
+    r.end()
+    return arr.astype(np.uint16 if wide else np.uint8)

@@ -6,16 +6,29 @@ its inputs and a backward closure on its output only when some input
 wants a gradient, that is, requires one or was itself recorded. Otherwise
 the output is a plain leaf, and the arrays the closure would hold are
 freed when the op returns. ``Module.eval`` stops a net's parameters
-requiring gradients, so an eval-mode forward keeps no graph. Calling
-``backward`` on a scalar walks the recorded graph once in reverse
-topological order and accumulates gradients into every node in it. A
-graph is single-use: building a fresh forward pass is required before
-differentiating again.
+requiring gradients, so an eval-mode forward keeps no graph.
+
+Calling ``backward`` on a scalar walks the recorded graph once in reverse
+topological order and frees it as it goes: each recorded node drops its
+inputs, its closure and its gradient as soon as its closure has run, so
+only leaves that require a gradient (parameters, differentiated inputs)
+end the sweep holding ``.grad``. A graph is therefore single-use: a
+second backward through any consumed node raises ``GraphError``, and a
+fresh forward pass is needed before differentiating again.
+
+A convolution forward builds its column matrix in bands, runs of whole
+images or of one image's output rows, each band's columns and product
+within ``COLUMN_BUDGET`` bytes, so its working memory beyond the padded
+input and the output does not grow with the batch or the image.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Bytes one convolution GEMM may take for its column matrix and its
+# product together; larger convolutions run in bands (``_conv_forward``).
+COLUMN_BUDGET = 4 << 20
 
 
 class GraphError(RuntimeError):
@@ -35,7 +48,7 @@ def _as_array(x, dtype=None):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = _as_array(data)
@@ -43,7 +56,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
-        self._spent = False
 
     @property
     def shape(self):
@@ -70,11 +82,18 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
-        """Reverse-mode sweep from a scalar; consumes the graph."""
+        """Reverse-mode sweep from a scalar; consumes and frees the graph.
+
+        The sweep pops the topological order as it walks it. Once a
+        recorded node's closure has run, the node drops its parents, its
+        closure and its ``.grad``, and its closure becomes one that raises
+        ``GraphError``; its activation is then freed unless the caller
+        still holds the node. Leaves keep ``.grad`` only when they require
+        a gradient, so after the sweep the gradients live on the
+        parameters and differentiated inputs alone.
+        """
         if self.data.size != 1:
             raise GraphError(f"backward requires a scalar, got shape {self.shape}")
-        if self._spent:
-            raise GraphError("graph already consumed; re-run the forward pass")
 
         topo = []
         seen = set()
@@ -87,18 +106,23 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            if node._spent and node._parents:
-                raise GraphError("graph already consumed; re-run the forward pass")
+            if node._backward is _consumed:
+                _consumed(None)  # raises
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            node._spent = True
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._parents = ()
+                node._backward = _consumed
+            if not node.requires_grad:
+                node.grad = None
 
     # -- convenience arithmetic used by model heads and losses --
 
@@ -115,6 +139,11 @@ class Tensor:
         return reshape(self, shape)
 
 
+def _consumed(g):
+    """The closure a node keeps once ``backward`` has consumed it."""
+    raise GraphError("graph already consumed; re-run the forward pass")
+
+
 def _wrap_const(x, like):
     if isinstance(x, Tensor):
         return x
@@ -122,7 +151,7 @@ def _wrap_const(x, like):
 
 
 def _wants_grad(t):
-    return t.requires_grad or bool(t._parents)
+    return t.requires_grad or t._backward is not None
 
 
 def _node(data, parents, bwd):
@@ -248,30 +277,72 @@ def conv2d_shape(extent, kernel, stride, padding):
     return out
 
 
-def _im2col_nhwc(xc, kh, kw, sh, sw):
-    """Column matrix (N*Ho*Wo, kh*kw*C) from a channels-last padded array.
+def _windows(xc, kh, kw, sh, sw):
+    """The (N, Ho, Wo, kh, kw, C) window view of a padded NHWC array.
 
-    Row layout is (kh, kw, C) with channels innermost, so the gather copies
-    contiguous C-sized runs.
+    Reshaped to (N*Ho*Wo, kh*kw*C) it is the column matrix, with channels
+    innermost so that the gather copies contiguous C-sized runs.
     """
     win = np.lib.stride_tricks.sliding_window_view(xc, (kh, kw), axis=(1, 2))
-    win = win[:, ::sh, ::sw]                       # (N, Ho, Wo, C, kh, kw)
+    return win[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3)
+
+
+def _even_cuts(total, parts):
+    """Cut ``range(total)`` into ``parts`` runs whose lengths differ by at
+    most one, as (start, end) pairs."""
+    return [(total * i // parts, total * (i + 1) // parts)
+            for i in range(parts)]
+
+
+def _conv_forward(xc, wmat, kh, kw, sh, sw, bias):
+    """The NCHW forward product of padded NHWC ``xc`` with ``wmat``.
+
+    The product is one im2col and one GEMM per band, and each band's
+    column matrix and product together take at most ``COLUMN_BUDGET``
+    bytes unless one output row alone takes more. When one image fits the
+    budget, a band is a run of whole images; otherwise it is a run of
+    output rows of one image. Runs are cut evenly, so no band is much
+    smaller than the rest, and a convolution within the budget is a single
+    band. Each band's product is written into the preallocated output.
+    Banding changes no arithmetic, but a BLAS may take a different kernel
+    for a small GEMM, so a budget far below this one can move low-order
+    bits.
+    """
+    win = _windows(xc, kh, kw, sh, sw)
     n, ho, wo = win.shape[:3]
-    win = win.transpose(0, 1, 2, 4, 5, 3)          # (N, Ho, Wo, kh, kw, C)
-    return win.reshape(n * ho * wo, kh * kw * win.shape[5]), ho, wo
+    k, cout = wmat.shape
+    rows = max(1, COLUMN_BUDGET // (wo * (k + cout) * xc.itemsize))
+    if rows >= ho:
+        bands = [(slice(a, b), slice(None))
+                 for a, b in _even_cuts(n, -(-n // (rows // ho)))]
+    else:
+        bands = [(slice(i, i + 1), slice(a, b)) for i in range(n)
+                 for a, b in _even_cuts(ho, -(-ho // rows))]
+    out = np.empty((n, cout, ho, wo), dtype=np.result_type(xc, wmat))
+    for images, band in bands:
+        cols = win[images, band]
+        m, r = cols.shape[:2]
+        y = cols.reshape(m * r * wo, k) @ wmat
+        if bias is not None:
+            y += bias
+        out[images, :, band] = y.reshape(m, r, wo, cout).transpose(0, 3, 1, 2)
+        del y  # before the next band's columns are built
+    return out
 
 
 def conv2d(x, w, stride=1, padding=0, bias=None):
     """Cross-correlation of x:(N,C,H,W) with w:(Cout,C,kh,kw).
 
     Internally channels-last; the kernel is reordered to a (kh*kw*C, Cout)
-    matrix so forward is a single column-matrix product. ``bias`` is an
-    optional per-channel constant array (Cout,), added to the
-    channels-last product before the layout transpose; it gets no
-    gradient (``layers.conv_bn`` passes folded BatchNorm shifts here). The
-    input gradient is built tap by tap with strided scatter-adds, and
-    gradients into non-differentiable leaves (raw image batches) are
-    skipped entirely.
+    matrix so forward is a column-matrix product. That product is one GEMM
+    when the column matrix and the product fit ``COLUMN_BUDGET``; a larger
+    one is done in bands of whole images or of one image's output rows,
+    each within the budget (``_conv_forward``). ``bias`` is an optional
+    per-channel constant array (Cout,), added to the channels-last product
+    before the layout transpose; it gets no gradient (``layers.conv_bn``
+    passes folded BatchNorm shifts here). The input gradient is built tap
+    by tap with strided scatter-adds, and gradients into
+    non-differentiable leaves (raw image batches) are skipped entirely.
     """
     sh, sw = (stride, stride) if np.isscalar(stride) else stride
     ph, pw = (padding, padding) if np.isscalar(padding) else padding
@@ -282,22 +353,18 @@ def conv2d(x, w, stride=1, padding=0, bias=None):
     ho = conv2d_shape(h, kh, sh, ph)
     wo = conv2d_shape(wdt, kw, sw, pw)
 
-    xc = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))  # NHWC
-    if ph or pw:
-        xc = np.pad(xc, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    cols, _, _ = _im2col_nhwc(xc, kh, kw, sh, sw)
+    xc = np.zeros((n, h + 2 * ph, wdt + 2 * pw, c), dtype=x.data.dtype)
+    xc[:, ph:ph + h, pw:pw + wdt] = x.data.transpose(0, 2, 3, 1)  # NHWC
     wmat = np.ascontiguousarray(
         w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, cout))
-    y = (cols @ wmat).reshape(n, ho, wo, cout)
-    if bias is not None:
-        y += bias
+    y = _conv_forward(xc, wmat, kh, kw, sh, sw, bias)
 
     def bwd(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
             .reshape(n * ho * wo, cout)
         if _wants_grad(w):
-            cols_b, _, _ = _im2col_nhwc(xc, kh, kw, sh, sw)
-            dw = (cols_b.T @ gmat).reshape(kh, kw, c, cout)
+            cols = _windows(xc, kh, kw, sh, sw).reshape(n * ho * wo, -1)
+            dw = (cols.T @ gmat).reshape(kh, kw, c, cout)
             w._accumulate(np.ascontiguousarray(dw.transpose(3, 2, 0, 1)))
         if _wants_grad(x):
             dxp = np.zeros(xc.shape, dtype=g.dtype)
@@ -309,7 +376,7 @@ def conv2d(x, w, stride=1, padding=0, bias=None):
             dx = dxp[:, ph:ph + h, pw:pw + wdt, :]
             x._accumulate(np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
 
-    return _node(np.ascontiguousarray(y.transpose(0, 3, 1, 2)), (x, w), bwd)
+    return _node(y, (x, w), bwd)
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
@@ -398,9 +465,10 @@ def check_finite(arr, context=""):
 def collect_gradients(loss, params):
     """Run backward from ``loss`` and return one gradient per parameter.
 
-    Raises ``GraphError`` when no parameter gets a gradient: the forward
-    recorded no graph (it ran in eval mode), so every gradient would be
-    zero.
+    The gradients are handed over: each parameter's ``.grad`` is cleared,
+    so a training loop holds no gradient between its steps. Raises
+    ``GraphError`` when no parameter gets a gradient: the forward recorded
+    no graph (it ran in eval mode), so every gradient would be zero.
     """
     for p in params:
         p.zero_grad()
@@ -410,8 +478,6 @@ def collect_gradients(loss, params):
                          "was the forward run in eval mode?")
     grads = []
     for p in params:
-        if p.grad is None:
-            grads.append(np.zeros_like(p.data))
-        else:
-            grads.append(p.grad)
+        grads.append(np.zeros_like(p.data) if p.grad is None else p.grad)
+        p.grad = None
     return grads

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mscope.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from mscope.binary import FormatError
+from mscope.checkpoint import load_checkpoint, save_checkpoint
 
 
 def test_roundtrip(tmp_path):
@@ -48,5 +49,5 @@ def test_save_is_deterministic(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_checkpoint(path)

@@ -429,3 +429,30 @@ def test_checkpoint_that_does_not_fit_exits_1(pipeline, tmp_path, capsys):
                      str(ckpt), "--seed", "5", *sets()]) == 1, ckpt
         err = capsys.readouterr().err
         assert str(ckpt) in err and detail in err
+
+
+def test_init_from_wrong_checkpoint_exits_1(pipeline, tmp_path, capsys):
+    """A PatchNet checkpoint has no column entries to transfer: train-cancer
+    --init exits 1, naming the file and the first column key it lacks."""
+    ckpt = pipeline["patch"] / "best.ckpt"
+    capsys.readouterr()
+    assert main(["train-cancer", "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", "--init", str(ckpt),
+                 *sets()]) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "missing column entry 'cc_column." in err
+
+
+def test_truncated_heatmap_exits_1(pipeline, tmp_path, capsys):
+    """A truncated input file is a user error naming the file and the byte
+    offset where reading failed."""
+    heatmaps = tmp_path / "heatmaps"
+    shutil.copytree(pipeline["heatmaps"], heatmaps)
+    victim = sorted(heatmaps.glob("*.mshm"))[0]
+    victim.write_bytes(victim.read_bytes()[:40])
+    capsys.readouterr()
+    assert main(["predict", "--data", str(pipeline["data"]), "--run",
+                 str(pipeline["cancer_hm"]), "--out", str(tmp_path / "o"),
+                 "--seed", "5", "--heatmaps", str(heatmaps), *sets()]) == 1
+    err = capsys.readouterr().err
+    assert str(victim) in err and "truncated" in err and "at byte 16" in err

@@ -259,3 +259,27 @@ def test_gradients_unchanged_by_eval_train_round_trip():
     left(views)
     for a, b in zip(gradients(stayed), gradients(left)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_second_train_step_holds_no_first_graph():
+    """A training loop keeps the last loss while the next step's forward
+    runs. Since backward frees the graph and the gradients are handed over,
+    two steps peak no higher than one."""
+    rng = np.random.default_rng(35)
+    views = {v: T.Tensor(rng.uniform(0, 1, (2, 1, 224, 162))
+                         .astype(np.float32)) for v in VIEW_ORDER}
+    y = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=np.float32)
+
+    def peak(steps):
+        net = MultiViewNet(variant="view_wise", seed=36)
+        params = net.parameters()
+        tracemalloc.start()
+        try:
+            for _ in range(steps):
+                loss = binary_cross_entropy(net(views), y)
+                T.collect_gradients(loss, params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2) <= 1.15 * peak(1)

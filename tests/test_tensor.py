@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,100 @@ def test_second_forward_allows_second_backward():
     x.zero_grad()
     T.sum_all(x).backward()
     np.testing.assert_allclose(x.grad, np.ones(3))
+
+
+def test_second_loss_through_consumed_subgraph_rejected():
+    w = Parameter(np.ones(3))
+    shared = T.relu(T.mul(w, 2.0))
+    T.sum_all(shared).backward()
+    with pytest.raises(T.GraphError):
+        T.sum_all(T.mul(shared, 3.0)).backward()
+
+
+def test_backward_frees_the_graph():
+    """After the sweep, interior nodes hold no closure, inputs or gradient,
+    and activations held only by the graph are freed; the gradients are
+    handed over to the caller."""
+    rng = np.random.default_rng(9)
+    x = T.Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32))
+    w = Parameter(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
+    gamma = Parameter(np.ones(3, dtype=np.float32))
+    beta = Parameter(np.zeros(3, dtype=np.float32))
+    conv = T.conv2d(x, w, padding=1)
+    conv_out = weakref.ref(conv.data)
+    h = T.relu(T.batchnorm2d(conv, gamma, beta, np.zeros(3), np.ones(3),
+                             training=True))
+    del conv
+    loss = T.sum_all(h)
+    grads = T.collect_gradients(loss, [w, gamma, beta])
+    assert conv_out() is None
+    for node in (loss, h):
+        assert node.grad is None and node._parents == ()
+        with pytest.raises(T.GraphError):
+            node._backward(np.ones_like(node.data))
+    assert x.grad is None
+    assert all(g.shape == p.shape and p.grad is None
+               for p, g in zip([w, gamma, beta], grads))
+
+
+def _conv_reference(x, w, stride, padding, bias=None):
+    """Forward convolution as one whole column matrix and one GEMM."""
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xc = np.pad(x.transpose(0, 2, 3, 1),
+                ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xc, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    ho, wo = win.shape[1:3]
+    y = win.reshape(n * ho * wo, -1) @ \
+        w.transpose(2, 3, 1, 0).reshape(kh * kw * c, cout)
+    if bias is not None:
+        y += bias
+    return np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("xshape, wshape, stride, padding", [
+    ((4, 3, 144, 96), (16, 3, 7, 7), 2, 3),     # stem: one image a band
+    ((1, 3, 448, 324), (16, 3, 7, 7), 2, 3),    # one image, six row bands
+    ((4, 16, 64, 48), (16, 16, 3, 3), 1, 1),
+    ((8, 32, 64, 48), (64, 32, 3, 3), 2, 1),    # strided, uneven image runs
+    ((8, 64, 64, 48), (128, 64, 1, 1), 1, 0),   # 1x1, product wider than columns
+    ((70, 8, 24, 24), (16, 8, 3, 3), 1, 1),     # 17-18 images a band
+    # 33-row bands over all 7*184 rows would leave a last band of one row
+    ((7, 3, 184, 192), (16, 3, 7, 7), 1, 3),
+])
+def test_banded_conv_equals_whole_matrix(xshape, wshape, stride, padding):
+    rng = np.random.default_rng(sum(xshape))
+    x = rng.standard_normal(xshape).astype(np.float32)
+    w = rng.standard_normal(wshape).astype(np.float32)
+    bias = rng.standard_normal(wshape[0]).astype(np.float32)
+    out = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding,
+                   bias=bias).data
+    ref = _conv_reference(x, w, stride, padding, bias)
+    _, cout, ho, wo = ref.shape
+    k = wshape[1] * wshape[2] * wshape[3]
+    assert out.shape[0] * ho * wo * (k + cout) * 4 > T.COLUMN_BUDGET  # banded
+    assert np.array_equal(out, ref)
+    assert np.array_equal(
+        T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data,
+        _conv_reference(x, w, stride, padding))
+
+
+@pytest.mark.parametrize("n, h, w", [(1, 128, 96), (2, 256, 192), (4, 384, 288)])
+def test_conv_forward_peak_bounded(n, h, w):
+    """Beyond its padded input and its output, one forward takes at most
+    COLUMN_BUDGET bytes, however large N*H*W grows."""
+    rng = np.random.default_rng(n)
+    x = T.Tensor(rng.standard_normal((n, 3, h, w)).astype(np.float32))
+    wt = T.Tensor(rng.standard_normal((16, 3, 7, 7)).astype(np.float32))
+    padded = n * (h + 6) * (w + 6) * 3 * 4
+    tracemalloc.start()
+    try:
+        out = T.conv2d(x, wt, stride=2, padding=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= T.COLUMN_BUDGET + out.data.nbytes + padded + (64 << 10)
 
 
 def test_forward_deterministic_single_thread():
