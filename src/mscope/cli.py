@@ -1,13 +1,22 @@
 """Command-line surface wiring the pipeline end to end.
 
-Subcommands: gen-data, train-patch, gen-heatmaps, pretrain-birads,
-train-cancer, ensemble, predict, evaluate, reader-study, report. Every
-subcommand writes its fully resolved config into its output directory,
-refuses to overwrite an existing non-empty output unless --force is given,
-and prints a one-line summary on success.
+Every subcommand is one row of ``STAGES``: name, help and body; whether it
+reads a dataset (``--data``) and takes ``--jobs``; its own flags; its
+alias flags; and the learning-rate key a first-epoch divergence names.
+``build_parser`` is generated from the table. ``_run_stage`` runs every
+row that writes a run directory: it loads the config once, from ``--set``,
+then ``--profile``, then the alias flags; loads the dataset's manifest;
+refuses a non-empty output directory without ``--force``; runs the body;
+writes the resolved config to ``config.txt``; and prints the body's
+one-line summary. An alias flag is nothing but its config key
+(``--epochs 2`` is ``--set patch.epochs=2``; ``--heatmaps DIR`` also sets
+``model.input_channels=3``), so bodies read settings only from the config
+and ``config.txt`` records what ran. ``report`` has no config and no
+output directory.
 
-Exit codes: 0 success, 1 user error (bad flags, config, or paths; input
-files that do not parse, or checkpoints that do not fit the model), 2
+Exit codes: 0 success; 1 user error (bad flags, out-of-range config
+values, bad paths, input files that do not parse, checkpoints that do not
+fit the model, a learning rate that diverges in the first epoch); 2
 internal invariant violation.
 """
 
@@ -16,21 +25,35 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import sys
 import traceback
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import config as cfgmod
 from .binary import FormatError
+from .checkpoint import load_checkpoint, load_into, named, save_checkpoint
 from .config import ConfigError
-from .evaluation import MetricError
+from .evaluation import (MetricError, PredictionRecord, biopsy_score,
+                         hybrid_scores, hybrid_sweep,
+                         malignant_vs_benign_score, pr_auc, pr_curve_points,
+                         read_predictions, roc_auc, roc_curve_points,
+                         simulate_readers, subpopulation, write_predictions)
+from .heatmaps import heatmaps_for_exam, save_heatmap, select_patch_checkpoint
 from .layers import StateDictError
-from .phantom import GeneratorError
+from .multiview import MultiViewNet
+from .patches import (PATCH_CLASSES, PatchConfig, PatchNet, PatchTrainConfig,
+                      build_patch_pools, load_patch_cache, save_patch_cache,
+                      train_patch_classifier)
+from .phantom import GeneratorError, generate_dataset, load_manifest
 from .seeding import substream
 from .tensor import NumericsError
+from .training import (TrainRunConfig, ensemble_predict, pretrain_birads,
+                       save_train_log, train_cancer_model)
 
 
 class UserError(Exception):
@@ -42,28 +65,16 @@ class CliParser(argparse.ArgumentParser):
         raise UserError(f"{message}\n{self.format_usage()}")
 
 
-def _parse_sets(pairs):
-    out = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise UserError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _load_config(args):
-    overrides = _parse_sets(getattr(args, "set", None))
-    if getattr(args, "profile", None):
-        overrides["profile"] = args.profile
-    try:
-        return cfgmod.load(getattr(args, "config", None), overrides)
-    except (ConfigError, FileNotFoundError) as exc:
-        raise UserError(str(exc)) from exc
+def _count(text):
+    """The argparse type of ``--jobs`` and ``--members``: an int >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got "
+                                         f"{text!r}")
+    return int(text)
 
 
 def _data_dir(args):
-    data = getattr(args, "data", None) or os.environ.get("MSCOPE_DATA_DIR")
+    data = args.data or os.environ.get("MSCOPE_DATA_DIR")
     if not data:
         raise UserError("no data directory: pass --data or set MSCOPE_DATA_DIR")
     data = Path(data)
@@ -72,62 +83,65 @@ def _data_dir(args):
     return data
 
 
-def _manifest(data_dir):
-    from .phantom import load_manifest
-    return load_manifest(data_dir / "manifest.csv")
-
-
 def _ensure_out(path, force):
     path = Path(path)
-    if path.exists() and any(path.iterdir()):
-        if not force:
-            raise UserError(f"{path} exists; pass --force to overwrite")
+    if path.exists() and any(path.iterdir()) and not force:
+        raise UserError(f"{path} exists; pass --force to overwrite")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 @contextmanager
 def _lr_diverges(cfg, key):
-    """A trainer that diverges in its first epoch raises ``NumericsError``;
-    that is a learning rate too high for the data, so report it as a user
-    error naming the config key ``key``."""
+    """A trainer that diverges in its first epoch raises ``NumericsError``:
+    a learning rate too high for the data, so a user error naming the
+    config key ``key``. Without a key it stays an internal error."""
     try:
         yield
     except NumericsError as exc:
+        if key is None:
+            raise
         raise UserError(f"{exc}; lower {key} (now {cfg[key]:g})") from exc
 
 
-def _sha256_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _map_exams(task, ctx, n, jobs, chunksize):
+    """``[task(ctx, i) for i in range(n)]``, run in ``jobs`` worker
+    processes when ``jobs > 1``. ``ctx`` reaches the workers through the
+    pool's initializer, so every start method sees it."""
+    if jobs == 1:
+        return [task(ctx, i) for i in range(n)]
+    from multiprocessing import Pool
+    with Pool(jobs, initializer=_start_worker, initargs=(task, ctx)) as pool:
+        return pool.map(_worker_task, range(n), chunksize=chunksize)
+
+
+_WORKER = {}                    # set in each worker process by _start_worker
+
+
+def _start_worker(task, ctx):
+    _WORKER.update(task=task, ctx=ctx)
+
+
+def _worker_task(idx):
+    return _WORKER["task"](_WORKER["ctx"], idx)
+
+
+def _write_csv(path, header, rows):
+    Path(path).write_text("".join(f"{r}\n" for r in (header, *rows)))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stage bodies: (args, cfg, out, data, records) -> one-line summary
 
-def cmd_gen_data(args):
-    from .phantom import generate_dataset
-    cfg = _load_config(args)
-    out = _ensure_out(args.out, args.force)
+def cmd_gen_data(args, cfg, out, data, records):
     records = generate_dataset(cfg.dataset_config(), args.seed, out,
                                jobs=args.jobs)
-    cfg.dump(out / "config.txt")
-    digest = _sha256_file(out / "manifest.csv")[:12]
-    print(f"gen-data: {len(records)} exams -> {out} (manifest {digest})")
-    return 0
+    digest = hashlib.sha256((out / "manifest.csv").read_bytes()).hexdigest()
+    return f"gen-data: {len(records)} exams -> {out} (manifest {digest[:12]})"
 
 
-def cmd_train_patch(args):
-    from .heatmaps import select_patch_checkpoint
-    from .patches import (PatchConfig, PatchTrainConfig, build_patch_pools,
-                          load_patch_cache, save_patch_cache,
-                          train_patch_classifier)
-
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = _manifest(data)
-    out = _ensure_out(args.out, args.force)
-
-    patch_size = args.patch_size or cfg["patch.size"]
+def cmd_train_patch(args, cfg, out, data, records):
+    patch_size = cfg["patch.size"]
     pcfg = PatchConfig(patch_size=patch_size,
                        side_min=cfg["patch.side_min"],
                        side_max=cfg["patch.side_max"],
@@ -135,10 +149,8 @@ def cmd_train_patch(args):
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.exists():
         samples = load_patch_cache(cache_path, patch_size)
-        from .patches import PATCH_CLASSES
-        pools = {c: [] for c in PATCH_CLASSES}
-        for s in samples:
-            pools[PATCH_CLASSES[s.label]].append(s)
+        pools = {c: [s for s in samples if PATCH_CLASSES[s.label] == c]
+                 for c in PATCH_CLASSES}
         print(f"train-patch: loaded {len(samples)} cached patches")
     else:
         targets = cfg.ints("patch.pool_targets")
@@ -153,17 +165,12 @@ def cmd_train_patch(args):
                              [s for pool in pools.values() for s in pool])
 
     tcfg = PatchTrainConfig(
-        epochs=args.epochs or cfg["patch.epochs"],
-        save_every=args.save_every or cfg["patch.save_every"],
-        batch_size=cfg["patch.batch_size"],
-        lr=cfg["patch.lr"],
-        weight_decay=cfg["patch.l2"],
-        plan_counts=cfg.ints("patch.plan"),
+        epochs=cfg["patch.epochs"], save_every=cfg["patch.save_every"],
+        batch_size=cfg["patch.batch_size"], lr=cfg["patch.lr"],
+        weight_decay=cfg["patch.l2"], plan_counts=cfg.ints("patch.plan"),
         seed=args.seed)
-    ckpt_dir = out / "checkpoints"
-    with _lr_diverges(cfg, "patch.lr"):
-        checkpoints, history = train_patch_classifier(pools, ckpt_dir, tcfg,
-                                                      patch_size=patch_size)
+    checkpoints, _ = train_patch_classifier(
+        pools, out / "checkpoints", tcfg, patch_size=patch_size)
 
     val = [r for r in records if r.split == "val"]
     n_select = cfg["patch.select_exams"]
@@ -183,105 +190,58 @@ def cmd_train_patch(args):
                         "or use a validation split with both classes") \
             from exc
 
-    import shutil
     shutil.copyfile(best[1], out / "best.ckpt")
-    with open(out / "selection.csv", "w") as f:
-        f.write("epoch,auc_malignant,auc_benign,auc_mean\n")
-        for epoch, _, am, ab, mean in table:
-            f.write(f"{epoch},{am:.6f},{ab:.6f},{mean:.6f}\n")
-    cfg.dump(out / "config.txt")
-    print(f"train-patch: {len(checkpoints)} checkpoints; selected epoch "
-          f"{best[0]} (mean auc {best[4]:.3f}) -> {out / 'best.ckpt'}")
-    return 0
+    _write_csv(out / "selection.csv",
+               "epoch,auc_malignant,auc_benign,auc_mean",
+               (f"{epoch},{am:.6f},{ab:.6f},{mean:.6f}"
+                for epoch, _, am, ab, mean in table))
+    return (f"train-patch: {len(checkpoints)} checkpoints; selected epoch "
+            f"{best[0]} (mean auc {best[4]:.3f}) -> {out / 'best.ckpt'}")
 
 
-_POOL_CTX = {}
-
-
-def _heatmap_task(idx):
-    from .heatmaps import heatmaps_for_exam, save_heatmap
-    ctx = _POOL_CTX
-    rec = ctx["records"][idx]
-    maps = heatmaps_for_exam(rec, ctx["data"], ctx["net"].predict_proba,
-                             ctx["patch_size"], ctx["stride"], ctx["seed"])
+def _heatmap_task(ctx, idx):
+    args, cfg, out, data, records, net = ctx
+    rec = records[idx]
+    maps = heatmaps_for_exam(rec, data, net.predict_proba, cfg["patch.size"],
+                             cfg["heatmap.stride"], args.seed)
     for view, (mal, ben) in maps.items():
-        save_heatmap(Path(ctx["out"]) / f"{rec.exam_id}_{view}.mshm", mal, ben)
+        save_heatmap(out / f"{rec.exam_id}_{view}.mshm", mal, ben)
     return rec.exam_id
 
 
-def cmd_gen_heatmaps(args):
-    from .checkpoint import load_into
-    from .patches import PatchNet
-
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = _manifest(data)
-    out = _ensure_out(args.out, args.force)
-
-    patch_size = cfg["patch.size"]
-    net = PatchNet(patch_size=patch_size)
+def cmd_gen_heatmaps(args, cfg, out, data, records):
+    net = PatchNet(patch_size=cfg["patch.size"])
     load_into(net, args.checkpoint)
     net.eval()
-
-    global _POOL_CTX
-    _POOL_CTX = dict(records=records, data=data, net=net, out=out,
-                     patch_size=patch_size, stride=cfg["heatmap.stride"],
-                     seed=args.seed)
-    if args.jobs > 1:
-        from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
-            done = pool.map(_heatmap_task, range(len(records)), chunksize=4)
-    else:
-        done = [_heatmap_task(i) for i in range(len(records))]
-    cfg.dump(out / "config.txt")
-    print(f"gen-heatmaps: {len(done)} exams x 4 views -> {out}")
-    return 0
+    ctx = (args, cfg, out, data, records, net)
+    done = _map_exams(_heatmap_task, ctx, len(records), args.jobs, 4)
+    return f"gen-heatmaps: {len(done)} exams x 4 views -> {out}"
 
 
-def cmd_pretrain_birads(args):
-    from .checkpoint import save_checkpoint
-    from .training import TrainRunConfig, pretrain_birads, save_train_log
-
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = _manifest(data)
-    out = _ensure_out(args.out, args.force)
-
-    tcfg = TrainRunConfig(
-        lr=cfg["train.lr"],
-        batch_size=cfg["train.birads_batch_size"], l2=cfg["train.l2"],
+def _train_config(cfg, seed, **fields):
+    """A ``TrainRunConfig`` with the ``train.*`` keys both multi-view
+    trainers share, plus ``fields``."""
+    return TrainRunConfig(
+        lr=cfg["train.lr"], l2=cfg["train.l2"],
         patience=cfg["train.patience"], max_epochs=cfg["train.max_epochs"],
-        seed=args.seed, max_offset=cfg["train.max_offset"],
-        input_channels=1, epoch_exams=cfg["train.birads_epoch_exams"],
-        val_exams=cfg["train.val_exams"])
-    with _lr_diverges(cfg, "train.lr"):
-        net, rows, best_epoch = pretrain_birads(records, data, tcfg)
+        seed=seed, max_offset=cfg["train.max_offset"],
+        val_exams=cfg["train.val_exams"], **fields)
+
+
+def cmd_pretrain_birads(args, cfg, out, data, records):
+    tcfg = _train_config(cfg, args.seed, input_channels=1,
+                         batch_size=cfg["train.birads_batch_size"],
+                         epoch_exams=cfg["train.birads_epoch_exams"])
+    net, rows, best_epoch = pretrain_birads(records, data, tcfg)
     save_checkpoint(out / "best.ckpt", net.state_dict())
     save_train_log(out / "log.csv", rows)
-    cfg.dump(out / "config.txt")
-    print(f"pretrain-birads: best epoch {best_epoch} -> {out / 'best.ckpt'}")
-    return 0
-
-
-def _cancer_cfg(cfg, args, seed):
-    from .training import TrainRunConfig
-    channels = cfg["model.input_channels"]
-    if getattr(args, "heatmaps", None):
-        channels = 3
-    return TrainRunConfig(
-        lr=cfg["train.lr"], batch_size=cfg["train.batch_size"],
-        l2=cfg["train.l2"], patience=cfg["train.patience"],
-        max_epochs=cfg["train.max_epochs"], seed=seed,
-        max_offset=cfg["train.max_offset"],
-        tta_samples=cfg["train.tta_samples"],
-        variant=cfg["model.variant"], input_channels=channels,
-        epoch_exams=cfg["train.epoch_exams"], val_exams=cfg["train.val_exams"])
+    return f"pretrain-birads: best epoch {best_epoch} -> {out / 'best.ckpt'}"
 
 
 def _init_path(args):
     """The checkpoint ``--init`` names (a run dir means its best.ckpt), or
     None without ``--init``."""
-    if not getattr(args, "init", None):
+    if not args.init:
         return None
     path = Path(args.init)
     if path.is_dir():
@@ -291,182 +251,121 @@ def _init_path(args):
     return path
 
 
-def cmd_train_cancer(args):
-    from .checkpoint import load_checkpoint, named, save_checkpoint
-    from .training import save_train_log, train_cancer_model
-
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = _manifest(data)
-    out = _ensure_out(args.out, args.force)
-    tcfg = _cancer_cfg(cfg, args, args.seed)
-    if tcfg.input_channels == 3 and not args.heatmaps:
+def _train_model(cfg, args, records, data, seed, state=None):
+    """Train one cancer model from ``state``, or else from ``--init`` if
+    given: all of train-cancer, and one member of an ensemble."""
+    if cfg["model.input_channels"] == 3 and not args.heatmaps:
         raise UserError("model.input_channels=3 requires --heatmaps DIR")
-
     init = _init_path(args)
-    with _lr_diverges(cfg, "train.lr"), named(init):
-        net, rows, best_epoch = train_cancer_model(
-            records, data, tcfg, heatmap_dir=args.heatmaps,
-            init_state=load_checkpoint(init) if init else None)
+    if state is None and init:
+        state = load_checkpoint(init)
+    tcfg = _train_config(cfg, seed, batch_size=cfg["train.batch_size"],
+                         tta_samples=cfg["train.tta_samples"],
+                         variant=cfg["model.variant"],
+                         input_channels=cfg["model.input_channels"],
+                         epoch_exams=cfg["train.epoch_exams"])
+    with named(init):
+        return train_cancer_model(records, data, tcfg,
+                                  heatmap_dir=args.heatmaps, init_state=state)
+
+
+def cmd_train_cancer(args, cfg, out, data, records):
+    net, rows, best_epoch = _train_model(cfg, args, records, data, args.seed)
     save_checkpoint(out / "best.ckpt", net.state_dict())
     save_train_log(out / "log.csv", rows)
-    resolved = dict(cfg.values)
-    resolved["model.input_channels"] = tcfg.input_channels
-    cfgmod.RunConfig(resolved).dump(out / "config.txt")
-    print(f"train-cancer: best epoch {best_epoch} -> {out / 'best.ckpt'}")
-    return 0
+    return f"train-cancer: best epoch {best_epoch} -> {out / 'best.ckpt'}"
 
 
-def cmd_ensemble(args):
-    from .checkpoint import load_checkpoint, named, save_checkpoint
-    from .multiview import MultiViewNet
-    from .training import save_train_log, train_cancer_model
-
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = _manifest(data)
-    out = _ensure_out(args.out, args.force)
-    members = args.members or cfg["train.ensemble_size"]
-
+def cmd_ensemble(args, cfg, out, data, records):
     init = _init_path(args)
-    shared = load_checkpoint(init) if init else None
-    if shared is None:
+    if init:
+        shared = load_checkpoint(init)
+    else:
         # members must share their column initialization
-        base = MultiViewNet(variant=cfg["model.variant"], input_channels=1,
-                            task="cancer", seed=args.seed)
-        shared = base.state_dict()
+        shared = MultiViewNet(variant=cfg["model.variant"], input_channels=1,
+                              task="cancer", seed=args.seed).state_dict()
 
     (out / "members").mkdir(parents=True, exist_ok=True)
+    members = cfg["train.ensemble_size"]
     logs = None
     for mi in range(members):
-        tcfg = _cancer_cfg(cfg, args, seed=args.seed + 1000 * (mi + 1))
-        with _lr_diverges(cfg, "train.lr"), named(init):
-            net, rows, best_epoch = train_cancer_model(
-                records, data, tcfg, heatmap_dir=args.heatmaps,
-                init_state=shared)
+        net, rows, best_epoch = _train_model(
+            cfg, args, records, data, args.seed + 1000 * (mi + 1), shared)
         save_checkpoint(out / "members" / f"m{mi}.ckpt", net.state_dict())
         if logs is None:
             logs = rows
         print(f"ensemble: member {mi} best epoch {best_epoch}")
-    import shutil
     shutil.copyfile(out / "members" / "m0.ckpt", out / "best.ckpt")
     save_train_log(out / "log.csv", logs)
-    resolved = dict(cfg.values)
-    resolved["model.input_channels"] = 3 if args.heatmaps else \
-        cfg["model.input_channels"]
-    cfgmod.RunConfig(resolved).dump(out / "config.txt")
-    print(f"ensemble: {members} members -> {out}")
-    return 0
+    return f"ensemble: {members} members -> {out}"
 
 
 def _load_run_models(run_dir, use_members):
-    from .checkpoint import load_into
-    from .multiview import MultiViewNet
-
     run_dir = Path(run_dir)
     run_cfg = cfgmod.load(run_dir / "config.txt")
-    variant = run_cfg["model.variant"]
     channels = run_cfg["model.input_channels"]
     paths = sorted((run_dir / "members").glob("m*.ckpt")) if use_members \
         else [run_dir / "best.ckpt"]
     if not paths:
         raise UserError(f"{run_dir}: no model checkpoints found")
-    nets = []
-    for p in paths:
-        net = MultiViewNet(variant=variant, input_channels=channels,
-                           task="cancer")
-        load_into(net, p)
+    nets = [MultiViewNet(variant=run_cfg["model.variant"],
+                         input_channels=channels, task="cancer")
+            for _ in paths]
+    for net, path in zip(nets, paths):
+        load_into(net, path)
         net.eval()
-        nets.append(net)
     return nets, channels, run_cfg
 
 
-def _predict_task(idx):
-    from .evaluation import PredictionRecord
-    from .training import ensemble_predict
-
-    ctx = _POOL_CTX
-    rec = ctx["records"][idx]
-    probs = ensemble_predict(ctx["nets"], rec, ctx["data"], ctx["seed"],
-                             channels=ctx["channels"],
-                             heatmap_dir=ctx["heatmaps"], n=ctx["tta"],
-                             max_offset=ctx["offset"])
-    return [PredictionRecord(rec.exam_id, "L", float(probs[1]),
-                             float(probs[0]), ctx["model_id"]),
-            PredictionRecord(rec.exam_id, "R", float(probs[3]),
-                             float(probs[2]), ctx["model_id"])]
+def _predict_task(ctx, idx):
+    args, data, records, nets, channels, run_cfg, model_id = ctx
+    rec = records[idx]
+    probs = ensemble_predict(nets, rec, data, args.seed, channels=channels,
+                             heatmap_dir=args.heatmaps,
+                             n=run_cfg["train.tta_samples"],
+                             max_offset=run_cfg["train.max_offset"])
+    # probs holds (benign, malignant) of the left, then the right breast
+    return [PredictionRecord(rec.exam_id, side, float(probs[i + 1]),
+                             float(probs[i]), model_id)
+            for side, i in (("L", 0), ("R", 2))]
 
 
-def cmd_predict(args):
-    from .evaluation import write_predictions
-
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = [r for r in _manifest(data) if r.split == args.split]
+def cmd_predict(args, cfg, out, data, records):
+    records = [r for r in records if r.split == args.split]
     if not records:
         raise UserError(f"no exams in split {args.split!r}")
-    out = _ensure_out(args.out, args.force)
-
     nets, channels, run_cfg = _load_run_models(args.run, args.ensemble)
     if channels == 3 and not args.heatmaps:
         raise UserError("this model needs --heatmaps DIR")
     model_id = args.model_id or Path(args.run).name
 
-    global _POOL_CTX
-    _POOL_CTX = dict(records=records, data=data, nets=nets, channels=channels,
-                     heatmaps=args.heatmaps, seed=args.seed,
-                     tta=run_cfg["train.tta_samples"],
-                     offset=run_cfg["train.max_offset"], model_id=model_id)
-    if args.jobs > 1:
-        from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
-            nested = pool.map(_predict_task, range(len(records)), chunksize=2)
-    else:
-        nested = [_predict_task(i) for i in range(len(records))]
+    ctx = (args, data, records, nets, channels, run_cfg, model_id)
+    nested = _map_exams(_predict_task, ctx, len(records), args.jobs, 2)
     preds = [p for pair in nested for p in pair]
     write_predictions(out / "predictions.csv", preds)
-    cfg.dump(out / "config.txt")
-    print(f"predict: {len(preds)} breast predictions ({model_id}) -> "
-          f"{out / 'predictions.csv'}")
-    return 0
-
-
-def _breast_maps(preds):
-    scores_mal = {p.breast_id: p.p_malignant for p in preds}
-    scores_ben = {p.breast_id: p.p_benign for p in preds}
-    return scores_mal, scores_ben
+    return (f"predict: {len(preds)} breast predictions ({model_id}) -> "
+            f"{out / 'predictions.csv'}")
 
 
 def _labels_for(records):
-    labels = {}
-    for r in records:
-        if r.split != "test":
-            continue
-        for side in ("L", "R"):
-            benign, malignant = r.labels(side)
-            labels[f"{r.exam_id}:{side}"] = {
-                "malignant": malignant, "benign": benign,
-                "biopsy": r.biopsied(side)}
-    return labels
+    """{breast id: {"benign", "malignant", "biopsy": label}}, test split."""
+    return {f"{r.exam_id}:{side}": dict(zip(("benign", "malignant"),
+                                            r.labels(side)),
+                                        biopsy=r.biopsied(side))
+            for r in records if r.split == "test" for side in ("L", "R")}
 
 
-def cmd_evaluate(args):
-    from .evaluation import (pr_auc, pr_curve_points,
-                             read_predictions, roc_auc, roc_curve_points,
-                             malignant_vs_benign_score, biopsy_score,
-                             subpopulation)
+POPULATIONS = ("screening", "biopsied", "one_class_biopsied", "by_age",
+               "by_density")
 
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = _manifest(data)
+
+def cmd_evaluate(args, cfg, out, data, records):
     preds = read_predictions(args.predictions)
-    out = _ensure_out(args.out, args.force)
     (out / "curves").mkdir(exist_ok=True)
 
     labels = _labels_for(records)
-    wanted = args.population or cfg["eval.population"]
-    pops = ("screening", "biopsied", "one_class_biopsied", "by_age",
-            "by_density") if wanted == "all" else (wanted,)
+    wanted = cfg["eval.population"]
+    pops = POPULATIONS if wanted == "all" else (wanted,)
 
     rows = []
     by_model = {}
@@ -474,7 +373,8 @@ def cmd_evaluate(args):
         by_model.setdefault(p.model_id, []).append(p)
 
     for model_id, mpreds in sorted(by_model.items()):
-        s_mal, s_ben = _breast_maps(mpreds)
+        s_mal = {p.breast_id: p.p_malignant for p in mpreds}
+        s_ben = {p.breast_id: p.p_benign for p in mpreds}
         missing = set(labels) - set(s_mal)
         if missing:
             raise UserError(f"{len(missing)} test breasts lack predictions "
@@ -494,24 +394,20 @@ def cmd_evaluate(args):
             rows.append((model_id, pop_name, task, "n_neg", len(y) - n_pos))
             if both and pop_name in ("screening", "biopsied") and \
                     task in ("malignant", "benign"):
-                tag = f"{model_id}_{pop_name}_{task}"
-                with open(out / "curves" / f"{tag}_roc.csv", "w") as f:
-                    f.write("fpr,tpr\n")
-                    for fpr, tpr in roc_curve_points(s, y):
-                        f.write(f"{fpr:.6f},{tpr:.6f}\n")
-                with open(out / "curves" / f"{tag}_pr.csv", "w") as f:
-                    f.write("recall,precision\n")
-                    for rec_, prec in pr_curve_points(s, y):
-                        f.write(f"{rec_:.6f},{prec:.6f}\n")
+                tag = out / "curves" / f"{model_id}_{pop_name}_{task}"
+                _write_csv(f"{tag}_roc.csv", "fpr,tpr",
+                           (f"{a:.6f},{b:.6f}"
+                            for a, b in roc_curve_points(s, y)))
+                _write_csv(f"{tag}_pr.csv", "recall,precision",
+                           (f"{a:.6f},{b:.6f}"
+                            for a, b in pr_curve_points(s, y)))
 
         for pop in pops:
             if pop in ("by_age", "by_density"):
-                parts = subpopulation(records, pop)
-                prefix = "age" if pop == "by_age" else "density"
-                for band, ids in sorted(parts.items()):
-                    ids = sorted(ids)
-                    emit(f"{prefix}:{band}", "malignant", ids, s_mal)
-                    emit(f"{prefix}:{band}", "benign", ids, s_ben)
+                for band, ids in sorted(subpopulation(records, pop).items()):
+                    name = f"{pop[3:]}:{band}"          # age:<band>, ...
+                    emit(name, "malignant", sorted(ids), s_mal)
+                    emit(name, "benign", sorted(ids), s_ben)
                 continue
             rng = substream(args.seed, "population", pop)
             ids = sorted(subpopulation(records, pop, rng))
@@ -526,37 +422,24 @@ def cmd_evaluate(args):
                 scores = {b: biopsy_score(s_mal[b], s_ben[b]) for b in ids}
                 emit(pop, "biopsy", ids, scores)
 
-    with open(out / "metrics.csv", "w") as f:
-        f.write("model_id,population,task,metric,value\n")
-        for model_id, pop, task, metric, value in rows:
-            f.write(f"{model_id},{pop},{task},{metric},{value:.6f}\n")
-    cfg.dump(out / "config.txt")
+    _write_csv(out / "metrics.csv", "model_id,population,task,metric,value",
+               (",".join(r[:4]) + f",{r[4]:.6f}" for r in rows))
     auc_rows = [r for r in rows if r[3] == "auc"]
-    print(f"evaluate: {len(auc_rows)} AUC figures -> {out / 'metrics.csv'}")
-    return 0
+    return f"evaluate: {len(auc_rows)} AUC figures -> {out / 'metrics.csv'}"
 
 
-def cmd_reader_study(args):
-    from .evaluation import (hybrid_scores, hybrid_sweep, pr_auc,
-                             read_predictions, roc_auc, simulate_readers,
-                             subpopulation)
-
-    cfg = _load_config(args)
-    data = _data_dir(args)
-    records = _manifest(data)
+def cmd_reader_study(args, cfg, out, data, records):
     preds = read_predictions(args.predictions)
-    out = _ensure_out(args.out, args.force)
-
     labels_all = _labels_for(records)
-    test = [r for r in records if r.split == "test"]
-    n_biopsied = cfg["eval.reader_biopsied"] or \
-        sum(1 for r in test if r.left_biopsied or r.right_biopsied)
+    n_biopsied = cfg["eval.reader_biopsied"] or sum(
+        1 for r in records
+        if r.split == "test" and (r.left_biopsied or r.right_biopsied))
     n_clean = cfg["eval.reader_clean"] or n_biopsied
     rng = substream(args.seed, "reader-study")
     ids = sorted(subpopulation(records, "reader_study", rng,
                                reader_counts=(n_biopsied, n_clean)))
 
-    s_mal, _ = _breast_maps(preds)
+    s_mal = {p.breast_id: p.p_malignant for p in preds}
     missing = [b for b in ids if b not in s_mal]
     if missing:
         raise UserError(f"predictions missing for {len(missing)} breasts")
@@ -571,94 +454,79 @@ def cmd_reader_study(args):
     lam = cfg["eval.hybrid_lambda"]
     keys = mat.breast_ids
     yv = [y[b] for b in keys]
-    model_auc = roc_auc([model[b] for b in keys], yv)
-    model_prauc = pr_auc([model[b] for b in keys], yv)
+    mv = [model[b] for b in keys]
+    model_auc, model_prauc = roc_auc(mv, yv), pr_auc(mv, yv)
 
-    with open(out / "readers.csv", "w") as f:
-        f.write("reader_id," + ",".join(keys) + "\n")
-        for ri in range(n_readers):
-            f.write(f"r{ri}," + ",".join(f"{v:.6f}" for v in mat.scores[ri])
-                    + "\n")
+    _write_csv(out / "readers.csv", "reader_id," + ",".join(keys),
+               (f"r{ri}," + ",".join(f"{v:.6f}" for v in mat.scores[ri])
+                for ri in range(n_readers)))
 
     rows = []
     sweep_rows = []
     for ri in range(n_readers):
-        reader = dict(zip(keys, mat.scores[ri]))
-        r_auc = roc_auc(mat.scores[ri], yv)
-        r_prauc = pr_auc(mat.scores[ri], yv)
+        scores = mat.scores[ri]
+        reader = dict(zip(keys, scores))
         hyb = hybrid_scores(reader, model, lam)
-        h_auc = roc_auc([hyb[b] for b in keys], yv)
-        h_prauc = pr_auc([hyb[b] for b in keys], yv)
+        hv = [hyb[b] for b in keys]
         grid, best_lam = hybrid_sweep(reader, model, y)
-        sweep_rows.extend((f"r{ri}", g_lam, g_auc, g_prauc)
-                          for g_lam, g_auc, g_prauc in grid)
-        rows.append((f"r{ri}", targets[ri], r_auc, r_prauc, h_auc, h_prauc,
+        sweep_rows.extend((f"r{ri}", *g) for g in grid)
+        rows.append((f"r{ri}", targets[ri], roc_auc(scores, yv),
+                     pr_auc(scores, yv), roc_auc(hv, yv), pr_auc(hv, yv),
                      best_lam))
 
-    with open(out / "reader_metrics.csv", "w") as f:
-        f.write("reader_id,target_auc,reader_auc,reader_prauc,"
-                f"hybrid{lam}_auc,hybrid{lam}_prauc,best_lambda\n")
-        for r in rows:
-            f.write(f"{r[0]},{r[1]:.4f},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
-                    f"{r[5]:.6f},{r[6]:.2f}\n")
-    with open(out / "sweep.csv", "w") as f:
-        f.write("reader_id,lambda,auc,prauc\n")
-        for rid, g_lam, g_auc, g_prauc in sweep_rows:
-            f.write(f"{rid},{g_lam:.2f},{g_auc:.6f},{g_prauc:.6f}\n")
-    cfg.dump(out / "config.txt")
+    _write_csv(out / "reader_metrics.csv",
+               "reader_id,target_auc,reader_auc,reader_prauc,"
+               f"hybrid{lam}_auc,hybrid{lam}_prauc,best_lambda",
+               (f"{r[0]},{r[1]:.4f},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
+                f"{r[5]:.6f},{r[6]:.2f}" for r in rows))
+    _write_csv(out / "sweep.csv", "reader_id,lambda,auc,prauc",
+               (f"{rid},{g_lam:.2f},{g_auc:.6f},{g_prauc:.6f}"
+                for rid, g_lam, g_auc, g_prauc in sweep_rows))
 
     mean_reader = float(np.mean([r[2] for r in rows]))
     mean_hybrid = float(np.mean([r[4] for r in rows]))
     improved = sum(1 for r in rows if r[4] >= r[2])
-    print(f"reader-study: {len(ids)} breasts, model auc {model_auc:.3f} "
-          f"prauc {model_prauc:.3f}, mean reader auc {mean_reader:.3f}, "
-          f"mean hybrid auc {mean_hybrid:.3f} "
-          f"({improved}/{n_readers} readers improved)")
-    return 0
+    return (f"reader-study: {len(ids)} breasts, model auc {model_auc:.3f} "
+            f"prauc {model_prauc:.3f}, mean reader auc {mean_reader:.3f}, "
+            f"mean hybrid auc {mean_hybrid:.3f} "
+            f"({improved}/{n_readers} readers improved)")
 
 
 def cmd_report(args):
-    import csv as csvmod
-
-    rows = []
-    for path in args.metrics:
-        with open(path, newline="") as f:
-            reader = csvmod.DictReader(f)
-            for row in reader:
-                rows.append(row)
-    if not rows:
-        raise UserError("no metrics rows found")
+    import csv
 
     values = {}
-    models = []
-    for row in rows:
-        key = (row["model_id"], row["population"], row["task"], row["metric"])
-        values[key] = float(row["value"])
-        if row["model_id"] not in models:
-            models.append(row["model_id"])
+    models = {}                         # model ids in order of appearance
+    for path in args.metrics:
+        with open(path, newline="") as f:
+            for row in csv.DictReader(f):
+                key = (row["model_id"], row["population"], row["task"],
+                       row["metric"])
+                values[key] = float(row["value"])
+                models[row["model_id"]] = None
+    if not models:
+        raise UserError("no metrics rows found")
 
     lines = []
-    width = max(len(m) for m in models) + 2
+    width = max(map(len, models)) + 2
     for population in ("screening", "biopsied"):
         have = [m for m in models
                 if (m, population, "malignant", "auc") in values]
         if not have:
             continue
-        lines.append(f"== {population} population ==")
-        lines.append(f"{'model':<{width}} {'malignant':>10} {'benign':>10}")
+        lines += [f"== {population} population ==",
+                  f"{'model':<{width}} {'malignant':>10} {'benign':>10}"]
         for m in have:
-            mal = values.get((m, population, "malignant", "auc"))
+            mal = values[m, population, "malignant", "auc"]
             ben = values.get((m, population, "benign", "auc"))
             ben_s = f"{ben:.3f}" if ben is not None else "-"
             lines.append(f"{m:<{width}} {mal:>10.3f} {ben_s:>10}")
         lines.append("")
-    extra = [(m, v) for (m, p, t, met), v in sorted(values.items())
+    extra = [f"{m:<{width}} {v:>10.3f}"
+             for (m, p, _, met), v in sorted(values.items())
              if p == "one_class_biopsied" and met == "auc"]
     if extra:
-        lines.append("== malignant vs benign (one-class biopsied) ==")
-        for m, v in extra:
-            lines.append(f"{m:<{width}} {v:>10.3f}")
-        lines.append("")
+        lines += ["== malignant vs benign (one-class biopsied) ==", *extra, ""]
 
     text = "\n".join(lines)
     if args.out:
@@ -670,113 +538,148 @@ def cmd_report(args):
 
 
 # ---------------------------------------------------------------------------
+# the stage table
 
-def _add_common(p, config=True, seed=True, out=True, data=False, jobs=False):
-    if config:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config key")
-        p.add_argument("--profile", choices=cfgmod.PROFILES)
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if out:
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--force", action="store_true",
-                       help="overwrite an existing output directory")
-    if data:
-        p.add_argument("--data", help="dataset directory "
-                                      "(default: $MSCOPE_DATA_DIR)")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = bit-reproducible)")
+class Alias(NamedTuple):
+    """A flag that is nothing but one config key: it sets ``key`` to its
+    own value, or to ``value`` when given."""
+    flag: str
+    key: str
+    kwargs: dict
+    value: str | None = None
+
+
+class Stage(NamedTuple):
+    name: str
+    help: str
+    body: Callable
+    data: bool = True           # takes --data and loads its manifest
+    jobs: bool = False          # takes --jobs
+    flags: tuple = ()           # its own (flag, argparse keywords)
+    aliases: tuple = ()         # its Alias flags
+    lr: str | None = None       # the key a first-epoch divergence names
+    run_dir: bool = True        # False: no config and no output dir
+
+
+_INIT = ("--init", dict(help="pretraining run dir or checkpoint"))
+_PREDICTIONS = ("--predictions", dict(required=True))
+_HEATMAPS = Alias("--heatmaps", "model.input_channels",
+                  dict(metavar="DIR",
+                       help="heatmap dir (enables 3-channel input)"), "3")
+
+STAGES = (
+    Stage("gen-data", "generate a phantom dataset", cmd_gen_data,
+          data=False, jobs=True),
+    Stage("train-patch", "train the patch classifier", cmd_train_patch,
+          flags=(("--cache", dict(help="patch cache file to reuse or "
+                                       "create")),),
+          aliases=(Alias("--patch-size", "patch.size", dict(type=int)),
+                   Alias("--epochs", "patch.epochs", dict(type=int)),
+                   Alias("--save-every", "patch.save_every",
+                         dict(type=int))),
+          lr="patch.lr"),
+    Stage("gen-heatmaps", "slide the patch model over every image",
+          cmd_gen_heatmaps, jobs=True,
+          flags=(("--checkpoint", dict(required=True)),)),
+    Stage("pretrain-birads", "pretrain on the 3-way assessment task",
+          cmd_pretrain_birads, lr="train.lr"),
+    Stage("train-cancer", "train the multi-view model", cmd_train_cancer,
+          flags=(_INIT,), aliases=(_HEATMAPS,), lr="train.lr"),
+    Stage("ensemble", "train an ensemble of models", cmd_ensemble,
+          flags=(_INIT,),
+          aliases=(Alias("--members", "train.ensemble_size",
+                         dict(type=_count)), _HEATMAPS),
+          lr="train.lr"),
+    Stage("predict", "write per-breast predictions", cmd_predict, jobs=True,
+          flags=(("--run", dict(required=True,
+                                help="training run directory")),
+                 ("--ensemble", dict(action="store_true",
+                                     help="average the run's ensemble "
+                                          "members")),
+                 ("--split", dict(default="test",
+                                  choices=("train", "val", "test"))),
+                 ("--heatmaps", {}), ("--model-id", {}))),
+    Stage("evaluate", "metrics over test populations", cmd_evaluate,
+          flags=(_PREDICTIONS,),
+          aliases=(Alias("--population", "eval.population",
+                         dict(choices=("all",) + POPULATIONS)),)),
+    Stage("reader-study", "simulated readers and hybrids", cmd_reader_study,
+          flags=(_PREDICTIONS,)),
+    Stage("report", "aggregate metrics into a text table", cmd_report,
+          data=False, run_dir=False,
+          flags=(("--out", {}),
+                 ("metrics", dict(nargs="+", help="metrics.csv files")))),
+)
 
 
 def build_parser():
     parser = CliParser(prog="mscope",
                        description="phantom screening-classifier pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a phantom dataset")
-    _add_common(p, data=False, jobs=True)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("train-patch", help="train the patch classifier")
-    _add_common(p, data=True)
-    p.add_argument("--patch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--save-every", type=int)
-    p.add_argument("--cache", help="patch cache file to reuse or create")
-    p.set_defaults(fn=cmd_train_patch)
-
-    p = sub.add_parser("gen-heatmaps", help="slide the patch model over "
-                                            "every image")
-    _add_common(p, data=True, jobs=True)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(fn=cmd_gen_heatmaps)
-
-    p = sub.add_parser("pretrain-birads", help="pretrain on the 3-way "
-                                               "assessment task")
-    _add_common(p, data=True)
-    p.set_defaults(fn=cmd_pretrain_birads)
-
-    p = sub.add_parser("train-cancer", help="train the multi-view model")
-    _add_common(p, data=True)
-    p.add_argument("--init", help="pretraining run dir or checkpoint")
-    p.add_argument("--heatmaps", help="heatmap dir (enables 3-channel input)")
-    p.set_defaults(fn=cmd_train_cancer)
-
-    p = sub.add_parser("ensemble", help="train an ensemble of models")
-    _add_common(p, data=True)
-    p.add_argument("--members", type=int)
-    p.add_argument("--init", help="pretraining run dir or checkpoint")
-    p.add_argument("--heatmaps")
-    p.set_defaults(fn=cmd_ensemble)
-
-    p = sub.add_parser("predict", help="write per-breast predictions")
-    _add_common(p, data=True, jobs=True)
-    p.add_argument("--run", required=True, help="training run directory")
-    p.add_argument("--ensemble", action="store_true",
-                   help="average the run's ensemble members")
-    p.add_argument("--split", default="test",
-                   choices=("train", "val", "test"))
-    p.add_argument("--heatmaps")
-    p.add_argument("--model-id")
-    p.set_defaults(fn=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="metrics over test populations")
-    _add_common(p, data=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--population",
-                   choices=("all", "screening", "biopsied",
-                            "one_class_biopsied", "by_age", "by_density"))
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("reader-study", help="simulated readers and hybrids")
-    _add_common(p, data=True)
-    p.add_argument("--predictions", required=True)
-    p.set_defaults(fn=cmd_reader_study)
-
-    p = sub.add_parser("report", help="aggregate metrics into a text table")
-    p.add_argument("--out")
-    p.add_argument("metrics", nargs="+", help="metrics.csv files")
-    p.set_defaults(fn=cmd_report)
-
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        p.set_defaults(stage=stage)
+        if stage.run_dir:
+            p.add_argument("--config", help="flat key=value config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override one config key")
+            p.add_argument("--profile", choices=cfgmod.PROFILES)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--out", required=True, help="output directory")
+            p.add_argument("--force", action="store_true",
+                           help="overwrite an existing output directory")
+        if stage.data:
+            p.add_argument("--data", help="dataset directory "
+                                          "(default: $MSCOPE_DATA_DIR)")
+        if stage.jobs:
+            p.add_argument("--jobs", type=_count, default=1,
+                           help="worker processes (1 = bit-reproducible)")
+        for flag, kwargs in stage.flags:
+            p.add_argument(flag, **kwargs)
+        for alias in stage.aliases:
+            p.add_argument(alias.flag, **alias.kwargs)
     return parser
 
 
-def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+def _overrides(args, stage):
+    """``--set``, then ``--profile``, then the row's alias flags, as one
+    dict of config overrides."""
+    out = {}
+    for pair in args.set or ():
+        if "=" not in pair:
+            raise UserError(f"--set expects key=value, got {pair!r}")
+        key, _, value = pair.partition("=")
+        out[key.strip()] = value.strip()
+    if args.profile:
+        out["profile"] = args.profile
+    for alias in stage.aliases:
+        given = getattr(args, alias.flag[2:].replace("-", "_"))
+        if given is not None:
+            out[alias.key] = str(given) if alias.value is None else alias.value
+    return out
+
+
+def _run_stage(stage, args):
+    """Run one row that writes a run directory (see the module doc)."""
+    cfg = cfgmod.load(args.config, _overrides(args, stage))
+    data = records = None
+    if stage.data:
+        data = _data_dir(args)
+        records = load_manifest(data / "manifest.csv")
+    out = _ensure_out(args.out, args.force)
+    with _lr_diverges(cfg, stage.lr):
+        summary = stage.body(args, cfg, out, data, records)
+    cfg.dump(out / "config.txt")
+    print(summary)
+    return 0
 
 
 def main(argv=None):
     try:
-        return run(argv)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, MetricError, GeneratorError, FormatError,
+        args = build_parser().parse_args(argv)
+        return _run_stage(args.stage, args) if args.stage.run_dir \
+            else args.stage.body(args)
+    except (UserError, ConfigError, MetricError, GeneratorError, FormatError,
             StateDictError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

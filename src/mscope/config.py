@@ -4,8 +4,8 @@ Two named profiles carry the default constant sets: ``desk`` (scaled-down
 images, shorter schedules, everything runnable on CPU in minutes) and
 ``paper`` (full-scale constants). A config file overrides profile
 defaults; command-line ``--set key=value`` flags override the file.
-Unknown keys are rejected. Every run directory receives the fully
-resolved config.
+Unknown keys and out-of-range values are rejected, naming the key. Every
+run directory receives the fully resolved config.
 """
 
 from __future__ import annotations
@@ -83,6 +83,34 @@ KEYS = {
 
 PROFILES = ("desk", "paper")
 
+# keys that count something which must happen at least once
+_AT_LEAST_ONE = ("patch.size", "patch.epochs", "patch.save_every",
+                 "patch.batch_size", "heatmap.stride", "train.batch_size",
+                 "train.birads_batch_size", "train.patience",
+                 "train.tta_samples", "train.ensemble_size", "eval.readers")
+# keys that hold one count per patch class
+_CLASS_COUNTS = ("patch.plan", "patch.pool_targets")
+
+
+def _out_of_range(key, value):
+    """Why ``value`` is not a valid value of ``key``, or None if it is."""
+    if key in _AT_LEAST_ONE and value < 1:
+        return "must be at least 1"
+    if key in _CLASS_COUNTS:
+        from .patches import PATCH_CLASSES
+        counts = value.split(",")
+        if len(counts) != len(PATCH_CLASSES) or \
+                not all(c.strip().isdigit() for c in counts):
+            return (f"must be {len(PATCH_CLASSES)} non-negative counts, one "
+                    f"per class of {', '.join(PATCH_CLASSES)}")
+    if key == "model.input_channels" and value not in (1, 3):
+        return "must be 1, or 3 with heatmaps"
+    if key == "model.variant":
+        from .multiview import FUSION_VARIANTS
+        if value not in FUSION_VARIANTS:
+            return f"must be one of {', '.join(FUSION_VARIANTS)}"
+    return None
+
 
 class RunConfig:
     def __init__(self, values):
@@ -137,7 +165,8 @@ def parse_file(path):
 
 
 def resolve(file_values=None, overrides=None):
-    """Profile defaults <- config file <- CLI overrides, typed and checked."""
+    """Profile defaults <- config file <- CLI overrides, typed and
+    range-checked."""
     file_values = dict(file_values or {})
     overrides = dict(overrides or {})
     merged_raw = dict(file_values)
@@ -160,6 +189,9 @@ def resolve(file_values=None, overrides=None):
             values[key] = parser(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+        why = _out_of_range(key, values[key])
+        if why:
+            raise ConfigError(f"bad value for {key!r}: {raw!r} ({why})")
     return RunConfig(values)
 
 

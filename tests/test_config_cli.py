@@ -1,13 +1,20 @@
 import hashlib
+import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mscope import cli
 from mscope import config as cfgmod
 from mscope.cli import main
+from mscope.patches import load_patch_cache
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # tiny-profile overrides: everything small enough for seconds-long runs
 TINY_SETS = [
@@ -176,6 +183,8 @@ def test_pipeline_artifacts(pipeline):
     # every run directory carries its resolved config
     for key in ("patch", "birads", "cancer", "ens", "pred", "eval"):
         assert (p[key] / "config.txt").exists()
+    for key in ("data", "heatmaps", "reader"):
+        assert (p[key] / "config.txt").exists()
 
 
 def test_metrics_rows_present(pipeline):
@@ -217,6 +226,7 @@ def test_evaluate_single_population(pipeline, tmp_path):
     rows = (out / "metrics.csv").read_text()
     assert "biopsied,malignant,auc" in rows
     assert "screening" not in rows
+    assert cfgmod.load(out / "config.txt")["eval.population"] == "biopsied"
 
 
 def test_predict_ensemble_members(pipeline, tmp_path):
@@ -287,6 +297,124 @@ def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path):
         out = tmp_path / key
         assert main([*argv, "--out", str(out), "--seed", "5", "--jobs", "2",
                      *sets()]) == 0, key
+        assert tree_hash(out) == tree_hash(p[key]), key
+
+
+def test_every_alias_names_a_config_key():
+    """An alias flag is one table entry mapping to one config key."""
+    aliases = [a for stage in cli.STAGES for a in stage.aliases]
+    assert {a.flag for a in aliases} == {
+        "--patch-size", "--epochs", "--save-every", "--members",
+        "--population", "--heatmaps"}
+    for alias in aliases:
+        assert alias.key in cfgmod.KEYS, alias.flag
+        if alias.value is not None:
+            cfgmod.resolve(overrides={alias.key: alias.value})
+
+
+def test_config_txt_records_alias_flags(pipeline, tmp_path):
+    """An alias flag overrides --set, the run uses its value, and the run's
+    config.txt records that value."""
+    p = pipeline
+    ens = cfgmod.load(p["ens"] / "config.txt")
+    members = sorted((p["ens"] / "members").glob("m*.ckpt"))
+    assert ens["train.ensemble_size"] == len(members) == 2
+    assert cfgmod.load(p["cancer_hm"] / "config.txt")[
+        "model.input_channels"] == 3
+    assert cfgmod.load(p["cancer"] / "config.txt")[
+        "model.input_channels"] == 1
+
+    out, cache = tmp_path / "patch", tmp_path / "patches.bin"
+    assert main(["train-patch", "--data", str(p["data"]), "--out", str(out),
+                 "--seed", "5", "--epochs", "2", "--save-every", "1",
+                 "--patch-size", "16", "--cache", str(cache),
+                 *sets(("patch.size=20",))]) == 0
+    ran = cfgmod.load(out / "config.txt")
+    assert (ran["patch.epochs"], ran["patch.save_every"],
+            ran["patch.size"]) == (2, 1, 16)
+    assert sorted(f.name for f in (out / "checkpoints").iterdir()) == \
+        ["patch_ep0001.ckpt", "patch_ep0002.ckpt"]
+    samples = load_patch_cache(cache, 16)
+    assert len(samples) * (8 + 4 * 16 * 16) == cache.stat().st_size
+
+
+# command, the one bad config value; each exits 1 and names the key
+BAD_CONFIG_VALUES = [
+    ("train-cancer", "model.input_channels=2"),
+    ("train-cancer", "model.variant=bogus"),
+    ("pretrain-birads", "train.patience=0"),
+    ("train-patch", "patch.save_every=0"),
+    ("train-patch", "patch.plan=1,2,3"),
+    ("train-patch", "patch.pool_targets=30,30,80,-1"),
+    ("reader-study", "eval.readers=0"),
+    ("gen-heatmaps", "heatmap.stride=0"),
+    ("ensemble", "model.input_channels=3"),     # without --heatmaps
+]
+
+
+@pytest.mark.parametrize("command,setting", BAD_CONFIG_VALUES)
+def test_bad_config_value_exits_1_naming_the_key(pipeline, tmp_path, capsys,
+                                                 command, setting):
+    p = pipeline
+    extra = {"gen-heatmaps": ["--checkpoint", str(p["patch"] / "best.ckpt")],
+             "reader-study": ["--predictions",
+                              str(p["pred"] / "predictions.csv")],
+             "ensemble": ["--members", "2"]}.get(command, [])
+    capsys.readouterr()
+    assert main([command, "--data", str(p["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *extra,
+                 *sets((setting,))]) == 1
+    err = capsys.readouterr().err
+    assert setting.split("=")[0] in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--jobs", "0"], ["gen-data", "--jobs", "-2"],
+    ["ensemble", "--members", "-1"], ["ensemble", "--members", "0"]])
+def test_count_flags_below_1_exit_1(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "o"), *sets()]) == 1
+    assert argv[1] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+FORKSERVER_DRIVER = """\
+import multiprocessing
+import sys
+
+from mscope.cli import main
+
+# each forkserver worker imports this file again: keep the work guarded
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method on this platform")
+def test_jobs_2_under_forkserver_equals_jobs_1(pipeline, tmp_path):
+    """--jobs 2 workers get their context from the pool initializer, so
+    gen-heatmaps and predict write the --jobs 1 bytes under forkserver
+    (the default start method on Linux from Python 3.14)."""
+    p = pipeline
+    driver = tmp_path / "driver.py"
+    driver.write_text(FORKSERVER_DRIVER)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    runs = {
+        "heatmaps": ["gen-heatmaps", "--data", str(p["data"]),
+                     "--checkpoint", str(p["patch"] / "best.ckpt")],
+        "pred": ["predict", "--data", str(p["data"]), "--run",
+                 str(p["cancer"]), "--model-id", "image_only"],
+    }
+    for key, argv in runs.items():
+        out = tmp_path / key
+        proc = subprocess.run(
+            [sys.executable, str(driver), *argv, "--out", str(out), "--seed",
+             "5", "--jobs", "2", *sets()],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (key, proc.stderr[-2000:])
         assert tree_hash(out) == tree_hash(p[key]), key
 
 
