@@ -301,13 +301,14 @@ def cmd_ensemble(args, cfg, out, data, records):
 
 
 def _load_run_models(run_dir, use_members):
+    """The run's ``best.ckpt``, or exactly the members ``m0..m{k-1}`` of
+    its ``train.ensemble_size=k``: a stale member is never averaged in."""
     run_dir = Path(run_dir)
     run_cfg = cfgmod.load(run_dir / "config.txt")
     channels = run_cfg["model.input_channels"]
-    paths = sorted((run_dir / "members").glob("m*.ckpt")) if use_members \
+    paths = [run_dir / "members" / f"m{i}.ckpt"
+             for i in range(run_cfg["train.ensemble_size"])] if use_members \
         else [run_dir / "best.ckpt"]
-    if not paths:
-        raise UserError(f"{run_dir}: no model checkpoints found")
     nets = [MultiViewNet(variant=run_cfg["model.variant"],
                          input_channels=channels, task="cancer")
             for _ in paths]

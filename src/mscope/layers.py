@@ -132,6 +132,11 @@ def he_normal(rng, shape, fan_in, dtype):
 
 
 class Conv2d(Module):
+    """Convolution of (N, H, W, Cin) activations; the weight is stored
+    (kh, kw, Cin, Cout) (see ``tensor.conv2d``). It is drawn in
+    (Cout, Cin, kh, kw) order and transposed once, so a seed gives the
+    same initial values whatever the layout."""
+
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None,
                  dtype=np.float32):
         super().__init__()
@@ -139,8 +144,8 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
         rng = rng or np.random.default_rng(0)
-        self.weight = Parameter(he_normal(rng, (out_ch, in_ch, kh, kw),
-                                          in_ch * kh * kw, dtype))
+        w = he_normal(rng, (out_ch, in_ch, kh, kw), in_ch * kh * kw, dtype)
+        self.weight = Parameter(np.ascontiguousarray(w.transpose(2, 3, 1, 0)))
 
     def forward(self, x):
         out = T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
@@ -186,11 +191,6 @@ class Linear(Module):
         return out
 
 
-class GlobalAvgPool2d(Module):
-    def forward(self, x):
-        return T.global_avgpool2d(x)
-
-
 def conv_bn(conv, bn, x):
     """``bn(conv(x))``, with the BatchNorm folded into the convolution in
     eval mode.
@@ -204,7 +204,7 @@ def conv_bn(conv, bn, x):
     if bn.training:
         return bn(conv(x))
     scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-    weight = Tensor(conv.weight.data * scale[:, None, None, None])
+    weight = Tensor(conv.weight.data * scale)
     out = T.conv2d(x, weight, stride=conv.stride, padding=conv.padding,
                    bias=bn.beta.data - bn.running_mean * scale)
     T.check_finite(out.data, "conv_bn")

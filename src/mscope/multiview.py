@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, Module,
-                     StateDictError, conv_bn)
+from .layers import (BatchNorm2d, Conv2d, Linear, Module, StateDictError,
+                     conv_bn)
 from .seeding import substream
 
 COLUMN_CHANNELS = (16, 16, 32, 64, 128, 256)
@@ -103,13 +103,12 @@ class ResNetColumn(Module):
                 blocks.append(ResidualBlock(cout, cout, 1, rng, dtype))
             cin = cout
         self.blocks = blocks
-        self.pool = GlobalAvgPool2d()
 
     def forward(self, x):
         h = T.relu(conv_bn(self.stem, self.stem_bn, x))
         for block in self.blocks:
             h = block(h)
-        return self.pool(h)
+        return T.global_avgpool2d(h)
 
 
 class FusionHead(Module):
@@ -175,7 +174,7 @@ class MultiViewNet(Module):
         return self.cc_column if view.endswith("cc") else self.mlo_column
 
     def forward(self, views):
-        """``views`` maps view name to an (N, C, H, W) Tensor with left
+        """``views`` maps view name to an (N, H, W, C) Tensor with left
         images already flipped; returns (N, 4) probabilities (or (N, 3)
         class probabilities for the 3-way task)."""
         vecs = {v: self.column_for(v)(views[v]) for v in VIEW_ORDER}
@@ -244,10 +243,10 @@ def transfer_from_pretrained(source_state, variant="view_wise",
     for name, dst in targets.items():
         src = source_state[name]
         if name.endswith(".stem.weight"):
-            if src.ndim != 4 or src.shape[1] != 1:
+            if src.ndim != 4 or src.shape[2] != 1:
                 raise StateDictError(f"source stem {name!r} must be "
                                      f"single-channel, got {src.shape}")
-            src = np.repeat(src, input_channels, axis=1)
+            src = np.repeat(src, input_channels, axis=2)
         if src.shape != dst.shape:
             raise StateDictError(f"shape mismatch for {name!r}: "
                                  f"{src.shape} vs {dst.shape}")

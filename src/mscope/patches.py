@@ -324,10 +324,10 @@ class PatchNet(Module):
         return self.fc2(h)
 
     def predict_proba(self, batch):
-        """Class probabilities for a raw (N, H, W) or (N, 1, H, W) batch."""
+        """Class probabilities for a raw (N, H, W) or (N, H, W, 1) batch."""
         arr = np.asarray(batch, dtype=np.float32)
         if arr.ndim == 3:
-            arr = arr[:, None]
+            arr = arr[..., None]
         was_training = self.training
         self.eval()
         logits = self.forward(T.Tensor(arr))
@@ -379,7 +379,7 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig,
             yield samples[start:start + cfg.batch_size]
 
     def batch_loss(batch):
-        x = np.stack([s.pixels for s in batch])[:, None]
+        x = np.stack([s.pixels for s in batch])[..., None]
         y = np.array([s.label for s in batch])
         return weighted_batch_cross_entropy(net(T.Tensor(x)), y, weights)
 

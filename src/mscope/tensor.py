@@ -16,6 +16,11 @@ end the sweep holding ``.grad``. A graph is therefore single-use: a
 second backward through any consumed node raises ``GraphError``, and a
 fresh forward pass is needed before differentiating again.
 
+Spatial ops keep one layout from a net's input to its global pool:
+activations are (N, H, W, C) and kernels (kh, kw, Cin, Cout), so a
+kernel's GEMM matrix is a free reshape and a convolution moves no data
+but its column matrix.
+
 A convolution forward builds its column matrix in bands, runs of whole
 images or of one image's output rows, each band's columns and product
 within ``COLUMN_BUDGET`` bytes, so its working memory beyond the padded
@@ -266,7 +271,7 @@ def linear(x, w, b=None):
     return _node(y[0] if squeeze else y, parents, bwd)
 
 
-# -- spatial ops; all take (N, C, H, W) --
+# -- spatial ops; activations are (N, H, W, C), kernels (kh, kw, Cin, Cout) --
 
 def conv2d_shape(extent, kernel, stride, padding):
     out = (extent + 2 * padding - kernel) // stride + 1
@@ -294,87 +299,77 @@ def _even_cuts(total, parts):
             for i in range(parts)]
 
 
-def _conv_forward(xc, wmat, kh, kw, sh, sw, bias):
-    """The NCHW forward product of padded NHWC ``xc`` with ``wmat``.
+def _conv_bands(n, ho, wo, k, cout, itemsize):
+    """A convolution forward's bands as (images, output rows) slices.
 
-    The product is one im2col and one GEMM per band, and each band's
-    column matrix and product together take at most ``COLUMN_BUDGET``
-    bytes unless one output row alone takes more. When one image fits the
-    budget, a band is a run of whole images; otherwise it is a run of
-    output rows of one image. Runs are cut evenly, so no band is much
-    smaller than the rest, and a convolution within the budget is a single
-    band. Each band's product is written into the preallocated output.
-    Banding changes no arithmetic, but a BLAS may take a different kernel
-    for a small GEMM, so a budget far below this one can move low-order
-    bits.
+    Each band's column matrix and product take at most ``COLUMN_BUDGET``
+    bytes unless one output row alone takes more. A band is a run of whole
+    images when one image fits the budget, else a run of one image's rows;
+    runs are cut evenly, so no band is much smaller than the rest.
     """
+    rows = max(1, COLUMN_BUDGET // (wo * (k + cout) * itemsize))
+    if rows >= ho:
+        return [(slice(a, b), slice(None))
+                for a, b in _even_cuts(n, -(-n // (rows // ho)))]
+    return [(slice(i, i + 1), slice(a, b)) for i in range(n)
+            for a, b in _even_cuts(ho, -(-ho // rows))]
+
+
+def _conv_forward(xc, wmat, kh, kw, sh, sw, bias):
+    """The product of padded ``xc`` with ``wmat``: per band, one im2col
+    and one GEMM written straight into the output. Banding changes no
+    arithmetic, but a BLAS may take another kernel for a small GEMM, so a
+    budget far below this one can move low-order bits."""
     win = _windows(xc, kh, kw, sh, sw)
     n, ho, wo = win.shape[:3]
     k, cout = wmat.shape
-    rows = max(1, COLUMN_BUDGET // (wo * (k + cout) * xc.itemsize))
-    if rows >= ho:
-        bands = [(slice(a, b), slice(None))
-                 for a, b in _even_cuts(n, -(-n // (rows // ho)))]
-    else:
-        bands = [(slice(i, i + 1), slice(a, b)) for i in range(n)
-                 for a, b in _even_cuts(ho, -(-ho // rows))]
-    out = np.empty((n, cout, ho, wo), dtype=np.result_type(xc, wmat))
-    for images, band in bands:
+    out = np.empty((n, ho, wo, cout), dtype=np.result_type(xc, wmat))
+    for images, band in _conv_bands(n, ho, wo, k, cout, xc.itemsize):
         cols = win[images, band]
         m, r = cols.shape[:2]
-        y = cols.reshape(m * r * wo, k) @ wmat
+        y = out[images, band].reshape(m * r * wo, cout)  # a view of out
+        np.matmul(cols.reshape(m * r * wo, k), wmat, out=y)
         if bias is not None:
             y += bias
-        out[images, :, band] = y.reshape(m, r, wo, cout).transpose(0, 3, 1, 2)
-        del y  # before the next band's columns are built
     return out
 
 
 def conv2d(x, w, stride=1, padding=0, bias=None):
-    """Cross-correlation of x:(N,C,H,W) with w:(Cout,C,kh,kw).
+    """Cross-correlation of x:(N,H,W,Cin) with w:(kh,kw,Cin,Cout), giving
+    (N,Ho,Wo,Cout).
 
-    Internally channels-last; the kernel is reordered to a (kh*kw*C, Cout)
-    matrix so forward is a column-matrix product. That product is one GEMM
-    when the column matrix and the product fit ``COLUMN_BUDGET``; a larger
-    one is done in bands of whole images or of one image's output rows,
-    each within the budget (``_conv_forward``). ``bias`` is an optional
-    per-channel constant array (Cout,), added to the channels-last product
-    before the layout transpose; it gets no gradient (``layers.conv_bn``
-    passes folded BatchNorm shifts here). The input gradient is built tap
-    by tap with strided scatter-adds, and gradients into
-    non-differentiable leaves (raw image batches) are skipped entirely.
+    Forward is the column matrix times ``w`` reshaped to (kh*kw*Cin,
+    Cout), in bands within ``COLUMN_BUDGET`` (``_conv_bands``). ``bias``
+    is an optional per-channel constant (Cout,) that gets no gradient
+    (``layers.conv_bn`` passes folded BatchNorm shifts here). The input
+    gradient is built tap by tap with strided scatter-adds, and gradients
+    into non-differentiable leaves (raw image batches) are skipped.
     """
     sh, sw = (stride, stride) if np.isscalar(stride) else stride
     ph, pw = (padding, padding) if np.isscalar(padding) else padding
-    n, c, h, wdt = x.data.shape
-    cout, cin, kh, kw = w.data.shape
+    n, h, wdt, c = x.data.shape
+    kh, kw, cin, cout = w.data.shape
     if cin != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, kernel {cin}")
     ho = conv2d_shape(h, kh, sh, ph)
     wo = conv2d_shape(wdt, kw, sw, pw)
 
-    xc = np.zeros((n, h + 2 * ph, wdt + 2 * pw, c), dtype=x.data.dtype)
-    xc[:, ph:ph + h, pw:pw + wdt] = x.data.transpose(0, 2, 3, 1)  # NHWC
-    wmat = np.ascontiguousarray(
-        w.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, cout))
-    y = _conv_forward(xc, wmat, kh, kw, sh, sw, bias)
+    xc = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    wd = w.data
+    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, sh, sw, bias)
 
     def bwd(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
-            .reshape(n * ho * wo, cout)
+        gmat = g.reshape(n * ho * wo, cout)
         if _wants_grad(w):
             cols = _windows(xc, kh, kw, sh, sw).reshape(n * ho * wo, -1)
-            dw = (cols.T @ gmat).reshape(kh, kw, c, cout)
-            w._accumulate(np.ascontiguousarray(dw.transpose(3, 2, 0, 1)))
+            w._accumulate((cols.T @ gmat).reshape(kh, kw, c, cout))
         if _wants_grad(x):
             dxp = np.zeros(xc.shape, dtype=g.dtype)
-            taps = wmat.reshape(kh, kw, c, cout)
             for i in range(kh):
                 for j in range(kw):
-                    contrib = (gmat @ taps[i, j].T).reshape(n, ho, wo, c)
-                    dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw, :] += contrib
-            dx = dxp[:, ph:ph + h, pw:pw + wdt, :]
-            x._accumulate(np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
+                    contrib = (gmat @ wd[i, j].T).reshape(n, ho, wo, c)
+                    dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += contrib
+            x._accumulate(dxp[:, ph:ph + h, pw:pw + wdt])
 
     return _node(y, (x, w), bwd)
 
@@ -383,16 +378,21 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
                 momentum=0.1, eps=1e-5):
     """Per-channel normalization; batch statistics in training, running in eval.
 
-    ``running_mean``/``running_var`` are plain arrays mutated in place during
-    training (biased variance convention throughout). Eval forwards of the
-    networks fold BatchNorm into the preceding convolution
+    Works on the (N*H*W, C) view of ``x``; every per-channel sum (the batch
+    mean, the two-pass variance, the backward's) is a ones-vector GEMV.
+    ``running_mean``/``running_var`` are plain arrays mutated in place
+    during training (biased variance convention throughout). Eval forwards
+    of the networks fold BatchNorm into the preceding convolution
     (``layers.conv_bn``), so the eval branch here is the reference that
     the fold is tested against, within float32 rounding.
     """
-    xd = x.data
+    xd = x.data.reshape(-1, x.data.shape[-1])
+    m = xd.shape[0]
+    ones = np.ones(m, dtype=xd.dtype)
     if training:
-        mu = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+        mu = ones @ xd / m
+        d = xd - mu
+        var = ones @ (d * d) / m
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mu
         running_var *= (1.0 - momentum)
@@ -400,22 +400,22 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
     else:
         mu = running_mean
         var = running_var
+        d = xd - mu
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = d * inv
+    y = gamma.data * xhat + beta.data
 
     def bwd(g):
-        gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
-        beta._accumulate(g.sum(axis=(0, 2, 3)))
-        gi = gamma.data[None, :, None, None] * inv[None, :, None, None]
-        if training:
-            m = g.mean(axis=(0, 2, 3), keepdims=True)
-            mx = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            x._accumulate(gi * (g - m - xhat * mx))
-        else:
-            x._accumulate(gi * g)
+        g = g.reshape(xhat.shape)
+        sum_g, sum_gx = ones @ g, ones @ (g * xhat)
+        gamma._accumulate(sum_gx)
+        beta._accumulate(sum_g)
+        gi = gamma.data * inv
+        dx = gi * (g - sum_g / m - xhat * (sum_gx / m)) if training else gi * g
+        x._accumulate(dx.reshape(x.data.shape))
 
-    return _node(y.astype(xd.dtype, copy=False), (x, gamma, beta), bwd)
+    return _node(y.astype(xd.dtype, copy=False).reshape(x.data.shape),
+                 (x, gamma, beta), bwd)
 
 
 def maxpool2d(x, kernel):
@@ -428,9 +428,9 @@ def maxpool2d(x, kernel):
     """
     kh, kw = (kernel, kernel) if np.isscalar(kernel) else kernel
     xd = x.data
-    ho = conv2d_shape(xd.shape[2], kh, kh, 0)
-    wo = conv2d_shape(xd.shape[3], kw, kw, 0)
-    taps = [np.s_[:, :, i:i + kh * ho:kh, j:j + kw * wo:kw]
+    ho = conv2d_shape(xd.shape[1], kh, kh, 0)
+    wo = conv2d_shape(xd.shape[2], kw, kw, 0)
+    taps = [np.s_[:, i:i + kh * ho:kh, j:j + kw * wo:kw]
             for i in range(kh) for j in range(kw)]
     y = xd[taps[0]].copy()
     for tap in taps[1:]:
@@ -449,12 +449,12 @@ def maxpool2d(x, kernel):
 
 
 def global_avgpool2d(x):
-    n, c, h, w = x.data.shape
+    n, h, w, c = x.data.shape
 
     def bwd(g):
-        x._accumulate(np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape))
+        x._accumulate(np.broadcast_to(g[:, None, None, :] / (h * w), x.data.shape))
 
-    return _node(x.data.mean(axis=(2, 3)), (x,), bwd)
+    return _node(x.data.mean(axis=(1, 2)), (x,), bwd)
 
 
 def check_finite(arr, context=""):

@@ -100,22 +100,18 @@ def augment_window(stack, rng, max_offset, target_dims=None):
 
 def prepare_views(record, data_dir, channels=1, heatmap_dir=None, rng=None,
                   max_offset=0, copies=1):
-    """All four views as (copies, C, H, W) arrays, left views flipped so
-    every breast is oriented the same way. Augmentation applies only when
-    an rng is given."""
+    """All four views as channels-last (copies, H, W, C) arrays, left views
+    flipped so every breast is oriented the same way. Augmentation applies
+    only when an rng is given."""
     out = {}
     for view in VIEW_ORDER:
         stack = load_view_stack(record, data_dir, view, channels, heatmap_dir)
-        reps = []
-        for _ in range(copies):
-            if rng is not None and max_offset > 0:
-                s = augment_window(stack, rng, max_offset)
-            else:
-                s = stack.astype(np.float32, copy=True)
-            if view.startswith("l"):
-                s = s[:, :, ::-1]
-            reps.append(np.ascontiguousarray(s))
-        out[view] = np.stack(reps)
+        flip = slice(None, None, -1 if view.startswith("l") else 1)
+        out[view] = np.empty((copies, *stack.shape[1:], channels), np.float32)
+        for copy in out[view]:
+            s = augment_window(stack, rng, max_offset) \
+                if rng is not None and max_offset > 0 else stack
+            copy[...] = s.transpose(1, 2, 0)[:, flip]
     return out
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from mscope import cli
 from mscope import config as cfgmod
+from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
 from mscope.patches import load_patch_cache
 
@@ -236,6 +237,65 @@ def test_predict_ensemble_members(pipeline, tmp_path):
                  "--seed", "5", "--model-id", "ens", *sets()]) == 0
     lines = (out / "predictions.csv").read_text().splitlines()
     assert len(lines) == 21
+
+
+def test_predict_ensemble_reads_only_the_members_run(pipeline, tmp_path):
+    """``ensemble --members 1 --force`` over a 2-member run dir leaves a
+    stale ``m1.ckpt``; ``predict --ensemble`` must average the one member
+    the run's config.txt records, which is also its ``best.ckpt``."""
+    run = tmp_path / "ens"
+    shutil.copytree(pipeline["ens"], run)
+    assert main(["ensemble", "--data", str(pipeline["data"]), "--out",
+                 str(run), "--force", "--seed", "5", "--members", "1",
+                 "--init", str(pipeline["birads"]), *sets()]) == 0
+    assert (run / "members" / "m1.ckpt").exists()
+    outs = {}
+    for key, flags in (("members", ["--ensemble"]), ("best", [])):
+        outs[key] = tmp_path / key
+        assert main(["predict", "--data", str(pipeline["data"]), "--run",
+                     str(run), "--out", str(outs[key]), "--seed", "5",
+                     "--model-id", "ens", *flags, *sets()]) == 0
+    assert (outs["members"] / "predictions.csv").read_bytes() == \
+        (outs["best"] / "predictions.csv").read_bytes()
+
+
+def test_predict_ensemble_missing_member_exits_1(pipeline, tmp_path, capsys):
+    run = tmp_path / "ens"
+    shutil.copytree(pipeline["ens"], run)
+    (run / "members" / "m1.ckpt").unlink()
+    capsys.readouterr()
+    assert main(["predict", "--data", str(pipeline["data"]), "--run",
+                 str(run), "--ensemble", "--out", str(tmp_path / "o"),
+                 "--seed", "5", *sets()]) == 1
+    assert str(run / "members" / "m1.ckpt") in capsys.readouterr().err
+
+
+def test_oihw_checkpoint_exits_1_naming_first_conv(pipeline, tmp_path, capsys):
+    """A checkpoint whose conv kernels are (Cout, Cin, kh, kw), the layout
+    before kernels became (kh, kw, Cin, Cout), does not fit: gen-heatmaps
+    and predict exit 1, naming the file and the first conv key."""
+    def oihw(src, dst):
+        state = load_checkpoint(src)
+        save_checkpoint(dst, {k: v.transpose(3, 2, 0, 1) if v.ndim == 4
+                              else v for k, v in state.items()})
+
+    patch = tmp_path / "patch.ckpt"
+    oihw(pipeline["patch"] / "best.ckpt", patch)
+    run = tmp_path / "cancer"
+    shutil.copytree(pipeline["cancer"], run)
+    oihw(pipeline["cancer"] / "best.ckpt", run / "best.ckpt")
+    cases = [
+        (["gen-heatmaps", "--data", str(pipeline["data"]), "--checkpoint",
+          str(patch)], patch, "'conv1.weight'"),
+        (["predict", "--data", str(pipeline["data"]), "--run", str(run)],
+         run / "best.ckpt", "'cc_column.stem.weight'"),
+    ]
+    for i, (argv, ckpt, key) in enumerate(cases):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / f"o{i}"), "--seed", "5",
+                     *sets()]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and key in err and "shape mismatch" in err
 
 
 def test_rerun_reproducibility(pipeline, tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from mscope import multiview, patches
 from mscope import tensor as T
-from mscope.layers import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear,
-                           StateDictError)
+from mscope.layers import (BatchNorm2d, Conv2d, Linear, StateDictError,
+                           he_normal)
 from mscope.multiview import MultiViewNet
 from mscope.optim import binary_cross_entropy
 from mscope.patches import PatchNet
@@ -14,9 +14,19 @@ def test_identity_kernel_conv_is_identity():
     conv = Conv2d(1, 1, 1, stride=1, padding=0)
     conv.weight.data = np.ones((1, 1, 1, 1), dtype=np.float32)
     rng = np.random.default_rng(0)
-    x = T.Tensor(rng.standard_normal((1, 1, 9, 7)).astype(np.float32))
+    x = T.Tensor(rng.standard_normal((1, 9, 7, 1)).astype(np.float32))
     out = conv(x)
     np.testing.assert_array_equal(out.data, x.data)
+
+
+def test_conv_weight_is_the_oihw_draw_transposed():
+    """The weight is stored (kh, kw, Cin, Cout) but drawn in (Cout, Cin,
+    kh, kw) order, so a seed gives the same initial values in either
+    layout."""
+    w = Conv2d(3, 5, 3, rng=np.random.default_rng(4)).weight.data
+    drawn = he_normal(np.random.default_rng(4), (5, 3, 3, 3), 27, np.float32)
+    assert w.flags.c_contiguous
+    np.testing.assert_array_equal(w, drawn.transpose(2, 3, 1, 0))
 
 
 def test_fullscale_stem_shape():
@@ -24,14 +34,14 @@ def test_fullscale_stem_shape():
     assert (T.conv2d_shape(2677, 7, 2, 3), T.conv2d_shape(1942, 7, 2, 3)) \
         == (1339, 971)
     stem = Conv2d(1, 16, 7, stride=2, padding=3)
-    out = stem(T.Tensor(np.zeros((1, 1, 2677, 1942), dtype=np.float32)))
-    assert out.shape == (1, 16, 1339, 971)
+    out = stem(T.Tensor(np.zeros((1, 2677, 1942, 1), dtype=np.float32)))
+    assert out.shape == (1, 1339, 971, 16)
 
 
 def test_global_avgpool_constant():
     c = 3.25
-    x = T.Tensor(np.full((1, 256, 42, 31), c, dtype=np.float32))
-    out = GlobalAvgPool2d()(x)
+    x = T.Tensor(np.full((1, 42, 31, 256), c, dtype=np.float32))
+    out = T.global_avgpool2d(x)
     assert out.shape == (1, 256)
     np.testing.assert_allclose(out.data, c, rtol=1e-6)
 
@@ -39,11 +49,11 @@ def test_global_avgpool_constant():
 def test_batchnorm_train_vs_eval():
     bn = BatchNorm2d(2)
     rng = np.random.default_rng(1)
-    x = T.Tensor(rng.standard_normal((4, 2, 5, 5)).astype(np.float32) * 3 + 1)
+    x = T.Tensor(rng.standard_normal((4, 5, 5, 2)).astype(np.float32) * 3 + 1)
     y_train = bn(x).data
     # batch statistics: normalized output has ~zero mean / unit variance
-    np.testing.assert_allclose(y_train.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
-    np.testing.assert_allclose(y_train.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+    np.testing.assert_allclose(y_train.mean(axis=(0, 1, 2)), 0.0, atol=1e-5)
+    np.testing.assert_allclose(y_train.var(axis=(0, 1, 2)), 1.0, atol=1e-3)
     bn.eval()
     y1 = bn(x).data
     y2 = bn(x).data
@@ -60,20 +70,21 @@ def test_layer_forward_nan_detected():
 
 
 def test_channel_mismatch_rejected():
-    x = T.Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
-    w = T.Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32))
+    x = T.Tensor(np.zeros((1, 4, 4, 2), dtype=np.float32))
+    w = T.Tensor(np.zeros((1, 1, 3, 1), dtype=np.float32))
     with pytest.raises(ValueError):
         T.conv2d(x, w)
 
 
 def test_maxpool_values():
-    x = T.Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
+    x = T.Tensor(np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1))
     mp = T.maxpool2d(x, (2, 2))
-    np.testing.assert_array_equal(mp.data[0, 0], [[5, 7], [13, 15]])
+    np.testing.assert_array_equal(mp.data[0, :, :, 0], [[5, 7], [13, 15]])
 
 
 def _argmax_maxpool(xd, g, k):
-    """The argmax + ``np.add.at`` max-pool: outputs and input gradient."""
+    """The argmax + ``np.add.at`` max-pool of NCHW ``xd``: outputs and
+    input gradient."""
     n, c, h, w = xd.shape
     ho, wo = h // k, w // k
     win = np.lib.stride_tricks.sliding_window_view(xd, (k, k), axis=(2, 3))
@@ -95,13 +106,13 @@ def test_maxpool_matches_argmax_rule_on_ties(k, shape):
     # few distinct values, so most windows hold tied maxima
     rng = np.random.default_rng(k + shape[2])
     xd = rng.integers(-2, 3, size=shape).astype(np.float32)
-    x = T.Tensor(xd, requires_grad=True)
+    x = T.Tensor(xd.transpose(0, 2, 3, 1), requires_grad=True)
     out = T.maxpool2d(x, k)
     g = rng.standard_normal(out.shape).astype(np.float32)
     T.sum_all(T.mul(out, g)).backward()
-    y_ref, dx_ref = _argmax_maxpool(xd, g, k)
-    np.testing.assert_array_equal(out.data, y_ref)
-    np.testing.assert_array_equal(x.grad, dx_ref)
+    y_ref, dx_ref = _argmax_maxpool(xd, g.transpose(0, 3, 1, 2), k)
+    np.testing.assert_array_equal(out.data.transpose(0, 3, 1, 2), y_ref)
+    np.testing.assert_array_equal(x.grad.transpose(0, 3, 1, 2), dx_ref)
 
 
 def _moved_batchnorm(net, run_train_forward, rng):
@@ -130,7 +141,7 @@ def test_folded_eval_matches_batchnorm_patchnet(monkeypatch):
     net = PatchNet(patch_size=32, seed=3)
     batch = rng.uniform(0, 1, (12, 32, 32)).astype(np.float32)
     _moved_batchnorm(net, lambda: net(T.Tensor(
-        rng.uniform(0, 1, (8, 1, 32, 32)).astype(np.float32) * 2)), rng)
+        rng.uniform(0, 1, (8, 32, 32, 1)).astype(np.float32) * 2)), rng)
     folded = net.predict_proba(batch)
     _unfused(monkeypatch, patches)
     reference = net.predict_proba(batch)
@@ -143,7 +154,7 @@ def test_folded_eval_matches_batchnorm_multiview(monkeypatch):
     net = MultiViewNet(variant="view_wise", seed=2)
 
     def views(n):
-        return {v: T.Tensor(rng.uniform(0, 1, (n, 1, 64, 48))
+        return {v: T.Tensor(rng.uniform(0, 1, (n, 64, 48, 1))
                             .astype(np.float32)) for v in multiview.VIEW_ORDER}
 
     def head_logits(inputs):
@@ -163,7 +174,7 @@ def test_folded_eval_matches_batchnorm_multiview(monkeypatch):
 def test_state_dict_roundtrip():
     rng = np.random.default_rng(2)
     net = PatchNet(patch_size=16, seed=1)
-    net(T.Tensor(rng.standard_normal((2, 1, 16, 16)).astype(np.float32)))
+    net(T.Tensor(rng.standard_normal((2, 16, 16, 1)).astype(np.float32)))
     state = {k: v.copy() for k, v in net.state_dict().items()}
     net2 = PatchNet(patch_size=16, seed=2)
     net2.load_state_dict(state)

@@ -34,10 +34,10 @@ REFERENCE_SHAPES = {
 
 def random_views(rng, n=1, channels=1):
     return {
-        "lcc": T.Tensor(rng.uniform(0, 1, (n, channels) + TINY_CC).astype(np.float32)),
-        "rcc": T.Tensor(rng.uniform(0, 1, (n, channels) + TINY_CC).astype(np.float32)),
-        "lmlo": T.Tensor(rng.uniform(0, 1, (n, channels) + TINY_MLO).astype(np.float32)),
-        "rmlo": T.Tensor(rng.uniform(0, 1, (n, channels) + TINY_MLO).astype(np.float32)),
+        "lcc": T.Tensor(rng.uniform(0, 1, (n,) + TINY_CC + (channels,)).astype(np.float32)),
+        "rcc": T.Tensor(rng.uniform(0, 1, (n,) + TINY_CC + (channels,)).astype(np.float32)),
+        "lmlo": T.Tensor(rng.uniform(0, 1, (n,) + TINY_MLO + (channels,)).astype(np.float32)),
+        "rmlo": T.Tensor(rng.uniform(0, 1, (n,) + TINY_MLO + (channels,)).astype(np.float32)),
     }
 
 
@@ -49,7 +49,7 @@ def test_shape_audit_reproduces_reference_table():
 
 def test_column_output_is_256_vector():
     net = MultiViewNet(seed=1).eval()
-    x = T.Tensor(np.random.default_rng(0).uniform(0, 1, (2, 1) + TINY_CC)
+    x = T.Tensor(np.random.default_rng(0).uniform(0, 1, (2,) + TINY_CC + (1,))
                  .astype(np.float32))
     out = net.cc_column(x)
     assert out.shape == (2, 256)
@@ -65,17 +65,17 @@ def test_columns_shared_between_sides():
 def test_mirrored_input_same_vector():
     net = MultiViewNet(seed=2).eval()
     rng = np.random.default_rng(3)
-    x = rng.uniform(0, 1, (1, 1) + TINY_CC).astype(np.float32)
-    mirrored = x[:, :, :, ::-1]
+    x = rng.uniform(0, 1, (1,) + TINY_CC + (1,)).astype(np.float32)
+    mirrored = x[:, :, ::-1]
     a = net.cc_column(T.Tensor(x)).data
-    b = net.cc_column(T.Tensor(np.ascontiguousarray(mirrored[:, :, :, ::-1]))).data
+    b = net.cc_column(T.Tensor(np.ascontiguousarray(mirrored[:, :, ::-1]))).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_all_zero_input_finite():
     net = MultiViewNet(seed=4).eval()
-    views = {v: T.Tensor(np.zeros((1, 1) + (TINY_MLO if v.endswith("mlo")
-                                            else TINY_CC), dtype=np.float32))
+    views = {v: T.Tensor(np.zeros((1,) + (TINY_MLO if v.endswith("mlo")
+                                          else TINY_CC) + (1,), dtype=np.float32))
              for v in VIEW_ORDER}
     out = net(views).data
     assert np.isfinite(out).all()
@@ -159,6 +159,98 @@ def test_birads_variant_softmax_head():
         MultiViewNet(task="birads", variant="joint")
 
 
+# -- the NHWC column against the NCHW arithmetic it replaced --
+
+def _conv2d_nchw(x, w, stride=1, padding=0, bias=None):
+    """Convolution of NCHW ``x``: transposed to NHWC around the column
+    GEMM, the output and the input gradient transposed back. ``w`` is the
+    (kh, kw, Cin, Cout) parameter, whose GEMM matrix the NCHW code built
+    from its (Cout, Cin, kh, kw) weight."""
+    n, c, h, wdt = x.data.shape
+    kh, kw, _, cout = w.data.shape
+    ho = T.conv2d_shape(h, kh, stride, padding)
+    wo = T.conv2d_shape(wdt, kw, stride, padding)
+    xc = np.zeros((n, h + 2 * padding, wdt + 2 * padding, c), dtype=x.dtype)
+    xc[:, padding:padding + h, padding:padding + wdt] = \
+        x.data.transpose(0, 2, 3, 1)
+    wmat = w.data.reshape(kh * kw * c, cout)
+    cols = T._windows(xc, kh, kw, stride, stride).reshape(n * ho * wo, -1)
+    y = (cols @ wmat).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+
+    def bwd(g):
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
+            .reshape(n * ho * wo, cout)
+        w._accumulate((cols.T @ gmat).reshape(kh, kw, c, cout))
+        dxp = np.zeros(xc.shape, dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                    (gmat @ w.data[i, j].T).reshape(n, ho, wo, c)
+        dx = dxp[:, padding:padding + h, padding:padding + wdt]
+        x._accumulate(np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
+
+    return T._node(np.ascontiguousarray(y), (x, w), bwd)
+
+
+def _batchnorm2d_nchw(x, gamma, beta, running_mean, running_var, training,
+                      momentum=0.1, eps=1e-5):
+    """Train-mode BatchNorm of NCHW ``x`` by numpy reductions."""
+    xd = x.data
+    mu = xd.mean(axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(xd.var(axis=(0, 2, 3)) + eps)
+    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+    def bwd(g):
+        gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
+        beta._accumulate(g.sum(axis=(0, 2, 3)))
+        gi = gamma.data[None, :, None, None] * inv[None, :, None, None]
+        m = g.mean(axis=(0, 2, 3), keepdims=True)
+        mx = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        x._accumulate(gi * (g - m - xhat * mx))
+
+    return T._node(y.astype(xd.dtype, copy=False), (x, gamma, beta), bwd)
+
+
+def _global_avgpool2d_nchw(x):
+    n, c, h, w = x.data.shape
+
+    def bwd(g):
+        x._accumulate(np.broadcast_to(g[:, :, None, None] / (h * w),
+                                      x.data.shape))
+
+    return T._node(x.data.mean(axis=(2, 3)), (x,), bwd)
+
+
+def test_train_column_matches_nchw_reference(monkeypatch):
+    """Train-mode outputs and parameter gradients agree with the NCHW ops
+    within rtol 1e-4, each tensor's error taken against its largest
+    element. The dims are small: a ReLU input that rounds to the other
+    side of zero sends its whole gradient elsewhere, and the chance that
+    one lies within float32 rounding of zero grows with the element
+    count."""
+    col = ResNetColumn(ColumnConfig(), np.random.default_rng(37))
+    rng = np.random.default_rng(38)
+    x = rng.uniform(0, 1, (4, 96, 72, 1)).astype(np.float32)
+    weights = rng.standard_normal((4, 256)).astype(np.float32)
+    params = col.parameters()
+
+    def run(inp):
+        out = col(T.Tensor(inp))
+        loss = T.sum_all(T.mul(out, weights))
+        return out.data, T.collect_gradients(loss, params)
+
+    out, grads = run(x)
+    monkeypatch.setattr(T, "conv2d", _conv2d_nchw)
+    monkeypatch.setattr(T, "batchnorm2d", _batchnorm2d_nchw)
+    monkeypatch.setattr(T, "global_avgpool2d", _global_avgpool2d_nchw)
+    ref_out, ref_grads = run(np.ascontiguousarray(x.transpose(0, 3, 1, 2)))
+    for name, a, b in [("output", out, ref_out)] + list(
+            zip([n for n, _ in col.named_parameters()], grads, ref_grads)):
+        np.testing.assert_allclose(a, b, rtol=1e-4,
+                                   atol=1e-4 * np.abs(b).max(), err_msg=name)
+
+
 # -- transfer --
 
 def test_transfer_identity_when_single_channel():
@@ -178,9 +270,9 @@ def test_transfer_duplicated_stem_matches_source_on_padded_input():
     dst = transfer_from_pretrained(src.state_dict(), input_channels=3,
                                    seed=19)
     dst.eval()
-    img = rng.uniform(0, 1, (1, 1) + TINY_CC).astype(np.float32)
+    img = rng.uniform(0, 1, (1,) + TINY_CC + (1,)).astype(np.float32)
     padded = np.concatenate([img, np.zeros_like(img), np.zeros_like(img)],
-                            axis=1)
+                            axis=3)
     a = src.cc_column(T.Tensor(img)).data
     b = dst.cc_column(T.Tensor(padded)).data
     np.testing.assert_allclose(a, b, atol=1e-6)
@@ -223,7 +315,7 @@ def test_eval_column_forward_retains_under_1mb():
     # im2col inputs of the forward alive
     col = ResNetColumn(ColumnConfig(), np.random.default_rng(29)).eval()
     x = T.Tensor(np.random.default_rng(30)
-                 .uniform(0, 1, (2, 1, 448, 324)).astype(np.float32))
+                 .uniform(0, 1, (2, 448, 324, 1)).astype(np.float32))
     tracemalloc.start()
     try:
         out = col(x)
@@ -266,7 +358,7 @@ def test_second_train_step_holds_no_first_graph():
     runs. Since backward frees the graph and the gradients are handed over,
     two steps peak no higher than one."""
     rng = np.random.default_rng(35)
-    views = {v: T.Tensor(rng.uniform(0, 1, (2, 1, 224, 162))
+    views = {v: T.Tensor(rng.uniform(0, 1, (2, 224, 162, 1))
                          .astype(np.float32)) for v in VIEW_ORDER}
     y = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=np.float32)
 

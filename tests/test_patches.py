@@ -317,7 +317,7 @@ def test_divergence_keeps_last_completed_epoch(tmp_path, monkeypatch):
 
 def test_eval_output_has_no_graph():
     net = PatchNet(patch_size=16, seed=6).eval()
-    x = np.random.default_rng(7).uniform(0, 1, (3, 1, 16, 16))
+    x = np.random.default_rng(7).uniform(0, 1, (3, 16, 16, 1))
     out = net(T.Tensor(x.astype(np.float32)))
     assert out._parents == () and out._backward is None
 
@@ -329,4 +329,4 @@ def test_predict_proba_keeps_train_mode_gradients():
     assert probs.shape == (3, 4)
     assert net.training
     assert all(p.requires_grad for p in net.parameters())
-    assert net(T.Tensor(x[:, None].astype(np.float32)))._backward is not None
+    assert net(T.Tensor(x[..., None].astype(np.float32)))._backward is not None

@@ -1,12 +1,17 @@
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mscope import config, heatmaps
 from mscope import tensor as T
 from mscope.layers import Parameter
+from mscope.multiview import MultiViewNet
 from mscope.optim import weighted_batch_cross_entropy
+from mscope.patches import PatchNet
 
 from gradcheck import numerical_gradients, max_relative_error
 
@@ -14,8 +19,8 @@ from gradcheck import numerical_gradients, max_relative_error
 def _composite_net(seed):
     """conv -> batchnorm -> relu -> maxpool -> flatten -> linear, float64."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 2, 8, 8))
-    conv_w = Parameter(rng.standard_normal((3, 2, 3, 3)) * 0.5)
+    x = rng.standard_normal((2, 8, 8, 2))
+    conv_w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.5)
     gamma = Parameter(rng.uniform(0.5, 1.5, 3))
     beta = Parameter(rng.standard_normal(3) * 0.1)
     lin_w = Parameter(rng.standard_normal((4, 48)) * 0.3)
@@ -101,8 +106,8 @@ def test_backward_frees_the_graph():
     and activations held only by the graph are freed; the gradients are
     handed over to the caller."""
     rng = np.random.default_rng(9)
-    x = T.Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32))
-    w = Parameter(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
+    x = T.Tensor(rng.standard_normal((2, 8, 8, 2)).astype(np.float32))
+    w = Parameter(rng.standard_normal((3, 3, 2, 3)).astype(np.float32))
     gamma = Parameter(np.ones(3, dtype=np.float32))
     beta = Parameter(np.zeros(3, dtype=np.float32))
     conv = T.conv2d(x, w, padding=1)
@@ -124,40 +129,38 @@ def test_backward_frees_the_graph():
 
 def _conv_reference(x, w, stride, padding, bias=None):
     """Forward convolution as one whole column matrix and one GEMM."""
-    n, c, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    xc = np.pad(x.transpose(0, 2, 3, 1),
-                ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    n, h, wd, c = x.shape
+    kh, kw, _, cout = w.shape
+    xc = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xc, (kh, kw), axis=(1, 2))
     win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
     ho, wo = win.shape[1:3]
-    y = win.reshape(n * ho * wo, -1) @ \
-        w.transpose(2, 3, 1, 0).reshape(kh * kw * c, cout)
+    y = win.reshape(n * ho * wo, -1) @ w.reshape(kh * kw * c, cout)
     if bias is not None:
         y += bias
-    return np.ascontiguousarray(y.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+    return y.reshape(n, ho, wo, cout)
 
 
 @pytest.mark.parametrize("xshape, wshape, stride, padding", [
-    ((4, 3, 144, 96), (16, 3, 7, 7), 2, 3),     # stem: one image a band
-    ((1, 3, 448, 324), (16, 3, 7, 7), 2, 3),    # one image, six row bands
-    ((4, 16, 64, 48), (16, 16, 3, 3), 1, 1),
-    ((8, 32, 64, 48), (64, 32, 3, 3), 2, 1),    # strided, uneven image runs
-    ((8, 64, 64, 48), (128, 64, 1, 1), 1, 0),   # 1x1, product wider than columns
-    ((70, 8, 24, 24), (16, 8, 3, 3), 1, 1),     # 17-18 images a band
+    ((4, 144, 96, 3), (7, 7, 3, 16), 2, 3),     # stem: one image a band
+    ((1, 448, 324, 3), (7, 7, 3, 16), 2, 3),    # one image, six row bands
+    ((4, 64, 48, 16), (3, 3, 16, 16), 1, 1),
+    ((8, 64, 48, 32), (3, 3, 32, 64), 2, 1),    # strided, uneven image runs
+    ((8, 64, 48, 64), (1, 1, 64, 128), 1, 0),   # 1x1, product wider than columns
+    ((70, 24, 24, 8), (3, 3, 8, 16), 1, 1),     # 17-18 images a band
     # 33-row bands over all 7*184 rows would leave a last band of one row
-    ((7, 3, 184, 192), (16, 3, 7, 7), 1, 3),
+    ((7, 184, 192, 3), (7, 7, 3, 16), 1, 3),
 ])
 def test_banded_conv_equals_whole_matrix(xshape, wshape, stride, padding):
     rng = np.random.default_rng(sum(xshape))
     x = rng.standard_normal(xshape).astype(np.float32)
     w = rng.standard_normal(wshape).astype(np.float32)
-    bias = rng.standard_normal(wshape[0]).astype(np.float32)
+    bias = rng.standard_normal(wshape[3]).astype(np.float32)
     out = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding,
                    bias=bias).data
     ref = _conv_reference(x, w, stride, padding, bias)
-    _, cout, ho, wo = ref.shape
-    k = wshape[1] * wshape[2] * wshape[3]
+    _, ho, wo, cout = ref.shape
+    k = wshape[0] * wshape[1] * wshape[2]
     assert out.shape[0] * ho * wo * (k + cout) * 4 > T.COLUMN_BUDGET  # banded
     assert np.array_equal(out, ref)
     assert np.array_equal(
@@ -165,13 +168,61 @@ def test_banded_conv_equals_whole_matrix(xshape, wshape, stride, padding):
         _conv_reference(x, w, stride, padding))
 
 
+def test_split_layers_keep_large_bands(monkeypatch):
+    """Every band of a convolution split by the band plan, at the batches
+    the pipeline runs on the desk profile, has M*N*K >= 1.2e6. Below about
+    that size OpenBLAS takes a small-matrix kernel whose rows can differ
+    from the same rows of the whole GEMM, and banding would stop being
+    byte-identical."""
+    cfg = config.resolve()
+    sizes = []
+    plan = T._conv_bands
+
+    def spy(n, ho, wo, k, cout, itemsize):
+        bands = plan(n, ho, wo, k, cout, itemsize)
+        if len(bands) > 1:
+            sizes.extend(len(range(n)[images]) * len(range(ho)[rows]) * wo
+                         * k * cout for images, rows in bands)
+        return bands
+
+    monkeypatch.setattr(T, "_conv_bands", spy)
+    views = [(cfg["data.cc_height"], cfg["data.cc_width"]),
+             (cfg["data.mlo_height"], cfg["data.mlo_width"])]
+    # train, 3-way pretraining, validation (predict_exams) and TTA batches
+    batches = (cfg["train.batch_size"], cfg["train.birads_batch_size"], 8,
+               cfg["train.tta_samples"])
+    for channels in (1, 3):
+        column = MultiViewNet(input_channels=channels).cc_column.eval()
+        for n in batches:
+            for dims in views:
+                column(T.Tensor(np.zeros((n, *dims, channels), np.float32)))
+    p = cfg["patch.size"]
+    rng = np.random.default_rng(0)
+    windows = [len(plan.positions(0)) * len(plan.positions(1))
+               for plan in (heatmaps.make_stride_plan(
+                   dims, p, cfg["heatmap.stride"], rng) for dims in views)]
+    net = PatchNet(patch_size=p).eval()
+    for n in (cfg["patch.batch_size"], *windows):
+        net(T.Tensor(np.zeros((n, p, p, 1), np.float32)))
+    assert sizes and min(sizes) >= 1.2e6
+
+
+def test_tensor_ops_keep_one_layout():
+    """Activations stay NHWC and kernels HWIO through every op: the tensor
+    module holds no NCHW/NHWC transpose and no 4-axis kernel transpose."""
+    source = Path(T.__file__).read_text()
+    four_axes = re.compile(
+        r"transpose\((?:[\w.]+,\s*)?\(?\s*\d+(?:\s*,\s*\d+){3}\s*\)?\)")
+    assert four_axes.search(source) is None, four_axes.search(source)
+
+
 @pytest.mark.parametrize("n, h, w", [(1, 128, 96), (2, 256, 192), (4, 384, 288)])
 def test_conv_forward_peak_bounded(n, h, w):
     """Beyond its padded input and its output, one forward takes at most
     COLUMN_BUDGET bytes, however large N*H*W grows."""
     rng = np.random.default_rng(n)
-    x = T.Tensor(rng.standard_normal((n, 3, h, w)).astype(np.float32))
-    wt = T.Tensor(rng.standard_normal((16, 3, 7, 7)).astype(np.float32))
+    x = T.Tensor(rng.standard_normal((n, h, w, 3)).astype(np.float32))
+    wt = T.Tensor(rng.standard_normal((7, 7, 3, 16)).astype(np.float32))
     padded = n * (h + 6) * (w + 6) * 3 * 4
     tracemalloc.start()
     try:
@@ -184,8 +235,8 @@ def test_conv_forward_peak_bounded(n, h, w):
 
 def test_forward_deterministic_single_thread():
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 3, 12, 10)).astype(np.float32)
-    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    x = rng.standard_normal((2, 12, 10, 3)).astype(np.float32)
+    w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
 
     def run():
         h = T.conv2d(T.Tensor(x), T.Tensor(w), stride=2, padding=1)
@@ -206,15 +257,15 @@ def test_conv_shape_rule_randomized():
         p = int(rng.integers(0, 3))
         if (h + 2 * p - k) < 0 or (w + 2 * p - k) < 0:
             continue
-        x = T.Tensor(rng.standard_normal((1, 2, h, w)).astype(np.float32))
-        wt = T.Tensor(rng.standard_normal((3, 2, k, k)).astype(np.float32))
+        x = T.Tensor(rng.standard_normal((1, h, w, 2)).astype(np.float32))
+        wt = T.Tensor(rng.standard_normal((k, k, 2, 3)).astype(np.float32))
         out = T.conv2d(x, wt, stride=s, padding=p)
-        assert out.shape == (1, 3, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+        assert out.shape == (1, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1, 3)
 
 
 def test_nonpositive_conv_extent_rejected():
-    x = T.Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
-    w = T.Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32))
+    x = T.Tensor(np.zeros((1, 2, 2, 1), dtype=np.float32))
+    w = T.Tensor(np.zeros((5, 5, 1, 1), dtype=np.float32))
     with pytest.raises(ValueError):
         T.conv2d(x, w)
 
