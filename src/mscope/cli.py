@@ -50,7 +50,7 @@ from .patches import (PATCH_CLASSES, PatchConfig, PatchNet, PatchTrainConfig,
                       build_patch_pools, load_patch_cache, save_patch_cache,
                       train_patch_classifier)
 from .phantom import GeneratorError, generate_dataset, load_manifest
-from .seeding import substream
+from .seeding import _map_exams, substream
 from .tensor import NumericsError
 from .training import (TrainRunConfig, ensemble_predict, pretrain_birads,
                        save_train_log, train_cancer_model)
@@ -102,28 +102,6 @@ def _lr_diverges(cfg, key):
         if key is None:
             raise
         raise UserError(f"{exc}; lower {key} (now {cfg[key]:g})") from exc
-
-
-def _map_exams(task, ctx, n, jobs, chunksize):
-    """``[task(ctx, i) for i in range(n)]``, run in ``jobs`` worker
-    processes when ``jobs > 1``. ``ctx`` reaches the workers through the
-    pool's initializer, so every start method sees it."""
-    if jobs == 1:
-        return [task(ctx, i) for i in range(n)]
-    from multiprocessing import Pool
-    with Pool(jobs, initializer=_start_worker, initargs=(task, ctx)) as pool:
-        return pool.map(_worker_task, range(n), chunksize=chunksize)
-
-
-_WORKER = {}                    # set in each worker process by _start_worker
-
-
-def _start_worker(task, ctx):
-    _WORKER.update(task=task, ctx=ctx)
-
-
-def _worker_task(idx):
-    return _WORKER["task"](_WORKER["ctx"], idx)
 
 
 def _write_csv(path, header, rows):
@@ -260,7 +238,6 @@ def _train_model(cfg, args, records, data, seed, state=None):
     if state is None and init:
         state = load_checkpoint(init)
     tcfg = _train_config(cfg, seed, batch_size=cfg["train.batch_size"],
-                         tta_samples=cfg["train.tta_samples"],
                          variant=cfg["model.variant"],
                          input_channels=cfg["model.input_channels"],
                          epoch_exams=cfg["train.epoch_exams"])
@@ -358,6 +335,7 @@ def _labels_for(records):
 
 POPULATIONS = ("screening", "biopsied", "one_class_biopsied", "by_age",
                "by_density")
+METRICS_HEADER = "model_id,population,task,metric,value"
 
 
 def cmd_evaluate(args, cfg, out, data, records):
@@ -423,7 +401,7 @@ def cmd_evaluate(args, cfg, out, data, records):
                 scores = {b: biopsy_score(s_mal[b], s_ben[b]) for b in ids}
                 emit(pop, "biopsy", ids, scores)
 
-    _write_csv(out / "metrics.csv", "model_id,population,task,metric,value",
+    _write_csv(out / "metrics.csv", METRICS_HEADER,
                (",".join(r[:4]) + f",{r[4]:.6f}" for r in rows))
     auc_rows = [r for r in rows if r[3] == "auc"]
     return f"evaluate: {len(auc_rows)} AUC figures -> {out / 'metrics.csv'}"
@@ -493,18 +471,36 @@ def cmd_reader_study(args, cfg, out, data, records):
             f"({improved}/{n_readers} readers improved)")
 
 
-def cmd_report(args):
+def _read_metrics(path, values, models):
+    """Add the rows of one ``metrics.csv`` to ``values`` and its model ids
+    to ``models``; a file that does not parse raises ``UserError`` naming
+    the file and line."""
     import csv
 
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != METRICS_HEADER.split(","):
+            raise UserError(f"{path}: unexpected metrics header")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row or None in row.values():
+                raise UserError(f"{where}: expected "
+                                f"{len(reader.fieldnames)} fields")
+            try:
+                value = float(row["value"])
+            except ValueError:
+                raise UserError(f"{where}: value {row['value']!r} is not a "
+                                "number") from None
+            values[row["model_id"], row["population"], row["task"],
+                   row["metric"]] = value
+            models[row["model_id"]] = None
+
+
+def cmd_report(args):
     values = {}
     models = {}                         # model ids in order of appearance
     for path in args.metrics:
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                key = (row["model_id"], row["population"], row["task"],
-                       row["metric"])
-                values[key] = float(row["value"])
-                models[row["model_id"]] = None
+        _read_metrics(path, values, models)
     if not models:
         raise UserError("no metrics rows found")
 

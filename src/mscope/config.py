@@ -119,9 +119,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key):
-        return self.values[key]
-
     def ints(self, key):
         return tuple(int(x) for x in str(self.values[key]).split(","))
 

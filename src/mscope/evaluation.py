@@ -25,6 +25,14 @@ class MetricError(ValueError):
     pass
 
 
+# the reader-model mixing weights ``hybrid_sweep`` scores: 0.00, ..., 0.99
+LAMBDA_GRID = [round(0.01 * i, 2) for i in range(100)]
+# a simulated reader's realized AUC must land this close to its target,
+# within this many bisection steps of its separation
+READER_TOL = 0.02
+READER_MAX_ITER = 60
+
+
 @dataclass
 class PredictionRecord:
     exam_id: str
@@ -192,17 +200,13 @@ def hybrid_scores(reader_scores, model_scores, lam):
             for k in reader_scores}
 
 
-def hybrid_sweep(reader_scores, model_scores, labels, grid=None):
-    """AUC and PR AUC along a lambda grid; returns (rows, best_lambda_auc).
-
-    ``grid`` defaults to 0.00, 0.01, ..., 0.99.
-    """
-    if grid is None:
-        grid = [round(0.01 * i, 2) for i in range(100)]
+def hybrid_sweep(reader_scores, model_scores, labels):
+    """AUC and PR AUC at each lambda of ``LAMBDA_GRID``; returns
+    (rows, best_lambda_auc)."""
     keys = sorted(labels)
     y = [labels[k] for k in keys]
     rows = []
-    for lam in grid:
+    for lam in LAMBDA_GRID:
         combined = hybrid_scores(reader_scores, model_scores, lam)
         s = [combined[k] for k in keys]
         rows.append((lam, roc_auc(s, y), pr_auc(s, y)))
@@ -218,21 +222,20 @@ class ReaderMatrix:
     scores: np.ndarray        # readers x breasts, in [0, 1]
     breast_ids: list
     separations: list         # calibrated signal separation per reader
-    noise_scales: list
 
 
-def _reader_scores(labels01, separation, noise_scale, rng):
-    z = separation * labels01 + noise_scale * rng.standard_normal(len(labels01))
+def _reader_scores(labels01, separation, rng):
+    z = separation * labels01 + rng.standard_normal(len(labels01))
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def simulate_readers(labels, targets, rng, noise_scale=1.0, tol=0.02,
-                     max_iter=60):
-    """Readers as noisy sigmoid scorers calibrated to target AUCs.
+def simulate_readers(labels, targets, rng):
+    """Readers as sigmoid scorers with unit Gaussian noise, calibrated to
+    target AUCs.
 
     ``labels`` maps breast id to 0/1; ``targets`` is one AUC target per
     reader. Separation is bisected until the realized AUC lands within
-    ``tol`` of the target.
+    ``READER_TOL`` of the target.
     """
     breast_ids = sorted(labels)
     y = np.array([labels[b] for b in breast_ids], dtype=np.float64)
@@ -243,16 +246,15 @@ def simulate_readers(labels, targets, rng, noise_scale=1.0, tol=0.02,
     for ri, target in enumerate(targets):
         if not 0.5 <= target <= 0.999:
             raise MetricError(f"unattainable reader AUC target {target}")
-        # gaussian score model: auc = Phi(sep / (noise * sqrt(2)))
-        from math import sqrt
-        sep = noise_scale * sqrt(2.0) * _probit(target)
+        # gaussian score model: auc = Phi(sep / sqrt(2))
+        sep = math.sqrt(2.0) * _probit(target)
         lo, hi = 0.0, max(4.0 * sep, 8.0)
         scores = None
-        for _ in range(max_iter):
+        for _ in range(READER_MAX_ITER):
             draw_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
-            scores = _reader_scores(y, sep, noise_scale, draw_rng)
+            scores = _reader_scores(y, sep, draw_rng)
             auc = roc_auc(scores, y.astype(int))
-            if abs(auc - target) <= tol:
+            if abs(auc - target) <= READER_TOL:
                 break
             if auc < target:
                 lo = sep
@@ -265,8 +267,7 @@ def simulate_readers(labels, targets, rng, noise_scale=1.0, tol=0.02,
         rows.append(scores)
         seps.append(sep)
     return ReaderMatrix(scores=np.stack(rows), breast_ids=breast_ids,
-                        separations=seps,
-                        noise_scales=[noise_scale] * len(targets))
+                        separations=seps)
 
 
 def _probit(p):
@@ -282,34 +283,7 @@ def _probit(p):
 
 
 # ---------------------------------------------------------------------------
-# prediction structure analysis
-
-LABEL_ORDER = ("l_benign", "l_malignant", "r_benign", "r_malignant")
-
-
-def prediction_correlations(records_by_exam):
-    """Pearson correlations between the four per-exam prediction streams.
-
-    ``records_by_exam`` maps exam_id to a dict with keys L/R holding
-    (p_benign, p_malignant) pairs.
-    """
-    if len(records_by_exam) < 3:
-        raise MetricError("need at least 3 exams for correlations")
-    streams = {k: [] for k in LABEL_ORDER}
-    for exam_id in sorted(records_by_exam):
-        sides = records_by_exam[exam_id]
-        streams["l_benign"].append(sides["L"][0])
-        streams["l_malignant"].append(sides["L"][1])
-        streams["r_benign"].append(sides["R"][0])
-        streams["r_malignant"].append(sides["R"][1])
-    mat = np.array([streams[k] for k in LABEL_ORDER])
-    if (mat.std(axis=1) == 0).any():
-        raise MetricError("zero-variance prediction stream")
-    return np.corrcoef(mat)
-
-
-# ---------------------------------------------------------------------------
-# prediction CSV and activation export
+# prediction CSV
 
 PREDICTIONS_HEADER = "exam_id,side,p_malignant,p_benign,model_id"
 

@@ -137,14 +137,13 @@ class Conv2d(Module):
     (Cout, Cin, kh, kw) order and transposed once, so a seed gives the
     same initial values whatever the layout."""
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None,
-                 dtype=np.float32):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None):
         super().__init__()
-        kh, kw = (kernel, kernel) if np.isscalar(kernel) else kernel
         self.stride = stride
         self.padding = padding
         rng = rng or np.random.default_rng(0)
-        w = he_normal(rng, (out_ch, in_ch, kh, kw), in_ch * kh * kw, dtype)
+        w = he_normal(rng, (out_ch, in_ch, kernel, kernel),
+                      in_ch * kernel * kernel, np.float32)
         self.weight = Parameter(np.ascontiguousarray(w.transpose(2, 3, 1, 0)))
 
     def forward(self, x):
@@ -157,33 +156,30 @@ class BatchNorm2d(Module):
     """Running statistics move on every train-mode forward; see
     ``tensor.batchnorm2d``."""
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float32):
+    def __init__(self, channels):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(np.ones(channels, dtype=dtype))
-        self.beta = Parameter(np.zeros(channels, dtype=dtype))
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.gamma = Parameter(np.ones(channels, dtype=np.float32))
+        self.beta = Parameter(np.zeros(channels, dtype=np.float32))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x):
         out = T.batchnorm2d(x, self.gamma, self.beta,
                             self.running_mean, self.running_var,
-                            training=self.training,
-                            momentum=self.momentum, eps=self.eps)
+                            training=self.training)
         T.check_finite(out.data, "batchnorm")
         return out
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
+    def __init__(self, in_features, out_features, rng=None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         bound = 1.0 / np.sqrt(in_features)
-        self.weight = Parameter(
-            rng.uniform(-bound, bound, (out_features, in_features)).astype(dtype))
+        self.weight = Parameter(rng.uniform(
+            -bound, bound, (out_features, in_features)).astype(np.float32))
         self.bias = Parameter(
-            rng.uniform(-bound, bound, out_features).astype(dtype))
+            rng.uniform(-bound, bound, out_features).astype(np.float32))
 
     def forward(self, x):
         out = T.linear(x, self.weight, self.bias)
@@ -203,7 +199,7 @@ def conv_bn(conv, bn, x):
     """
     if bn.training:
         return bn(conv(x))
-    scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+    scale = bn.gamma.data / np.sqrt(bn.running_var + T.BN_EPS)
     weight = Tensor(conv.weight.data * scale)
     out = T.conv2d(x, weight, stride=conv.stride, padding=conv.padding,
                    bias=bn.beta.data - bn.running_mean * scale)

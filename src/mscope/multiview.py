@@ -14,8 +14,6 @@ four probabilities ordered (L-benign, L-malignant, R-benign, R-malignant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -24,33 +22,25 @@ from .layers import (BatchNorm2d, Conv2d, Linear, Module, StateDictError,
 from .seeding import substream
 
 COLUMN_CHANNELS = (16, 16, 32, 64, 128, 256)
+STEM_KERNEL, STEM_STRIDE, STEM_PADDING = 7, 2, 3
+BLOCKS_PER_STAGE = 2
 FUSION_VARIANTS = ("view_wise", "image_wise", "breast_wise", "joint")
 VIEW_ORDER = ("lcc", "rcc", "lmlo", "rmlo")
 OUTPUT_ORDER = ("l_benign", "l_malignant", "r_benign", "r_malignant")
 
 
-@dataclass
-class ColumnConfig:
-    input_channels: int = 1
-    stem_kernel: int = 7
-    stem_stride: int = 2
-    stem_padding: int = 3
-    channels: tuple = COLUMN_CHANNELS
-    blocks_per_stage: int = 2
-
-
-def column_shape_audit(config: ColumnConfig, in_dims):
+def column_shape_audit(in_dims):
     """Symbolic per-stage output shapes (no allocation).
 
     Returns [(name, (h, w, channels))] for the stem and each stage of a
     column fed an (H, W) image.
     """
     h, w = in_dims
-    k, s, p = config.stem_kernel, config.stem_stride, config.stem_padding
+    k, s, p = STEM_KERNEL, STEM_STRIDE, STEM_PADDING
     h = (h + 2 * p - k) // s + 1
     w = (w + 2 * p - k) // s + 1
-    rows = [("conv7x7", (h, w, config.channels[0]))]
-    for i, cout in enumerate(config.channels[1:]):
+    rows = [("conv7x7", (h, w, COLUMN_CHANNELS[0]))]
+    for i, cout in enumerate(COLUMN_CHANNELS[1:]):
         h = (h + 2 * 1 - 3) // 2 + 1
         w = (w + 2 * 1 - 3) // 2 + 1
         rows.append((f"resblock{i}", (h, w, cout)))
@@ -62,18 +52,15 @@ class ResidualBlock(Module):
     stage downsamples with stride 2 and carries a 1x1 convolution on the
     shortcut."""
 
-    def __init__(self, cin, cout, stride, rng, dtype=np.float32):
+    def __init__(self, cin, cout, stride, rng):
         super().__init__()
-        self.conv1 = Conv2d(cin, cout, 3, stride=stride, padding=1, rng=rng,
-                            dtype=dtype)
-        self.bn1 = BatchNorm2d(cout, dtype=dtype)
-        self.conv2 = Conv2d(cout, cout, 3, stride=1, padding=1, rng=rng,
-                            dtype=dtype)
-        self.bn2 = BatchNorm2d(cout, dtype=dtype)
+        self.conv1 = Conv2d(cin, cout, 3, stride=stride, padding=1, rng=rng)
+        self.bn1 = BatchNorm2d(cout)
+        self.conv2 = Conv2d(cout, cout, 3, stride=1, padding=1, rng=rng)
+        self.bn2 = BatchNorm2d(cout)
         if stride != 1 or cin != cout:
-            self.shortcut_conv = Conv2d(cin, cout, 1, stride=stride, rng=rng,
-                                        dtype=dtype)
-            self.shortcut_bn = BatchNorm2d(cout, dtype=dtype)
+            self.shortcut_conv = Conv2d(cin, cout, 1, stride=stride, rng=rng)
+            self.shortcut_bn = BatchNorm2d(cout)
         else:
             self.shortcut_conv = None
             self.shortcut_bn = None
@@ -87,20 +74,21 @@ class ResidualBlock(Module):
 
 
 class ResNetColumn(Module):
-    def __init__(self, config: ColumnConfig, rng, dtype=np.float32):
+    """The stem and ``BLOCKS_PER_STAGE`` residual blocks per stage of the
+    ``COLUMN_CHANNELS`` plan, over ``input_channels``-channel images."""
+
+    def __init__(self, input_channels, rng):
         super().__init__()
-        self.config = config
-        ch = config.channels
-        self.stem = Conv2d(config.input_channels, ch[0], config.stem_kernel,
-                           stride=config.stem_stride,
-                           padding=config.stem_padding, rng=rng, dtype=dtype)
-        self.stem_bn = BatchNorm2d(ch[0], dtype=dtype)
+        ch = COLUMN_CHANNELS
+        self.stem = Conv2d(input_channels, ch[0], STEM_KERNEL,
+                           stride=STEM_STRIDE, padding=STEM_PADDING, rng=rng)
+        self.stem_bn = BatchNorm2d(ch[0])
         blocks = []
         cin = ch[0]
         for cout in ch[1:]:
-            blocks.append(ResidualBlock(cin, cout, 2, rng, dtype))
-            for _ in range(config.blocks_per_stage - 1):
-                blocks.append(ResidualBlock(cout, cout, 1, rng, dtype))
+            blocks.append(ResidualBlock(cin, cout, 2, rng))
+            for _ in range(BLOCKS_PER_STAGE - 1):
+                blocks.append(ResidualBlock(cout, cout, 1, rng))
             cin = cout
         self.blocks = blocks
 
@@ -114,11 +102,10 @@ class ResNetColumn(Module):
 class FusionHead(Module):
     """Two fully connected layers; ``hidden`` activations after the first."""
 
-    def __init__(self, in_features, hidden, out_features, rng,
-                 dtype=np.float32):
+    def __init__(self, in_features, hidden, out_features, rng):
         super().__init__()
-        self.fc1 = Linear(in_features, hidden, rng=rng, dtype=dtype)
-        self.fc2 = Linear(hidden, out_features, rng=rng, dtype=dtype)
+        self.fc1 = Linear(in_features, hidden, rng=rng)
+        self.fc2 = Linear(hidden, out_features, rng=rng)
 
     def forward(self, x):
         return self.fc2(T.relu(self.fc1(x)))
@@ -136,10 +123,6 @@ _HEAD_PLANS = {
 }
 
 
-def hidden_budget(variant):
-    return sum(h for _, _, h, _ in _HEAD_PLANS[variant])
-
-
 class MultiViewNet(Module):
     """Shared-weight columns plus a fusion-variant head stack.
 
@@ -148,7 +131,7 @@ class MultiViewNet(Module):
     """
 
     def __init__(self, variant="view_wise", input_channels=1, task="cancer",
-                 seed=0, dtype=np.float32):
+                 seed=0):
         super().__init__()
         if variant not in FUSION_VARIANTS:
             raise ValueError(f"unknown fusion variant {variant!r}")
@@ -158,17 +141,15 @@ class MultiViewNet(Module):
         self.task = task
         self.input_channels = input_channels
         col_rng = substream(seed, "columns")
-        self.cc_column = ResNetColumn(ColumnConfig(input_channels), col_rng,
-                                      dtype)
-        self.mlo_column = ResNetColumn(ColumnConfig(input_channels), col_rng,
-                                       dtype)
+        self.cc_column = ResNetColumn(input_channels, col_rng)
+        self.mlo_column = ResNetColumn(input_channels, col_rng)
         head_rng = substream(seed, "heads")
         self.heads = {}
         for key, views, hidden, nout in _HEAD_PLANS[variant]:
             if task == "birads":
                 nout = 3
             self.heads[key] = FusionHead(256 * len(views), hidden, nout,
-                                         head_rng, dtype)
+                                         head_rng)
 
     def column_for(self, view):
         return self.cc_column if view.endswith("cc") else self.mlo_column
@@ -185,12 +166,12 @@ class MultiViewNet(Module):
         head_out = {}
         for key, views, _, _ in _HEAD_PLANS[self.variant]:
             x = vecs[views[0]] if len(views) == 1 else \
-                T.concat([vecs[v] for v in views], axis=1)
+                T.concat([vecs[v] for v in views])
             head_out[key] = self.heads[key](x)
 
         if self.task == "birads":
-            cc = T.softmax(head_out["cc"], axis=1)
-            mlo = T.softmax(head_out["mlo"], axis=1)
+            cc = T.softmax(head_out["cc"])
+            mlo = T.softmax(head_out["mlo"])
             return T.mul(T.add(cc, mlo), 0.5)
 
         if self.variant == "view_wise":
@@ -202,20 +183,15 @@ class MultiViewNet(Module):
                                T.sigmoid(head_out["lmlo"])), 0.5)
             right = T.mul(T.add(T.sigmoid(head_out["rcc"]),
                                 T.sigmoid(head_out["rmlo"])), 0.5)
-            return T.concat([left, right], axis=1)
+            return T.concat([left, right])
         if self.variant == "breast_wise":
             return T.concat([T.sigmoid(head_out["left"]),
-                             T.sigmoid(head_out["right"])], axis=1)
+                             T.sigmoid(head_out["right"])])
         return T.sigmoid(head_out["all"])  # joint
 
 
-def count_parameters(net: Module):
-    return sum(p.data.size for _, p in net.named_parameters())
-
-
 def transfer_from_pretrained(source_state, variant="view_wise",
-                             input_channels=1, task="cancer", seed=0,
-                             dtype=np.float32):
+                             input_channels=1, task="cancer", seed=0):
     """New model with columns copied from a 1-channel source checkpoint.
 
     Every column weight and buffer of the new model is copied from the
@@ -227,7 +203,7 @@ def transfer_from_pretrained(source_state, variant="view_wise",
     key at fault.
     """
     net = MultiViewNet(variant=variant, input_channels=input_channels,
-                       task=task, seed=seed, dtype=dtype)
+                       task=task, seed=seed)
     columns = ("cc_column.", "mlo_column.")
     params = dict(net.named_parameters())
     entries = [(n, p.data) for n, p in params.items()]

@@ -9,18 +9,20 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+# Adam's moment decay rates and the constant added to the step's divisor
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# probabilities are clipped this far from 0 and 1 before their logarithm
+CLIP = 1e-7
+
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus hyperparameters.
+    """First/second moment estimates plus the learning rate and L2.
 
     ``weight_decay`` is a plain L2 coefficient: it is added to the raw
     gradient (decay * param) before the moment updates.
     """
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     t: int = 0
     m: list = field(default_factory=list)
@@ -41,7 +43,7 @@ def adam_step(params, grads, state: AdamState):
     if len(grads) != len(params):
         raise ValueError("one gradient per parameter required")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -55,7 +57,7 @@ def adam_step(params, grads, state: AdamState):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data = p.data - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
@@ -99,10 +101,9 @@ def _fit(net, lr, l2, max_epochs, epoch_batches, batch_loss, end_epoch, log):
 def weighted_batch_cross_entropy(logits: Tensor, labels, weights):
     """Mean over the batch of -w[y_i] * log softmax(logits_i)[y_i].
 
-    ``logits``: (N, K) or (K,). Gradients flow through logits only.
+    ``logits``: (N, K). Gradients flow through logits only.
     """
-    squeeze = logits.data.ndim == 1
-    ld = logits.data[None, :] if squeeze else logits.data
+    ld = logits.data
     labels = np.asarray(labels)
     w = np.asarray(weights, dtype=ld.dtype)
     n, k = ld.shape
@@ -113,53 +114,47 @@ def weighted_batch_cross_entropy(logits: Tensor, labels, weights):
     logp = shifted[np.arange(n), labels] - lse
     wl = w[labels]
     loss_val = float((-wl * logp).mean())
-    out = Tensor(np.asarray(loss_val, dtype=ld.dtype), _parents=(logits,))
 
     def bwd(g):
         p = np.exp(shifted - lse[:, None])
         p[np.arange(n), labels] -= 1.0
-        grad = (float(g) / n) * wl[:, None] * p
-        logits._accumulate(grad[0] if squeeze else grad)
+        logits._accumulate((float(g) / n) * wl[:, None] * p)
 
-    out._backward = bwd
-    return out
+    return T._node(np.asarray(loss_val, dtype=ld.dtype), (logits,), bwd)
 
 
-def binary_cross_entropy(probs: Tensor, targets, clip=1e-7):
+def binary_cross_entropy(probs: Tensor, targets):
     """Mean BCE against probabilities already in (0, 1).
 
     Targets are a plain array broadcastable to ``probs``. Probabilities are
-    clipped away from {0, 1}; gradient is zero in the clipped region.
+    clipped ``CLIP`` away from {0, 1}; gradient is zero in the clipped
+    region.
     """
     y = np.asarray(targets, dtype=probs.dtype)
     p = probs.data
-    pc = np.clip(p, clip, 1.0 - clip)
+    pc = np.clip(p, CLIP, 1.0 - CLIP)
     loss_val = float(-(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)).mean())
-    out = Tensor(np.asarray(loss_val, dtype=probs.dtype), _parents=(probs,))
 
     def bwd(g):
-        inside = (p > clip) & (p < 1.0 - clip)
+        inside = (p > CLIP) & (p < 1.0 - CLIP)
         grad = np.where(inside, (pc - y) / (pc * (1.0 - pc)), 0.0)
         probs._accumulate((float(g) / p.size) * grad.astype(p.dtype))
 
-    out._backward = bwd
-    return out
+    return T._node(np.asarray(loss_val, dtype=probs.dtype), (probs,), bwd)
 
 
-def nll_on_probs(probs: Tensor, labels, clip=1e-7):
+def nll_on_probs(probs: Tensor, labels):
     """Mean -log p[label] for probabilities (N, K); used by 3-way heads."""
     labels = np.asarray(labels)
     p = probs.data
     n = p.shape[0]
-    pc = np.clip(p[np.arange(n), labels], clip, 1.0)
-    out = Tensor(np.asarray(float(-np.log(pc).mean()), dtype=p.dtype),
-                 _parents=(probs,))
+    pc = np.clip(p[np.arange(n), labels], CLIP, 1.0)
 
     def bwd(g):
         grad = np.zeros_like(p)
         sel = p[np.arange(n), labels]
-        grad[np.arange(n), labels] = np.where(sel > clip, -1.0 / pc, 0.0)
+        grad[np.arange(n), labels] = np.where(sel > CLIP, -1.0 / pc, 0.0)
         probs._accumulate((float(g) / n) * grad)
 
-    out._backward = bwd
-    return out
+    return T._node(np.asarray(float(-np.log(pc).mean()), dtype=p.dtype),
+                   (probs,), bwd)

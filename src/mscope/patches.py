@@ -28,6 +28,9 @@ from .phantom import MAXVAL, VIEWS, image_path, load_mask
 from .seeding import substream
 
 PATCH_CLASSES = ("malignant", "benign", "outside", "negative")
+# pool sampling: draws per source image and round, and the round budget
+ATTEMPTS_PER_ROUND = 6
+MAX_ROUNDS = 400
 
 
 @dataclass
@@ -51,7 +54,6 @@ class PatchSample:
 @dataclass
 class EpochPlan:
     counts: tuple             # per-class, aligned with PATCH_CLASSES
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.counts) != len(PATCH_CLASSES):
@@ -149,13 +151,12 @@ def _extract_window(image, center, side, angle_rad, patch_size):
     return bilinear_sample(image, ys, xs)
 
 
-def build_epoch(pools, plan: EpochPlan, rng=None):
+def build_epoch(pools, plan: EpochPlan, rng):
     """Exact per-class counts drawn from the pools, then shuffled.
 
     A class is drawn without replacement when its pool is large enough,
     with replacement otherwise.
     """
-    rng = rng or substream(plan.seed, "epoch")
     chosen = []
     for ci, cls in enumerate(PATCH_CLASSES):
         count = plan.counts[ci]
@@ -213,9 +214,9 @@ def _load_image_and_masks(data_dir, rec, view):
     return img, points
 
 
-def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed,
-                      attempts_per_round=6, max_rounds=400):
-    """Sample until each class pool reaches its target (or budget runs out).
+def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
+    """Sample until each class pool reaches its target (or ``MAX_ROUNDS``
+    rounds of ``ATTEMPTS_PER_ROUND`` draws per source image run out).
 
     Returns (pools, stats) where stats counts accepted/rejected draws by
     reason. Deterministic in (records order, seed).
@@ -241,7 +242,7 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed,
             cache[key] = _load_image_and_masks(data_dir, rec, view)
         return cache[key]
 
-    for rnd in range(max_rounds):
+    for rnd in range(MAX_ROUNDS):
         unmet = {c for c in PATCH_CLASSES if len(pools[c]) < targets[c]}
         if not unmet:
             break
@@ -253,7 +254,7 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed,
         for kind, (rec, view) in sources:
             img, points = get(rec, view)
             rng = substream(seed, "patch", rec.exam_id, view, rnd)
-            for _ in range(attempts_per_round):
+            for _ in range(ATTEMPTS_PER_ROUND):
                 sample, reason = sample_patch(
                     img, points, rng, cfg, kind, f"{rec.exam_id}_{view}")
                 stats[reason] += 1
@@ -296,22 +297,22 @@ def load_patch_cache(path, patch_size):
 class PatchNet(Module):
     """Compact 6-layer convnet (4 conv + 2 fc) over single-channel patches."""
 
-    def __init__(self, patch_size=64, seed=0, dtype=np.float32):
+    def __init__(self, patch_size=64, seed=0):
         super().__init__()
         rng = substream(seed, "patchnet-init")
         self.patch_size = patch_size
         # full-resolution first layer: fine speck/margin structure must be
         # seen before any downsampling
-        self.conv1 = Conv2d(1, 8, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.bn1 = BatchNorm2d(8, dtype=dtype)
-        self.conv2 = Conv2d(8, 16, 3, stride=2, padding=1, rng=rng, dtype=dtype)
-        self.bn2 = BatchNorm2d(16, dtype=dtype)
-        self.conv3 = Conv2d(16, 32, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.bn3 = BatchNorm2d(32, dtype=dtype)
-        self.conv4 = Conv2d(32, 64, 3, stride=1, padding=1, rng=rng, dtype=dtype)
-        self.bn4 = BatchNorm2d(64, dtype=dtype)
-        self.fc1 = Linear(64, 32, rng=rng, dtype=dtype)
-        self.fc2 = Linear(32, 4, rng=rng, dtype=dtype)
+        self.conv1 = Conv2d(1, 8, 3, stride=1, padding=1, rng=rng)
+        self.bn1 = BatchNorm2d(8)
+        self.conv2 = Conv2d(8, 16, 3, stride=2, padding=1, rng=rng)
+        self.bn2 = BatchNorm2d(16)
+        self.conv3 = Conv2d(16, 32, 3, stride=1, padding=1, rng=rng)
+        self.bn3 = BatchNorm2d(32)
+        self.conv4 = Conv2d(32, 64, 3, stride=1, padding=1, rng=rng)
+        self.bn4 = BatchNorm2d(64)
+        self.fc1 = Linear(64, 32, rng=rng)
+        self.fc2 = Linear(32, 4, rng=rng)
 
     def forward(self, x):
         h = T.relu(conv_bn(self.conv1, self.bn1, x))
@@ -324,14 +325,12 @@ class PatchNet(Module):
         return self.fc2(h)
 
     def predict_proba(self, batch):
-        """Class probabilities for a raw (N, H, W) or (N, H, W, 1) batch."""
-        arr = np.asarray(batch, dtype=np.float32)
-        if arr.ndim == 3:
-            arr = arr[..., None]
+        """Class probabilities for a raw (N, H, W) batch."""
+        arr = np.asarray(batch, dtype=np.float32)[..., None]
         was_training = self.training
         self.eval()
         logits = self.forward(T.Tensor(arr))
-        probs = T.softmax(logits, axis=1).data
+        probs = T.softmax(logits).data
         self.train(was_training)
         return probs
 
@@ -373,8 +372,8 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig,
         checkpoints.append((epoch, path))
 
     def epoch_batches(epoch):
-        plan = EpochPlan(cfg.plan_counts, seed=cfg.seed)
-        samples = build_epoch(pools, plan, substream(cfg.seed, "epoch", epoch))
+        samples = build_epoch(pools, EpochPlan(cfg.plan_counts),
+                              substream(cfg.seed, "epoch", epoch))
         for start in range(0, len(samples), cfg.batch_size):
             yield samples[start:start + cfg.batch_size]
 

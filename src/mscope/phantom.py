@@ -21,7 +21,7 @@ import numpy as np
 
 from .pgm import read_pgm, write_pgm8, write_pgm16
 from .resample import gaussian_blur
-from .seeding import substream
+from .seeding import _map_exams, substream
 
 VIEWS = ("rcc", "lcc", "rmlo", "lmlo")
 AGE_BANDS = ("<40", "40s", "50s", "60s", "70+")
@@ -504,8 +504,9 @@ def build_population(config: DatasetConfig, seed: int):
     return specs
 
 
-def _render_and_write(args):
-    spec, config, out_dir = args
+def _render_task(ctx, idx):
+    specs, config, out_dir = ctx
+    spec = specs[idx]
     images, masks = render_exam(spec, config.cc_dims, config.mlo_dims)
     paths = {}
     for view in VIEWS:
@@ -528,13 +529,8 @@ def generate_dataset(config: DatasetConfig, seed: int, out_dir, jobs=1):
         raise GeneratorError(f"cannot create output dir {out_dir}: {exc}") from exc
 
     specs = build_population(config, seed)
-    tasks = [(s, config, out_dir) for s in specs]
-    if jobs > 1 and len(tasks) > 1:
-        from multiprocessing import Pool
-        with Pool(jobs) as pool:
-            all_paths = pool.map(_render_and_write, tasks, chunksize=8)
-    else:
-        all_paths = [_render_and_write(t) for t in tasks]
+    all_paths = _map_exams(_render_task, (specs, config, out_dir),
+                           len(specs), jobs, 8)
 
     records = []
     for spec, paths in zip(specs, all_paths):

@@ -28,7 +28,8 @@ def bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarr
     return top + (bot - top) * fy
 
 
-def _cubic_kernel(t: np.ndarray, a=-0.5) -> np.ndarray:
+def _cubic_kernel(t: np.ndarray) -> np.ndarray:
+    a = -0.5
     at = np.abs(t)
     w = np.zeros_like(at)
     near = at <= 1.0

@@ -35,6 +35,11 @@ import numpy as np
 # product together; larger convolutions run in bands (``_conv_forward``).
 COLUMN_BUDGET = 4 << 20
 
+# BatchNorm: the share of each batch statistic in the running statistic,
+# and the constant added to the variance
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 class GraphError(RuntimeError):
     """Raised on misuse of the computation graph (re-backward, non-scalar
@@ -45,8 +50,8 @@ class NumericsError(ArithmeticError):
     """Raised when a forward or backward pass produces non-finite values."""
 
 
-def _as_array(x, dtype=None):
-    arr = np.asarray(x, dtype=dtype)
+def _as_array(x):
+    arr = np.asarray(x)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)
     return arr
@@ -205,15 +210,16 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), (a,), bwd)
 
 
-def concat(tensors, axis=1):
+def concat(tensors):
+    """Concatenation of (N, F_i) tensors along the feature axis."""
     datas = [t.data for t in tensors]
-    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
+    splits = np.cumsum([d.shape[1] for d in datas])[:-1]
 
     def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+        for t, piece in zip(tensors, np.split(g, splits, axis=1)):
             t._accumulate(piece)
 
-    return _node(np.concatenate(datas, axis=axis), tuple(tensors), bwd)
+    return _node(np.concatenate(datas, axis=1), tuple(tensors), bwd)
 
 
 def relu(x):
@@ -232,13 +238,14 @@ def sigmoid(x):
     return _node(y, (x,), bwd)
 
 
-def softmax(x, axis=1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x):
+    """Row-wise softmax of (N, K) logits."""
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=1, keepdims=True)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=1, keepdims=True)
         x._accumulate((g - dot) * y)
 
     return _node(y, (x,), bwd)
@@ -251,24 +258,16 @@ def sum_all(x):
     return _node(np.asarray(x.data.sum(), dtype=x.dtype), (x,), bwd)
 
 
-def linear(x, w, b=None):
-    """x: (N, F) or (F,); w: (O, F); b: (O,)."""
-    squeeze = x.data.ndim == 1
-    xd = x.data[None, :] if squeeze else x.data
-    y = xd @ w.data.T
-    if b is not None:
-        y = y + b.data
+def linear(x, w, b):
+    """x: (N, F); w: (O, F); b: (O,)."""
+    y = x.data @ w.data.T + b.data
 
     def bwd(g):
-        g2 = g[None, :] if squeeze else g
-        w._accumulate(g2.T @ xd)
-        if b is not None:
-            b._accumulate(g2.sum(axis=0))
-        gx = g2 @ w.data
-        x._accumulate(gx[0] if squeeze else gx)
+        w._accumulate(g.T @ x.data)
+        b._accumulate(g.sum(axis=0))
+        x._accumulate(g @ w.data)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(y[0] if squeeze else y, parents, bwd)
+    return _node(y, (x, w, b), bwd)
 
 
 # -- spatial ops; activations are (N, H, W, C), kernels (kh, kw, Cin, Cout) --
@@ -345,37 +344,35 @@ def conv2d(x, w, stride=1, padding=0, bias=None):
     gradient is built tap by tap with strided scatter-adds, and gradients
     into non-differentiable leaves (raw image batches) are skipped.
     """
-    sh, sw = (stride, stride) if np.isscalar(stride) else stride
-    ph, pw = (padding, padding) if np.isscalar(padding) else padding
+    s, p = stride, padding
     n, h, wdt, c = x.data.shape
     kh, kw, cin, cout = w.data.shape
     if cin != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, kernel {cin}")
-    ho = conv2d_shape(h, kh, sh, ph)
-    wo = conv2d_shape(wdt, kw, sw, pw)
+    ho = conv2d_shape(h, kh, s, p)
+    wo = conv2d_shape(wdt, kw, s, p)
 
-    xc = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xc = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0)))
     wd = w.data
-    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, sh, sw, bias)
+    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, s, s, bias)
 
     def bwd(g):
         gmat = g.reshape(n * ho * wo, cout)
         if _wants_grad(w):
-            cols = _windows(xc, kh, kw, sh, sw).reshape(n * ho * wo, -1)
+            cols = _windows(xc, kh, kw, s, s).reshape(n * ho * wo, -1)
             w._accumulate((cols.T @ gmat).reshape(kh, kw, c, cout))
         if _wants_grad(x):
             dxp = np.zeros(xc.shape, dtype=g.dtype)
             for i in range(kh):
                 for j in range(kw):
                     contrib = (gmat @ wd[i, j].T).reshape(n, ho, wo, c)
-                    dxp[:, i:i + sh * ho:sh, j:j + sw * wo:sw] += contrib
-            x._accumulate(dxp[:, ph:ph + h, pw:pw + wdt])
+                    dxp[:, i:i + s * ho:s, j:j + s * wo:s] += contrib
+            x._accumulate(dxp[:, p:p + h, p:p + wdt])
 
     return _node(y, (x, w), bwd)
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
-                momentum=0.1, eps=1e-5):
+def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
     """Per-channel normalization; batch statistics in training, running in eval.
 
     Works on the (N*H*W, C) view of ``x``; every per-channel sum (the batch
@@ -393,15 +390,15 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
         mu = ones @ xd / m
         d = xd - mu
         var = ones @ (d * d) / m
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var
+        running_mean *= (1.0 - BN_MOMENTUM)
+        running_mean += BN_MOMENTUM * mu
+        running_var *= (1.0 - BN_MOMENTUM)
+        running_var += BN_MOMENTUM * var
     else:
         mu = running_mean
         var = running_var
         d = xd - mu
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * inv
     y = gamma.data * xhat + beta.data
 
@@ -418,20 +415,19 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training,
                  (x, gamma, beta), bwd)
 
 
-def maxpool2d(x, kernel):
-    """Max over non-overlapping (kh, kw) windows (the stride is the kernel).
+def maxpool2d(x, k):
+    """Max over non-overlapping (k, k) windows (the stride is the kernel).
 
-    The forward is an elementwise maximum over the kh*kw strided tap
+    The forward is an elementwise maximum over the k*k strided tap
     slices. Backward sends each window's gradient to the first tap, in
     row-major order, that equals the window's max: on ties the earliest
     tap wins, the rule of ``argmax`` over the flattened window.
     """
-    kh, kw = (kernel, kernel) if np.isscalar(kernel) else kernel
     xd = x.data
-    ho = conv2d_shape(xd.shape[1], kh, kh, 0)
-    wo = conv2d_shape(xd.shape[2], kw, kw, 0)
-    taps = [np.s_[:, i:i + kh * ho:kh, j:j + kw * wo:kw]
-            for i in range(kh) for j in range(kw)]
+    ho = conv2d_shape(xd.shape[1], k, k, 0)
+    wo = conv2d_shape(xd.shape[2], k, k, 0)
+    taps = [np.s_[:, i:i + k * ho:k, j:j + k * wo:k]
+            for i in range(k) for j in range(k)]
     y = xd[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(y, xd[tap], out=y)

@@ -27,6 +27,11 @@ from .resample import bicubic_resize
 from .seeding import substream
 
 TRAIN_LOG_HEADER = "epoch,split,label,auc,loss"
+# an epoch improves only when its validation metric beats the best so far
+# by more than this
+IMPROVEMENT_EPS = 1e-6
+# exams per eval-mode forward of ``predict_exams``
+PREDICT_BATCH = 8
 
 
 @dataclass
@@ -38,16 +43,14 @@ class TrainRunConfig:
     max_epochs: int = 60
     seed: int = 0
     max_offset: int = 8               # crop jitter; 100 at full scale
-    tta_samples: int = 10
     variant: str = "view_wise"
     input_channels: int = 1
     epoch_exams: int = 0              # cap on exams per epoch (0 = no cap)
     val_exams: int = 0                # cap on exams scored per epoch (0 = all)
-    improvement_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.patience < 1 or self.batch_size < 1 or self.tta_samples < 1:
-            raise ValueError("patience, batch size, and tta_samples must be >= 1")
+        if self.patience < 1 or self.batch_size < 1:
+            raise ValueError("patience and batch size must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +69,9 @@ def load_view_stack(record, data_dir, view, channels=1, heatmap_dir=None):
     return np.stack([img, mal, ben])
 
 
-def augment_window(stack, rng, max_offset, target_dims=None):
+def augment_window(stack, rng, max_offset):
     """Jittered crop of a (C, H, W) stack, zero-padded where the window
-    leaves the image, cubic-resampled back to ``target_dims``.
+    leaves the image, cubic-resampled back to (H, W).
 
     Each window edge moves independently by an integer in
     [-max_offset, max_offset], which realizes both size and location
@@ -76,14 +79,6 @@ def augment_window(stack, rng, max_offset, target_dims=None):
     canonical crop.
     """
     c, h, w = stack.shape
-    if target_dims is None:
-        target_dims = (h, w)
-    if max_offset == 0:
-        out = stack
-        if (h, w) != tuple(target_dims):
-            out = bicubic_resize(stack, *target_dims)
-        return np.ascontiguousarray(out, dtype=np.float32)
-
     d_top, d_bottom, d_left, d_right = rng.integers(
         -max_offset, max_offset + 1, size=4)
     top, bottom = int(d_top), h + int(d_bottom)
@@ -94,7 +89,7 @@ def augment_window(stack, rng, max_offset, target_dims=None):
     sx0, sx1 = max(left, 0), min(right, w)
     window[:, sy0 - top:sy1 - top, sx0 - left:sx1 - left] = \
         stack[:, sy0:sy1, sx0:sx1]
-    out = bicubic_resize(window, *target_dims)
+    out = bicubic_resize(window, h, w)
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
@@ -164,12 +159,11 @@ def _forward_batch(net, recs, data_dir, channels, heatmap_dir, rng, max_offset):
     return net(tensors)
 
 
-def predict_exams(net, records, data_dir, channels=1, heatmap_dir=None,
-                  batch=8):
+def predict_exams(net, records, data_dir, channels=1, heatmap_dir=None):
     """Deterministic eval-mode probabilities, (N, 4) aligned with records."""
     net.eval()
     rows = []
-    for chunk in _batched(list(records), batch):
+    for chunk in _batched(list(records), PREDICT_BATCH):
         probs = _forward_batch(net, chunk, data_dir, channels, heatmap_dir,
                                rng=None, max_offset=0)
         rows.append(probs.data)
@@ -240,7 +234,7 @@ def _fit_early_stopping(net, cfg: TrainRunConfig, epoch_batches, batch_loss,
     the best state, puts ``net`` in eval mode and returns the best epoch.
     Raises ``NumericsError`` when the first epoch diverges: there is no
     state to keep."""
-    stopper = EarlyStopper(cfg.patience, cfg.improvement_eps)
+    stopper = EarlyStopper(cfg.patience, IMPROVEMENT_EPS)
 
     def end_epoch(epoch, losses):
         if stopper.update(validate(epoch, losses), epoch, net):
@@ -262,7 +256,7 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
     """Four-label training with balanced epochs and AUC-based early stopping.
 
     Training stops ``cfg.patience`` epochs after the last strict improvement
-    (by more than ``cfg.improvement_eps``) of the validation mean AUC, or
+    (by more than ``IMPROVEMENT_EPS``) of the validation mean AUC, or
     after ``cfg.max_epochs``. ``lr=0`` fixes the parameters, but train-mode
     forward passes still move the BatchNorm running statistics, so the
     validation metric can change from epoch to epoch.

@@ -217,6 +217,23 @@ def test_report_table(pipeline, tmp_path, capsys):
     assert "malignant" in text
 
 
+@pytest.mark.parametrize("text, line", [
+    ("a,b\n1,2\n", None),
+    ("model_id,population,task,metric,value\n"
+     "m,screening,malignant,auc,0.5\nm,screening,benign,auc,oops\n", 3),
+    ("model_id,population,task,metric,value\nm,screening,malignant,auc\n",
+     2),
+], ids=["header", "value-not-a-number", "short-row"])
+def test_report_malformed_metrics_exits_1(tmp_path, capsys, text, line):
+    path = tmp_path / "metrics.csv"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "internal error" not in err
+    if line is not None:
+        assert f"line {line}" in err
+
+
 def test_evaluate_single_population(pipeline, tmp_path):
     out = tmp_path / "ev2"
     assert main(["evaluate", "--data", str(pipeline["data"]),
@@ -455,14 +472,15 @@ if __name__ == "__main__":
     reason="no forkserver start method on this platform")
 def test_jobs_2_under_forkserver_equals_jobs_1(pipeline, tmp_path):
     """--jobs 2 workers get their context from the pool initializer, so
-    gen-heatmaps and predict write the --jobs 1 bytes under forkserver
-    (the default start method on Linux from Python 3.14)."""
+    gen-data, gen-heatmaps and predict write the --jobs 1 bytes under
+    forkserver (the default start method on Linux from Python 3.14)."""
     p = pipeline
     driver = tmp_path / "driver.py"
     driver.write_text(FORKSERVER_DRIVER)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     runs = {
+        "data": ["gen-data"],
         "heatmaps": ["gen-heatmaps", "--data", str(p["data"]),
                      "--checkpoint", str(p["patch"] / "best.ckpt")],
         "pred": ["predict", "--data", str(p["data"]), "--run",

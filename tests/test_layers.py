@@ -78,7 +78,7 @@ def test_channel_mismatch_rejected():
 
 def test_maxpool_values():
     x = T.Tensor(np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1))
-    mp = T.maxpool2d(x, (2, 2))
+    mp = T.maxpool2d(x, 2)
     np.testing.assert_array_equal(mp.data[0, :, :, 0], [[5, 7], [13, 15]])
 
 

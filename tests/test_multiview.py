@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from mscope import tensor as T
-from mscope.multiview import (ColumnConfig, FUSION_VARIANTS, MultiViewNet,
-                              ResNetColumn, VIEW_ORDER, column_shape_audit,
-                              count_parameters, hidden_budget,
+from mscope.multiview import (FUSION_VARIANTS, MultiViewNet, ResNetColumn,
+                              VIEW_ORDER, column_shape_audit,
                               transfer_from_pretrained)
 from mscope.optim import binary_cross_entropy
 
@@ -43,7 +42,7 @@ def random_views(rng, n=1, channels=1):
 
 def test_shape_audit_reproduces_reference_table():
     for view, ref in REFERENCE_SHAPES.items():
-        rows = column_shape_audit(ColumnConfig(), ref["in"])
+        rows = column_shape_audit(ref["in"])
         assert rows == ref["rows"], view
 
 
@@ -91,7 +90,6 @@ def test_outputs_are_probabilities(variant):
 
 @pytest.mark.parametrize("variant", FUSION_VARIANTS)
 def test_hidden_budget_is_1024(variant):
-    assert hidden_budget(variant) == 1024
     net = MultiViewNet(variant=variant, seed=0)
     total_hidden = sum(h.fc1.weight.data.shape[0] for h in net.heads.values())
     assert total_hidden == 1024
@@ -144,8 +142,9 @@ def test_breast_wise_order():
 def test_parameter_counts():
     """The 3-channel model differs from the 1-channel one only in the stem
     kernel: 2 extra channels x 16 filters x 49 taps x 2 columns."""
-    c1 = count_parameters(MultiViewNet(input_channels=1, seed=0))
-    c3 = count_parameters(MultiViewNet(input_channels=3, seed=0))
+    c1, c3 = (sum(p.data.size for p in MultiViewNet(input_channels=c,
+                                                    seed=0).parameters())
+              for c in (1, 3))
     assert c3 - c1 == 3136
     assert c1 == 6130472
 
@@ -229,7 +228,7 @@ def test_train_column_matches_nchw_reference(monkeypatch):
     side of zero sends its whole gradient elsewhere, and the chance that
     one lies within float32 rounding of zero grows with the element
     count."""
-    col = ResNetColumn(ColumnConfig(), np.random.default_rng(37))
+    col = ResNetColumn(1, np.random.default_rng(37))
     rng = np.random.default_rng(38)
     x = rng.uniform(0, 1, (4, 96, 72, 1)).astype(np.float32)
     weights = rng.standard_normal((4, 256)).astype(np.float32)
@@ -313,7 +312,7 @@ def test_eval_output_has_no_graph():
 def test_eval_column_forward_retains_under_1mb():
     # a held eval-mode output must not keep the activations and padded
     # im2col inputs of the forward alive
-    col = ResNetColumn(ColumnConfig(), np.random.default_rng(29)).eval()
+    col = ResNetColumn(1, np.random.default_rng(29)).eval()
     x = T.Tensor(np.random.default_rng(30)
                  .uniform(0, 1, (2, 448, 324, 1)).astype(np.float32))
     tracemalloc.start()

@@ -18,7 +18,7 @@ def test_adam_zero_grads_no_decay_leaves_params():
 def test_adam_first_step_hand_trace():
     # p=1, g=1, lr=0.1: bias-corrected first step moves by lr/(1+eps)
     p = Parameter(np.array([1.0]))
-    state = AdamState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState(lr=0.1)
     adam_step([p], [np.array([1.0])], state)
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
     np.testing.assert_allclose(p.data, [expected], atol=1e-7)
@@ -55,7 +55,7 @@ def test_adam_rejects_nonfinite_grads():
 
 
 def test_weighted_ce_uniform_logits():
-    logits = T.Tensor(np.zeros(4, dtype=np.float32))
+    logits = T.Tensor(np.zeros((1, 4), dtype=np.float32))
     loss = weighted_batch_cross_entropy(logits, [2], [1.0, 1.0, 1.0, 1.0])
     np.testing.assert_allclose(float(loss.data), np.log(4.0), rtol=1e-6)
 
@@ -65,7 +65,7 @@ def test_weighted_ce_scales_by_label_weight():
     w = (1.0 / counts) / (1.0 / counts).sum()
     rng = np.random.default_rng(0)
     raw = rng.standard_normal(4).astype(np.float32)
-    logits = T.Tensor(raw)
+    logits = T.Tensor(raw[None])
     loss = weighted_batch_cross_entropy(logits, [0], w)
     shifted = raw - raw.max()
     logp = shifted[0] - np.log(np.exp(shifted).sum())
@@ -74,7 +74,7 @@ def test_weighted_ce_scales_by_label_weight():
 
 
 def test_weighted_ce_zero_weight_zero_loss_and_grad():
-    logits = Parameter(np.array([0.3, -0.2, 1.0], dtype=np.float32))
+    logits = Parameter(np.array([[0.3, -0.2, 1.0]], dtype=np.float32))
     loss = weighted_batch_cross_entropy(logits, [1], [1.0, 0.0, 1.0])
     assert float(loss.data) == 0.0
     loss.backward()
@@ -82,19 +82,19 @@ def test_weighted_ce_zero_weight_zero_loss_and_grad():
 
 
 def test_weighted_ce_label_out_of_range():
-    logits = T.Tensor(np.zeros(4, dtype=np.float32))
+    logits = T.Tensor(np.zeros((1, 4), dtype=np.float32))
     with pytest.raises(IndexError):
         weighted_batch_cross_entropy(logits, [4], np.ones(4))
 
 
 def test_weighted_ce_gradient_flows_only_through_logits():
-    logits = Parameter(np.array([0.1, 0.9, -0.4, 0.2], dtype=np.float32))
+    logits = Parameter(np.array([[0.1, 0.9, -0.4, 0.2]], dtype=np.float32))
     loss = weighted_batch_cross_entropy(logits, [1], [0.1, 0.5, 0.2, 0.2])
     loss.backward()
     # gradient of -w*log softmax: w * (softmax - onehot)
     e = np.exp(logits.data - logits.data.max())
     p = e / e.sum()
-    expected = 0.5 * (p - np.eye(4)[1])
+    expected = 0.5 * (p - np.eye(4)[1:2])
     np.testing.assert_allclose(logits.grad, expected, atol=1e-6)
 
 

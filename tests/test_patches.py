@@ -162,8 +162,8 @@ def test_side_distribution_uniform():
 def test_build_epoch_exact_histogram():
     pools = {c: [make_sample(i, size=8)] * 40
              for i, c in enumerate(PATCH_CLASSES)}
-    plan = EpochPlan((20, 35, 5000, 4945), seed=9)
-    samples = build_epoch(pools, plan)
+    plan = EpochPlan((20, 35, 5000, 4945))
+    samples = build_epoch(pools, plan, substream(9, "epoch"))
     assert len(samples) == 10000
     hist = np.bincount([s.label for s in samples], minlength=4)
     np.testing.assert_array_equal(hist, [20, 35, 5000, 4945])
@@ -171,23 +171,24 @@ def test_build_epoch_exact_histogram():
 
 def test_build_epoch_single_class():
     pools = {"negative": [make_sample(3, size=8)] * 3}
-    samples = build_epoch(pools, EpochPlan((0, 0, 0, 10), seed=1))
+    samples = build_epoch(pools, EpochPlan((0, 0, 0, 10)),
+                          substream(1, "epoch"))
     assert len(samples) == 10 and all(s.label == 3 for s in samples)
 
 
 def test_build_epoch_deterministic():
     pools = {c: [make_sample(i, side=float(k), size=8) for k in range(30)]
              for i, c in enumerate(PATCH_CLASSES)}
-    plan = EpochPlan((5, 5, 20, 20), seed=4)
-    a = build_epoch(pools, plan)
-    b = build_epoch(pools, plan)
+    plan = EpochPlan((5, 5, 20, 20))
+    a = build_epoch(pools, plan, substream(4, "epoch"))
+    b = build_epoch(pools, plan, substream(4, "epoch"))
     assert [(s.label, s.side) for s in a] == [(s.label, s.side) for s in b]
 
 
 def test_build_epoch_empty_pool_rejected():
     pools = {c: [] for c in PATCH_CLASSES}
     with pytest.raises(ValueError):
-        build_epoch(pools, EpochPlan((1, 0, 0, 0), seed=0))
+        build_epoch(pools, EpochPlan((1, 0, 0, 0)), substream(0, "epoch"))
 
 
 def test_epoch_plan_validation():

@@ -9,7 +9,7 @@ import pytest
 from mscope import config, heatmaps
 from mscope import tensor as T
 from mscope.layers import Parameter
-from mscope.multiview import MultiViewNet
+from mscope.multiview import MultiViewNet, ResNetColumn
 from mscope.optim import weighted_batch_cross_entropy
 from mscope.patches import PatchNet
 
@@ -56,9 +56,9 @@ def test_gradients_match_finite_differences(seed):
 
 
 def test_linear_grad_is_broadcast_input():
-    x = np.array([1.0, 2.0, 3.0])
+    x = np.array([[1.0, 2.0, 3.0]])
     w = Parameter(np.zeros((2, 3)))
-    out = T.sum_all(T.linear(T.Tensor(x), w))
+    out = T.sum_all(T.linear(T.Tensor(x), w, Parameter(np.zeros(2))))
     out.backward()
     np.testing.assert_allclose(w.grad, np.tile(x, (2, 1)))
 
@@ -207,6 +207,73 @@ def test_split_layers_keep_large_bands(monkeypatch):
     assert sizes and min(sizes) >= 1.2e6
 
 
+def _extent(conv, h, w):
+    k = conv.weight.data.shape[0]
+    return (T.conv2d_shape(h, k, conv.stride, conv.padding),
+            T.conv2d_shape(w, k, conv.stride, conv.padding))
+
+
+def _column_convs(col, h, w):
+    """(conv, input h, input w) for every convolution of a column fed an
+    (h, w) image, from the layer shapes alone."""
+    out = [(col.stem, h, w)]
+    h, w = _extent(col.stem, h, w)
+    for block in col.blocks:
+        out.append((block.conv1, h, w))
+        if block.shortcut_conv is not None:
+            out.append((block.shortcut_conv, h, w))
+        h, w = _extent(block.conv1, h, w)
+        out.append((block.conv2, h, w))
+    return out
+
+
+def _patchnet_convs(net, p):
+    """(conv, input h, input w) for every convolution of PatchNet on a
+    p x p patch; a 2 in its layer order is a 2x2 max-pool."""
+    out, h, w = [], p, p
+    for layer in (net.conv1, net.conv2, 2, net.conv3, 2, net.conv4):
+        if layer == 2:
+            h, w = h // 2, w // 2
+            continue
+        out.append((layer, h, w))
+        h, w = _extent(layer, h, w)
+    return out
+
+
+def test_every_conv_layer_is_one_band_or_large_bands():
+    """Banding is bit-identical to one whole GEMM only while every band's
+    M*N*K is above OpenBLAS's small-matrix threshold (about 1e6 on an
+    AVX-512 build). At the desk profile's dims, every conv layer of a
+    column (train batch 4 and validation batch 8 at 1 and 3 channels, TTA
+    10 at 3) and of PatchNet (batch 100) is one band, or every band has
+    M*N*K >= 2e6; the smallest is about 4.1e6 (PatchNet conv1). No
+    forward runs: the plan is ``_conv_bands`` of each layer's shape."""
+    cfg = config.resolve()
+    views = [(cfg["data.cc_height"], cfg["data.cc_width"]),
+             (cfg["data.mlo_height"], cfg["data.mlo_width"])]
+    layers = []                               # (conv, n, h, w)
+    for channels, batches in ((1, (4, 8)), (3, (4, 8, 10))):
+        col = ResNetColumn(channels, np.random.default_rng(0))
+        layers += [(conv, n, h, w) for n in batches for dims in views
+                   for conv, h, w in _column_convs(col, *dims)]
+    net = PatchNet(cfg["patch.size"])
+    layers += [(conv, cfg["patch.batch_size"], h, w)
+               for conv, h, w in _patchnet_convs(net, cfg["patch.size"])]
+    split = 0
+    for conv, n, h, w in layers:
+        kh, kw, cin, cout = conv.weight.data.shape
+        ho, wo = _extent(conv, h, w)
+        k = kh * kw * cin
+        bands = T._conv_bands(n, ho, wo, k, cout, 4)
+        if len(bands) == 1:
+            continue
+        split += 1
+        smallest = min(len(range(n)[images]) * len(range(ho)[rows]) * wo
+                       for images, rows in bands) * k * cout
+        assert smallest >= 2e6, (conv.weight.data.shape, n, h, w, smallest)
+    assert split                                # some layers are banded
+
+
 def test_tensor_ops_keep_one_layout():
     """Activations stay NHWC and kernels HWIO through every op: the tensor
     module holds no NCHW/NHWC transpose and no 4-axis kernel transpose."""
@@ -273,7 +340,7 @@ def test_nonpositive_conv_extent_rejected():
 def test_softmax_rows_are_distributions():
     rng = np.random.default_rng(5)
     x = T.Tensor(rng.standard_normal((40, 7)).astype(np.float32) * 20)
-    y = T.softmax(x, axis=1).data
+    y = T.softmax(x).data
     assert (y >= 0).all() and (y <= 1).all()
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-6)
 
@@ -281,7 +348,7 @@ def test_softmax_rows_are_distributions():
 def test_concat_backward_splits():
     a = Parameter(np.ones((2, 3)))
     b = Parameter(np.ones((2, 5)))
-    out = T.concat([a, b], axis=1)
+    out = T.concat([a, b])
     T.sum_all(T.mul(out, 2.0)).backward()
     np.testing.assert_allclose(a.grad, 2 * np.ones((2, 3)))
     np.testing.assert_allclose(b.grad, 2 * np.ones((2, 5)))

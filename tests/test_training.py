@@ -4,7 +4,7 @@ import pytest
 from mscope.multiview import MultiViewNet
 from mscope.phantom import DatasetConfig, generate_dataset, load_manifest
 from mscope.seeding import substream
-from mscope.training import (EarlyStopper, TrainRunConfig,
+from mscope.training import (IMPROVEMENT_EPS, EarlyStopper, TrainRunConfig,
                              augment_window, birads_ovr_auc, ensemble_predict,
                              exam_labels, mean_label_auc, predict_exams,
                              predict_tta, pretrain_birads, prepare_views,
@@ -282,7 +282,7 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
 
     metrics = [r[3] for r in rows if r[1] == "val" and r[2] == "mean"]
     assert len(metrics) == last
-    eps = cfg.improvement_eps
+    eps = IMPROVEMENT_EPS
     best = metrics[best_epoch - 1]
     assert all(best > m + eps for m in metrics[:best_epoch - 1])
     assert all(m <= best + eps for m in metrics[best_epoch:])
