@@ -6,10 +6,11 @@ alias flags; and the learning-rate key a first-epoch divergence names.
 ``build_parser`` is generated from the table. ``_run_stage`` runs every
 row that writes a run directory: it loads the config once, from ``--set``,
 then ``--profile``, then the alias flags; loads the dataset's manifest;
-refuses a non-empty output directory without ``--force``; runs the body;
-writes the resolved config to ``config.txt``; and prints the body's
-one-line summary. An alias flag is nothing but its config key
-(``--epochs 2`` is ``--set patch.epochs=2``; ``--heatmaps DIR`` also sets
+refuses a non-empty output directory without ``--force``; runs the body,
+removing the output directory again if the body fails and the run made
+it; writes the resolved config to ``config.txt``; and prints the body's
+one-line summary. An alias flag is nothing but its config key (``--epochs
+2`` is ``--set patch.epochs=2``; ``--heatmaps DIR`` also sets
 ``model.input_channels=3``), so bodies read settings only from the config
 and ``config.txt`` records what ran. ``report`` has no config and no
 output directory.
@@ -28,7 +29,6 @@ import os
 import shutil
 import sys
 import traceback
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -41,8 +41,9 @@ from .config import ConfigError
 from .evaluation import (MetricError, PredictionRecord, biopsy_score,
                          hybrid_scores, hybrid_sweep,
                          malignant_vs_benign_score, pr_auc, pr_curve_points,
-                         read_predictions, roc_auc, roc_curve_points,
-                         simulate_readers, subpopulation, write_predictions)
+                         read_predictions, reader_study_draw, roc_auc,
+                         roc_curve_points, simulate_readers, subpopulation,
+                         write_predictions)
 from .heatmaps import heatmaps_for_exam, save_heatmap, select_patch_checkpoint
 from .layers import StateDictError
 from .multiview import MultiViewNet
@@ -81,27 +82,6 @@ def _data_dir(args):
     if not (data / "manifest.csv").exists():
         raise UserError(f"{data}: no manifest.csv found")
     return data
-
-
-def _ensure_out(path, force):
-    path = Path(path)
-    if path.exists() and any(path.iterdir()) and not force:
-        raise UserError(f"{path} exists; pass --force to overwrite")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-@contextmanager
-def _lr_diverges(cfg, key):
-    """A trainer that diverges in its first epoch raises ``NumericsError``:
-    a learning rate too high for the data, so a user error naming the
-    config key ``key``. Without a key it stays an internal error."""
-    try:
-        yield
-    except NumericsError as exc:
-        if key is None:
-            raise
-        raise UserError(f"{exc}; lower {key} (now {cfg[key]:g})") from exc
 
 
 def _write_csv(path, header, rows):
@@ -196,20 +176,22 @@ def cmd_gen_heatmaps(args, cfg, out, data, records):
     return f"gen-heatmaps: {len(done)} exams x 4 views -> {out}"
 
 
-def _train_config(cfg, seed, **fields):
-    """A ``TrainRunConfig`` with the ``train.*`` keys both multi-view
-    trainers share, plus ``fields``."""
+def _train_config(cfg, seed, birads):
+    """The ``TrainRunConfig`` of the 3-way assessment pretraining
+    (``birads``) or of a cancer model."""
+    own = "train.birads_" if birads else "train."     # the task's own keys
     return TrainRunConfig(
-        lr=cfg["train.lr"], l2=cfg["train.l2"],
-        patience=cfg["train.patience"], max_epochs=cfg["train.max_epochs"],
-        seed=seed, max_offset=cfg["train.max_offset"],
-        val_exams=cfg["train.val_exams"], **fields)
+        lr=cfg["train.lr"], batch_size=cfg[own + "batch_size"],
+        l2=cfg["train.l2"], patience=cfg["train.patience"],
+        max_epochs=cfg["train.max_epochs"], seed=seed,
+        max_offset=cfg["train.max_offset"],
+        variant="view_wise" if birads else cfg["model.variant"],
+        input_channels=1 if birads else cfg["model.input_channels"],
+        epoch_exams=cfg[own + "epoch_exams"], val_exams=cfg["train.val_exams"])
 
 
 def cmd_pretrain_birads(args, cfg, out, data, records):
-    tcfg = _train_config(cfg, args.seed, input_channels=1,
-                         batch_size=cfg["train.birads_batch_size"],
-                         epoch_exams=cfg["train.birads_epoch_exams"])
+    tcfg = _train_config(cfg, args.seed, birads=True)
     net, rows, best_epoch = pretrain_birads(records, data, tcfg)
     save_checkpoint(out / "best.ckpt", net.state_dict())
     save_train_log(out / "log.csv", rows)
@@ -237,10 +219,7 @@ def _train_model(cfg, args, records, data, seed, state=None):
     init = _init_path(args)
     if state is None and init:
         state = load_checkpoint(init)
-    tcfg = _train_config(cfg, seed, batch_size=cfg["train.batch_size"],
-                         variant=cfg["model.variant"],
-                         input_channels=cfg["model.input_channels"],
-                         epoch_exams=cfg["train.epoch_exams"])
+    tcfg = _train_config(cfg, seed, birads=False)
     with named(init):
         return train_cancer_model(records, data, tcfg,
                                   heatmap_dir=args.heatmaps, init_state=state)
@@ -388,8 +367,7 @@ def cmd_evaluate(args, cfg, out, data, records):
                     emit(name, "malignant", sorted(ids), s_mal)
                     emit(name, "benign", sorted(ids), s_ben)
                 continue
-            rng = substream(args.seed, "population", pop)
-            ids = sorted(subpopulation(records, pop, rng))
+            ids = sorted(subpopulation(records, pop))
             if pop == "one_class_biopsied":
                 scores = {b: malignant_vs_benign_score(s_mal[b], s_ben[b])
                           for b in ids}
@@ -415,8 +393,7 @@ def cmd_reader_study(args, cfg, out, data, records):
         if r.split == "test" and (r.left_biopsied or r.right_biopsied))
     n_clean = cfg["eval.reader_clean"] or n_biopsied
     rng = substream(args.seed, "reader-study")
-    ids = sorted(subpopulation(records, "reader_study", rng,
-                               reader_counts=(n_biopsied, n_clean)))
+    ids = sorted(reader_study_draw(records, rng, n_biopsied, n_clean))
 
     s_mal = {p.breast_id: p.p_malignant for p in preds}
     missing = [b for b in ids if b not in s_mal]
@@ -663,9 +640,22 @@ def _run_stage(stage, args):
     if stage.data:
         data = _data_dir(args)
         records = load_manifest(data / "manifest.csv")
-    out = _ensure_out(args.out, args.force)
-    with _lr_diverges(cfg, stage.lr):
+    out = Path(args.out)
+    if out.exists() and any(out.iterdir()) and not args.force:
+        raise UserError(f"{out} exists; pass --force to overwrite")
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
         summary = stage.body(args, cfg, out, data, records)
+    except BaseException as exc:
+        if made:                # a failed run leaves no directory it made
+            shutil.rmtree(out)
+        # a trainer that diverges in its first epoch has a learning rate
+        # too high for the data: a user error naming the row's lr key
+        if isinstance(exc, NumericsError) and stage.lr:
+            raise UserError(f"{exc}; lower {stage.lr} (now "
+                            f"{cfg[stage.lr]:g})") from exc
+        raise
     cfg.dump(out / "config.txt")
     print(summary)
     return 0

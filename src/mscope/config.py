@@ -6,6 +6,12 @@ images, shorter schedules, everything runnable on CPU in minutes) and
 defaults; command-line ``--set key=value`` flags override the file.
 Unknown keys and out-of-range values are rejected, naming the key. Every
 run directory receives the fully resolved config.
+
+``KEYS`` is the only home of a default value. Each stage's record
+(``phantom.DatasetConfig``, ``patches.PatchConfig`` and
+``PatchTrainConfig``, ``training.TrainRunConfig``) is built in one place
+from a resolved config; the few record fields that keep a default read
+their desk value from ``KEYS``.
 """
 
 from __future__ import annotations
@@ -192,6 +198,6 @@ def resolve(file_values=None, overrides=None):
     return RunConfig(values)
 
 
-def load(path=None, overrides=None):
+def load(path, overrides=None):
     file_values = parse_file(path) if path else {}
     return resolve(file_values, overrides)

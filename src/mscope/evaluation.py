@@ -117,7 +117,7 @@ def pr_curve_points(scores, labels):
 # ---------------------------------------------------------------------------
 # populations
 
-def subpopulation(records, kind, rng=None, reader_counts=(368, 372)):
+def subpopulation(records, kind):
     """Breast-id sets for an evaluation population over test-split records.
 
     Returns a set of "exam:side" ids, except for by_age / by_density which
@@ -137,36 +137,30 @@ def subpopulation(records, kind, rng=None, reader_counts=(368, 372)):
                 if r.biopsied(s) and benign + malignant == 1:
                     out.add(f"{r.exam_id}:{s}")
         return out
-    if kind == "reader_study":
-        if rng is None:
-            raise MetricError("reader_study subpopulation needs an rng")
-        biopsied_exams = [r for r in test
-                          if r.left_biopsied or r.right_biopsied]
-        clean_exams = [r for r in test
-                       if not (r.left_biopsied or r.right_biopsied)]
-        n_biopsied, n_clean = reader_counts
-        if n_biopsied > len(biopsied_exams) or n_clean > len(clean_exams):
-            raise MetricError(
-                f"requested reader-study draw ({n_biopsied}+{n_clean}) exceeds "
-                f"pools ({len(biopsied_exams)}+{len(clean_exams)})")
-        pick_b = rng.choice(len(biopsied_exams), size=n_biopsied, replace=False)
-        pick_c = rng.choice(len(clean_exams), size=n_clean, replace=False)
-        exams = [biopsied_exams[i] for i in pick_b] + \
-            [clean_exams[i] for i in pick_c]
-        return {f"{r.exam_id}:{s}" for r in exams for s in ("L", "R")}
-    if kind == "by_age":
+    if kind in ("by_age", "by_density"):
+        attr = "age_band" if kind == "by_age" else "density"
         out = {}
         for r in test:
             for s in ("L", "R"):
-                out.setdefault(r.age_band, set()).add(f"{r.exam_id}:{s}")
-        return out
-    if kind == "by_density":
-        out = {}
-        for r in test:
-            for s in ("L", "R"):
-                out.setdefault(r.density, set()).add(f"{r.exam_id}:{s}")
+                out.setdefault(getattr(r, attr), set()).add(f"{r.exam_id}:{s}")
         return out
     raise MetricError(f"unknown subpopulation kind {kind!r}")
+
+
+def reader_study_draw(records, rng, n_biopsied, n_clean):
+    """Both breasts of ``n_biopsied`` test exams with a biopsied breast
+    and of ``n_clean`` without one, drawn with ``rng``."""
+    test = [r for r in records if r.split == "test"]
+    biopsied = [r for r in test if r.left_biopsied or r.right_biopsied]
+    clean = [r for r in test if not (r.left_biopsied or r.right_biopsied)]
+    if n_biopsied > len(biopsied) or n_clean > len(clean):
+        raise MetricError(
+            f"requested reader-study draw ({n_biopsied}+{n_clean}) exceeds "
+            f"pools ({len(biopsied)}+{len(clean)})")
+    pick_b = rng.choice(len(biopsied), size=n_biopsied, replace=False)
+    pick_c = rng.choice(len(clean), size=n_clean, replace=False)
+    exams = [biopsied[i] for i in pick_b] + [clean[i] for i in pick_c]
+    return {f"{r.exam_id}:{s}" for r in exams for s in ("L", "R")}
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,9 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-def he_normal(rng, shape, fan_in, dtype):
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+def he_normal(rng, shape, fan_in):
+    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(
+        np.float32)
 
 
 class Conv2d(Module):
@@ -137,13 +138,12 @@ class Conv2d(Module):
     (Cout, Cin, kh, kw) order and transposed once, so a seed gives the
     same initial values whatever the layout."""
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None):
+    def __init__(self, in_ch, out_ch, kernel, *, stride, padding=0, rng):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        rng = rng or np.random.default_rng(0)
         w = he_normal(rng, (out_ch, in_ch, kernel, kernel),
-                      in_ch * kernel * kernel, np.float32)
+                      in_ch * kernel * kernel)
         self.weight = Parameter(np.ascontiguousarray(w.transpose(2, 3, 1, 0)))
 
     def forward(self, x):
@@ -172,9 +172,8 @@ class BatchNorm2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features, out_features, rng=None):
+    def __init__(self, in_features, out_features, rng):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         bound = 1.0 / np.sqrt(in_features)
         self.weight = Parameter(rng.uniform(
             -bound, bound, (out_features, in_features)).astype(np.float32))

@@ -130,8 +130,7 @@ class MultiViewNet(Module):
     shaped three-way softmax, branch probabilities averaged).
     """
 
-    def __init__(self, variant="view_wise", input_channels=1, task="cancer",
-                 seed=0):
+    def __init__(self, variant, input_channels, task, seed=0):
         super().__init__()
         if variant not in FUSION_VARIANTS:
             raise ValueError(f"unknown fusion variant {variant!r}")
@@ -190,9 +189,8 @@ class MultiViewNet(Module):
         return T.sigmoid(head_out["all"])  # joint
 
 
-def transfer_from_pretrained(source_state, variant="view_wise",
-                             input_channels=1, task="cancer", seed=0):
-    """New model with columns copied from a 1-channel source checkpoint.
+def transfer_from_pretrained(source_state, variant, input_channels, seed):
+    """A new cancer model with columns copied from a 1-channel checkpoint.
 
     Every column weight and buffer of the new model is copied from the
     source, the stem kernel replicated across the target's input channels;
@@ -203,7 +201,7 @@ def transfer_from_pretrained(source_state, variant="view_wise",
     key at fault.
     """
     net = MultiViewNet(variant=variant, input_channels=input_channels,
-                       task=task, seed=seed)
+                       task="cancer", seed=seed)
     columns = ("cc_column.", "mlo_column.")
     params = dict(net.named_parameters())
     entries = [(n, p.data) for n, p in params.items()]

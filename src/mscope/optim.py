@@ -22,8 +22,8 @@ class AdamState:
     ``weight_decay`` is a plain L2 coefficient: it is added to the raw
     gradient (decay * param) before the moment updates.
     """
-    lr: float = 1e-5
-    weight_decay: float = 0.0
+    lr: float
+    weight_decay: float
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)

@@ -21,6 +21,7 @@ import numpy as np
 from . import tensor as T
 from .binary import Reader
 from .checkpoint import save_checkpoint
+from .config import KEYS
 from .layers import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 from .optim import _fit, weighted_batch_cross_entropy
 from .pgm import read_pgm
@@ -35,10 +36,10 @@ MAX_ROUNDS = 400
 
 @dataclass
 class PatchConfig:
-    patch_size: int = 64
-    side_min: float = 32.0
-    side_max: float = 96.0
-    max_angle: float = 30.0   # degrees
+    patch_size: int = KEYS["patch.size"][1]
+    side_min: float = KEYS["patch.side_min"][1]
+    side_max: float = KEYS["patch.side_max"][1]
+    max_angle: float = KEYS["patch.max_angle"][1]   # degrees
 
 
 @dataclass
@@ -98,7 +99,7 @@ def _points_in_window(ys, xs, center, side, angle_rad):
 
 
 def sample_patch(image, mask_points, rng, cfg: PatchConfig, source_kind,
-                 source_id=""):
+                 source_id):
     """Draw one window; returns (PatchSample | None, reason).
 
     ``image`` is a float array scaled to [0, 1]; ``mask_points`` maps
@@ -297,7 +298,7 @@ def load_patch_cache(path, patch_size):
 class PatchNet(Module):
     """Compact 6-layer convnet (4 conv + 2 fc) over single-channel patches."""
 
-    def __init__(self, patch_size=64, seed=0):
+    def __init__(self, patch_size, seed=0):
         super().__init__()
         rng = substream(seed, "patchnet-init")
         self.patch_size = patch_size
@@ -317,9 +318,9 @@ class PatchNet(Module):
     def forward(self, x):
         h = T.relu(conv_bn(self.conv1, self.bn1, x))
         h = T.relu(conv_bn(self.conv2, self.bn2, h))
-        h = T.maxpool2d(h, 2)
+        h = T.maxpool2d(h)
         h = T.relu(conv_bn(self.conv3, self.bn3, h))
-        h = T.maxpool2d(h, 2)
+        h = T.maxpool2d(h)
         h = T.relu(conv_bn(self.conv4, self.bn4, h))
         h = T.relu(self.fc1(T.global_avgpool2d(h)))
         return self.fc2(h)
@@ -337,17 +338,17 @@ class PatchNet(Module):
 
 @dataclass
 class PatchTrainConfig:
-    epochs: int = 24
-    save_every: int = 6
-    batch_size: int = 100
-    lr: float = 3e-4
-    weight_decay: float = 10 ** -4.5
-    plan_counts: tuple = (4, 7, 1000, 989)
-    seed: int = 0
+    epochs: int
+    save_every: int
+    batch_size: int
+    plan_counts: tuple
+    seed: int
+    lr: float = KEYS["patch.lr"][1]
+    weight_decay: float = KEYS["patch.l2"][1]
 
 
-def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig,
-                           patch_size=64, log=print):
+def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig, patch_size,
+                           log=print):
     """Balanced-epoch training; saves a checkpoint every ``save_every``
     epochs (plus the final epoch when it is off-cycle).
 

@@ -49,7 +49,7 @@ class LesionSpec:
     center: tuple             # (u, v): chest-wall depth in [0,1], lateral in [-1,1]
     size_px: float
     irregularity: float       # >= 0.5 iff malignant
-    shape_seed: int = 0       # shared by both views so supports agree
+    shape_seed: int           # shared by both views so supports agree
 
     def __post_init__(self):
         mal = self.malignancy == "malignant"
@@ -75,8 +75,8 @@ class ExamSpec:
     density: str
     left: BreastSpec
     right: BreastSpec
-    seed: int = 0
-    density_coupling: float = 0.2
+    seed: int
+    density_coupling: float
 
 
 @dataclass
@@ -112,19 +112,19 @@ class ExamRecord:
 
 @dataclass
 class DatasetConfig:
-    exams: int = 2000
-    cc_dims: tuple = (224, 162)   # H, W
-    mlo_dims: tuple = (248, 146)
-    biopsied_fraction: float = 0.025
-    malignant_fraction: float = 0.17   # among biopsied exams
-    both_fraction: float = 0.02        # biopsied breasts carrying both findings
-    bilateral_fraction: float = 0.08   # biopsied exams with both breasts biopsied
-    occult_fraction: float = 0.328     # among biopsied exams
-    split_fractions: tuple = (0.6, 0.2, 0.2)
-    multi_exam_fraction: float = 0.05  # patients contributing two exams
-    birads_noise: float = 0.1
-    lesion_frac_range: tuple = (0.075, 0.150)  # lesion size vs min image extent
-    density_coupling: float = 0.2      # contrast loss of lesions in dense breasts
+    exams: int
+    cc_dims: tuple                # H, W
+    mlo_dims: tuple
+    biopsied_fraction: float
+    malignant_fraction: float     # among biopsied exams
+    both_fraction: float          # biopsied breasts carrying both findings
+    bilateral_fraction: float     # biopsied exams with both breasts biopsied
+    occult_fraction: float        # among biopsied exams
+    split_fractions: tuple        # train, val, test
+    multi_exam_fraction: float    # patients contributing two exams
+    birads_noise: float
+    lesion_frac_range: tuple      # lesion size vs min image extent
+    density_coupling: float       # contrast loss of lesions in dense breasts
 
     def validate(self):
         if min(min(self.cc_dims), min(self.mlo_dims)) < 32:
@@ -592,7 +592,14 @@ def load_manifest(path):
             records.append(ExamRecord(
                 exam_id=row["exam_id"], patient_id=row["patient_id"],
                 split=row["split"], age_band=row["age_band"],
-                density=row["density"], **codes,
+                density=row["density"], left_benign=codes["left_benign"],
+                left_malignant=codes["left_malignant"],
+                right_benign=codes["right_benign"],
+                right_malignant=codes["right_malignant"],
+                left_biopsied=codes["left_biopsied"],
+                right_biopsied=codes["right_biopsied"],
+                left_occult=codes["left_occult"],
+                right_occult=codes["right_occult"], birads=codes["birads"],
                 view_paths={v: row[f"{v}_path"] for v in VIEWS}))
     return records
 

@@ -39,6 +39,8 @@ COLUMN_BUDGET = 4 << 20
 # and the constant added to the variance
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+# the side and the stride of a max-pool window
+POOL = 2
 
 
 class GraphError(RuntimeError):
@@ -281,14 +283,14 @@ def conv2d_shape(extent, kernel, stride, padding):
     return out
 
 
-def _windows(xc, kh, kw, sh, sw):
+def _windows(xc, kh, kw, s):
     """The (N, Ho, Wo, kh, kw, C) window view of a padded NHWC array.
 
     Reshaped to (N*Ho*Wo, kh*kw*C) it is the column matrix, with channels
     innermost so that the gather copies contiguous C-sized runs.
     """
     win = np.lib.stride_tricks.sliding_window_view(xc, (kh, kw), axis=(1, 2))
-    return win[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3)
+    return win[:, ::s, ::s].transpose(0, 1, 2, 4, 5, 3)
 
 
 def _even_cuts(total, parts):
@@ -314,12 +316,12 @@ def _conv_bands(n, ho, wo, k, cout, itemsize):
             for a, b in _even_cuts(ho, -(-ho // rows))]
 
 
-def _conv_forward(xc, wmat, kh, kw, sh, sw, bias):
+def _conv_forward(xc, wmat, kh, kw, s, bias):
     """The product of padded ``xc`` with ``wmat``: per band, one im2col
     and one GEMM written straight into the output. Banding changes no
     arithmetic, but a BLAS may take another kernel for a small GEMM, so a
     budget far below this one can move low-order bits."""
-    win = _windows(xc, kh, kw, sh, sw)
+    win = _windows(xc, kh, kw, s)
     n, ho, wo = win.shape[:3]
     k, cout = wmat.shape
     out = np.empty((n, ho, wo, cout), dtype=np.result_type(xc, wmat))
@@ -333,7 +335,7 @@ def _conv_forward(xc, wmat, kh, kw, sh, sw, bias):
     return out
 
 
-def conv2d(x, w, stride=1, padding=0, bias=None):
+def conv2d(x, w, stride, padding, bias=None):
     """Cross-correlation of x:(N,H,W,Cin) with w:(kh,kw,Cin,Cout), giving
     (N,Ho,Wo,Cout).
 
@@ -354,12 +356,12 @@ def conv2d(x, w, stride=1, padding=0, bias=None):
 
     xc = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0)))
     wd = w.data
-    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, s, s, bias)
+    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, s, bias)
 
     def bwd(g):
         gmat = g.reshape(n * ho * wo, cout)
         if _wants_grad(w):
-            cols = _windows(xc, kh, kw, s, s).reshape(n * ho * wo, -1)
+            cols = _windows(xc, kh, kw, s).reshape(n * ho * wo, -1)
             w._accumulate((cols.T @ gmat).reshape(kh, kw, c, cout))
         if _wants_grad(x):
             dxp = np.zeros(xc.shape, dtype=g.dtype)
@@ -415,15 +417,15 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
                  (x, gamma, beta), bwd)
 
 
-def maxpool2d(x, k):
-    """Max over non-overlapping (k, k) windows (the stride is the kernel).
+def maxpool2d(x):
+    """Max over non-overlapping (``POOL``, ``POOL``) windows.
 
-    The forward is an elementwise maximum over the k*k strided tap
+    The forward is an elementwise maximum over the ``POOL**2`` strided tap
     slices. Backward sends each window's gradient to the first tap, in
     row-major order, that equals the window's max: on ties the earliest
     tap wins, the rule of ``argmax`` over the flattened window.
     """
-    xd = x.data
+    xd, k = x.data, POOL
     ho = conv2d_shape(xd.shape[1], k, k, 0)
     wo = conv2d_shape(xd.shape[2], k, k, 0)
     taps = [np.s_[:, i:i + k * ho:k, j:j + k * wo:k]
@@ -453,9 +455,9 @@ def global_avgpool2d(x):
     return _node(x.data.mean(axis=(1, 2)), (x,), bwd)
 
 
-def check_finite(arr, context=""):
+def check_finite(arr, context):
     if not np.isfinite(arr).all():
-        raise NumericsError(f"non-finite values produced{': ' + context if context else ''}")
+        raise NumericsError(f"non-finite values produced: {context}")
 
 
 def collect_gradients(loss, params):

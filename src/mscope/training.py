@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .config import KEYS
 from .evaluation import MetricError, roc_auc
 from .heatmaps import load_heatmap
 from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
@@ -36,17 +37,17 @@ PREDICT_BATCH = 8
 
 @dataclass
 class TrainRunConfig:
-    lr: float = 1e-5
-    batch_size: int = 4               # 24 for the 3-way task, 100 for patches
-    l2: float = 10 ** -4.5
-    patience: int = 20
-    max_epochs: int = 60
-    seed: int = 0
-    max_offset: int = 8               # crop jitter; 100 at full scale
-    variant: str = "view_wise"
-    input_channels: int = 1
-    epoch_exams: int = 0              # cap on exams per epoch (0 = no cap)
-    val_exams: int = 0                # cap on exams scored per epoch (0 = all)
+    lr: float
+    batch_size: int
+    l2: float
+    patience: int
+    max_epochs: int
+    seed: int
+    max_offset: int                   # crop jitter
+    variant: str
+    input_channels: int
+    epoch_exams: int = KEYS["train.epoch_exams"][1]  # exams per epoch, 0 = all
+    val_exams: int = KEYS["train.val_exams"][1]      # exams validated, 0 = all
 
     def __post_init__(self):
         if self.patience < 1 or self.batch_size < 1:
@@ -56,7 +57,7 @@ class TrainRunConfig:
 # ---------------------------------------------------------------------------
 # input preparation
 
-def load_view_stack(record, data_dir, view, channels=1, heatmap_dir=None):
+def load_view_stack(record, data_dir, view, channels, heatmap_dir):
     """(C, H, W) float32 stack: image, plus heatmap planes when channels=3."""
     img = read_pgm(image_path(data_dir, record, view)).astype(np.float32) / MAXVAL
     if channels == 1:
@@ -93,8 +94,8 @@ def augment_window(stack, rng, max_offset):
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
-def prepare_views(record, data_dir, channels=1, heatmap_dir=None, rng=None,
-                  max_offset=0, copies=1):
+def prepare_views(record, data_dir, channels, heatmap_dir, rng, max_offset,
+                  copies=1):
     """All four views as channels-last (copies, H, W, C) arrays, left views
     flipped so every breast is oriented the same way. Augmentation applies
     only when an rng is given."""
@@ -119,7 +120,7 @@ def exam_labels(record):
 # ---------------------------------------------------------------------------
 # epoch construction
 
-def subsample_epoch(records, rng, log=print):
+def subsample_epoch(records, rng, log):
     """All biopsied train exams plus an equally sized random draw of
     non-biopsied ones, shuffled. Returns exam ids. When there are fewer
     non-biopsied exams than biopsied ones, all are taken and ``log`` gets
@@ -151,15 +152,15 @@ def _batched(seq, size):
 def _forward_batch(net, recs, data_dir, channels, heatmap_dir, rng, max_offset):
     views = {v: [] for v in VIEW_ORDER}
     for rec in recs:
-        per = prepare_views(rec, data_dir, channels, heatmap_dir,
-                            rng=rng, max_offset=max_offset)
+        per = prepare_views(rec, data_dir, channels, heatmap_dir, rng,
+                            max_offset)
         for v in VIEW_ORDER:
             views[v].append(per[v][0])
     tensors = {v: T.Tensor(np.stack(views[v])) for v in VIEW_ORDER}
     return net(tensors)
 
 
-def predict_exams(net, records, data_dir, channels=1, heatmap_dir=None):
+def predict_exams(net, records, data_dir, channels, heatmap_dir):
     """Deterministic eval-mode probabilities, (N, 4) aligned with records."""
     net.eval()
     rows = []
@@ -170,7 +171,7 @@ def predict_exams(net, records, data_dir, channels=1, heatmap_dir=None):
     return np.concatenate(rows, axis=0)
 
 
-def mean_label_auc(probs, labels, log=print):
+def mean_label_auc(probs, labels, log):
     """Mean per-label AUC; single-class labels are skipped with a warning."""
     aucs = {}
     for i, name in enumerate(OUTPUT_ORDER):
@@ -187,8 +188,8 @@ def mean_label_auc(probs, labels, log=print):
 # ---------------------------------------------------------------------------
 # training loops
 
-def _val_subset(records, split, cap, seed):
-    subset = [r for r in records if r.split == split]
+def _val_subset(records, cap, seed):
+    subset = [r for r in records if r.split == "val"]
     if cap and cap < len(subset):
         rng = substream(seed, "valsubset")
         idx = rng.choice(len(subset), size=cap, replace=False)
@@ -203,21 +204,21 @@ class EarlyStopper:
     """Strict-improvement tracker; also remembers the best state.
 
     An epoch improves only if its metric beats the best so far by more than
-    ``eps``. ``update`` returns True ``patience`` epochs after the last such
-    improvement. The best state is the full ``state_dict``, BatchNorm running
-    statistics included.
+    ``IMPROVEMENT_EPS``. ``update`` returns True ``patience`` epochs after
+    the last such improvement. The best state is the full ``state_dict``,
+    BatchNorm running statistics included.
     """
 
-    def __init__(self, patience, eps):
+    def __init__(self, patience):
         self.patience = patience
-        self.eps = eps
         self.best_metric = None
         self.best_epoch = None
         self.best_state = None
         self.stale = 0
 
     def update(self, metric, epoch, net):
-        if self.best_metric is None or metric > self.best_metric + self.eps:
+        if self.best_metric is None or \
+                metric > self.best_metric + IMPROVEMENT_EPS:
             self.best_metric = metric
             self.best_epoch = epoch
             self.best_state = {k: v.copy() for k, v in net.state_dict().items()}
@@ -234,7 +235,7 @@ def _fit_early_stopping(net, cfg: TrainRunConfig, epoch_batches, batch_loss,
     the best state, puts ``net`` in eval mode and returns the best epoch.
     Raises ``NumericsError`` when the first epoch diverges: there is no
     state to keep."""
-    stopper = EarlyStopper(cfg.patience, IMPROVEMENT_EPS)
+    stopper = EarlyStopper(cfg.patience)
 
     def end_epoch(epoch, losses):
         if stopper.update(validate(epoch, losses), epoch, net):
@@ -273,13 +274,13 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
     if init_state is not None:
         net = transfer_from_pretrained(init_state, variant=cfg.variant,
                                        input_channels=cfg.input_channels,
-                                       task="cancer", seed=cfg.seed)
+                                       seed=cfg.seed)
     else:
         net = MultiViewNet(variant=cfg.variant,
                            input_channels=cfg.input_channels,
                            task="cancer", seed=cfg.seed)
     by_id = {r.exam_id: r for r in records}
-    val_records = _val_subset(records, "val", cfg.val_exams, cfg.seed)
+    val_records = _val_subset(records, cfg.val_exams, cfg.seed)
     val_y = np.stack([exam_labels(r) for r in val_records])
     log_rows = []
     seen = []                         # (probs, labels) of this epoch's steps
@@ -331,7 +332,7 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
     return net, log_rows, best_epoch
 
 
-def birads_ovr_auc(probs, labels, log=print):
+def birads_ovr_auc(probs, labels, log):
     """Mean one-vs-rest AUC over the three assessment classes; classes
     absent from ``labels`` are skipped with a warning."""
     labels = np.asarray(labels)
@@ -357,7 +358,7 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
     net = MultiViewNet(variant="view_wise", input_channels=cfg.input_channels,
                        task="birads", seed=cfg.seed)
     train = [r for r in records if r.split == "train"]
-    val_records = _val_subset(records, "val", cfg.val_exams, cfg.seed)
+    val_records = _val_subset(records, cfg.val_exams, cfg.seed)
     val_y = np.array([r.birads for r in val_records])
     log_rows = []
 
@@ -394,22 +395,21 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
 # ---------------------------------------------------------------------------
 # inference
 
-def predict_tta(net, record, data_dir, rng, channels=1, heatmap_dir=None,
-                n=10, max_offset=8):
+def predict_tta(net, record, data_dir, rng, channels, heatmap_dir, n,
+                max_offset):
     """Mean probability over n jittered forward passes of one exam."""
     if n < 1:
         raise ValueError("tta needs n >= 1")
     net.eval()
-    views = prepare_views(record, data_dir, channels, heatmap_dir,
-                          rng=rng if max_offset > 0 else None,
-                          max_offset=max_offset, copies=n)
+    views = prepare_views(record, data_dir, channels, heatmap_dir, rng,
+                          max_offset, copies=n)
     tensors = {v: T.Tensor(views[v]) for v in VIEW_ORDER}
     probs = net(tensors)
     return probs.data.mean(axis=0)
 
 
-def ensemble_predict(nets, record, data_dir, seed, channels=1,
-                     heatmap_dir=None, n=10, max_offset=8):
+def ensemble_predict(nets, record, data_dir, seed, channels, heatmap_dir, n,
+                     max_offset):
     """Arithmetic mean of the members' TTA predictions."""
     if not nets:
         raise ValueError("an ensemble needs at least one member")

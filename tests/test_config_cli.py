@@ -662,3 +662,26 @@ def test_truncated_heatmap_exits_1(pipeline, tmp_path, capsys):
                  "--seed", "5", "--heatmaps", str(heatmaps), *sets()]) == 1
     err = capsys.readouterr().err
     assert str(victim) in err and "truncated" in err and "at byte 16" in err
+
+
+def test_failed_stage_removes_only_an_out_dir_it_made(pipeline, tmp_path,
+                                                      capsys):
+    """predict on a split with no exams fails after the output directory
+    is made: a directory the run made goes, one that was there stays."""
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = (pipeline["data"] / "manifest.csv").read_text().splitlines()
+    split = lines[0].split(",").index("split")
+    (data / "manifest.csv").write_text("".join(
+        f"{line}\n" for line in lines if line.split(",")[split] != "test"))
+    argv = ["predict", "--data", str(data), "--run", str(pipeline["cancer"]),
+            "--seed", "5", *sets()]
+    made = tmp_path / "pred"
+    assert main([*argv, "--out", str(made)]) == 1
+    assert "no exams in split 'test'" in capsys.readouterr().err
+    assert not made.exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "note.txt").write_text("mine")
+    assert main([*argv, "--out", str(kept), "--force"]) == 1
+    assert [p.name for p in kept.iterdir()] == ["note.txt"]

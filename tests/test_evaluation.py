@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from mscope.evaluation import (MetricError, PredictionRecord, biopsy_score,
                                hybrid_scores, hybrid_sweep,
                                malignant_vs_benign_score, pr_auc,
-                               pr_curve_points, read_predictions, roc_auc,
-                               roc_curve_points,
+                               pr_curve_points, read_predictions,
+                               reader_study_draw, roc_auc, roc_curve_points,
                                simulate_readers, subpopulation,
                                write_predictions)
 from mscope.phantom import ExamRecord, VIEWS
@@ -232,10 +232,10 @@ def test_reader_study_counts():
     records = [make_record(i, benign=(1, 0)) for i in range(10)] + \
         [make_record(100 + i) for i in range(20)]
     rng = substream(4, "rs")
-    ids = subpopulation(records, "reader_study", rng, reader_counts=(6, 8))
+    ids = reader_study_draw(records, rng, 6, 8)
     assert len(ids) == 2 * (6 + 8)
     with pytest.raises(MetricError):
-        subpopulation(records, "reader_study", rng, reader_counts=(11, 8))
+        reader_study_draw(records, rng, 11, 8)
 
 
 def test_by_attribute_partitions():

@@ -11,7 +11,7 @@ from mscope.patches import PatchNet
 
 
 def test_identity_kernel_conv_is_identity():
-    conv = Conv2d(1, 1, 1, stride=1, padding=0)
+    conv = Conv2d(1, 1, 1, stride=1, padding=0, rng=np.random.default_rng(0))
     conv.weight.data = np.ones((1, 1, 1, 1), dtype=np.float32)
     rng = np.random.default_rng(0)
     x = T.Tensor(rng.standard_normal((1, 9, 7, 1)).astype(np.float32))
@@ -23,8 +23,8 @@ def test_conv_weight_is_the_oihw_draw_transposed():
     """The weight is stored (kh, kw, Cin, Cout) but drawn in (Cout, Cin,
     kh, kw) order, so a seed gives the same initial values in either
     layout."""
-    w = Conv2d(3, 5, 3, rng=np.random.default_rng(4)).weight.data
-    drawn = he_normal(np.random.default_rng(4), (5, 3, 3, 3), 27, np.float32)
+    w = Conv2d(3, 5, 3, stride=1, rng=np.random.default_rng(4)).weight.data
+    drawn = he_normal(np.random.default_rng(4), (5, 3, 3, 3), 27)
     assert w.flags.c_contiguous
     np.testing.assert_array_equal(w, drawn.transpose(2, 3, 1, 0))
 
@@ -33,7 +33,8 @@ def test_fullscale_stem_shape():
     # 7x7 stride-2 pad-3 stem on a full-scale CC image
     assert (T.conv2d_shape(2677, 7, 2, 3), T.conv2d_shape(1942, 7, 2, 3)) \
         == (1339, 971)
-    stem = Conv2d(1, 16, 7, stride=2, padding=3)
+    stem = Conv2d(1, 16, 7, stride=2, padding=3,
+                  rng=np.random.default_rng(0))
     out = stem(T.Tensor(np.zeros((1, 2677, 1942, 1), dtype=np.float32)))
     assert out.shape == (1, 1339, 971, 16)
 
@@ -62,7 +63,7 @@ def test_batchnorm_train_vs_eval():
 
 
 def test_layer_forward_nan_detected():
-    conv = Conv2d(1, 1, 1)
+    conv = Conv2d(1, 1, 1, stride=1, rng=np.random.default_rng(0))
     conv.weight.data = np.ones((1, 1, 1, 1), dtype=np.float32)
     x = T.Tensor(np.array([[[[np.inf]]]], dtype=np.float32))
     with pytest.raises(T.NumericsError):
@@ -73,12 +74,12 @@ def test_channel_mismatch_rejected():
     x = T.Tensor(np.zeros((1, 4, 4, 2), dtype=np.float32))
     w = T.Tensor(np.zeros((1, 1, 3, 1), dtype=np.float32))
     with pytest.raises(ValueError):
-        T.conv2d(x, w)
+        T.conv2d(x, w, stride=1, padding=0)
 
 
 def test_maxpool_values():
     x = T.Tensor(np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1))
-    mp = T.maxpool2d(x, 2)
+    mp = T.maxpool2d(x)
     np.testing.assert_array_equal(mp.data[0, :, :, 0], [[5, 7], [13, 15]])
 
 
@@ -102,12 +103,13 @@ def _argmax_maxpool(xd, g, k):
 
 @pytest.mark.parametrize("k,shape", [(2, (2, 3, 8, 6)), (2, (1, 2, 7, 9)),
                                      (3, (2, 1, 9, 7))])
-def test_maxpool_matches_argmax_rule_on_ties(k, shape):
+def test_maxpool_matches_argmax_rule_on_ties(k, shape, monkeypatch):
     # few distinct values, so most windows hold tied maxima
+    monkeypatch.setattr(T, "POOL", k)
     rng = np.random.default_rng(k + shape[2])
     xd = rng.integers(-2, 3, size=shape).astype(np.float32)
     x = T.Tensor(xd.transpose(0, 2, 3, 1), requires_grad=True)
-    out = T.maxpool2d(x, k)
+    out = T.maxpool2d(x)
     g = rng.standard_normal(out.shape).astype(np.float32)
     T.sum_all(T.mul(out, g)).backward()
     y_ref, dx_ref = _argmax_maxpool(xd, g.transpose(0, 3, 1, 2), k)
@@ -151,7 +153,8 @@ def test_folded_eval_matches_batchnorm_patchnet(monkeypatch):
 
 def test_folded_eval_matches_batchnorm_multiview(monkeypatch):
     rng = np.random.default_rng(5)
-    net = MultiViewNet(variant="view_wise", seed=2)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=2)
 
     def views(n):
         return {v: T.Tensor(rng.uniform(0, 1, (n, 64, 48, 1))
@@ -184,7 +187,7 @@ def test_state_dict_roundtrip():
 
 
 def test_load_state_shape_mismatch():
-    net = Linear(3, 2)
+    net = Linear(3, 2, rng=np.random.default_rng(0))
     bad = {k: np.zeros((5, 5), dtype=np.float32) for k, _ in net.named_parameters()}
     with pytest.raises(StateDictError, match="'weight'"):
         net.load_state_dict(bad)
@@ -205,7 +208,7 @@ def test_load_state_names_first_key_at_fault():
 def test_collect_gradients_rejects_eval_mode_loss():
     # an eval-mode forward records no graph; training on it would get
     # all-zero gradients
-    lin = Linear(3, 2).eval()
+    lin = Linear(3, 2, rng=np.random.default_rng(0)).eval()
     x = T.Tensor(np.ones((4, 3), dtype=np.float32))
     loss = binary_cross_entropy(T.sigmoid(lin(x)), np.ones((4, 2)))
     with pytest.raises(T.GraphError):

@@ -47,7 +47,8 @@ def test_shape_audit_reproduces_reference_table():
 
 
 def test_column_output_is_256_vector():
-    net = MultiViewNet(seed=1).eval()
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=1).eval()
     x = T.Tensor(np.random.default_rng(0).uniform(0, 1, (2,) + TINY_CC + (1,))
                  .astype(np.float32))
     out = net.cc_column(x)
@@ -55,14 +56,16 @@ def test_column_output_is_256_vector():
 
 
 def test_columns_shared_between_sides():
-    net = MultiViewNet(seed=0)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=0)
     assert net.column_for("lcc") is net.column_for("rcc")
     assert net.column_for("lmlo") is net.column_for("rmlo")
     assert net.column_for("lcc") is not net.column_for("lmlo")
 
 
 def test_mirrored_input_same_vector():
-    net = MultiViewNet(seed=2).eval()
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=2).eval()
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, (1,) + TINY_CC + (1,)).astype(np.float32)
     mirrored = x[:, :, ::-1]
@@ -72,7 +75,8 @@ def test_mirrored_input_same_vector():
 
 
 def test_all_zero_input_finite():
-    net = MultiViewNet(seed=4).eval()
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=4).eval()
     views = {v: T.Tensor(np.zeros((1,) + (TINY_MLO if v.endswith("mlo")
                                           else TINY_CC) + (1,), dtype=np.float32))
              for v in VIEW_ORDER}
@@ -82,7 +86,8 @@ def test_all_zero_input_finite():
 
 @pytest.mark.parametrize("variant", FUSION_VARIANTS)
 def test_outputs_are_probabilities(variant):
-    net = MultiViewNet(variant=variant, seed=5).eval()
+    net = MultiViewNet(variant=variant, input_channels=1, task="cancer",
+                       seed=5).eval()
     out = net(random_views(np.random.default_rng(6), n=3)).data
     assert out.shape == (3, 4)
     assert (out > 0).all() and (out < 1).all()
@@ -90,13 +95,15 @@ def test_outputs_are_probabilities(variant):
 
 @pytest.mark.parametrize("variant", FUSION_VARIANTS)
 def test_hidden_budget_is_1024(variant):
-    net = MultiViewNet(variant=variant, seed=0)
+    net = MultiViewNet(variant=variant, input_channels=1, task="cancer",
+                       seed=0)
     total_hidden = sum(h.fc1.weight.data.shape[0] for h in net.heads.values())
     assert total_hidden == 1024
 
 
 def test_view_wise_final_is_branch_mean():
-    net = MultiViewNet(variant="view_wise", seed=7).eval()
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=7).eval()
     rng = np.random.default_rng(8)
     vecs = {v: rng.standard_normal((2, 256)).astype(np.float32)
             for v in VIEW_ORDER}
@@ -122,7 +129,8 @@ def _constant_head(head, probs):
 
 
 def test_image_wise_breast_mean_and_order():
-    net = MultiViewNet(variant="image_wise", seed=9).eval()
+    net = MultiViewNet(variant="image_wise", input_channels=1, task="cancer",
+                       seed=9).eval()
     _constant_head(net.heads["lcc"], [0.9, 0.2])   # (benign, malignant)
     _constant_head(net.heads["lmlo"], [0.1, 0.6])
     _constant_head(net.heads["rcc"], [0.3, 0.8])
@@ -132,7 +140,8 @@ def test_image_wise_breast_mean_and_order():
 
 
 def test_breast_wise_order():
-    net = MultiViewNet(variant="breast_wise", seed=11).eval()
+    net = MultiViewNet(variant="breast_wise", input_channels=1, task="cancer",
+                       seed=11).eval()
     _constant_head(net.heads["left"], [0.2, 0.9])
     _constant_head(net.heads["right"], [0.6, 0.1])
     out = net(random_views(np.random.default_rng(12))).data[0]
@@ -142,7 +151,9 @@ def test_breast_wise_order():
 def test_parameter_counts():
     """The 3-channel model differs from the 1-channel one only in the stem
     kernel: 2 extra channels x 16 filters x 49 taps x 2 columns."""
-    c1, c3 = (sum(p.data.size for p in MultiViewNet(input_channels=c,
+    c1, c3 = (sum(p.data.size for p in MultiViewNet(variant="view_wise",
+                                                    input_channels=c,
+                                                    task="cancer",
                                                     seed=0).parameters())
               for c in (1, 3))
     assert c3 - c1 == 3136
@@ -150,12 +161,13 @@ def test_parameter_counts():
 
 
 def test_birads_variant_softmax_head():
-    net = MultiViewNet(task="birads", seed=13).eval()
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="birads",
+                       seed=13).eval()
     out = net(random_views(np.random.default_rng(14))).data
     assert out.shape == (1, 3)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
     with pytest.raises(ValueError):
-        MultiViewNet(task="birads", variant="joint")
+        MultiViewNet(variant="joint", input_channels=1, task="birads")
 
 
 # -- the NHWC column against the NCHW arithmetic it replaced --
@@ -173,7 +185,7 @@ def _conv2d_nchw(x, w, stride=1, padding=0, bias=None):
     xc[:, padding:padding + h, padding:padding + wdt] = \
         x.data.transpose(0, 2, 3, 1)
     wmat = w.data.reshape(kh * kw * c, cout)
-    cols = T._windows(xc, kh, kw, stride, stride).reshape(n * ho * wo, -1)
+    cols = T._windows(xc, kh, kw, stride).reshape(n * ho * wo, -1)
     y = (cols @ wmat).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def bwd(g):
@@ -253,9 +265,11 @@ def test_train_column_matches_nchw_reference(monkeypatch):
 # -- transfer --
 
 def test_transfer_identity_when_single_channel():
-    src = MultiViewNet(input_channels=1, task="birads", seed=15)
+    src = MultiViewNet(variant="view_wise", input_channels=1, task="birads",
+                       seed=15)
     state = src.state_dict()
-    dst = transfer_from_pretrained(state, input_channels=1, seed=16)
+    dst = transfer_from_pretrained(state, variant="view_wise",
+                                   input_channels=1, seed=16)
     src_cols = {k: v for k, v in src.state_dict().items()
                 if k.startswith(("cc_column.", "mlo_column."))}
     dst_all = dst.state_dict()
@@ -265,9 +279,10 @@ def test_transfer_identity_when_single_channel():
 
 def test_transfer_duplicated_stem_matches_source_on_padded_input():
     rng = np.random.default_rng(17)
-    src = MultiViewNet(input_channels=1, task="birads", seed=18).eval()
-    dst = transfer_from_pretrained(src.state_dict(), input_channels=3,
-                                   seed=19)
+    src = MultiViewNet(variant="view_wise", input_channels=1, task="birads",
+                       seed=18).eval()
+    dst = transfer_from_pretrained(src.state_dict(), variant="view_wise",
+                                   input_channels=3, seed=19)
     dst.eval()
     img = rng.uniform(0, 1, (1,) + TINY_CC + (1,)).astype(np.float32)
     padded = np.concatenate([img, np.zeros_like(img), np.zeros_like(img)],
@@ -278,9 +293,12 @@ def test_transfer_duplicated_stem_matches_source_on_padded_input():
 
 
 def test_transfer_head_seeds_differ_columns_match():
-    src = MultiViewNet(input_channels=1, task="birads", seed=20)
-    d1 = transfer_from_pretrained(src.state_dict(), seed=21)
-    d2 = transfer_from_pretrained(src.state_dict(), seed=22)
+    src = MultiViewNet(variant="view_wise", input_channels=1, task="birads",
+                       seed=20)
+    d1 = transfer_from_pretrained(src.state_dict(), variant="view_wise",
+                                  input_channels=1, seed=21)
+    d2 = transfer_from_pretrained(src.state_dict(), variant="view_wise",
+                                  input_channels=1, seed=22)
     s1, s2 = d1.state_dict(), d2.state_dict()
     for k in s1:
         if k.startswith(("cc_column.", "mlo_column.")):
@@ -290,19 +308,22 @@ def test_transfer_head_seeds_differ_columns_match():
 
 
 def test_transfer_architecture_mismatch_rejected():
-    src = MultiViewNet(input_channels=1, seed=23)
+    src = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=23)
     state = src.state_dict()
     bad = {k: (v if not k.endswith("blocks.0.conv1.weight")
                else np.zeros((5, 5, 5, 5), dtype=np.float32))
            for k, v in state.items()}
     with pytest.raises(ValueError):
-        transfer_from_pretrained(bad, input_channels=1, seed=0)
+        transfer_from_pretrained(bad, variant="view_wise", input_channels=1,
+                                 seed=0)
 
 
 # -- eval mode records no graph --
 
 def test_eval_output_has_no_graph():
-    net = MultiViewNet(seed=27)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=27)
     views = random_views(np.random.default_rng(28), n=2)
     assert net(views)._backward is not None
     out = net.eval()(views)
@@ -326,7 +347,8 @@ def test_eval_column_forward_retains_under_1mb():
 
 
 def test_eval_output_equals_graph_recording_forward():
-    net = MultiViewNet(variant="joint", seed=31).eval()
+    net = MultiViewNet(variant="joint", input_channels=1, task="cancer",
+                       seed=31).eval()
     views = random_views(np.random.default_rng(32), n=2)
     plain = net(views)
     for p in net.parameters():
@@ -345,8 +367,10 @@ def test_gradients_unchanged_by_eval_train_round_trip():
         return T.collect_gradients(binary_cross_entropy(net(views), y),
                                    net.parameters())
 
-    stayed = MultiViewNet(seed=34)
-    left = MultiViewNet(seed=34).eval()
+    stayed = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                          seed=34)
+    left = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                        seed=34).eval()
     left(views)
     for a, b in zip(gradients(stayed), gradients(left)):
         np.testing.assert_array_equal(a, b)
@@ -362,7 +386,8 @@ def test_second_train_step_holds_no_first_graph():
     y = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=np.float32)
 
     def peak(steps):
-        net = MultiViewNet(variant="view_wise", seed=36)
+        net = MultiViewNet(variant="view_wise", input_channels=1,
+                           task="cancer", seed=36)
         params = net.parameters()
         tracemalloc.start()
         try:

@@ -9,7 +9,7 @@ from mscope.optim import (AdamState, adam_step, binary_cross_entropy,
 
 def test_adam_zero_grads_no_decay_leaves_params():
     p = Parameter(np.array([1.0, -2.0], dtype=np.float32))
-    state = AdamState(lr=0.1)
+    state = AdamState(lr=0.1, weight_decay=0.0)
     adam_step([p], [np.zeros(2, dtype=np.float32)], state)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
     assert state.t == 1
@@ -18,7 +18,7 @@ def test_adam_zero_grads_no_decay_leaves_params():
 def test_adam_first_step_hand_trace():
     # p=1, g=1, lr=0.1: bias-corrected first step moves by lr/(1+eps)
     p = Parameter(np.array([1.0]))
-    state = AdamState(lr=0.1)
+    state = AdamState(lr=0.1, weight_decay=0.0)
     adam_step([p], [np.array([1.0])], state)
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
     np.testing.assert_allclose(p.data, [expected], atol=1e-7)
@@ -36,7 +36,7 @@ def test_adam_pure_weight_decay_shrinks_toward_zero():
 
 def test_adam_counts_steps():
     p = Parameter(np.zeros(2))
-    state = AdamState(lr=0.01)
+    state = AdamState(lr=0.01, weight_decay=0.0)
     for expected_t in range(1, 6):
         adam_step([p], [np.ones(2)], state)
         assert state.t == expected_t
@@ -45,13 +45,14 @@ def test_adam_counts_steps():
 def test_adam_rejects_shape_mismatch():
     p = Parameter(np.zeros(2))
     with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(3)], AdamState())
+        adam_step([p], [np.zeros(3)], AdamState(lr=1e-5, weight_decay=0.0))
 
 
 def test_adam_rejects_nonfinite_grads():
     p = Parameter(np.zeros(2))
     with pytest.raises(T.NumericsError):
-        adam_step([p], [np.array([np.nan, 0.0])], AdamState())
+        adam_step([p], [np.array([np.nan, 0.0])],
+                  AdamState(lr=1e-5, weight_decay=0.0))
 
 
 def test_weighted_ce_uniform_logits():

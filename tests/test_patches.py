@@ -75,7 +75,8 @@ def test_corner_window_rejected():
                 return 0.0  # center at the image corner
             return lo if hi is None else lo
 
-    sample, reason = sample_patch(img, {}, Fixed(), cfg, "negative")
+    sample, reason = sample_patch(img, {}, Fixed(), cfg, "negative",
+                                  source_id="")
     assert sample is None and reason == "outside_image"
 
 
@@ -85,7 +86,8 @@ def test_all_zero_window_rejected():
     rng = substream(3, "zero")
     rejected = 0
     for _ in range(50):
-        sample, reason = sample_patch(img, {}, rng, cfg, "negative")
+        sample, reason = sample_patch(img, {}, rng, cfg, "negative",
+                                      source_id="")
         assert sample is None
         if reason == "all_zero":
             rejected += 1
@@ -109,7 +111,8 @@ def test_overlap_classes_against_bruteforce():
     draw_rng = substream(7, "overlap")
     checked = 0
     while checked < 1000:
-        sample, reason = sample_patch(img, points, draw_rng, cfg, "segmented")
+        sample, reason = sample_patch(img, points, draw_rng, cfg, "segmented",
+                                      source_id="")
         if reason == "outside_image":
             continue
         checked += 1
@@ -146,7 +149,7 @@ def test_side_distribution_uniform():
     rng = substream(5, "ks")
     sides = []
     while len(sides) < 10000:
-        sample, _ = sample_patch(img, {}, rng, cfg, "negative")
+        sample, _ = sample_patch(img, {}, rng, cfg, "negative", source_id="")
         if sample is not None:
             sides.append(sample.side)
     sides = np.sort(sides)
@@ -237,7 +240,7 @@ def separable_pools(rng, size=16, n=60):
 
 def test_checkpoint_cadence(tmp_path):
     pools = separable_pools(np.random.default_rng(0), n=10)
-    cfg = PatchTrainConfig(epochs=10, save_every=2, batch_size=20,
+    cfg = PatchTrainConfig(epochs=10, save_every=2, batch_size=20, lr=3e-4,
                            plan_counts=(5, 5, 5, 5), seed=1)
     ckpts, history = train_patch_classifier(pools, tmp_path, cfg,
                                             patch_size=16, log=lambda *_: None)
@@ -247,7 +250,7 @@ def test_checkpoint_cadence(tmp_path):
 
 def test_checkpoint_cadence_with_remainder(tmp_path):
     pools = separable_pools(np.random.default_rng(0), n=10)
-    cfg = PatchTrainConfig(epochs=5, save_every=2, batch_size=20,
+    cfg = PatchTrainConfig(epochs=5, save_every=2, batch_size=20, lr=3e-4,
                            plan_counts=(5, 5, 5, 5), seed=1)
     ckpts, _ = train_patch_classifier(pools, tmp_path, cfg, patch_size=16,
                                       log=lambda *_: None)
@@ -287,7 +290,7 @@ def test_lr_zero_keeps_parameters(tmp_path):
 def test_divergence_keeps_last_completed_epoch(tmp_path, monkeypatch):
     from mscope import patches
     pools = separable_pools(np.random.default_rng(5), n=10)
-    cfg = PatchTrainConfig(epochs=3, save_every=2, batch_size=20,
+    cfg = PatchTrainConfig(epochs=3, save_every=2, batch_size=20, lr=3e-4,
                            plan_counts=(5, 5, 5, 5), seed=4)
     real_build = patches.build_epoch
     built = []
@@ -309,7 +312,7 @@ def test_divergence_keeps_last_completed_epoch(tmp_path, monkeypatch):
 
     # the saved state is the one a clean one-epoch run ends with
     monkeypatch.undo()
-    one = PatchTrainConfig(epochs=1, save_every=1, batch_size=20,
+    one = PatchTrainConfig(epochs=1, save_every=1, batch_size=20, lr=3e-4,
                            plan_counts=(5, 5, 5, 5), seed=4)
     ref, _ = train_patch_classifier(pools, tmp_path / "ref", one,
                                     patch_size=16, log=lambda *_: None)

@@ -1,11 +1,13 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mscope.config import resolve
 from mscope.pgm import read_pgm
-from mscope.phantom import (BreastSpec, DatasetConfig, ExamSpec, GeneratorError,
+from mscope.phantom import (BreastSpec, ExamSpec, GeneratorError,
                             LesionSpec, VIEWS, assign_birads, build_population,
                             generate_dataset, load_manifest, load_mask,
                             mask_path, render_exam)
@@ -13,6 +15,7 @@ from mscope.seeding import substream
 
 TINY_CC = (64, 48)
 TINY_MLO = (72, 44)
+DESK = resolve().dataset_config()
 
 
 def tiny_config(**kw):
@@ -20,14 +23,14 @@ def tiny_config(**kw):
                 biopsied_fraction=0.25, malignant_fraction=0.5,
                 occult_fraction=0.2, split_fractions=(0.5, 0.25, 0.25))
     base.update(kw)
-    return DatasetConfig(**base)
+    return replace(DESK, **base)
 
 
 def exam_spec(left=None, right=None, density="scattered", seed=9):
     return ExamSpec(exam_id="e00000", patient_id="p00000", split="train",
                     age_band="50s", density=density,
                     left=left or BreastSpec(), right=right or BreastSpec(),
-                    seed=seed)
+                    seed=seed, density_coupling=0.2)
 
 
 def dataset_hash(root):
@@ -55,8 +58,8 @@ def test_generation_deterministic(tmp_path):
 
 
 def test_population_quotas():
-    cfg = DatasetConfig(exams=2000, biopsied_fraction=0.025,
-                        malignant_fraction=0.17, occult_fraction=0.328)
+    cfg = replace(DESK, exams=2000, biopsied_fraction=0.025,
+                  malignant_fraction=0.17, occult_fraction=0.328)
     specs = build_population(cfg, seed=7)
     assert len(specs) == 2000
     biopsied = [s for s in specs if s.left.biopsied or s.right.biopsied]
@@ -68,8 +71,8 @@ def test_population_quotas():
 
 
 def test_split_by_patient_and_ratios():
-    cfg = DatasetConfig(exams=400, multi_exam_fraction=0.3,
-                        split_fractions=(0.5, 0.25, 0.25))
+    cfg = replace(DESK, exams=400, multi_exam_fraction=0.3,
+                  split_fractions=(0.5, 0.25, 0.25))
     specs = build_population(cfg, seed=3)
     by_patient = {}
     counts = {"train": 0, "val": 0, "test": 0}
@@ -108,7 +111,8 @@ def test_render_right_mass_mask_consistency():
 
 def test_render_occult_has_no_masks():
     lesion = LesionSpec(kind="mass", malignancy="malignant",
-                        center=(0.4, 0.0), size_px=6.0, irregularity=0.7)
+                        center=(0.4, 0.0), size_px=6.0, irregularity=0.7,
+                        shape_seed=0)
     right = BreastSpec(malignant=1, biopsied=1, occult=1, lesions=[lesion])
     _, masks = render_exam(exam_spec(right=right), TINY_CC, TINY_MLO)
     assert masks == {}
@@ -127,7 +131,8 @@ def test_render_deterministic():
 
 def test_lesion_support_inside_breast():
     lesion = LesionSpec(kind="mass", malignancy="benign",
-                        center=(0.6, 0.3), size_px=7.0, irregularity=0.2)
+                        center=(0.6, 0.3), size_px=7.0, irregularity=0.2,
+                        shape_seed=0)
     right = BreastSpec(benign=1, biopsied=1, lesions=[lesion])
     images, masks = render_exam(exam_spec(right=right), TINY_CC, TINY_MLO)
     for (view, _), m in masks.items():

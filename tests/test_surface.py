@@ -1,21 +1,32 @@
-"""Guards: no surface that only tests reach.
+"""Guards: no surface that only tests reach, and no input that is a
+constant in disguise.
 
 Every public top-level ``def`` or ``class`` in ``src/mscope`` must be
 referenced, by name or as an attribute, somewhere in ``src/mscope`` outside
 its own definition. Imports do not count as references.
 
-Every defaulted parameter of a function and every defaulted field of a
-dataclass (or ``NamedTuple``) in ``src/mscope`` must be set somewhere in
-``src/mscope`` or ``perfbench/*.py``; a default that no caller overrides is
-a constant in disguise. A call sets a parameter by keyword, by a positional
-argument at or beyond its index, or by a ``*``/``**`` splat. Calls are
-matched by the callee's last name (``f(...)``, ``mod.f(...)``,
-``obj.f(...)``; a class name stands for its ``__init__`` or its fields), and
-``super().__init__(...)`` in a subclass is a call of its bases. An
-attribute assignment (``b.biopsied = 1``) sets every dataclass field of
-that name; ``self.name = ...`` does so only inside the class itself.
+The inputs of every function and of every dataclass (or ``NamedTuple``)
+in ``src/mscope`` are checked against the calls in ``src/mscope`` and
+``perfbench/*.py``; tests are not callers. A call passes an input by
+keyword or by a positional argument at its index. A ``*``/``**`` splat
+may pass any input the call does not name, so it both sets a default and
+relies on it. Calls are matched by the callee's last name (``f(...)``,
+``mod.f(...)``, ``obj.f(...)``; a class name stands for its ``__init__``
+or its fields), and ``super().__init__(...)`` in a subclass is a call of
+its bases. Four rules:
 
-The exceptions below carry the reason each one stays.
+- **unset**: a default that no call sets. An attribute assignment
+  (``b.biopsied = 1``) sets every dataclass field of that name;
+  ``self.name = ...`` does so only inside the class itself.
+- **dead**: a default that every call sets, so no call relies on it.
+- **constant**: a required input that every call passes the same
+  constant: a literal, an UPPER_CASE name, or a dotted name on an
+  imported module such as ``np.float32``.
+- **equal**: two inputs that every call passes the same expression.
+
+Each finding is a constant in disguise, or a default that copies a value
+whose home is elsewhere (``config.KEYS``). The exceptions below carry the
+reason each one stays.
 """
 
 import ast
@@ -39,6 +50,14 @@ ALLOWED_KNOBS = {
         "progress hook, replaced by the run ledger's event sink",
     ("training", "pretrain_birads", "log"):
         "progress hook, replaced by the run ledger's event sink",
+}
+
+# (module, callable, input or pair of inputs) -> why every call may pass
+# it the same constant or expression
+ALLOWED_ARGUMENTS = {
+    ("tensor", "_consumed", "g"):
+        "the closure of a consumed node: backward calls it with no "
+        "gradient only to raise, and it keeps a closure's signature",
 }
 
 
@@ -99,9 +118,10 @@ def _is_record_class(node):
 
 def _knobs(tree, module):
     """Every callable and record class of ``tree``, as (module, name,
-    key, inputs, defaulted, record): ``key`` is the name a call uses,
-    ``inputs`` the positional order, ``defaulted`` the inputs with a
-    default, and ``record`` whether they are a record's fields."""
+    key, inputs, positional, defaulted, record): ``key`` is the name a
+    call uses, ``inputs`` its inputs, the first ``positional`` of them in
+    positional order, ``defaulted`` the inputs with a default, and
+    ``record`` whether they are a record's fields."""
     out = []
 
     def visit(node, owner):
@@ -112,7 +132,7 @@ def _knobs(tree, module):
                               if isinstance(s, ast.AnnAssign)
                               and isinstance(s.target, ast.Name)]
                     out.append((module, child.name, child.name,
-                                [f.target.id for f in fields],
+                                [f.target.id for f in fields], len(fields),
                                 {f.target.id for f in fields
                                  if f.value is not None}, True))
                 visit(child, child)
@@ -132,7 +152,8 @@ def _knobs(tree, module):
                             child.name if owner is None
                             else f"{owner.name}.{child.name}",
                             owner.name if init else child.name,
-                            pos, defaulted, False))
+                            pos + [k.arg for k in a.kwonlyargs], len(pos),
+                            defaulted, False))
                 visit(child, None)
             else:
                 visit(child, owner)
@@ -141,18 +162,40 @@ def _knobs(tree, module):
     return out
 
 
+def _argument(node, imported):
+    """(source form, whether it is a constant) of an argument: a literal,
+    an UPPER_CASE name, or a dotted name on an imported module is one."""
+    try:
+        ast.literal_eval(node)
+        constant = True
+    except ValueError:
+        root = node
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        constant = isinstance(node, ast.Name) and node.id.isupper() or \
+            node is not root and isinstance(root, ast.Name) and \
+            root.id in imported
+    return ast.unparse(node), constant
+
+
 def _settings(trees):
-    """What the callers set: {call key: [(positional count, keywords)]},
-    where a count or keywords of None stands for a splat, and the
-    attribute names assigned, as {class name: names} for ``self.name``
-    assignments in a class and {None: names} for the others."""
+    """What the callers pass: {call key: [(args, keywords, splat)]}, with
+    ``args`` the positional arguments before any ``*`` splat, ``keywords``
+    the named ones by name, each an ``_argument``, and ``splat`` whether
+    the call has a ``*`` or ``**`` splat; and the attribute names
+    assigned, as {class name: names} for ``self.name`` assignments in a
+    class and {None: names} for the others."""
     calls, assigned = {}, {}
     for tree in trees:
         owner = {}                               # node -> enclosing class
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef):
-                for sub in ast.walk(cls):
-                    owner[id(sub)] = cls
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for sub in ast.walk(node):
+                    owner[id(sub)] = node
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
@@ -172,55 +215,103 @@ def _settings(trees):
                 keys = [_last_name(b) for b in owner[id(node)].bases]
             else:
                 keys = [_last_name(f)]
-            npos = None if any(isinstance(a, ast.Starred)
-                               for a in node.args) else len(node.args)
-            kws = None if any(k.arg is None for k in node.keywords) \
-                else {k.arg for k in node.keywords}
+            args = []
+            for a in node.args:
+                if isinstance(a, ast.Starred):
+                    break
+                args.append(_argument(a, imported))
+            keywords = {k.arg: _argument(k.value, imported)
+                        for k in node.keywords if k.arg is not None}
+            splat = len(args) < len(node.args) or \
+                len(keywords) < len(node.keywords)
             for key in keys:
-                calls.setdefault(key, []).append((npos, kws))
+                calls.setdefault(key, []).append((args, keywords, splat))
     return calls, assigned
 
 
+RULES = {
+    "unset": "defaulted but never set; make each a constant",
+    "dead": "a default that every call sets; drop the default",
+    "constant": "every call passes the same constant; make it one",
+    "equal": "every call passes the same expression to both; merge them",
+}
+
+
 def _knob_scan(sources=None, callers=None):
-    """(every defaulted input, the ones nothing sets), each a list of
-    (module, callable, input). ``sources`` maps module names to the code
-    scanned for knobs (default ``src/mscope``); ``callers`` is the code
-    searched for setters (default ``src/mscope`` and ``perfbench``)."""
+    """(every defaulted input, {rule: findings}): each a list of (module,
+    callable, input), an ``equal`` finding naming a pair of inputs.
+    ``sources`` maps module names to the code scanned for knobs (default
+    ``src/mscope``); ``callers`` is the code searched for calls (default
+    ``src/mscope`` and ``perfbench``)."""
     if sources is None:
         sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     if callers is None:
         callers = [p.read_text() for p in CALLERS]
     calls, assigned = _settings([ast.parse(c) for c in callers])
-    every, unset = [], []
+    every, found = [], {rule: [] for rule in RULES}
     for module, text in sources.items():
-        for _, name, key, inputs, defaulted, record in \
+        for _, name, key, inputs, positional, defaulted, record in \
                 _knobs(ast.parse(text), module):
-            for knob in sorted(defaulted):
-                every.append((module, name, knob))
-                # keyword-only inputs are out of positional reach
-                index = inputs.index(knob) if knob in inputs else None
-                if record and (knob in assigned.get(None, ()) or
-                               knob in assigned.get(name, ())):
+            # what each call passes to each input, by name; a splat
+            # may pass any input it does not name
+            passed = []
+            for args, keywords, splat in calls.get(key, ()):
+                given = dict(zip(inputs[:positional], args))
+                given.update((k, v) for k, v in keywords.items()
+                             if k in inputs)
+                passed.append((given, splat))
+            for knob in inputs:
+                forms = {given[knob] for given, _ in passed
+                         if knob in given}
+                everywhere = bool(passed) and \
+                    all(knob in given for given, _ in passed)
+                if knob not in defaulted:
+                    if everywhere and len(forms) == 1 and \
+                            next(iter(forms))[1]:
+                        found["constant"].append((module, name, knob))
                     continue
-                if not any(npos is None or kws is None or knob in kws or
-                           (index is not None and npos > index)
-                           for npos, kws in calls.get(key, ())):
-                    unset.append((module, name, knob))
-    return every, unset
+                every.append((module, name, knob))
+                if everywhere:
+                    found["dead"].append((module, name, knob))
+                elif not forms and not any(s for _, s in passed) and \
+                        not (record and (knob in assigned.get(None, ()) or
+                                         knob in assigned.get(name, ()))):
+                    found["unset"].append((module, name, knob))
+            for i, a in enumerate(inputs):
+                for b in inputs[i + 1:]:
+                    if passed and all(a in given and b in given and
+                                      given[a][0] == given[b][0]
+                                      for given, _ in passed):
+                        found["equal"].append((module, name, (a, b)))
+    return every, found
 
 
 def test_every_knob_has_a_setter():
-    _, unset = _knob_scan()
-    stray = [k for k in unset if k not in ALLOWED_KNOBS]
-    assert not stray, ("defaulted but never set in src/mscope or "
-                       f"perfbench; make each a constant: {stray}")
+    _, found = _knob_scan()
+    stray = [k for k in found["unset"] if k not in ALLOWED_KNOBS]
+    assert not stray, f"{RULES['unset']}: {stray}"
 
 
 def test_knob_allowlist_is_current():
-    every, unset = _knob_scan()
+    every, found = _knob_scan()
     for knob in ALLOWED_KNOBS:
         assert knob in every, f"{knob} no longer exists; drop it here"
-        assert knob in unset, f"{knob} now has a setter; drop it here"
+        assert knob in found["unset"], \
+            f"{knob} now has a setter; drop it here"
+
+
+@pytest.mark.parametrize("rule", ["dead", "constant", "equal"])
+def test_every_input_varies(rule):
+    _, found = _knob_scan()
+    stray = [k for k in found[rule] if k not in ALLOWED_ARGUMENTS]
+    assert not stray, f"{RULES[rule]}: {stray}"
+
+
+def test_argument_allowlist_is_current():
+    _, found = _knob_scan()
+    for knob in ALLOWED_ARGUMENTS:
+        assert knob in found["constant"] + found["equal"], \
+            f"{knob} now varies; drop it here"
 
 
 EXTRA = """
@@ -228,6 +319,9 @@ from dataclasses import dataclass
 
 def scale(x, factor=2.0, *, bias=0.0):
     return x * factor + bias
+
+def span(lo, hi):
+    return hi - lo
 
 @dataclass
 class Spec:
@@ -241,16 +335,36 @@ class Base:
 class Child(Base):
     def __init__(self):
         super().__init__(flag=True)
+
+base = Base()
 """
 
+# neither sets nor relies on a default of ``scale`` or ``Spec`` for certain
+_NEUTRAL = "\nscale(*xs)\nSpec(**kw)"
 
-@pytest.mark.parametrize("caller, unset", [
-    ("scale(1)\nSpec(3)", {"factor", "bias", "margin"}),
-    ("scale(1, 3.0, bias=1.0)\nSpec(3, 2)", set()),
-    ("scale(*xs)\nscale(**kw)\nSpec(**kw)", set()),
-    ("scale(1, 3.0, 4.0)\ns = Spec(3)\ns.margin = 2", {"bias"}),
-], ids=["defaults", "positional-and-keyword", "splats", "assignment"])
-def test_knob_scan_finds_unset_defaults(caller, unset):
+
+@pytest.mark.parametrize("caller, expected", [
+    ("scale(a)\nSpec(n)", {"unset": {"factor", "bias", "margin"}}),
+    ("scale(a, 3.0, bias=1.0)\nscale(b)\nSpec(n, 2)\nSpec(m)", {}),
+    ("scale(*xs)\nscale(**kw)\nSpec(**kw)", {}),
+    ("scale(a, 3.0, 4.0)\nscale(b)\ns = Spec(n)\ns.margin = 2",
+     {"unset": {"bias"}}),
+    ("scale(a, 3.0)\nscale(b, 2.5, bias=c)\nSpec(n)\nSpec(m, 2)",
+     {"dead": {"factor"}}),
+    ("scale(a, 3.0)\nscale(b, **kw)\nSpec(n)\nSpec(m, 2)", {}),
+    ("span((0, -1), a)\nspan((0, -1), b)" + _NEUTRAL, {"constant": {"lo"}}),
+    ("span(LOW, a)\nspan(LOW, b)" + _NEUTRAL, {"constant": {"lo"}}),
+    ("import numpy as np\nspan(np.float32, a)\nspan(np.float32, b)" +
+     _NEUTRAL, {"constant": {"lo"}}),
+    ("span(0, a)\nspan(1, b)" + _NEUTRAL, {}),
+    ("span(cfg.lr, a)\nspan(cfg.lr, b)" + _NEUTRAL, {}),
+    ("span(a, a)\nspan(b.c, b.c)" + _NEUTRAL, {"equal": {("lo", "hi")}}),
+], ids=["defaults", "positional-and-keyword", "splats", "assignment",
+        "dead-default", "splat-keeps-default", "constant-argument",
+        "constant-name", "constant-module-name", "varying-argument",
+        "attribute-argument", "equal-pair"])
+def test_knob_scan_finds_unset_defaults(caller, expected):
     every, found = _knob_scan({"extra": EXTRA}, [EXTRA, caller])
     assert {k for _, _, k in every} == {"factor", "bias", "margin", "flag"}
-    assert {k for _, _, k in found} == unset
+    assert {rule: {k for _, _, k in found[rule]} for rule in RULES} == \
+        {rule: expected.get(rule, set()) for rule in RULES}

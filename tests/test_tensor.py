@@ -35,7 +35,7 @@ def _composite_net(seed):
         h = T.conv2d(Tx(), conv_w, stride=1, padding=1)
         h = T.batchnorm2d(h, gamma, beta, rmean.copy(), rvar.copy(), training=True)
         h = T.relu(h)
-        h = T.maxpool2d(h, 2)
+        h = T.maxpool2d(h)
         h = T.reshape(h, (2, -1))
         logits = T.linear(h, lin_w, lin_b)
         return weighted_batch_cross_entropy(logits, labels, weights)
@@ -110,7 +110,7 @@ def test_backward_frees_the_graph():
     w = Parameter(rng.standard_normal((3, 3, 2, 3)).astype(np.float32))
     gamma = Parameter(np.ones(3, dtype=np.float32))
     beta = Parameter(np.zeros(3, dtype=np.float32))
-    conv = T.conv2d(x, w, padding=1)
+    conv = T.conv2d(x, w, stride=1, padding=1)
     conv_out = weakref.ref(conv.data)
     h = T.relu(T.batchnorm2d(conv, gamma, beta, np.zeros(3), np.ones(3),
                              training=True))
@@ -192,7 +192,8 @@ def test_split_layers_keep_large_bands(monkeypatch):
     batches = (cfg["train.batch_size"], cfg["train.birads_batch_size"], 8,
                cfg["train.tta_samples"])
     for channels in (1, 3):
-        column = MultiViewNet(input_channels=channels).cc_column.eval()
+        column = MultiViewNet(variant="view_wise", input_channels=channels,
+                              task="cancer").cc_column.eval()
         for n in batches:
             for dims in views:
                 column(T.Tensor(np.zeros((n, *dims, channels), np.float32)))
@@ -334,7 +335,7 @@ def test_nonpositive_conv_extent_rejected():
     x = T.Tensor(np.zeros((1, 2, 2, 1), dtype=np.float32))
     w = T.Tensor(np.zeros((5, 5, 1, 1), dtype=np.float32))
     with pytest.raises(ValueError):
-        T.conv2d(x, w)
+        T.conv2d(x, w, stride=1, padding=0)
 
 
 def test_softmax_rows_are_distributions():
@@ -356,6 +357,6 @@ def test_concat_backward_splits():
 
 def test_check_finite_raises():
     with pytest.raises(T.NumericsError):
-        T.check_finite(np.array([1.0, np.nan]))
-    with pytest.raises(T.NumericsError):
-        T.check_finite(np.array([np.inf]))
+        T.check_finite(np.array([1.0, np.nan]), "test")
+    with pytest.raises(T.NumericsError, match="produced: test"):
+        T.check_finite(np.array([np.inf]), "test")

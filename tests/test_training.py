@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mscope.config import resolve
 from mscope.multiview import MultiViewNet
-from mscope.phantom import DatasetConfig, generate_dataset, load_manifest
+from mscope.phantom import generate_dataset, load_manifest
 from mscope.seeding import substream
 from mscope.training import (IMPROVEMENT_EPS, EarlyStopper, TrainRunConfig,
                              augment_window, birads_ovr_auc, ensemble_predict,
@@ -18,7 +21,8 @@ TINY = dict(cc_dims=(48, 36), mlo_dims=(56, 32), biopsied_fraction=0.5,
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("tinydata")
-    generate_dataset(DatasetConfig(exams=24, **TINY), seed=11, out_dir=root)
+    generate_dataset(replace(resolve().dataset_config(), exams=24, **TINY),
+                     seed=11, out_dir=root)
     return root, load_manifest(root / "manifest.csv")
 
 
@@ -85,7 +89,7 @@ def make_records(n_biopsied, n_clean):
 
 def test_subsample_equal_counts():
     recs = make_records(50, 1950)
-    ids = subsample_epoch(recs, substream(4, "sub"))
+    ids = subsample_epoch(recs, substream(4, "sub"), log=print)
     assert len(ids) == 100
     biopsied = {r.exam_id for r in recs if r.left_biopsied or r.right_biopsied}
     assert len([i for i in ids if i in biopsied]) == 50
@@ -94,16 +98,16 @@ def test_subsample_equal_counts():
 
 def test_subsample_fresh_each_epoch_reproducible():
     recs = make_records(10, 500)
-    a1 = subsample_epoch(recs, substream(5, "epoch", 1))
-    a2 = subsample_epoch(recs, substream(5, "epoch", 2))
-    b1 = subsample_epoch(recs, substream(5, "epoch", 1))
+    a1 = subsample_epoch(recs, substream(5, "epoch", 1), log=print)
+    a2 = subsample_epoch(recs, substream(5, "epoch", 2), log=print)
+    b1 = subsample_epoch(recs, substream(5, "epoch", 1), log=print)
     assert a1 == b1
     assert set(a1) != set(a2)
 
 
 def test_subsample_few_clean_warns(capsys):
     recs = make_records(8, 0)
-    ids = subsample_epoch(recs, substream(6, "sub"))
+    ids = subsample_epoch(recs, substream(6, "sub"), log=print)
     assert len(ids) == 8
     assert "warning" in capsys.readouterr().out
 
@@ -114,8 +118,9 @@ def test_cancer_trainer_sends_subsample_warning_to_log(tiny_dataset, capsys):
              and not (r.left_biopsied or r.right_biopsied)]
     records = [r for r in records if r not in clean[2:]]
     seen = []
-    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2, max_epochs=1,
-                         seed=35, max_offset=0)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, l2=10 ** -4.5, patience=2,
+                         max_epochs=1, seed=35, max_offset=0,
+                         variant="view_wise", input_channels=1)
     train_cancer_model(records, root, cfg, log=seen.append)
     assert any("non-biopsied" in line for line in seen)
     assert capsys.readouterr().out == ""
@@ -124,16 +129,18 @@ def test_cancer_trainer_sends_subsample_warning_to_log(tiny_dataset, capsys):
 # -- early stopping --
 
 def test_early_stopper_patience_semantics():
-    stopper = EarlyStopper(patience=1, eps=1e-6)
-    net = MultiViewNet(seed=0)
+    stopper = EarlyStopper(patience=1)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=0)
     assert not stopper.update(0.9, 1, net)
     assert stopper.update(0.85, 2, net)  # strictly worsening stops at epoch 2
     assert stopper.best_epoch == 1
 
 
 def test_early_stopper_never_returns_worse_epoch():
-    stopper = EarlyStopper(patience=3, eps=1e-6)
-    net = MultiViewNet(seed=0)
+    stopper = EarlyStopper(patience=3)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=0)
     series = [0.6, 0.7, 0.65, 0.71, 0.70, 0.69, 0.68]
     for ep, m in enumerate(series, 1):
         if stopper.update(m, ep, net):
@@ -143,8 +150,9 @@ def test_early_stopper_never_returns_worse_epoch():
 
 
 def test_float_noise_does_not_count_as_improvement():
-    stopper = EarlyStopper(patience=2, eps=1e-6)
-    net = MultiViewNet(seed=0)
+    stopper = EarlyStopper(patience=2)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=0)
     stopper.update(0.5, 1, net)
     assert not stopper.update(0.5 + 1e-9, 2, net)
     assert stopper.update(0.5 + 1e-9, 3, net)
@@ -169,7 +177,7 @@ def test_birads_ovr_auc_random_is_half():
 def test_birads_ovr_auc_missing_class_skipped(capsys):
     labels = np.array([0, 1] * 30)
     probs = substream(8, "m").uniform(0, 1, (60, 3))
-    birads_ovr_auc(probs, labels)
+    birads_ovr_auc(probs, labels, log=print)
     assert "skipped" in capsys.readouterr().out
 
 
@@ -195,44 +203,49 @@ class StubNet:
 def test_tta_constant_model(tiny_dataset):
     root, records = tiny_dataset
     net = StubNet([0.1, 0.2, 0.3, 0.4])
-    out = predict_tta(net, records[0], root, substream(9, "t"), n=10,
-                      max_offset=4)
+    out = predict_tta(net, records[0], root, substream(9, "t"), channels=1,
+                      heatmap_dir=None, n=10, max_offset=4)
     np.testing.assert_allclose(out, [0.1, 0.2, 0.3, 0.4], atol=1e-7)
 
 
 def test_tta_n1_no_offset_equals_plain_forward(tiny_dataset):
     root, records = tiny_dataset
-    net = MultiViewNet(seed=24).eval()
-    plain = predict_exams(net, records[:1], root)[0]
-    tta = predict_tta(net, records[0], root, substream(10, "t"), n=1,
-                      max_offset=0)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=24).eval()
+    plain = predict_exams(net, records[:1], root, 1, None)[0]
+    tta = predict_tta(net, records[0], root, substream(10, "t"), channels=1,
+                      heatmap_dir=None, n=1, max_offset=0)
     np.testing.assert_array_equal(plain, tta)
 
 
 def test_tta_seed_reproducible(tiny_dataset):
     root, records = tiny_dataset
-    net = MultiViewNet(seed=25).eval()
-    a = predict_tta(net, records[0], root, substream(11, "t"), n=4, max_offset=3)
-    b = predict_tta(net, records[0], root, substream(11, "t"), n=4, max_offset=3)
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=25).eval()
+    a = predict_tta(net, records[0], root, substream(11, "t"), channels=1,
+                    heatmap_dir=None, n=4, max_offset=3)
+    b = predict_tta(net, records[0], root, substream(11, "t"), channels=1,
+                    heatmap_dir=None, n=4, max_offset=3)
     assert a.tobytes() == b.tobytes()
 
 
 def test_ensemble_single_member_identity(tiny_dataset):
     root, records = tiny_dataset
     net = StubNet([0.2, 0.2, 0.2, 0.2])
-    single = ensemble_predict([net], records[0], root, seed=12, n=2,
-                              max_offset=2)
+    single = ensemble_predict([net], records[0], root, seed=12, channels=1,
+                              heatmap_dir=None, n=2, max_offset=2)
     np.testing.assert_allclose(single, 0.2, atol=1e-7)
 
 
 def test_ensemble_averages_members(tiny_dataset):
     root, records = tiny_dataset
     members = [StubNet([0.2] * 4), StubNet([0.6] * 4)]
-    out = ensemble_predict(members, records[0], root, seed=13, n=2,
-                           max_offset=2)
+    out = ensemble_predict(members, records[0], root, seed=13, channels=1,
+                           heatmap_dir=None, n=2, max_offset=2)
     np.testing.assert_allclose(out, 0.4, atol=1e-7)
     with pytest.raises(ValueError):
-        ensemble_predict([], records[0], root, seed=0)
+        ensemble_predict([], records[0], root, seed=0, channels=1,
+                         heatmap_dir=None, n=10, max_offset=8)
 
 
 # -- flip convention end-to-end --
@@ -253,11 +266,13 @@ def test_left_views_flipped_to_rightward(tmp_path):
     write_pgm16(tmp_path / "images/e00000_rmlo.pgm", mlo)
     write_pgm16(tmp_path / "images/e00000_lmlo.pgm", mlo[:, ::-1])
 
-    views = prepare_views(rec, tmp_path)
+    views = prepare_views(rec, tmp_path, channels=1, heatmap_dir=None,
+                          rng=None, max_offset=0)
     np.testing.assert_array_equal(views["lcc"], views["rcc"])
     np.testing.assert_array_equal(views["lmlo"], views["rmlo"])
 
-    net = MultiViewNet(seed=26).eval()
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=26).eval()
     from mscope import tensor as T
     a = net.cc_column(T.Tensor(views["rcc"])).data
     b = net.cc_column(T.Tensor(views["lcc"])).data
@@ -272,8 +287,9 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
     # epoch to epoch; the stop must come `patience` epochs after the last
     # strict improvement.
     root, records = tiny_dataset
-    cfg = TrainRunConfig(lr=0.0, batch_size=4, patience=2,
-                         max_epochs=10, seed=31, max_offset=0)
+    cfg = TrainRunConfig(lr=0.0, batch_size=4, l2=10 ** -4.5, patience=2,
+                         max_epochs=10, seed=31, max_offset=0,
+                         variant="view_wise", input_channels=1)
     net, rows, best_epoch = train_cancer_model(records, root, cfg, log=quiet)
     epochs = sorted({r[0] for r in rows})
     last = epochs[-1]
@@ -300,7 +316,7 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
     # the returned net is the best-epoch state, running statistics included;
     # val_exams=0 scores the whole val split
     val = [r for r in records if r.split == "val"]
-    probs = predict_exams(net, val, root, cfg.input_channels)
+    probs = predict_exams(net, val, root, cfg.input_channels, None)
     val_y = np.stack([exam_labels(r) for r in val])
     metric, _ = mean_label_auc(probs, val_y, quiet)
     assert metric == best
@@ -308,8 +324,9 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
 
 def test_cancer_training_replay_determinism(tiny_dataset):
     root, records = tiny_dataset
-    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2,
-                         max_epochs=2, seed=32, max_offset=2)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, l2=10 ** -4.5, patience=2,
+                         max_epochs=2, seed=32, max_offset=2,
+                         variant="view_wise", input_channels=1)
     _, rows1, _ = train_cancer_model(records, root, cfg, log=quiet)
     _, rows2, _ = train_cancer_model(records, root, cfg, log=quiet)
     assert rows1 == rows2
@@ -317,8 +334,9 @@ def test_cancer_training_replay_determinism(tiny_dataset):
 
 def test_pretrain_birads_runs_and_logs(tiny_dataset):
     root, records = tiny_dataset
-    cfg = TrainRunConfig(lr=3e-4, batch_size=6, patience=2,
-                         max_epochs=3, seed=33, max_offset=0)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=6, l2=10 ** -4.5, patience=2,
+                         max_epochs=3, seed=33, max_offset=0,
+                         variant="view_wise", input_channels=1)
     net, rows, best_epoch = pretrain_birads(records, root, cfg, log=quiet)
     assert net.task == "birads"
     assert best_epoch is not None
@@ -372,15 +390,16 @@ def test_cancer_training_divergence_keeps_best_epoch(tiny_dataset,
                                                      monkeypatch, where):
     root, records = tiny_dataset
     _diverge_after_first_validation(monkeypatch, where)
-    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2, max_epochs=3,
-                         seed=34, max_offset=2)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, l2=10 ** -4.5, patience=2,
+                         max_epochs=3, seed=34, max_offset=2,
+                         variant="view_wise", input_channels=1)
     net, rows, best_epoch = train_cancer_model(records, root, cfg, log=quiet)
     assert best_epoch == 1
     assert {r[0] for r in rows} == {1}
     assert not any(m.training for m in net.modules())
     monkeypatch.undo()
     val = [r for r in records if r.split == "val"]
-    probs = predict_exams(net, val, root, cfg.input_channels)
+    probs = predict_exams(net, val, root, cfg.input_channels, None)
     metric, _ = mean_label_auc(probs, np.stack([exam_labels(r) for r in val]),
                                quiet)
     logged = [r[3] for r in rows if r[1] == "val" and r[2] == "mean"]
@@ -391,8 +410,9 @@ def test_pretrain_birads_divergence_keeps_best_epoch(tiny_dataset,
                                                      monkeypatch):
     root, records = tiny_dataset
     _diverge_after_first_validation(monkeypatch)
-    cfg = TrainRunConfig(lr=3e-4, batch_size=6, patience=2, max_epochs=3,
-                         seed=35, max_offset=0)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=6, l2=10 ** -4.5, patience=2,
+                         max_epochs=3, seed=35, max_offset=0,
+                         variant="view_wise", input_channels=1)
     net, rows, best_epoch = pretrain_birads(records, root, cfg, log=quiet)
     assert best_epoch == 1
     assert {r[0] for r in rows} == {1}
@@ -407,8 +427,9 @@ def test_divergence_in_first_epoch_raises(tiny_dataset, monkeypatch):
         raise T.NumericsError("non-finite values produced: conv2d")
 
     monkeypatch.setattr(training, "_forward_batch", forward)
-    cfg = TrainRunConfig(lr=3e-4, batch_size=4, patience=2, max_epochs=3,
-                         seed=36, max_offset=0)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, l2=10 ** -4.5, patience=2,
+                         max_epochs=3, seed=36, max_offset=0,
+                         variant="view_wise", input_channels=1)
     with pytest.raises(T.NumericsError, match="first epoch"):
         train_cancer_model(records=tiny_dataset[1], data_dir=tiny_dataset[0],
                            cfg=cfg, log=quiet)
