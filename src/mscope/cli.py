@@ -7,8 +7,8 @@ alias flags; and the learning-rate key a first-epoch divergence names.
 row that writes a run directory: it loads the config once, from ``--set``,
 then ``--profile``, then the alias flags; loads the dataset's manifest;
 refuses a non-empty output directory without ``--force``; runs the body,
-removing the output directory again if the body fails and the run made
-it; writes the resolved config to ``config.txt``; and prints the body's
+and if it fails removes the topmost directory the run made for ``--out``;
+writes the resolved config to ``config.txt``; and prints the body's
 one-line summary. An alias flag is nothing but its config key (``--epochs
 2`` is ``--set patch.epochs=2``; ``--heatmaps DIR`` also sets
 ``model.input_channels=3``), so bodies read settings only from the config
@@ -38,12 +38,12 @@ from . import config as cfgmod
 from .binary import FormatError
 from .checkpoint import load_checkpoint, load_into, named, save_checkpoint
 from .config import ConfigError
-from .evaluation import (MetricError, PredictionRecord, biopsy_score,
-                         hybrid_scores, hybrid_sweep,
-                         malignant_vs_benign_score, pr_auc, pr_curve_points,
-                         read_predictions, reader_study_draw, roc_auc,
-                         roc_curve_points, simulate_readers, subpopulation,
-                         write_predictions)
+from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
+                         breast_table, hybrid_scores, hybrid_sweep,
+                         malignant_vs_benign_score, prediction_columns,
+                         pr_auc, pr_curve_points, read_predictions,
+                         reader_study_draw, roc_auc, roc_curve_points,
+                         simulate_readers, subpopulation, write_predictions)
 from .heatmaps import heatmaps_for_exam, save_heatmap, select_patch_checkpoint
 from .layers import StateDictError
 from .multiview import MultiViewNet
@@ -134,8 +134,8 @@ def cmd_train_patch(args, cfg, out, data, records):
     n_select = cfg["patch.select_exams"]
     if n_select and n_select < len(val):
         rng = substream(args.seed, "select-subset")
-        biopsied = [r for r in val if r.left_biopsied or r.right_biopsied]
-        rest = [r for r in val if not (r.left_biopsied or r.right_biopsied)]
+        biopsied = [r for r in val if r.any_biopsied]
+        rest = [r for r in val if not r.any_biopsied]
         need = max(0, n_select - len(biopsied))
         idx = rng.choice(len(rest), size=min(need, len(rest)), replace=False)
         val = biopsied + [rest[i] for i in idx]
@@ -304,80 +304,47 @@ def cmd_predict(args, cfg, out, data, records):
             f"{out / 'predictions.csv'}")
 
 
-def _labels_for(records):
-    """{breast id: {"benign", "malignant", "biopsy": label}}, test split."""
-    return {f"{r.exam_id}:{side}": dict(zip(("benign", "malignant"),
-                                            r.labels(side)),
-                                        biopsy=r.biopsied(side))
-            for r in records if r.split == "test" for side in ("L", "R")}
-
-
-POPULATIONS = ("screening", "biopsied", "one_class_biopsied", "by_age",
-               "by_density")
 METRICS_HEADER = "model_id,population,task,metric,value"
 
 
 def cmd_evaluate(args, cfg, out, data, records):
     preds = read_predictions(args.predictions)
     (out / "curves").mkdir(exist_ok=True)
-
-    labels = _labels_for(records)
+    breasts = breast_table(records)
     wanted = cfg["eval.population"]
-    pops = POPULATIONS if wanted == "all" else (wanted,)
+    pops = [row for kind in (POPULATIONS if wanted == "all" else (wanted,))
+            for row in subpopulation(breasts, kind)]
 
     rows = []
-    by_model = {}
-    for p in preds:
-        by_model.setdefault(p.model_id, []).append(p)
-
-    for model_id, mpreds in sorted(by_model.items()):
-        s_mal = {p.breast_id: p.p_malignant for p in mpreds}
-        s_ben = {p.breast_id: p.p_benign for p in mpreds}
-        missing = set(labels) - set(s_mal)
-        if missing:
-            raise UserError(f"{len(missing)} test breasts lack predictions "
-                            f"(e.g. {sorted(missing)[:2]})")
-
-        def emit(pop_name, task, ids, scores):
-            y = [labels[b][("malignant" if task == "malignant_vs_benign"
-                            else task)] for b in ids]
-            s = [scores[b] for b in ids]
-            n_pos = sum(y)
-            # a single-class population keeps its counts, with no AUC rows
-            both = 0 < n_pos < len(y)
-            if both:
-                rows.append((model_id, pop_name, task, "auc", roc_auc(s, y)))
-                rows.append((model_id, pop_name, task, "prauc", pr_auc(s, y)))
-            rows.append((model_id, pop_name, task, "n_pos", n_pos))
-            rows.append((model_id, pop_name, task, "n_neg", len(y) - n_pos))
-            if both and pop_name in ("screening", "biopsied") and \
-                    task in ("malignant", "benign"):
-                tag = out / "curves" / f"{model_id}_{pop_name}_{task}"
-                _write_csv(f"{tag}_roc.csv", "fpr,tpr",
-                           (f"{a:.6f},{b:.6f}"
-                            for a, b in roc_curve_points(s, y)))
-                _write_csv(f"{tag}_pr.csv", "recall,precision",
-                           (f"{a:.6f},{b:.6f}"
-                            for a, b in pr_curve_points(s, y)))
-
-        for pop in pops:
-            if pop in ("by_age", "by_density"):
-                for band, ids in sorted(subpopulation(records, pop).items()):
-                    name = f"{pop[3:]}:{band}"          # age:<band>, ...
-                    emit(name, "malignant", sorted(ids), s_mal)
-                    emit(name, "benign", sorted(ids), s_ben)
-                continue
-            ids = sorted(subpopulation(records, pop))
-            if pop == "one_class_biopsied":
-                scores = {b: malignant_vs_benign_score(s_mal[b], s_ben[b])
-                          for b in ids}
-                emit(pop, "malignant_vs_benign", ids, scores)
-                continue
-            emit(pop, "malignant", ids, s_mal)
-            emit(pop, "benign", ids, s_ben)
-            if pop == "screening":
-                scores = {b: biopsy_score(s_mal[b], s_ben[b]) for b in ids}
-                emit(pop, "biopsy", ids, scores)
+    for model_id in sorted({p.model_id for p in preds}):
+        p_mal, p_ben = prediction_columns(
+            [p for p in preds if p.model_id == model_id], breasts.ids)
+        tasks = {"malignant": (p_mal, breasts.malignant),
+                 "benign": (p_ben, breasts.benign),
+                 "biopsy": (np.maximum(p_mal, p_ben), breasts.biopsied),
+                 "malignant_vs_benign": (
+                     malignant_vs_benign_score(p_mal, p_ben),
+                     breasts.malignant)}
+        for pop, mask, pop_tasks in pops:
+            for task in pop_tasks:
+                s, y = (column[mask] for column in tasks[task])
+                n_pos = int(y.sum())
+                # a single-class population keeps its counts, with no AUC
+                both = 0 < n_pos < len(y)
+                if both:
+                    rows.append((model_id, pop, task, "auc", roc_auc(s, y)))
+                    rows.append((model_id, pop, task, "prauc", pr_auc(s, y)))
+                rows.append((model_id, pop, task, "n_pos", n_pos))
+                rows.append((model_id, pop, task, "n_neg", len(y) - n_pos))
+                if both and pop in ("screening", "biopsied") and \
+                        task in ("malignant", "benign"):
+                    tag = out / "curves" / f"{model_id}_{pop}_{task}"
+                    _write_csv(f"{tag}_roc.csv", "fpr,tpr",
+                               (f"{a:.6f},{b:.6f}"
+                                for a, b in roc_curve_points(s, y)))
+                    _write_csv(f"{tag}_pr.csv", "recall,precision",
+                               (f"{a:.6f},{b:.6f}"
+                                for a, b in pr_curve_points(s, y)))
 
     _write_csv(out / "metrics.csv", METRICS_HEADER,
                (",".join(r[:4]) + f",{r[4]:.6f}" for r in rows))
@@ -387,47 +354,41 @@ def cmd_evaluate(args, cfg, out, data, records):
 
 def cmd_reader_study(args, cfg, out, data, records):
     preds = read_predictions(args.predictions)
-    labels_all = _labels_for(records)
-    n_biopsied = cfg["eval.reader_biopsied"] or sum(
-        1 for r in records
-        if r.split == "test" and (r.left_biopsied or r.right_biopsied))
-    n_clean = cfg["eval.reader_clean"] or n_biopsied
-    rng = substream(args.seed, "reader-study")
-    ids = sorted(reader_study_draw(records, rng, n_biopsied, n_clean))
-
-    s_mal = {p.breast_id: p.p_malignant for p in preds}
-    missing = [b for b in ids if b not in s_mal]
-    if missing:
-        raise UserError(f"predictions missing for {len(missing)} breasts")
-    model = {b: s_mal[b] for b in ids}
-    y = {b: labels_all[b]["malignant"] for b in ids}
+    n_biopsied, n_clean = cfg["eval.reader_biopsied"], cfg["eval.reader_clean"]
+    drawn = reader_study_draw(records, substream(args.seed, "reader-study"),
+                              n_biopsied, n_clean)
+    breasts = breast_table(records)
+    in_study = np.isin(breasts.ids, drawn)
+    ids, y = breasts.ids[in_study], breasts.malignant[in_study]
+    model = prediction_columns(preds, ids)[0]
 
     n_readers = cfg["eval.readers"]
     lo, hi = cfg["eval.reader_auc_low"], cfg["eval.reader_auc_high"]
     targets = np.linspace(lo, hi, n_readers)
-    mat = simulate_readers(y, targets, substream(args.seed, "readers"))
+    try:
+        readers = simulate_readers(y, targets, substream(args.seed, "readers"))
+    except MetricError as exc:
+        raise UserError(
+            f"{exc} on {len(ids)} drawn breasts; draw more with "
+            f"eval.reader_biopsied and eval.reader_clean (now {n_biopsied} "
+            f"and {n_clean}) or change eval.reader_auc_low and "
+            f"eval.reader_auc_high (now {lo:g} and {hi:g})") from exc
 
     lam = cfg["eval.hybrid_lambda"]
-    keys = mat.breast_ids
-    yv = [y[b] for b in keys]
-    mv = [model[b] for b in keys]
-    model_auc, model_prauc = roc_auc(mv, yv), pr_auc(mv, yv)
+    model_auc, model_prauc = roc_auc(model, y), pr_auc(model, y)
 
-    _write_csv(out / "readers.csv", "reader_id," + ",".join(keys),
-               (f"r{ri}," + ",".join(f"{v:.6f}" for v in mat.scores[ri])
-                for ri in range(n_readers)))
+    _write_csv(out / "readers.csv", "reader_id," + ",".join(ids),
+               (f"r{ri}," + ",".join(f"{v:.6f}" for v in scores)
+                for ri, scores in enumerate(readers)))
 
     rows = []
     sweep_rows = []
-    for ri in range(n_readers):
-        scores = mat.scores[ri]
-        reader = dict(zip(keys, scores))
-        hyb = hybrid_scores(reader, model, lam)
-        hv = [hyb[b] for b in keys]
-        grid, best_lam = hybrid_sweep(reader, model, y)
+    for ri, scores in enumerate(readers):
+        hyb = hybrid_scores(scores, model, lam)
+        grid, best_lam = hybrid_sweep(scores, model, y)
         sweep_rows.extend((f"r{ri}", *g) for g in grid)
-        rows.append((f"r{ri}", targets[ri], roc_auc(scores, yv),
-                     pr_auc(scores, yv), roc_auc(hv, yv), pr_auc(hv, yv),
+        rows.append((f"r{ri}", targets[ri], roc_auc(scores, y),
+                     pr_auc(scores, y), roc_auc(hyb, y), pr_auc(hyb, y),
                      best_lam))
 
     _write_csv(out / "reader_metrics.csv",
@@ -643,13 +604,15 @@ def _run_stage(stage, args):
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise UserError(f"{out} exists; pass --force to overwrite")
-    made = not out.exists()
+    # the topmost directory this run makes: a failed run removes it again
+    made = next((d for d in (*reversed(out.parents), out) if not d.exists()),
+                None)
     out.mkdir(parents=True, exist_ok=True)
     try:
         summary = stage.body(args, cfg, out, data, records)
     except BaseException as exc:
-        if made:                # a failed run leaves no directory it made
-            shutil.rmtree(out)
+        if made:
+            shutil.rmtree(made)
         # a trainer that diverges in its first epoch has a learning rate
         # too high for the data: a user error naming the row's lr key
         if isinstance(exc, NumericsError) and stage.lr:

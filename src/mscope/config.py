@@ -115,6 +115,12 @@ def _out_of_range(key, value):
         from .multiview import FUSION_VARIANTS
         if value not in FUSION_VARIANTS:
             return f"must be one of {', '.join(FUSION_VARIANTS)}"
+    if key == "eval.population":
+        from .evaluation import POPULATIONS
+        if value != "all" and value not in POPULATIONS:
+            return f"must be all or one of {', '.join(POPULATIONS)}"
+    if key == "eval.hybrid_lambda" and not 0.0 <= value <= 1.0:
+        return "must lie in [0, 1]"
     return None
 
 

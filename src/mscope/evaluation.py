@@ -1,5 +1,12 @@
-"""Evaluation mathematics: ranking metrics, test subpopulations, derived
-score transforms, simulated readers, and the reader-model hybrid sweep.
+"""Evaluation mathematics: ranking metrics, the breast table and its
+populations, derived score transforms, simulated readers, and the
+reader-model hybrid sweep.
+
+``breast_table`` holds one row per test-split breast, sorted by its
+"exam:side" id, in aligned numpy columns: labels, biopsy flag, age band and
+density. A population is a boolean mask over the table (``subpopulation``),
+and predictions are aligned with it by id once (``prediction_columns``), so
+every score a task ranks is a column that the population's mask selects.
 
 The four ranking metrics share one kernel, ``_tie_groups``: a stable sort
 by descending score, then the cumulative true- and false-positive counts
@@ -17,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,44 +123,60 @@ def pr_curve_points(scores, labels):
 
 
 # ---------------------------------------------------------------------------
-# populations
+# the breast table and its populations
 
-def subpopulation(records, kind):
-    """Breast-id sets for an evaluation population over test-split records.
+SIDES = ("L", "R")
+POPULATIONS = ("screening", "biopsied", "one_class_biopsied", "by_age",
+               "by_density")
 
-    Returns a set of "exam:side" ids, except for by_age / by_density which
-    return a dict mapping attribute value to such a set.
-    """
-    test = [r for r in records if r.split == "test"]
+
+class BreastTable(NamedTuple):
+    """Aligned columns, one row per test-split breast, sorted by id."""
+    ids: np.ndarray             # "exam:side"
+    benign: np.ndarray          # 0/1 labels
+    malignant: np.ndarray
+    biopsied: np.ndarray        # bool
+    age_band: np.ndarray
+    density: np.ndarray
+
+
+def breast_table(records):
+    rows = sorted((f"{r.exam_id}:{s}", *r.labels(s), r.biopsied(s),
+                   r.age_band, r.density)
+                  for r in records if r.split == "test" for s in SIDES)
+    columns = list(zip(*rows)) or [()] * len(BreastTable._fields)
+    return BreastTable(*(np.array(c, dtype=t) for c, t in
+                         zip(columns, (str, int, int, bool, str, str))))
+
+
+def subpopulation(breasts, kind):
+    """The (population name, mask over ``breasts``, tasks) rows of one
+    population kind of ``POPULATIONS``; ``by_age`` and ``by_density`` give
+    one row per value, in sorted order."""
     if kind == "screening":
-        return {f"{r.exam_id}:{s}" for r in test for s in ("L", "R")}
+        return [(kind, np.ones(len(breasts.ids), dtype=bool),
+                 ("malignant", "benign", "biopsy"))]
     if kind == "biopsied":
-        return {f"{r.exam_id}:{s}" for r in test for s in ("L", "R")
-                if r.biopsied(s)}
+        return [(kind, breasts.biopsied, ("malignant", "benign"))]
     if kind == "one_class_biopsied":
-        out = set()
-        for r in test:
-            for s in ("L", "R"):
-                benign, malignant = r.labels(s)
-                if r.biopsied(s) and benign + malignant == 1:
-                    out.add(f"{r.exam_id}:{s}")
-        return out
-    if kind in ("by_age", "by_density"):
-        attr = "age_band" if kind == "by_age" else "density"
-        out = {}
-        for r in test:
-            for s in ("L", "R"):
-                out.setdefault(getattr(r, attr), set()).add(f"{r.exam_id}:{s}")
-        return out
-    raise MetricError(f"unknown subpopulation kind {kind!r}")
+        one_class = breasts.benign + breasts.malignant == 1
+        return [(kind, breasts.biopsied & one_class,
+                 ("malignant_vs_benign",))]
+    values = breasts.age_band if kind == "by_age" else breasts.density
+    return [(f"{kind[3:]}:{v}", values == v, ("malignant", "benign"))
+            for v in np.unique(values)]              # age:<band>, ...
 
 
 def reader_study_draw(records, rng, n_biopsied, n_clean):
-    """Both breasts of ``n_biopsied`` test exams with a biopsied breast
-    and of ``n_clean`` without one, drawn with ``rng``."""
+    """The breast ids of both breasts of ``n_biopsied`` test exams with a
+    biopsied breast and of ``n_clean`` without one, drawn with ``rng``.
+    ``n_biopsied`` 0 takes every biopsied test exam, and ``n_clean`` 0 as
+    many clean exams as biopsied ones."""
     test = [r for r in records if r.split == "test"]
-    biopsied = [r for r in test if r.left_biopsied or r.right_biopsied]
-    clean = [r for r in test if not (r.left_biopsied or r.right_biopsied)]
+    biopsied = [r for r in test if r.any_biopsied]
+    clean = [r for r in test if not r.any_biopsied]
+    n_biopsied = n_biopsied or len(biopsied)
+    n_clean = n_clean or n_biopsied
     if n_biopsied > len(biopsied) or n_clean > len(clean):
         raise MetricError(
             f"requested reader-study draw ({n_biopsied}+{n_clean}) exceeds "
@@ -160,16 +184,24 @@ def reader_study_draw(records, rng, n_biopsied, n_clean):
     pick_b = rng.choice(len(biopsied), size=n_biopsied, replace=False)
     pick_c = rng.choice(len(clean), size=n_clean, replace=False)
     exams = [biopsied[i] for i in pick_b] + [clean[i] for i in pick_c]
-    return {f"{r.exam_id}:{s}" for r in exams for s in ("L", "R")}
+    return [f"{r.exam_id}:{s}" for r in exams for s in SIDES]
+
+
+def prediction_columns(preds, ids):
+    """(p_malignant, p_benign) arrays aligned with the breast ``ids``; of
+    two predictions for one breast the later wins."""
+    latest = {p.breast_id: p for p in preds}
+    ids = ids.tolist()
+    missing = [b for b in ids if b not in latest]
+    if missing:
+        raise MetricError(f"{len(missing)} breasts lack predictions "
+                          f"(e.g. {missing[:2]})")
+    return (np.array([latest[b].p_malignant for b in ids]),
+            np.array([latest[b].p_benign for b in ids]))
 
 
 # ---------------------------------------------------------------------------
 # derived scores
-
-def biopsy_score(p_mal, p_ben):
-    """Single score for "was any finding biopsied": max of the two heads."""
-    return max(p_mal, p_ben)
-
 
 def malignant_vs_benign_score(p_mal, p_ben):
     """Malignant probability renormalized over the two finding classes.
@@ -179,44 +211,29 @@ def malignant_vs_benign_score(p_mal, p_ben):
     that pair.
     """
     total = p_mal + p_ben
-    if total <= 0:
-        return 0.5
-    return p_mal / total
+    return np.divide(p_mal, total, out=np.full_like(total, 0.5),
+                     where=total > 0)
 
 
-def hybrid_scores(reader_scores, model_scores, lam):
-    """Convex combination lam * reader + (1 - lam) * model, id-aligned."""
-    if not 0.0 <= lam <= 1.0:
-        raise MetricError("lambda must lie in [0, 1]")
-    if set(reader_scores) != set(model_scores):
-        raise MetricError("reader and model scores cover different breasts")
-    return {k: lam * reader_scores[k] + (1.0 - lam) * model_scores[k]
-            for k in reader_scores}
+def hybrid_scores(reader, model, lam):
+    """The convex combination lam * reader + (1 - lam) * model of two
+    aligned score arrays."""
+    return lam * reader + (1.0 - lam) * model
 
 
-def hybrid_sweep(reader_scores, model_scores, labels):
+def hybrid_sweep(reader, model, labels):
     """AUC and PR AUC at each lambda of ``LAMBDA_GRID``; returns
     (rows, best_lambda_auc)."""
-    keys = sorted(labels)
-    y = [labels[k] for k in keys]
     rows = []
     for lam in LAMBDA_GRID:
-        combined = hybrid_scores(reader_scores, model_scores, lam)
-        s = [combined[k] for k in keys]
-        rows.append((lam, roc_auc(s, y), pr_auc(s, y)))
+        s = hybrid_scores(reader, model, lam)
+        rows.append((lam, roc_auc(s, labels), pr_auc(s, labels)))
     best = max(rows, key=lambda r: r[1])
     return rows, best[0]
 
 
 # ---------------------------------------------------------------------------
 # simulated readers
-
-@dataclass
-class ReaderMatrix:
-    scores: np.ndarray        # readers x breasts, in [0, 1]
-    breast_ids: list
-    separations: list         # calibrated signal separation per reader
-
 
 def _reader_scores(labels01, separation, rng):
     z = separation * labels01 + rng.standard_normal(len(labels01))
@@ -225,25 +242,22 @@ def _reader_scores(labels01, separation, rng):
 
 def simulate_readers(labels, targets, rng):
     """Readers as sigmoid scorers with unit Gaussian noise, calibrated to
-    target AUCs.
+    target AUCs; returns their (readers, breasts) score array.
 
-    ``labels`` maps breast id to 0/1; ``targets`` is one AUC target per
-    reader. Separation is bisected until the realized AUC lands within
+    ``labels`` holds each breast's 0/1 label; ``targets`` is one AUC target
+    per reader. Separation is bisected until the realized AUC lands within
     ``READER_TOL`` of the target.
     """
-    breast_ids = sorted(labels)
-    y = np.array([labels[b] for b in breast_ids], dtype=np.float64)
-    if len(set(y.tolist())) < 2:
+    y = np.asarray(labels, dtype=np.float64)
+    if np.unique(y).size < 2:
         raise MetricError("reader simulation needs both classes")
     rows = []
-    seps = []
     for ri, target in enumerate(targets):
         if not 0.5 <= target <= 0.999:
             raise MetricError(f"unattainable reader AUC target {target}")
         # gaussian score model: auc = Phi(sep / sqrt(2))
         sep = math.sqrt(2.0) * _probit(target)
         lo, hi = 0.0, max(4.0 * sep, 8.0)
-        scores = None
         for _ in range(READER_MAX_ITER):
             draw_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
             scores = _reader_scores(y, sep, draw_rng)
@@ -259,9 +273,7 @@ def simulate_readers(labels, targets, rng):
         else:
             raise MetricError(f"reader {ri}: calibration failed for {target}")
         rows.append(scores)
-        seps.append(sep)
-    return ReaderMatrix(scores=np.stack(rows), breast_ids=breast_ids,
-                        separations=seps)
+    return np.stack(rows)
 
 
 def _probit(p):
@@ -301,7 +313,7 @@ def read_predictions(path):
             if None in row or None in row.values():
                 raise MetricError(f"{where}: expected "
                                   f"{len(reader.fieldnames)} fields")
-            if row["side"] not in ("L", "R"):
+            if row["side"] not in SIDES:
                 raise MetricError(f"{where}: side {row['side']!r} is not L "
                                   "or R")
             out.append(PredictionRecord(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binary import Reader
+from .phantom import VIEWS, load_image
 from .seeding import substream
 
 HEATMAP_MAGIC = b"MSHM"
@@ -53,7 +54,6 @@ class StridePlan:
     vertical: list
     horizontal: list
     patch_size: int
-    prefixed_stride: int
 
     def positions(self, axis):
         strides = self.vertical if axis == 0 else self.horizontal
@@ -70,8 +70,7 @@ def make_stride_plan(dims, patch_size, prefixed_stride, rng):
     return StridePlan(
         vertical=stride_list(dims[0], patch_size, prefixed_stride, rng),
         horizontal=stride_list(dims[1], patch_size, prefixed_stride, rng),
-        patch_size=patch_size,
-        prefixed_stride=prefixed_stride)
+        patch_size=patch_size)
 
 
 def generate_heatmaps(image, predict, plan: StridePlan):
@@ -146,12 +145,9 @@ def heatmaps_for_exam(record, data_dir, predict, patch_size, prefixed_stride,
                       seed):
     """Heatmap planes for all four views; stride randomness is keyed by
     (seed, exam, view) so any processing order gives identical output."""
-    from .pgm import read_pgm
-    from .phantom import MAXVAL, VIEWS, image_path
-
     out = {}
     for view in VIEWS:
-        img = read_pgm(image_path(data_dir, record, view)).astype(np.float32) / MAXVAL
+        img = load_image(data_dir, record, view)
         rng = substream(seed, "strides", record.exam_id, view)
         plan = make_stride_plan(img.shape, patch_size, prefixed_stride, rng)
         out[view] = generate_heatmaps(img, predict, plan)

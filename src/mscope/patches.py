@@ -24,8 +24,7 @@ from .checkpoint import save_checkpoint
 from .config import KEYS
 from .layers import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 from .optim import _fit, weighted_batch_cross_entropy
-from .pgm import read_pgm
-from .phantom import MAXVAL, VIEWS, image_path, load_mask
+from .phantom import VIEWS, load_image, load_mask, mask_path
 from .seeding import substream
 
 PATCH_CLASSES = ("malignant", "benign", "outside", "negative")
@@ -186,27 +185,21 @@ def eligible_images(records, data_dir):
     for rec in records:
         if rec.split != "train":
             continue
-        exam_biopsied = rec.left_biopsied or rec.right_biopsied
         for view in VIEWS:
-            if not exam_biopsied:
+            if not rec.any_biopsied:
                 negative.append((rec, view))
                 continue
             has_mask = any(
-                load_mask(data_dir, rec, view, m).any()
-                if _mask_exists(data_dir, rec, view, m) else False
+                mask_path(data_dir, rec, view, m).exists()
+                and load_mask(data_dir, rec, view, m).any()
                 for m in ("benign", "malignant"))
             if has_mask:
                 segmented.append((rec, view))
     return segmented, negative
 
 
-def _mask_exists(data_dir, rec, view, malignancy):
-    from .phantom import mask_path
-    return mask_path(data_dir, rec, view, malignancy).exists()
-
-
 def _load_image_and_masks(data_dir, rec, view):
-    img = read_pgm(image_path(data_dir, rec, view)).astype(np.float32) / MAXVAL
+    img = load_image(data_dir, rec, view)
     points = {}
     for malignancy in ("malignant", "benign"):
         mask = load_mask(data_dir, rec, view, malignancy, dims=img.shape)

@@ -106,8 +106,10 @@ class ExamRecord:
     def biopsied(self, side):
         return self.left_biopsied if side == "L" else self.right_biopsied
 
-    def occult(self, side):
-        return self.left_occult if side == "L" else self.right_occult
+    @property
+    def any_biopsied(self):
+        """Whether either breast of the exam was biopsied."""
+        return bool(self.left_biopsied or self.right_biopsied)
 
 
 @dataclass
@@ -277,7 +279,7 @@ def _lesion_amp(lesion, density_idx, coupling):
     return amp
 
 
-def _render_lesion(lesion, dims, sil, cy, ry, rx, density_idx, coupling, view_tag):
+def _render_lesion(lesion, dims, sil, cy, ry, rx, density_idx, coupling):
     """Field for one lesion in one view, or None when support leaves the
     silhouette. The shape stream restarts per view so both views draw the
     same margin."""
@@ -325,10 +327,10 @@ def render_exam(spec: ExamSpec, cc_dims, mlo_dims):
             pair = None
             for attempt in range(101):
                 f_cc = _render_lesion(cur, cc_dims, sil_cc, cy_cc, ry_cc, rx_cc,
-                                      density_idx, spec.density_coupling, "cc")
+                                      density_idx, spec.density_coupling)
                 f_mlo = _render_lesion(cur, mlo_dims, sil_mlo, cy_mlo, ry_mlo,
                                        rx_mlo, density_idx,
-                                       spec.density_coupling, "mlo")
+                                       spec.density_coupling)
                 if f_cc is not None and f_mlo is not None:
                     pair = (f_cc, f_mlo)
                     break
@@ -606,6 +608,11 @@ def load_manifest(path):
 
 def image_path(data_dir, record, view):
     return Path(data_dir) / record.view_paths[view]
+
+
+def load_image(data_dir, record, view):
+    """A view image as float32 in [0, 1]."""
+    return read_pgm(image_path(data_dir, record, view)).astype(np.float32) / MAXVAL
 
 
 def mask_path(data_dir, record, view, malignancy):

@@ -22,8 +22,7 @@ from .heatmaps import load_heatmap
 from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
                         transfer_from_pretrained)
 from .optim import _fit, binary_cross_entropy, nll_on_probs
-from .pgm import read_pgm
-from .phantom import MAXVAL, image_path
+from .phantom import load_image
 from .resample import bicubic_resize
 from .seeding import substream
 
@@ -59,7 +58,7 @@ class TrainRunConfig:
 
 def load_view_stack(record, data_dir, view, channels, heatmap_dir):
     """(C, H, W) float32 stack: image, plus heatmap planes when channels=3."""
-    img = read_pgm(image_path(data_dir, record, view)).astype(np.float32) / MAXVAL
+    img = load_image(data_dir, record, view)
     if channels == 1:
         return img[None]
     if heatmap_dir is None:
@@ -126,10 +125,8 @@ def subsample_epoch(records, rng, log):
     non-biopsied exams than biopsied ones, all are taken and ``log`` gets
     a warning."""
     train = [r for r in records if r.split == "train"]
-    biopsied = [r.exam_id for r in train
-                if r.left_biopsied or r.right_biopsied]
-    clean = [r.exam_id for r in train
-             if not (r.left_biopsied or r.right_biopsied)]
+    biopsied = [r.exam_id for r in train if r.any_biopsied]
+    clean = [r.exam_id for r in train if not r.any_biopsied]
     if not biopsied:
         raise ValueError("no biopsied exams in the train split")
     if len(clean) < len(biopsied):
@@ -196,7 +193,7 @@ def _val_subset(records, cap, seed):
         keep = {subset[i].exam_id for i in idx}
         # keep every biopsied exam so the metric always sees positives
         subset = [r for r in subset
-                  if r.exam_id in keep or r.left_biopsied or r.right_biopsied]
+                  if r.exam_id in keep or r.any_biopsied]
     return subset
 
 

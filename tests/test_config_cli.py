@@ -13,7 +13,9 @@ from mscope import cli
 from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
+from mscope.evaluation import read_predictions, roc_auc
 from mscope.patches import load_patch_cache
+from mscope.phantom import load_manifest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -424,6 +426,8 @@ BAD_CONFIG_VALUES = [
     ("train-patch", "patch.plan=1,2,3"),
     ("train-patch", "patch.pool_targets=30,30,80,-1"),
     ("reader-study", "eval.readers=0"),
+    ("reader-study", "eval.hybrid_lambda=1.5"),
+    ("evaluate", "eval.population=foo"),
     ("gen-heatmaps", "heatmap.stride=0"),
     ("ensemble", "model.input_channels=3"),     # without --heatmaps
 ]
@@ -436,6 +440,8 @@ def test_bad_config_value_exits_1_naming_the_key(pipeline, tmp_path, capsys,
     extra = {"gen-heatmaps": ["--checkpoint", str(p["patch"] / "best.ckpt")],
              "reader-study": ["--predictions",
                               str(p["pred"] / "predictions.csv")],
+             "evaluate": ["--predictions",
+                          str(p["pred"] / "predictions.csv")],
              "ensemble": ["--members", "2"]}.get(command, [])
     capsys.readouterr()
     assert main([command, "--data", str(p["data"]), "--out",
@@ -443,6 +449,7 @@ def test_bad_config_value_exits_1_naming_the_key(pipeline, tmp_path, capsys,
                  *sets((setting,))]) == 1
     err = capsys.readouterr().err
     assert setting.split("=")[0] in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -667,7 +674,7 @@ def test_truncated_heatmap_exits_1(pipeline, tmp_path, capsys):
 def test_failed_stage_removes_only_an_out_dir_it_made(pipeline, tmp_path,
                                                       capsys):
     """predict on a split with no exams fails after the output directory
-    is made: a directory the run made goes, one that was there stays."""
+    is made: the directories the run made go, one that was there stays."""
     data = tmp_path / "data"
     data.mkdir()
     lines = (pipeline["data"] / "manifest.csv").read_text().splitlines()
@@ -676,12 +683,44 @@ def test_failed_stage_removes_only_an_out_dir_it_made(pipeline, tmp_path,
         f"{line}\n" for line in lines if line.split(",")[split] != "test"))
     argv = ["predict", "--data", str(data), "--run", str(pipeline["cancer"]),
             "--seed", "5", *sets()]
-    made = tmp_path / "pred"
-    assert main([*argv, "--out", str(made)]) == 1
+    assert main([*argv, "--out", str(tmp_path / "made" / "pred")]) == 1
     assert "no exams in split 'test'" in capsys.readouterr().err
-    assert not made.exists()
+    assert not (tmp_path / "made").exists()
     kept = tmp_path / "kept"
     kept.mkdir()
     (kept / "note.txt").write_text("mine")
     assert main([*argv, "--out", str(kept), "--force"]) == 1
     assert [p.name for p in kept.iterdir()] == ["note.txt"]
+
+
+def test_reader_study_too_small_to_calibrate_exits_1(pipeline, tmp_path,
+                                                      capsys):
+    """A draw too small for the readers' AUC tolerance is a user error that
+    names the keys setting the draw and the targets."""
+    capsys.readouterr()
+    assert main(["reader-study", "--data", str(pipeline["data"]),
+                 "--predictions", str(pipeline["pred"] / "predictions.csv"),
+                 "--out", str(tmp_path / "o"), "--seed", "5",
+                 *sets(("eval.reader_biopsied=3", "eval.reader_clean=4"))]) \
+        == 1
+    err = capsys.readouterr().err
+    assert "calibration failed" in err and "14 drawn breasts" in err
+    for key in ("eval.reader_biopsied", "eval.reader_clean",
+                "eval.reader_auc_low", "eval.reader_auc_high"):
+        assert key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_biopsy_task_scores_the_larger_head(pipeline):
+    """The screening population's biopsy task ranks each breast by the
+    larger of its two probabilities against its biopsy flag."""
+    records = {r.exam_id: r for r in load_manifest(pipeline["data"] /
+                                                   "manifest.csv")}
+    scores, labels = [], []
+    for p in read_predictions(pipeline["pred"] / "predictions.csv"):
+        scores.append(max(p.p_malignant, p.p_benign))
+        labels.append(records[p.exam_id].biopsied(p.side))
+    metrics = {tuple(r.split(",")[1:4]): r.split(",")[4] for r in
+               (pipeline["eval"] / "metrics.csv").read_text().splitlines()}
+    assert metrics["screening", "biopsy", "auc"] == \
+        f"{roc_auc(scores, labels):.6f}"

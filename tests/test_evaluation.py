@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mscope.evaluation import (MetricError, PredictionRecord, biopsy_score,
+from mscope.evaluation import (MetricError, PredictionRecord, breast_table,
                                hybrid_scores, hybrid_sweep,
                                malignant_vs_benign_score, pr_auc,
                                pr_curve_points, read_predictions,
@@ -212,15 +212,23 @@ def make_record(i, split="test", benign=(0, 0), malignant=(0, 0),
         view_paths={v: "" for v in VIEWS})
 
 
+def population(breasts, kind):
+    """{population name: set of breast ids} of one population kind."""
+    return {name: set(breasts.ids[mask].tolist())
+            for name, mask, _ in subpopulation(breasts, kind)}
+
+
 def test_subpopulation_nesting():
     records = [make_record(0),
                make_record(1, benign=(1, 0)),
                make_record(2, malignant=(0, 1)),
                make_record(3, benign=(1, 0), malignant=(1, 0)),
                make_record(4, split="train", benign=(1, 1))]
-    screening = subpopulation(records, "screening")
-    biopsied = subpopulation(records, "biopsied")
-    one_class = subpopulation(records, "one_class_biopsied")
+    breasts = breast_table(records)
+    assert breasts.ids.tolist() == sorted(breasts.ids.tolist())
+    screening = population(breasts, "screening")["screening"]
+    biopsied = population(breasts, "biopsied")["biopsied"]
+    one_class = population(breasts, "one_class_biopsied")["one_class_biopsied"]
     assert len(screening) == 8  # 4 test exams x 2 breasts
     assert biopsied == {"e00001:L", "e00002:R", "e00003:L"}
     # the both-findings breast drops out of the one-class set
@@ -228,12 +236,22 @@ def test_subpopulation_nesting():
     assert one_class <= biopsied <= screening
 
 
+def test_breast_table_of_an_empty_test_split():
+    breasts = breast_table([make_record(0, split="train")])
+    assert all(len(column) == 0 for column in breasts)
+    for kind in ("screening", "biopsied", "one_class_biopsied"):
+        assert population(breasts, kind) == {kind: set()}
+    assert population(breasts, "by_age") == {}
+
+
 def test_reader_study_counts():
     records = [make_record(i, benign=(1, 0)) for i in range(10)] + \
         [make_record(100 + i) for i in range(20)]
     rng = substream(4, "rs")
     ids = reader_study_draw(records, rng, 6, 8)
-    assert len(ids) == 2 * (6 + 8)
+    assert len(set(ids)) == len(ids) == 2 * (6 + 8)
+    # 0 biopsied takes all 10 biopsied exams, and 0 clean as many clean ones
+    assert len(reader_study_draw(records, rng, 0, 0)) == 2 * (10 + 10)
     with pytest.raises(MetricError):
         reader_study_draw(records, rng, 11, 8)
 
@@ -241,65 +259,58 @@ def test_reader_study_counts():
 def test_by_attribute_partitions():
     records = [make_record(0, age="<40"), make_record(1, age="70+"),
                make_record(2, age="<40", density="extreme")]
-    by_age = subpopulation(records, "by_age")
-    assert set(by_age) == {"<40", "70+"}
-    assert len(by_age["<40"]) == 4
-    by_density = subpopulation(records, "by_density")
-    assert len(by_density["extreme"]) == 2
-
-
-def test_unknown_subpopulation():
-    with pytest.raises(MetricError):
-        subpopulation([], "everything")
+    breasts = breast_table(records)
+    by_age = population(breasts, "by_age")
+    assert list(by_age) == ["age:70+", "age:<40"]       # sorted values
+    assert len(by_age["age:<40"]) == 4
+    by_density = population(breasts, "by_density")
+    assert len(by_density["density:extreme"]) == 2
+    assert set().union(*by_density.values()) == set(breasts.ids.tolist())
 
 
 # -- derived scores --
 
-def test_biopsy_score():
-    assert biopsy_score(0.3, 0.7) == 0.7
-    assert biopsy_score(0.0, 0.0) == 0.0
-
-
 def test_malignant_vs_benign_score():
-    assert malignant_vs_benign_score(0.3, 0.1) == pytest.approx(0.75)
-    assert malignant_vs_benign_score(0.4, 0.4) == 0.5
-    a = malignant_vs_benign_score(0.2, 0.6)
-    b = malignant_vs_benign_score(0.02, 0.06)
-    assert a == pytest.approx(b)
+    p_mal = np.array([0.3, 0.4, 0.2, 0.02, 0.0])
+    p_ben = np.array([0.1, 0.4, 0.6, 0.06, 0.0])
+    s = malignant_vs_benign_score(p_mal, p_ben)
+    assert s[0] == pytest.approx(0.75)
+    assert s[1] == 0.5
+    assert s[2] == pytest.approx(s[3])
     # no evidence either way
-    assert malignant_vs_benign_score(0.0, 0.0) == 0.5
+    assert s[4] == 0.5
 
 
 # -- hybrid --
 
 def test_hybrid_combination():
-    reader = {"a": 0.8, "b": 0.2}
-    model = {"a": 0.4, "b": 0.6}
+    reader = np.array([0.8, 0.2])
+    model = np.array([0.4, 0.6])
     out = hybrid_scores(reader, model, 0.5)
-    assert out["a"] == pytest.approx(0.6)
-    assert hybrid_scores(reader, model, 0.0) == model
-    assert hybrid_scores(reader, model, 1.0) == reader
-    with pytest.raises(MetricError):
-        hybrid_scores(reader, {"a": 0.4}, 0.5)
-    with pytest.raises(MetricError):
-        hybrid_scores(reader, model, 1.5)
+    assert out[0] == pytest.approx(0.6)
+    assert hybrid_scores(reader, model, 0.0).tolist() == model.tolist()
+    assert hybrid_scores(reader, model, 1.0).tolist() == reader.tolist()
+    # elementwise arithmetic rounds as the scalar expression does
+    rng = substream(6, "hybrid")
+    reader, model = rng.uniform(size=50), rng.uniform(size=50)
+    for lam in (0.01, 0.37, 0.99):
+        assert hybrid_scores(reader, model, lam).tolist() == \
+            [lam * r + (1.0 - lam) * m for r, m in zip(reader.tolist(),
+                                                      model.tolist())]
 
 
 def test_hybrid_sweep_grid():
     rng = substream(5, "sweep")
-    labels = {f"b{i}": int(rng.uniform() < 0.3) for i in range(80)}
-    labels["b0"] = 1
-    labels["b1"] = 0
-    model = {k: 0.7 * v + 0.3 * rng.uniform() for k, v in labels.items()}
-    reader = {k: 0.4 * v + 0.6 * rng.uniform() for k, v in labels.items()}
+    labels = (rng.uniform(size=80) < 0.3).astype(int)
+    labels[:2] = [1, 0]
+    model = 0.7 * labels + 0.3 * rng.uniform(size=80)
+    reader = 0.4 * labels + 0.6 * rng.uniform(size=80)
     rows, best_lam = hybrid_sweep(reader, model, labels)
     assert len(rows) == 100
     assert rows[0][0] == 0.0 and rows[-1][0] == 0.99
     assert 0.0 <= best_lam <= 0.99
     # lambda = 0 reproduces the model's own metrics
-    keys = sorted(labels)
-    model_auc = roc_auc([model[k] for k in keys], [labels[k] for k in keys])
-    assert rows[0][1] == pytest.approx(model_auc, abs=1e-12)
+    assert rows[0][1] == pytest.approx(roc_auc(model, labels), abs=1e-12)
 
 
 # -- simulated readers --
@@ -307,28 +318,26 @@ def test_hybrid_sweep_grid():
 def test_reader_calibration_hits_target():
     for target in (0.78, 0.99):
         rng = substream(7, "cal")
-        labels = {f"b{i}": int(rng.uniform() < 0.3) for i in range(1440)}
-        labels["b0"], labels["b1"] = 1, 0
-        mat = simulate_readers(labels, [target], rng)
-        y = [labels[b] for b in mat.breast_ids]
-        assert mat.separations[0] > 0
-        assert abs(roc_auc(mat.scores[0], y) - target) <= 0.02
+        labels = (rng.uniform(size=1440) < 0.3).astype(int)
+        labels[:2] = [1, 0]
+        scores = simulate_readers(labels, [target], rng)
+        assert scores.shape == (1, 1440)
+        assert abs(roc_auc(scores[0], labels) - target) <= 0.02
 
 
 def test_fourteen_reader_spread():
     rng = substream(8, "panel")
-    labels = {f"b{i}": int(rng.uniform() < 0.25) for i in range(1440)}
-    labels["b0"], labels["b1"] = 1, 0
+    labels = (rng.uniform(size=1440) < 0.25).astype(int)
+    labels[:2] = [1, 0]
     targets = np.linspace(0.705, 0.860, 14)
-    mat = simulate_readers(labels, targets, rng)
-    y = [labels[b] for b in mat.breast_ids]
-    aucs = [roc_auc(row, y) for row in mat.scores]
+    scores = simulate_readers(labels, targets, rng)
+    aucs = [roc_auc(row, labels) for row in scores]
     assert min(aucs) >= 0.70 - 0.021 and min(aucs) <= 0.705 + 0.021
     assert max(aucs) >= 0.860 - 0.021 and max(aucs) <= 0.87 + 0.021
 
 
 def test_unattainable_target_rejected():
-    labels = {f"b{i}": i % 2 for i in range(10)}
+    labels = np.arange(10) % 2
     with pytest.raises(MetricError):
         simulate_readers(labels, [0.9999], substream(9, "bad"))
 

@@ -81,8 +81,7 @@ def test_single_window_case():
 def test_overlap_pairwise_means():
     """Three overlapping windows along one axis: overlaps average pairwise."""
     img = np.zeros((16, 32))
-    plan = StridePlan(vertical=[], horizontal=[8, 8], patch_size=16,
-                      prefixed_stride=8)
+    plan = StridePlan(vertical=[], horizontal=[8, 8], patch_size=16)
     outputs = iter([0.2, 0.6, 1.0])
 
     def predict(windows):

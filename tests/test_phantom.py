@@ -145,7 +145,7 @@ def test_manifest_matches_masks(tmp_path):
     for rec in load_manifest(tmp_path / "manifest.csv"):
         for side, views in (("L", ("lcc", "lmlo")), ("R", ("rcc", "rmlo"))):
             benign, malignant = rec.labels(side)
-            occult = rec.occult(side)
+            occult = rec.left_occult if side == "L" else rec.right_occult
             for view in views:
                 for malignancy, flag in (("benign", benign), ("malignant", malignant)):
                     mask = load_mask(tmp_path, rec, view, malignancy)
