@@ -43,7 +43,7 @@ class Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dtype, shape, what):
-        """A read-only ``shape`` array over the next bytes; callers copy."""
+        """A read-only ``shape`` array over the next bytes; writers copy."""
         dtype = np.dtype(dtype)
         raw = self.take(math.prod(shape) * dtype.itemsize, what)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)

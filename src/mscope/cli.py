@@ -47,9 +47,9 @@ from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
 from .heatmaps import heatmaps_for_exam, save_heatmap, select_patch_checkpoint
 from .layers import StateDictError
 from .multiview import MultiViewNet
-from .patches import (PATCH_CLASSES, PatchConfig, PatchNet, PatchTrainConfig,
-                      build_patch_pools, load_patch_cache, save_patch_cache,
-                      train_patch_classifier)
+from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
+                      PatchTrainConfig, build_patch_pools, load_patch_cache,
+                      save_patch_cache, train_patch_classifier)
 from .phantom import GeneratorError, generate_dataset, load_manifest
 from .seeding import _map_exams, substream
 from .tensor import NumericsError
@@ -106,21 +106,19 @@ def cmd_train_patch(args, cfg, out, data, records):
                        max_angle=cfg["patch.max_angle"])
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.exists():
-        samples = load_patch_cache(cache_path, patch_size)
-        pools = {c: [s for s in samples if PATCH_CLASSES[s.label] == c]
-                 for c in PATCH_CLASSES}
-        print(f"train-patch: loaded {len(samples)} cached patches")
+        pools = load_patch_cache(cache_path, patch_size)
+        print(f"train-patch: loaded {len(pools[1])} cached patches")
     else:
         targets = cfg.ints("patch.pool_targets")
         pools, stats = build_patch_pools(records, data, pcfg, targets,
                                          seed=args.seed)
+        sizes = np.bincount(pools[1], minlength=len(PATCH_CLASSES))
         print("train-patch: pools "
-              + " ".join(f"{k}={len(v)}" for k, v in pools.items())
+              + " ".join(f"{c}={n}" for c, n in zip(PATCH_CLASSES, sizes))
               + f" (rejections: outside={stats['outside_image']} "
                 f"zero={stats['all_zero']} mixed={stats['mixed_classes']})")
         if cache_path:
-            save_patch_cache(cache_path,
-                             [s for pool in pools.values() for s in pool])
+            save_patch_cache(cache_path, pools)
 
     tcfg = PatchTrainConfig(
         epochs=cfg["patch.epochs"], save_every=cfg["patch.save_every"],
@@ -630,7 +628,8 @@ def main(argv=None):
         return _run_stage(args.stage, args) if args.stage.run_dir \
             else args.stage.body(args)
     except (UserError, ConfigError, MetricError, GeneratorError, FormatError,
-            StateDictError, FileNotFoundError, NotADirectoryError) as exc:
+            StateDictError, EmptyPoolError, FileNotFoundError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -106,8 +106,8 @@ def _out_of_range(key, value):
         from .patches import PATCH_CLASSES
         counts = value.split(",")
         if len(counts) != len(PATCH_CLASSES) or \
-                not all(c.strip().isdigit() for c in counts):
-            return (f"must be {len(PATCH_CLASSES)} non-negative counts, one "
+                not all(c.strip().isdigit() and int(c) > 0 for c in counts):
+            return (f"must be {len(PATCH_CLASSES)} positive counts, one "
                     f"per class of {', '.join(PATCH_CLASSES)}")
     if key == "model.input_channels" and value not in (1, 3):
         return "must be 1, or 3 with heatmaps"

@@ -7,6 +7,11 @@ segmented image ("outside"), or drawn from an exam with no biopsied
 findings at all ("negative"). Windows touching both mask classes are
 rejected outright, as are windows leaving the image or containing only
 zero-valued pixels.
+
+The pools are two class-major arrays, ``(pixels, labels)``: (N, p, p)
+float32 windows and their (N,) uint8 indices into ``PATCH_CLASSES``. An
+epoch is an index order into them. The patch cache holds them as they are:
+    "MSPC" | u32 version=1 | u32 p | u32 N | N*p*p f32 | N u8 (little-endian)
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ PATCH_CLASSES = ("malignant", "benign", "outside", "negative")
 # pool sampling: draws per source image and round, and the round budget
 ATTEMPTS_PER_ROUND = 6
 MAX_ROUNDS = 400
+CACHE_MAGIC = b"MSPC"
+CACHE_VERSION = 1
 
 
 @dataclass
@@ -41,25 +48,8 @@ class PatchConfig:
     max_angle: float = KEYS["patch.max_angle"][1]   # degrees
 
 
-@dataclass
-class PatchSample:
-    pixels: np.ndarray        # (patch_size, patch_size) float32 in [0, 1]
-    label: int                # index into PATCH_CLASSES
-    source_id: str
-    center: tuple
-    side: float
-    angle: float
-
-
-@dataclass
-class EpochPlan:
-    counts: tuple             # per-class, aligned with PATCH_CLASSES
-
-    def __post_init__(self):
-        if len(self.counts) != len(PATCH_CLASSES):
-            raise ValueError("one count per patch class required")
-        if any(c < 0 for c in self.counts) or sum(self.counts) <= 0:
-            raise ValueError("counts must be nonnegative with positive total")
+class EmptyPoolError(ValueError):
+    """An epoch asks for patches of a class whose pool holds none."""
 
 
 def class_weights(counts):
@@ -97,9 +87,9 @@ def _points_in_window(ys, xs, center, side, angle_rad):
     return (np.abs(ay) <= half) & (np.abs(ax) <= half)
 
 
-def sample_patch(image, mask_points, rng, cfg: PatchConfig, source_kind,
-                 source_id):
-    """Draw one window; returns (PatchSample | None, reason).
+def sample_patch(image, mask_points, rng, cfg: PatchConfig, source_kind):
+    """Draw one window; returns ("ok", label, pixels) or (reason, None,
+    None).
 
     ``image`` is a float array scaled to [0, 1]; ``mask_points`` maps
     "malignant"/"benign" to (ys, xs) arrays of lesion pixels (may be empty);
@@ -115,18 +105,18 @@ def sample_patch(image, mask_points, rng, cfg: PatchConfig, source_kind,
 
     for y, x in _window_corners((cy, cx), side, rad):
         if not (0 <= y <= h - 1 and 0 <= x <= w - 1):
-            return None, "outside_image"
+            return "outside_image", None, None
 
     overlaps = {}
     for malignancy, (ys, xs) in mask_points.items():
         overlaps[malignancy] = bool(
             len(ys) and _points_in_window(ys, xs, (cy, cx), side, rad).any())
     if overlaps.get("malignant") and overlaps.get("benign"):
-        return None, "mixed_classes"
+        return "mixed_classes", None, None
 
     pixels = _extract_window(image, (cy, cx), side, rad, cfg.patch_size)
     if pixels.max() <= 0:
-        return None, "all_zero"
+        return "all_zero", None, None
 
     if overlaps.get("malignant"):
         label = 0
@@ -136,9 +126,7 @@ def sample_patch(image, mask_points, rng, cfg: PatchConfig, source_kind,
         label = 2
     else:
         label = 3
-    return PatchSample(pixels=pixels.astype(np.float32), label=label,
-                       source_id=source_id, center=(cy, cx), side=side,
-                       angle=angle), "ok"
+    return "ok", label, pixels
 
 
 def _extract_window(image, center, side, angle_rad, patch_size):
@@ -151,24 +139,26 @@ def _extract_window(image, center, side, angle_rad, patch_size):
     return bilinear_sample(image, ys, xs)
 
 
-def build_epoch(pools, plan: EpochPlan, rng):
-    """Exact per-class counts drawn from the pools, then shuffled.
+def build_epoch(labels, counts, rng):
+    """An epoch's order of pool indices: ``counts[c]`` windows of each
+    class ``c`` drawn from the pool labels, then shuffled.
 
     A class is drawn without replacement when its pool is large enough,
-    with replacement otherwise.
+    with replacement otherwise; a class with no windows to draw from
+    raises ``EmptyPoolError``.
     """
     chosen = []
-    for ci, cls in enumerate(PATCH_CLASSES):
-        count = plan.counts[ci]
+    for ci, (cls, count) in enumerate(zip(PATCH_CLASSES, counts)):
         if count == 0:
             continue
-        pool = pools.get(cls, [])
-        if not pool:
-            raise ValueError(f"empty pool for class {cls!r} with requested count {count}")
-        idx = rng.choice(len(pool), size=count, replace=len(pool) < count)
-        chosen.extend(pool[i] for i in idx)
-    order = rng.permutation(len(chosen))
-    return [chosen[i] for i in order]
+        pool = np.flatnonzero(labels == ci)
+        if not len(pool):
+            raise EmptyPoolError(f"no {cls} patches to draw {count} from: "
+                                 f"no training image or cache gave one")
+        chosen.append(pool[rng.choice(len(pool), size=count,
+                                      replace=len(pool) < count)])
+    chosen = np.concatenate(chosen)
+    return chosen[rng.permutation(len(chosen))]
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +203,15 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
     rounds of ``ATTEMPTS_PER_ROUND`` draws per source image run out).
 
     Returns (pools, stats) where stats counts accepted/rejected draws by
-    reason. Deterministic in (records order, seed).
+    reason; a class short of its target keeps what it got, possibly none.
+    Deterministic in (records order, seed).
     """
     segmented, negative = eligible_images(records, data_dir)
-    targets = dict(zip(PATCH_CLASSES, targets))
-    pools = {c: [] for c in PATCH_CLASSES}
+    p = cfg.patch_size
+    pixels = np.empty((sum(targets), p, p), dtype=np.float32)
+    starts = np.cumsum(targets) - targets
+    filled = [0] * len(PATCH_CLASSES)
     stats = {"ok": 0, "outside_image": 0, "all_zero": 0, "mixed_classes": 0}
-
-    seg_needed = any(targets[c] > 0 for c in ("malignant", "benign", "outside"))
-    if seg_needed and not segmented:
-        raise ValueError("no segmented images available for patch sampling")
-    if targets["negative"] > 0 and not negative:
-        raise ValueError("no negative images available for patch sampling")
 
     cache = {}
 
@@ -237,52 +224,68 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
         return cache[key]
 
     for rnd in range(MAX_ROUNDS):
-        unmet = {c for c in PATCH_CLASSES if len(pools[c]) < targets[c]}
-        if not unmet:
-            break
+        unmet = {c for c, n, t in zip(PATCH_CLASSES, filled, targets)
+                 if n < t}
         sources = []
         if unmet & {"malignant", "benign", "outside"}:
             sources.extend(("segmented", rv) for rv in segmented)
         if "negative" in unmet:
             sources.extend(("negative", rv) for rv in negative)
+        if not sources:
+            break
         for kind, (rec, view) in sources:
             img, points = get(rec, view)
             rng = substream(seed, "patch", rec.exam_id, view, rnd)
             for _ in range(ATTEMPTS_PER_ROUND):
-                sample, reason = sample_patch(
-                    img, points, rng, cfg, kind, f"{rec.exam_id}_{view}")
+                reason, label, window = sample_patch(img, points, rng, cfg,
+                                                     kind)
                 stats[reason] += 1
-                if sample is None:
-                    continue
-                cls = PATCH_CLASSES[sample.label]
-                if len(pools[cls]) < targets[cls]:
-                    pools[cls].append(sample)
-    return pools, stats
+                if window is not None and filled[label] < targets[label]:
+                    pixels[starts[label] + filled[label]] = window
+                    filled[label] += 1
+
+    # close the gaps a class left short of its target, in place
+    n = 0
+    for start, count in zip(starts, filled):
+        if start != n:
+            pixels[n:n + count] = pixels[start:start + count]
+        n += count
+    labels = np.repeat(np.arange(len(PATCH_CLASSES), dtype=np.uint8), filled)
+    return (pixels[:n], labels), stats
 
 
 # ---------------------------------------------------------------------------
 # patch cache file
 
-def save_patch_cache(path, samples):
-    """Concatenated records: u32 class, u32 side (rounded), f32 pixels."""
+def save_patch_cache(path, pools):
+    pixels, labels = pools
+    n, p, _ = pixels.shape
     with open(path, "wb") as f:
-        for s in samples:
-            f.write(struct.pack("<II", s.label, int(round(s.side))))
-            f.write(np.ascontiguousarray(s.pixels, dtype="<f4").tobytes())
+        f.write(CACHE_MAGIC)
+        f.write(struct.pack("<III", CACHE_VERSION, p, n))
+        f.write(np.ascontiguousarray(pixels, dtype="<f4"))
+        f.write(np.ascontiguousarray(labels, dtype="u1"))
 
 
 def load_patch_cache(path, patch_size):
+    """The pools a cache holds, as read-only views of the file's bytes.
+    A cache written at another patch size raises ``FormatError``."""
     r = Reader(path)
-    samples = []
-    while r.off < len(r.blob):
-        label, side = r.unpack("<II", "patch record")
-        if label >= len(PATCH_CLASSES):
-            r.fail(f"label {label} is not a patch class index", at=r.off - 8)
-        pixels = r.array("<f4", (patch_size, patch_size), "patch pixels")
-        samples.append(PatchSample(pixels=pixels.copy(), label=label,
-                                   source_id="cache", center=(0, 0),
-                                   side=float(side), angle=0.0))
-    return samples
+    if r.take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
+        r.fail(f"bad magic {r.blob[:4]!r}, expected {CACHE_MAGIC!r}", at=0)
+    version, p, n = r.unpack("<III", "header")
+    if version != CACHE_VERSION:
+        r.fail(f"unsupported version {version}", at=len(CACHE_MAGIC))
+    if p != patch_size:
+        r.fail(f"patches are {p}x{p}, but patch.size is {patch_size}",
+               at=len(CACHE_MAGIC) + 4)
+    pixels = r.array("<f4", (n, p, p), "patch pixels")
+    labels = r.array("u1", (n,), "patch labels")
+    if n and labels.max() >= len(PATCH_CLASSES):
+        r.fail(f"label {labels.max()} is not a patch class index",
+               at=r.off - n + labels.argmax())
+    r.end()
+    return pixels, labels
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +357,7 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig, patch_size,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    pixels, labels = pools
     weights = class_weights(cfg.plan_counts)
     net = PatchNet(patch_size=patch_size, seed=cfg.seed)
     checkpoints = []
@@ -366,15 +370,15 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig, patch_size,
         checkpoints.append((epoch, path))
 
     def epoch_batches(epoch):
-        samples = build_epoch(pools, EpochPlan(cfg.plan_counts),
-                              substream(cfg.seed, "epoch", epoch))
-        for start in range(0, len(samples), cfg.batch_size):
-            yield samples[start:start + cfg.batch_size]
+        order = build_epoch(labels, cfg.plan_counts,
+                            substream(cfg.seed, "epoch", epoch))
+        for start in range(0, len(order), cfg.batch_size):
+            yield order[start:start + cfg.batch_size]
 
-    def batch_loss(batch):
-        x = np.stack([s.pixels for s in batch])[..., None]
-        y = np.array([s.label for s in batch])
-        return weighted_batch_cross_entropy(net(T.Tensor(x)), y, weights)
+    def batch_loss(idx):
+        x = pixels[idx][..., None]
+        return weighted_batch_cross_entropy(net(T.Tensor(x)), labels[idx],
+                                            weights)
 
     def end_epoch(epoch, losses):
         history.append(losses)

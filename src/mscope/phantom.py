@@ -575,6 +575,7 @@ _MANIFEST_CODES["birads"] = {"0": 0, "1": 1, "2": 2}
 
 def load_manifest(path):
     records = []
+    seen = set()
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != MANIFEST_HEADER.split(","):
@@ -591,6 +592,10 @@ def load_manifest(path):
                 raise GeneratorError(
                     f"{path}, line {reader.line_num}: {key} {row[key]!r} is "
                     f"not one of {', '.join(_MANIFEST_CODES[key])}")
+            if row["exam_id"] in seen:
+                raise GeneratorError(f"{path}, line {reader.line_num}: exam "
+                                     f"id {row['exam_id']!r} is repeated")
+            seen.add(row["exam_id"])
             records.append(ExamRecord(
                 exam_id=row["exam_id"], patient_id=row["patient_id"],
                 split=row["split"], age_band=row["age_band"],

@@ -147,9 +147,6 @@ class Tensor:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
 
 def _consumed(g):
     """The closure a node keeps once ``backward`` has consumed it."""
@@ -203,13 +200,6 @@ def mul(a, b):
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
-
-
-def reshape(a, shape):
-    def bwd(g):
-        a._accumulate(g.reshape(a.data.shape))
-
-    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 def concat(tensors):

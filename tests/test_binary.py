@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 from mscope.binary import FormatError
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.heatmaps import load_heatmap, save_heatmap
-from mscope.patches import PatchSample, load_patch_cache, save_patch_cache
+from mscope.patches import load_patch_cache, save_patch_cache
 from mscope.pgm import read_pgm, write_pgm8, write_pgm16
 
 CACHE_SIDE = 3
-CACHE_RECORD = 8 + 4 * CACHE_SIDE * CACHE_SIDE
 
 
 def _valid_files():
@@ -31,10 +30,9 @@ def _valid_files():
             p, rng.integers(0, 65536, (4, 3)).astype(np.uint16)),
         "pgm8": lambda p: write_pgm8(
             p, rng.integers(0, 256, (3, 5)).astype(np.uint8)),
-        "cache": lambda p: save_patch_cache(p, [
-            PatchSample(pixels=f32(CACHE_SIDE, CACHE_SIDE), label=i,
-                        source_id="x", center=(0, 0), side=9.0, angle=0.0)
-            for i in range(3)]),
+        "cache": lambda p: save_patch_cache(
+            p, (f32(3, CACHE_SIDE, CACHE_SIDE),
+                np.arange(3, dtype=np.uint8))),
     }
     blobs = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -70,10 +68,6 @@ def test_valid_files_load(fmt):
 def test_truncated_file_raises_format_error(fmt, data):
     blob = VALID[fmt]
     cut = data.draw(st.integers(0, len(blob) - 1))
-    if fmt == "cache" and cut % CACHE_RECORD == 0:
-        # a cache cut between records is a shorter, valid cache
-        assert len(_load(fmt, blob[:cut])) == cut // CACHE_RECORD
-        return
     with pytest.raises(FormatError, match=r"in\.\w+: .* at byte \d+"):
         _load(fmt, blob[:cut])
 
@@ -102,8 +96,10 @@ def test_garbled_file_loads_or_raises_format_error(fmt, data):
     ("pgm8", b"P5\n0 3\n255\n", "bad PGM dims 0x3 or maxval 255 at byte 0"),
     ("pgm8", b"P5\n" + b"9" * 5000 + b" 3\n255\n",
      "bad binary PGM header at byte 0"),
-    ("cache", b"\x04\0\0\0" + VALID["cache"][4:],
-     "label 4 is not a patch class index at byte 0"),
+    ("cache", VALID["cache"][:-1] + b"\x04",
+     f"label 4 is not a patch class index at byte {len(VALID['cache']) - 1}"),
+    ("cache", VALID["cache"][:12] + b"\x04" + VALID["cache"][13:],
+     "truncated patch pixels: 144 bytes needed, 111 left at byte 16"),
 ])
 def test_error_names_what_and_where(fmt, blob, detail):
     with pytest.raises(FormatError) as exc:

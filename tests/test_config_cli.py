@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscope import cli
+from mscope import cli, patches
 from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
@@ -413,8 +413,48 @@ def test_config_txt_records_alias_flags(pipeline, tmp_path):
             ran["patch.size"]) == (2, 1, 16)
     assert sorted(f.name for f in (out / "checkpoints").iterdir()) == \
         ["patch_ep0001.ckpt", "patch_ep0002.ckpt"]
-    samples = load_patch_cache(cache, 16)
-    assert len(samples) * (8 + 4 * 16 * 16) == cache.stat().st_size
+    pixels, labels = load_patch_cache(cache, 16)
+    assert 16 + pixels.nbytes + labels.nbytes == cache.stat().st_size
+
+
+def test_patch_cache_reuse_matches_a_run_without_it(pipeline, tmp_path,
+                                                    capsys):
+    """A cache written by one run and read by the next gives the
+    checkpoints of a run without a cache; read at another patch size it
+    exits 1 naming both sizes."""
+    p = pipeline
+    cache = tmp_path / "patches.bin"
+    for run in ("write", "read"):
+        assert main(["train-patch", "--data", str(p["data"]), "--out",
+                     str(tmp_path / run), "--seed", "5", "--cache",
+                     str(cache), *sets()]) == 0
+        assert tree_hash(tmp_path / run / "checkpoints") == \
+            tree_hash(p["patch"] / "checkpoints"), run
+    capsys.readouterr()
+    assert main(["train-patch", "--data", str(p["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", "--cache", str(cache),
+                 *sets(("patch.size=20",))]) == 1
+    err = capsys.readouterr().err
+    assert "patches are 16x16, but patch.size is 20" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("setting", ["data.biopsied_fraction=0",
+                                     "data.malignant_fraction=0"])
+def test_class_no_window_can_fill_exits_1(tmp_path, capsys, monkeypatch,
+                                          setting):
+    """Training data that gives no window of some class is a user error
+    naming the class, not an internal error."""
+    monkeypatch.setattr(patches, "MAX_ROUNDS", 3)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--seed", "5",
+                 *sets((setting,))]) == 0
+    capsys.readouterr()
+    assert main(["train-patch", "--data", str(data), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *sets()]) == 1
+    err = capsys.readouterr().err
+    assert "no malignant patches" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
 
 
 # command, the one bad config value; each exits 1 and names the key
@@ -425,6 +465,8 @@ BAD_CONFIG_VALUES = [
     ("train-patch", "patch.save_every=0"),
     ("train-patch", "patch.plan=1,2,3"),
     ("train-patch", "patch.pool_targets=30,30,80,-1"),
+    ("train-patch", "patch.plan=0,10,40,40"),
+    ("train-patch", "patch.pool_targets=0,30,80,80"),
     ("reader-study", "eval.readers=0"),
     ("reader-study", "eval.hybrid_lambda=1.5"),
     ("evaluate", "eval.population=foo"),
@@ -520,6 +562,7 @@ GARBLED_INPUTS = {
     "manifest-flag": ("manifest.csv", 1, _set_field(9, "x")),
     "manifest-birads": ("manifest.csv", 1, _set_field(13, "9")),
     "manifest-short-row": ("manifest.csv", 1, lambda fields: fields[:-1]),
+    "manifest-repeated-id": ("manifest.csv", 2, _set_field(0, "e00000")),
 }
 
 

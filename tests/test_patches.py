@@ -4,18 +4,31 @@ import numpy as np
 import pytest
 
 from mscope import tensor as T
-from mscope.patches import (EpochPlan, PATCH_CLASSES, PatchConfig, PatchNet,
-                            PatchSample, PatchTrainConfig, _extract_window,
+from mscope.binary import FormatError
+from mscope.patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig,
+                            PatchNet, PatchTrainConfig, _extract_window,
                             build_epoch, class_weights, load_patch_cache,
                             sample_patch, save_patch_cache,
                             train_patch_classifier)
 from mscope.seeding import substream
 
 
-def make_sample(label, side=32.0, size=16, fill=0.5):
-    return PatchSample(pixels=np.full((size, size), fill, dtype=np.float32),
-                       label=label, source_id="t", center=(0, 0),
-                       side=side, angle=0.0)
+def pool_labels(sizes):
+    """Class-major pool labels: ``sizes[c]`` windows of each class c."""
+    return np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
+
+
+class Recorder:
+    """An RNG that keeps the last four uniform draws: a window's center
+    (y, x), side and angle, in the order ``sample_patch`` draws them."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def uniform(self, lo, hi):
+        self.draws = self.draws[-3:] + [self.rng.uniform(lo, hi)]
+        return self.draws[-1]
 
 
 # -- class weights --
@@ -75,9 +88,8 @@ def test_corner_window_rejected():
                 return 0.0  # center at the image corner
             return lo if hi is None else lo
 
-    sample, reason = sample_patch(img, {}, Fixed(), cfg, "negative",
-                                  source_id="")
-    assert sample is None and reason == "outside_image"
+    reason, label, pixels = sample_patch(img, {}, Fixed(), cfg, "negative")
+    assert (reason, label, pixels) == ("outside_image", None, None)
 
 
 def test_all_zero_window_rejected():
@@ -86,9 +98,8 @@ def test_all_zero_window_rejected():
     rng = substream(3, "zero")
     rejected = 0
     for _ in range(50):
-        sample, reason = sample_patch(img, {}, rng, cfg, "negative",
-                                      source_id="")
-        assert sample is None
+        reason, _, pixels = sample_patch(img, {}, rng, cfg, "negative")
+        assert pixels is None
         if reason == "all_zero":
             rejected += 1
     assert rejected > 0
@@ -108,20 +119,17 @@ def test_overlap_classes_against_bruteforce():
               (("malignant", mal), ("benign", ben))}
     cfg = PatchConfig(patch_size=8, side_min=6, side_max=20, max_angle=30)
 
-    draw_rng = substream(7, "overlap")
+    draw_rng = Recorder(substream(7, "overlap"))
     checked = 0
     while checked < 1000:
-        sample, reason = sample_patch(img, points, draw_rng, cfg, "segmented",
-                                      source_id="")
+        reason, label, _ = sample_patch(img, points, draw_rng, cfg,
+                                        "segmented")
         if reason == "outside_image":
             continue
         checked += 1
         # independent oracle: test every pixel against the rotated window
-        if sample is not None:
-            cy, cx = sample.center
-            side, rad = sample.side, math.radians(sample.angle)
-        else:
-            continue  # mixed_classes windows have no recorded geometry
+        cy, cx, side, angle = draw_rng.draws
+        rad = math.radians(angle)
         hit_mal = hit_ben = False
         c, s = math.cos(rad), math.sin(rad)
         for yy in range(h):
@@ -132,6 +140,9 @@ def test_overlap_classes_against_bruteforce():
                 if abs(ay) <= side / 2 and abs(ax) <= side / 2:
                     hit_mal |= bool(mal[yy, xx])
                     hit_ben |= bool(ben[yy, xx])
+        if label is None:
+            assert hit_mal and hit_ben and reason == "mixed_classes"
+            continue
         assert not (hit_mal and hit_ben)
         if hit_mal:
             expected = "malignant"
@@ -139,19 +150,19 @@ def test_overlap_classes_against_bruteforce():
             expected = "benign"
         else:
             expected = "outside"
-        assert PATCH_CLASSES[sample.label] == expected
+        assert PATCH_CLASSES[label] == expected
 
 
 def test_side_distribution_uniform():
     """Accepted sides stay uniform (KS < 0.02) on a large fixture."""
     img = np.full((2048, 2048), 0.5)
     cfg = PatchConfig(patch_size=8, side_min=32, side_max=96, max_angle=30)
-    rng = substream(5, "ks")
+    rng = Recorder(substream(5, "ks"))
     sides = []
     while len(sides) < 10000:
-        sample, _ = sample_patch(img, {}, rng, cfg, "negative", source_id="")
-        if sample is not None:
-            sides.append(sample.side)
+        _, _, pixels = sample_patch(img, {}, rng, cfg, "negative")
+        if pixels is not None:
+            sides.append(rng.draws[2])
     sides = np.sort(sides)
     cdf = (sides - cfg.side_min) / (cfg.side_max - cfg.side_min)
     ecdf_hi = np.arange(1, len(sides) + 1) / len(sides)
@@ -163,79 +174,79 @@ def test_side_distribution_uniform():
 # -- epoch building --
 
 def test_build_epoch_exact_histogram():
-    pools = {c: [make_sample(i, size=8)] * 40
-             for i, c in enumerate(PATCH_CLASSES)}
-    plan = EpochPlan((20, 35, 5000, 4945))
-    samples = build_epoch(pools, plan, substream(9, "epoch"))
-    assert len(samples) == 10000
-    hist = np.bincount([s.label for s in samples], minlength=4)
+    labels = pool_labels([40] * 4)
+    order = build_epoch(labels, (20, 35, 5000, 4945), substream(9, "epoch"))
+    assert len(order) == 10000
+    hist = np.bincount(labels[order], minlength=4)
     np.testing.assert_array_equal(hist, [20, 35, 5000, 4945])
 
 
 def test_build_epoch_single_class():
-    pools = {"negative": [make_sample(3, size=8)] * 3}
-    samples = build_epoch(pools, EpochPlan((0, 0, 0, 10)),
-                          substream(1, "epoch"))
-    assert len(samples) == 10 and all(s.label == 3 for s in samples)
+    labels = pool_labels([0, 0, 0, 3])
+    order = build_epoch(labels, (0, 0, 0, 10), substream(1, "epoch"))
+    assert len(order) == 10 and set(order) == {0, 1, 2}
 
 
 def test_build_epoch_deterministic():
-    pools = {c: [make_sample(i, side=float(k), size=8) for k in range(30)]
-             for i, c in enumerate(PATCH_CLASSES)}
-    plan = EpochPlan((5, 5, 20, 20))
-    a = build_epoch(pools, plan, substream(4, "epoch"))
-    b = build_epoch(pools, plan, substream(4, "epoch"))
-    assert [(s.label, s.side) for s in a] == [(s.label, s.side) for s in b]
+    labels = pool_labels([30] * 4)
+    a = build_epoch(labels, (5, 5, 20, 20), substream(4, "epoch"))
+    b = build_epoch(labels, (5, 5, 20, 20), substream(4, "epoch"))
+    np.testing.assert_array_equal(a, b)
+    # without replacement where the pool is large enough
+    for c, count in enumerate((5, 5, 20, 20)):
+        drawn = a[labels[a] == c]
+        assert len(set(drawn)) == len(drawn) == count
 
 
 def test_build_epoch_empty_pool_rejected():
-    pools = {c: [] for c in PATCH_CLASSES}
-    with pytest.raises(ValueError):
-        build_epoch(pools, EpochPlan((1, 0, 0, 0)), substream(0, "epoch"))
-
-
-def test_epoch_plan_validation():
-    with pytest.raises(ValueError):
-        EpochPlan((0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        EpochPlan((1, 2, 3))
+    with pytest.raises(EmptyPoolError, match="no benign patches"):
+        build_epoch(pool_labels([2, 0, 2, 2]), (1, 1, 1, 1),
+                    substream(0, "epoch"))
 
 
 # -- patch cache --
 
+def random_pools(size, sizes, seed=2):
+    labels = pool_labels(sizes)
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (len(labels), size, size)).astype(np.float32), \
+        labels
+
+
 def test_patch_cache_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    samples = [PatchSample(pixels=rng.uniform(0, 1, (8, 8)).astype(np.float32),
-                           label=i % 4, source_id="x", center=(1, 2),
-                           side=40.0 + i, angle=5.0)
-               for i in range(5)]
+    pixels, labels = random_pools(8, [2, 1, 0, 2])
     path = tmp_path / "patches.bin"
-    save_patch_cache(path, samples)
-    loaded = load_patch_cache(path, patch_size=8)
-    assert [s.label for s in loaded] == [s.label for s in samples]
-    assert [s.side for s in loaded] == [float(round(s.side)) for s in samples]
-    for a, b in zip(loaded, samples):
-        np.testing.assert_array_equal(a.pixels, b.pixels)
+    save_patch_cache(path, (pixels, labels))
+    assert path.stat().st_size == 16 + pixels.nbytes + len(labels)
+    loaded_pixels, loaded_labels = load_patch_cache(path, patch_size=8)
+    np.testing.assert_array_equal(loaded_pixels, pixels)
+    np.testing.assert_array_equal(loaded_labels, labels)
+    assert loaded_pixels.dtype == np.float32
+
+
+def test_patch_cache_at_another_size_names_both(tmp_path):
+    path = tmp_path / "patches.bin"
+    save_patch_cache(path, random_pools(8, [1, 1, 1, 1]))
+    with pytest.raises(FormatError, match="patches are 8x8, but patch.size "
+                                          "is 16"):
+        load_patch_cache(path, patch_size=16)
 
 
 # -- training --
 
 def separable_pools(rng, size=16, n=60):
     """Bright-blob "malignant" vs dark "benign" vs mid textures."""
-    pools = {c: [] for c in PATCH_CLASSES}
+    windows = []
     for i in range(n):
         base = rng.uniform(0.3, 0.5, (size, size)).astype(np.float32)
         bright = base.copy()
         bright[4:12, 4:12] += 0.5
         dark = base * 0.4
-        pools["malignant"].append(PatchSample(bright, 0, "m", (0, 0), 16, 0))
-        pools["benign"].append(PatchSample(dark.astype(np.float32), 1, "b",
-                                           (0, 0), 16, 0))
-        pools["outside"].append(PatchSample(base, 2, "o", (0, 0), 16, 0))
         neg = base + rng.uniform(0, 0.1)
-        pools["negative"].append(PatchSample(neg.astype(np.float32), 3, "n",
-                                             (0, 0), 16, 0))
-    return pools
+        windows.append((bright, dark, base, neg))
+    pixels = np.array([w[c] for c in range(len(PATCH_CLASSES))
+                       for w in windows], dtype=np.float32)
+    return pixels, pool_labels([n] * len(PATCH_CLASSES))
 
 
 def test_checkpoint_cadence(tmp_path):

@@ -193,3 +193,15 @@ def _rec(lb, lm, rb, rm):
                       right_biopsied=int(bool(rb or rm)),
                       left_occult=0, right_occult=0, birads=0,
                       view_paths={v: "" for v in VIEWS})
+
+
+def test_manifest_with_a_repeated_exam_id_rejected(tmp_path):
+    generate_dataset(tiny_config(exams=3), seed=2, out_dir=tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
+    exam_id = lines[1].split(",")[0]
+    with pytest.raises(GeneratorError) as exc:
+        load_manifest(manifest)
+    assert str(exc.value) == (f"{manifest}, line 5: exam id {exam_id!r} "
+                              "is repeated")

@@ -27,6 +27,11 @@ its bases. Four rules:
 Each finding is a constant in disguise, or a default that copies a value
 whose home is elsewhere (``config.KEYS``). The exceptions below carry the
 reason each one stays.
+
+A fifth rule, **unread**, flags a record field that no code in
+``src/mscope`` or ``perfbench/*.py`` reads as an attribute (``r.name``):
+a field that is written and then dropped. Reads are matched by name
+alone, so a field is hidden by a same-named field of another record.
 """
 
 import ast
@@ -368,3 +373,56 @@ def test_knob_scan_finds_unset_defaults(caller, expected):
     assert {k for _, _, k in every} == {"factor", "bias", "margin", "flag"}
     assert {rule: {k for _, _, k in found[rule]} for rule in RULES} == \
         {rule: expected.get(rule, set()) for rule in RULES}
+
+
+# ---------------------------------------------------------------------------
+# record fields that nothing reads
+
+def _unread_fields(sources=None, callers=None):
+    """Each (module, record, field) of ``sources`` (default
+    ``src/mscope``) that no code in ``callers`` (default ``src/mscope``
+    and ``perfbench``) reads as an attribute."""
+    if sources is None:
+        sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    if callers is None:
+        callers = [p.read_text() for p in CALLERS]
+    read = {node.attr for text in callers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [(module, name, field)
+            for module, text in sources.items()
+            for _, name, _, fields, _, _, record in
+            _knobs(ast.parse(text), module) if record
+            for field in fields if field not in read]
+
+
+def test_every_record_field_is_read():
+    unread = _unread_fields()
+    assert not unread, f"record fields never read as an attribute: {unread}"
+
+
+RECORD = """
+from dataclasses import dataclass
+from typing import NamedTuple
+
+@dataclass
+class Window:
+    pixels: object
+    label: int
+    angle: float = 0.0
+
+class Row(NamedTuple):
+    key: str
+    score: float
+"""
+
+
+@pytest.mark.parametrize("caller, unread", [
+    ("w.pixels, w.label, w.angle\nrow.key, row.score", set()),
+    ("w.pixels, w.label\nw.angle = 1.0\nrow.key", {"angle", "score"}),
+    ("w.pixels\nlabel = w.label\nkey, score = row", {"angle", "key",
+                                                       "score"}),
+], ids=["all-read", "written-not-read", "unpacked-not-read"])
+def test_unread_scan_finds_unread_fields(caller, unread):
+    found = _unread_fields({"extra": RECORD}, [RECORD, caller])
+    assert {field for _, _, field in found} == unread

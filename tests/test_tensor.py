@@ -17,13 +17,14 @@ from gradcheck import numerical_gradients, max_relative_error
 
 
 def _composite_net(seed):
-    """conv -> batchnorm -> relu -> maxpool -> flatten -> linear, float64."""
+    """conv -> batchnorm -> relu -> maxpool -> global average pool ->
+    linear, float64."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 8, 8, 2))
     conv_w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.5)
     gamma = Parameter(rng.uniform(0.5, 1.5, 3))
     beta = Parameter(rng.standard_normal(3) * 0.1)
-    lin_w = Parameter(rng.standard_normal((4, 48)) * 0.3)
+    lin_w = Parameter(rng.standard_normal((4, 3)) * 0.3)
     lin_b = Parameter(rng.standard_normal(4) * 0.1)
     rmean = np.zeros(3)
     rvar = np.ones(3)
@@ -36,7 +37,7 @@ def _composite_net(seed):
         h = T.batchnorm2d(h, gamma, beta, rmean.copy(), rvar.copy(), training=True)
         h = T.relu(h)
         h = T.maxpool2d(h)
-        h = T.reshape(h, (2, -1))
+        h = T.global_avgpool2d(h)
         logits = T.linear(h, lin_w, lin_b)
         return weighted_batch_cross_entropy(logits, labels, weights)
 
