@@ -16,9 +16,10 @@ and ``config.txt`` records what ran. ``report`` has no config and no
 output directory.
 
 Exit codes: 0 success; 1 user error (bad flags, out-of-range config
-values, bad paths, input files that do not parse, checkpoints that do not
-fit the model, a learning rate that diverges in the first epoch); 2
-internal invariant violation.
+values, bad paths, checkpoints that do not fit the model, a learning rate
+that diverges in the first epoch, and any input file that does not parse,
+binary or CSV, which raises ``formats.FormatError`` naming the file and
+the byte or line); 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import config as cfgmod
-from .binary import FormatError
 from .checkpoint import load_checkpoint, load_into, named, save_checkpoint
 from .config import ConfigError
 from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
@@ -44,6 +44,7 @@ from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
                          pr_auc, pr_curve_points, read_predictions,
                          reader_study_draw, roc_auc, roc_curve_points,
                          simulate_readers, subpopulation, write_predictions)
+from .formats import FormatError, read_table, write_table
 from .heatmaps import heatmaps_for_exam, save_heatmap, select_patch_checkpoint
 from .layers import StateDictError
 from .multiview import MultiViewNet
@@ -82,10 +83,6 @@ def _data_dir(args):
     if not (data / "manifest.csv").exists():
         raise UserError(f"{data}: no manifest.csv found")
     return data
-
-
-def _write_csv(path, header, rows):
-    Path(path).write_text("".join(f"{r}\n" for r in (header, *rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +144,10 @@ def cmd_train_patch(args, cfg, out, data, records):
             from exc
 
     shutil.copyfile(best[1], out / "best.ckpt")
-    _write_csv(out / "selection.csv",
-               "epoch,auc_malignant,auc_benign,auc_mean",
-               (f"{epoch},{am:.6f},{ab:.6f},{mean:.6f}"
-                for epoch, _, am, ab, mean in table))
+    write_table(out / "selection.csv",
+                "epoch,auc_malignant,auc_benign,auc_mean",
+                ((epoch, f"{am:.6f}", f"{ab:.6f}", f"{mean:.6f}")
+                 for epoch, _, am, ab, mean in table))
     return (f"train-patch: {len(checkpoints)} checkpoints; selected epoch "
             f"{best[0]} (mean auc {best[4]:.3f}) -> {out / 'best.ckpt'}")
 
@@ -337,15 +334,15 @@ def cmd_evaluate(args, cfg, out, data, records):
                 if both and pop in ("screening", "biopsied") and \
                         task in ("malignant", "benign"):
                     tag = out / "curves" / f"{model_id}_{pop}_{task}"
-                    _write_csv(f"{tag}_roc.csv", "fpr,tpr",
-                               (f"{a:.6f},{b:.6f}"
-                                for a, b in roc_curve_points(s, y)))
-                    _write_csv(f"{tag}_pr.csv", "recall,precision",
-                               (f"{a:.6f},{b:.6f}"
-                                for a, b in pr_curve_points(s, y)))
+                    write_table(f"{tag}_roc.csv", "fpr,tpr",
+                                ((f"{a:.6f}", f"{b:.6f}")
+                                 for a, b in roc_curve_points(s, y)))
+                    write_table(f"{tag}_pr.csv", "recall,precision",
+                                ((f"{a:.6f}", f"{b:.6f}")
+                                 for a, b in pr_curve_points(s, y)))
 
-    _write_csv(out / "metrics.csv", METRICS_HEADER,
-               (",".join(r[:4]) + f",{r[4]:.6f}" for r in rows))
+    write_table(out / "metrics.csv", METRICS_HEADER,
+                ((*r[:4], f"{r[4]:.6f}") for r in rows))
     auc_rows = [r for r in rows if r[3] == "auc"]
     return f"evaluate: {len(auc_rows)} AUC figures -> {out / 'metrics.csv'}"
 
@@ -375,9 +372,9 @@ def cmd_reader_study(args, cfg, out, data, records):
     lam = cfg["eval.hybrid_lambda"]
     model_auc, model_prauc = roc_auc(model, y), pr_auc(model, y)
 
-    _write_csv(out / "readers.csv", "reader_id," + ",".join(ids),
-               (f"r{ri}," + ",".join(f"{v:.6f}" for v in scores)
-                for ri, scores in enumerate(readers)))
+    write_table(out / "readers.csv", "reader_id," + ",".join(ids),
+                ((f"r{ri}", *(f"{v:.6f}" for v in scores))
+                 for ri, scores in enumerate(readers)))
 
     rows = []
     sweep_rows = []
@@ -389,14 +386,14 @@ def cmd_reader_study(args, cfg, out, data, records):
                      pr_auc(scores, y), roc_auc(hyb, y), pr_auc(hyb, y),
                      best_lam))
 
-    _write_csv(out / "reader_metrics.csv",
-               "reader_id,target_auc,reader_auc,reader_prauc,"
-               f"hybrid{lam}_auc,hybrid{lam}_prauc,best_lambda",
-               (f"{r[0]},{r[1]:.4f},{r[2]:.6f},{r[3]:.6f},{r[4]:.6f},"
-                f"{r[5]:.6f},{r[6]:.2f}" for r in rows))
-    _write_csv(out / "sweep.csv", "reader_id,lambda,auc,prauc",
-               (f"{rid},{g_lam:.2f},{g_auc:.6f},{g_prauc:.6f}"
-                for rid, g_lam, g_auc, g_prauc in sweep_rows))
+    write_table(out / "reader_metrics.csv",
+                "reader_id,target_auc,reader_auc,reader_prauc,"
+                f"hybrid{lam}_auc,hybrid{lam}_prauc,best_lambda",
+                ((r[0], f"{r[1]:.4f}", *(f"{v:.6f}" for v in r[2:6]),
+                  f"{r[6]:.2f}") for r in rows))
+    write_table(out / "sweep.csv", "reader_id,lambda,auc,prauc",
+                ((rid, f"{g_lam:.2f}", f"{g_auc:.6f}", f"{g_prauc:.6f}")
+                 for rid, g_lam, g_auc, g_prauc in sweep_rows))
 
     mean_reader = float(np.mean([r[2] for r in rows]))
     mean_hybrid = float(np.mean([r[4] for r in rows]))
@@ -409,27 +406,17 @@ def cmd_reader_study(args, cfg, out, data, records):
 
 def _read_metrics(path, values, models):
     """Add the rows of one ``metrics.csv`` to ``values`` and its model ids
-    to ``models``; a file that does not parse raises ``UserError`` naming
-    the file and line."""
-    import csv
-
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != METRICS_HEADER.split(","):
-            raise UserError(f"{path}: unexpected metrics header")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if None in row or None in row.values():
-                raise UserError(f"{where}: expected "
-                                f"{len(reader.fieldnames)} fields")
-            try:
-                value = float(row["value"])
-            except ValueError:
-                raise UserError(f"{where}: value {row['value']!r} is not a "
-                                "number") from None
-            values[row["model_id"], row["population"], row["task"],
-                   row["metric"]] = value
-            models[row["model_id"]] = None
+    to ``models``; a value that is not a number raises ``FormatError``
+    naming the file and line."""
+    for where, row in read_table(path, METRICS_HEADER):
+        try:
+            value = float(row["value"])
+        except ValueError:
+            raise FormatError(f"{where}: value {row['value']!r} is not a "
+                              "number") from None
+        values[row["model_id"], row["population"], row["task"],
+               row["metric"]] = value
+        models[row["model_id"]] = None
 
 
 def cmd_report(args):

@@ -21,12 +21,13 @@ Single-class inputs raise instead of returning NaN.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .formats import FormatError, read_table, write_table
 
 
 class MetricError(ValueError):
@@ -295,32 +296,23 @@ PREDICTIONS_HEADER = "exam_id,side,p_malignant,p_benign,model_id"
 
 
 def write_predictions(path, records):
-    with open(path, "w", newline="") as f:
-        f.write(PREDICTIONS_HEADER + "\n")
-        for r in sorted(records, key=lambda r: (r.exam_id, r.side, r.model_id)):
-            f.write(f"{r.exam_id},{r.side},{r.p_malignant:.6f},"
-                    f"{r.p_benign:.6f},{r.model_id}\n")
+    write_table(path, PREDICTIONS_HEADER, (
+        (r.exam_id, r.side, f"{r.p_malignant:.6f}", f"{r.p_benign:.6f}",
+         r.model_id)
+        for r in sorted(records, key=lambda r: (r.exam_id, r.side,
+                                                r.model_id))))
 
 
 def read_predictions(path):
     out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != PREDICTIONS_HEADER.split(","):
-            raise MetricError(f"{path}: unexpected predictions header")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if None in row or None in row.values():
-                raise MetricError(f"{where}: expected "
-                                  f"{len(reader.fieldnames)} fields")
-            if row["side"] not in SIDES:
-                raise MetricError(f"{where}: side {row['side']!r} is not L "
-                                  "or R")
-            out.append(PredictionRecord(
-                exam_id=row["exam_id"], side=row["side"],
-                p_malignant=_probability(row["p_malignant"], where),
-                p_benign=_probability(row["p_benign"], where),
-                model_id=row["model_id"]))
+    for where, row in read_table(path, PREDICTIONS_HEADER):
+        if row["side"] not in SIDES:
+            raise FormatError(f"{where}: side {row['side']!r} is not L or R")
+        out.append(PredictionRecord(
+            exam_id=row["exam_id"], side=row["side"],
+            p_malignant=_probability(row["p_malignant"], where),
+            p_benign=_probability(row["p_benign"], where),
+            model_id=row["model_id"]))
     return out
 
 
@@ -330,6 +322,6 @@ def _probability(text, where):
     except ValueError:
         p = math.nan
     if not 0.0 <= p <= 1.0:  # also rejects NaN
-        raise MetricError(f"{where}: probability {text!r} is not a number "
+        raise FormatError(f"{where}: probability {text!r} is not a number "
                           "in [0, 1]")
     return p

@@ -6,21 +6,23 @@ window grid is the cumulative sum of the strides. Every window's
 malignant/benign probabilities are painted over the window's pixels and
 overlapping windows are averaged (float64 accumulation, so the result is
 independent of evaluation order).
+
+A heatmap file is a ``formats`` container under "MSHM" holding the arrays
+``malignant`` and ``benign``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binary import Reader
+from .formats import Reader, save_arrays
 from .phantom import VIEWS, load_image
 from .seeding import substream
 
 HEATMAP_MAGIC = b"MSHM"
-HEATMAP_VERSION = 1
+PLANES = ("malignant", "benign")
 
 
 def stride_list(image_extent, patch_size, prefixed_stride, rng):
@@ -107,28 +109,18 @@ def generate_heatmaps(image, predict, plan: StridePlan):
 
 
 def save_heatmap(path, malignant, benign):
-    malignant = np.ascontiguousarray(malignant, dtype="<f4")
-    benign = np.ascontiguousarray(benign, dtype="<f4")
-    if malignant.shape != benign.shape:
+    if np.shape(malignant) != np.shape(benign):
         raise ValueError("heatmap planes must share dims")
-    h, w = malignant.shape
-    with open(path, "wb") as f:
-        f.write(HEATMAP_MAGIC)
-        f.write(struct.pack("<III", HEATMAP_VERSION, h, w))
-        f.write(malignant.tobytes())
-        f.write(benign.tobytes())
+    save_arrays(path, HEATMAP_MAGIC, dict(zip(PLANES, (malignant, benign))))
 
 
 def load_heatmap(path):
+    """The (malignant, benign) planes, as read-only views."""
     r = Reader(path)
-    if r.take(len(HEATMAP_MAGIC), "magic") != HEATMAP_MAGIC:
-        r.fail(f"bad magic {r.blob[:4]!r}, expected {HEATMAP_MAGIC!r}", at=0)
-    version, h, w = r.unpack("<III", "header")
-    if version != HEATMAP_VERSION:
-        r.fail(f"unsupported version {version}", at=len(HEATMAP_MAGIC))
-    mal = r.array("<f4", (h, w), "malignant plane").copy()
-    ben = r.array("<f4", (h, w), "benign plane").copy()
-    r.end()
+    mal, ben = r.arrays(HEATMAP_MAGIC, PLANES).values()
+    if mal.ndim != 2 or ben.shape != mal.shape:
+        r.fail(f"heatmap planes {mal.shape} and {ben.shape} do not share "
+               "one 2-D shape", at=r.payload["malignant"])
     return mal, ben
 
 

@@ -74,7 +74,8 @@ def _fit(net, lr, l2, max_epochs, epoch_batches, batch_loss, end_epoch, log):
     ``end_epoch`` (an eval-mode validation pass overflowing), ends training
     at once and discards the epoch; ``end_epoch`` must therefore record
     nothing before its last chance to raise. Returns the diverged epoch,
-    or None when training did not diverge.
+    or None when training did not diverge; a first epoch that diverges
+    leaves no state to keep and raises ``NumericsError``.
     """
     params = net.parameters()
     state = AdamState(lr=lr, weight_decay=l2)
@@ -92,6 +93,9 @@ def _fit(net, lr, l2, max_epochs, epoch_batches, batch_loss, end_epoch, log):
         except T.NumericsError as exc:
             log(f"training diverged in epoch {epoch} ({exc}); "
                 "discarding that epoch")
+            if epoch == 1:
+                raise T.NumericsError("training diverged in its first "
+                                      "epoch") from exc
             return epoch
         if stop:
             break

@@ -10,23 +10,23 @@ zero-valued pixels.
 
 The pools are two class-major arrays, ``(pixels, labels)``: (N, p, p)
 float32 windows and their (N,) uint8 indices into ``PATCH_CLASSES``. An
-epoch is an index order into them. The patch cache holds them as they are:
-    "MSPC" | u32 version=1 | u32 p | u32 N | N*p*p f32 | N u8 (little-endian)
+epoch is an index order into them. The patch cache is a ``formats``
+container under "MSPC" holding them as the arrays ``pixels`` and
+``labels``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .binary import Reader
 from .checkpoint import save_checkpoint
-from .config import KEYS
+from .config import KEYS, ConfigError
+from .formats import Reader, save_arrays
 from .layers import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 from .optim import _fit, weighted_batch_cross_entropy
 from .phantom import VIEWS, load_image, load_mask, mask_path
@@ -37,7 +37,7 @@ PATCH_CLASSES = ("malignant", "benign", "outside", "negative")
 ATTEMPTS_PER_ROUND = 6
 MAX_ROUNDS = 400
 CACHE_MAGIC = b"MSPC"
-CACHE_VERSION = 1
+CACHE_ARRAYS = ("pixels", "labels")
 
 
 @dataclass
@@ -204,11 +204,18 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
 
     Returns (pools, stats) where stats counts accepted/rejected draws by
     reason; a class short of its target keeps what it got, possibly none.
-    Deterministic in (records order, seed).
+    Deterministic in (records order, seed). Pools too large to allocate
+    raise ``ConfigError``.
     """
-    segmented, negative = eligible_images(records, data_dir)
     p = cfg.patch_size
-    pixels = np.empty((sum(targets), p, p), dtype=np.float32)
+    try:
+        pixels = np.empty((sum(targets), p, p), dtype=np.float32)
+    except (MemoryError, ValueError) as exc:    # ValueError: 2**63 bytes up
+        raise ConfigError(
+            f"patch.pool_targets={','.join(map(str, targets))} at "
+            f"patch.size={p} ask for {sum(targets) * p * p * 4} bytes of "
+            "patch pools: more than can be allocated") from exc
+    segmented, negative = eligible_images(records, data_dir)
     starts = np.cumsum(targets) - targets
     filled = [0] * len(PATCH_CLASSES)
     stats = {"ok": 0, "outside_image": 0, "all_zero": 0, "mixed_classes": 0}
@@ -258,34 +265,27 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
 # patch cache file
 
 def save_patch_cache(path, pools):
-    pixels, labels = pools
-    n, p, _ = pixels.shape
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<III", CACHE_VERSION, p, n))
-        f.write(np.ascontiguousarray(pixels, dtype="<f4"))
-        f.write(np.ascontiguousarray(labels, dtype="u1"))
+    save_arrays(path, CACHE_MAGIC, dict(zip(CACHE_ARRAYS, pools)))
 
 
 def load_patch_cache(path, patch_size):
-    """The pools a cache holds, as read-only views of the file's bytes.
-    A cache written at another patch size raises ``FormatError``."""
+    """The pools a cache holds, the pixels as a read-only view. A cache
+    written at another patch size raises ``FormatError``."""
     r = Reader(path)
-    if r.take(len(CACHE_MAGIC), "magic") != CACHE_MAGIC:
-        r.fail(f"bad magic {r.blob[:4]!r}, expected {CACHE_MAGIC!r}", at=0)
-    version, p, n = r.unpack("<III", "header")
-    if version != CACHE_VERSION:
-        r.fail(f"unsupported version {version}", at=len(CACHE_MAGIC))
+    pixels, labels = r.arrays(CACHE_MAGIC, CACHE_ARRAYS).values()
+    if pixels.ndim != 3 or pixels.shape[1] != pixels.shape[2] or \
+            labels.shape != pixels.shape[:1]:
+        r.fail(f"patch pixels {pixels.shape} and labels {labels.shape} are "
+               "not (N, p, p) and (N,)", at=r.payload["pixels"])
+    p = pixels.shape[1]
     if p != patch_size:
         r.fail(f"patches are {p}x{p}, but patch.size is {patch_size}",
-               at=len(CACHE_MAGIC) + 4)
-    pixels = r.array("<f4", (n, p, p), "patch pixels")
-    labels = r.array("u1", (n,), "patch labels")
-    if n and labels.max() >= len(PATCH_CLASSES):
-        r.fail(f"label {labels.max()} is not a patch class index",
-               at=r.off - n + labels.argmax())
-    r.end()
-    return pixels, labels
+               at=r.payload["pixels"])
+    bad = np.flatnonzero(~np.isin(labels, np.arange(len(PATCH_CLASSES))))
+    if len(bad):
+        r.fail(f"label {labels[bad[0]]:g} is not a patch class index",
+               at=r.payload["labels"] + 4 * bad[0])
+    return pixels, labels.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +352,8 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig, patch_size,
     as per-epoch lists of minibatch losses. Divergence (a non-finite loss,
     or a ``NumericsError`` raised in a training step) ends the run and
     discards the diverged epoch; when no checkpoint was saved yet, the last
-    completed epoch is saved. If the first epoch diverges, ``NumericsError``
-    is raised: there is no state to save.
+    completed epoch is saved. If the first epoch diverges, ``_fit`` raises
+    ``NumericsError``: there is no state to save.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,8 +390,6 @@ def train_patch_classifier(pools, out_dir, cfg: PatchTrainConfig, patch_size,
 
     diverged = _fit(net, cfg.lr, cfg.weight_decay, cfg.epochs, epoch_batches,
                     batch_loss, end_epoch, log)
-    if diverged == 1:
-        raise T.NumericsError("training diverged in its first epoch")
     if diverged is None:
         if cfg.epochs % cfg.save_every != 0:
             save(cfg.epochs)

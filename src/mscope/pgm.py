@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 
-from .binary import Reader
+from .formats import Reader
 
 # magic, width, height and maxval, separated by whitespace and comments,
 # then the single whitespace byte before the raster; fields longer than

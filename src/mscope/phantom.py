@@ -12,13 +12,13 @@ truth, not a claim of anatomical realism.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .formats import FormatError, read_table, write_table
 from .pgm import read_pgm, write_pgm8, write_pgm16
 from .resample import gaussian_blur
 from .seeding import _map_exams, substream
@@ -553,16 +553,12 @@ def generate_dataset(config: DatasetConfig, seed: int, out_dir, jobs=1):
 
 
 def write_manifest(path, records):
-    with open(path, "w", newline="") as f:
-        f.write(MANIFEST_HEADER + "\n")
-        for r in records:
-            f.write(",".join(str(v) for v in (
-                r.exam_id, r.patient_id, r.split, r.age_band, r.density,
-                r.left_benign, r.left_malignant, r.right_benign,
-                r.right_malignant, r.left_biopsied, r.right_biopsied,
-                r.left_occult, r.right_occult, r.birads,
-                r.view_paths["rcc"], r.view_paths["lcc"],
-                r.view_paths["rmlo"], r.view_paths["lmlo"])) + "\n")
+    write_table(path, MANIFEST_HEADER, ((
+        r.exam_id, r.patient_id, r.split, r.age_band, r.density,
+        r.left_benign, r.left_malignant, r.right_benign, r.right_malignant,
+        r.left_biopsied, r.right_biopsied, r.left_occult, r.right_occult,
+        r.birads, *(r.view_paths[v] for v in VIEWS))
+        for r in records))
 
 
 # the label and flag fields, and the 3-way assessment, with their codes
@@ -576,38 +572,29 @@ _MANIFEST_CODES["birads"] = {"0": 0, "1": 1, "2": 2}
 def load_manifest(path):
     records = []
     seen = set()
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != MANIFEST_HEADER.split(","):
-            raise GeneratorError(f"{path}: unexpected manifest header")
-        for row in reader:
-            if None in row or None in row.values():
-                raise GeneratorError(f"{path}, line {reader.line_num}: "
-                                     f"expected {len(reader.fieldnames)} "
-                                     "fields")
-            codes = {k: allowed.get(row[k])
-                     for k, allowed in _MANIFEST_CODES.items()}
-            if None in codes.values():
-                key = next(k for k, v in codes.items() if v is None)
-                raise GeneratorError(
-                    f"{path}, line {reader.line_num}: {key} {row[key]!r} is "
-                    f"not one of {', '.join(_MANIFEST_CODES[key])}")
-            if row["exam_id"] in seen:
-                raise GeneratorError(f"{path}, line {reader.line_num}: exam "
-                                     f"id {row['exam_id']!r} is repeated")
-            seen.add(row["exam_id"])
-            records.append(ExamRecord(
-                exam_id=row["exam_id"], patient_id=row["patient_id"],
-                split=row["split"], age_band=row["age_band"],
-                density=row["density"], left_benign=codes["left_benign"],
-                left_malignant=codes["left_malignant"],
-                right_benign=codes["right_benign"],
-                right_malignant=codes["right_malignant"],
-                left_biopsied=codes["left_biopsied"],
-                right_biopsied=codes["right_biopsied"],
-                left_occult=codes["left_occult"],
-                right_occult=codes["right_occult"], birads=codes["birads"],
-                view_paths={v: row[f"{v}_path"] for v in VIEWS}))
+    for where, row in read_table(path, MANIFEST_HEADER):
+        codes = {k: allowed.get(row[k])
+                 for k, allowed in _MANIFEST_CODES.items()}
+        if None in codes.values():
+            key = next(k for k, v in codes.items() if v is None)
+            raise FormatError(f"{where}: {key} {row[key]!r} is not one of "
+                              f"{', '.join(_MANIFEST_CODES[key])}")
+        if row["exam_id"] in seen:
+            raise FormatError(f"{where}: exam id {row['exam_id']!r} is "
+                              "repeated")
+        seen.add(row["exam_id"])
+        records.append(ExamRecord(
+            exam_id=row["exam_id"], patient_id=row["patient_id"],
+            split=row["split"], age_band=row["age_band"],
+            density=row["density"], left_benign=codes["left_benign"],
+            left_malignant=codes["left_malignant"],
+            right_benign=codes["right_benign"],
+            right_malignant=codes["right_malignant"],
+            left_biopsied=codes["left_biopsied"],
+            right_biopsied=codes["right_biopsied"],
+            left_occult=codes["left_occult"],
+            right_occult=codes["right_occult"], birads=codes["birads"],
+            view_paths={v: row[f"{v}_path"] for v in VIEWS}))
     return records
 
 

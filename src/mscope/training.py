@@ -18,6 +18,7 @@ import numpy as np
 from . import tensor as T
 from .config import KEYS
 from .evaluation import MetricError, roc_auc
+from .formats import write_table
 from .heatmaps import load_heatmap
 from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
                         transfer_from_pretrained)
@@ -230,8 +231,7 @@ def _fit_early_stopping(net, cfg: TrainRunConfig, epoch_batches, batch_loss,
     """``optim._fit`` with a validation pass and early stopping after each
     epoch; ``validate(epoch, losses)`` returns the epoch's metric. Restores
     the best state, puts ``net`` in eval mode and returns the best epoch.
-    Raises ``NumericsError`` when the first epoch diverges: there is no
-    state to keep."""
+    A first epoch that diverges raises ``NumericsError`` from ``_fit``."""
     stopper = EarlyStopper(cfg.patience)
 
     def end_epoch(epoch, losses):
@@ -240,9 +240,8 @@ def _fit_early_stopping(net, cfg: TrainRunConfig, epoch_batches, batch_loss,
             return True
         return False
 
-    if _fit(net, cfg.lr, cfg.l2, cfg.max_epochs, epoch_batches, batch_loss,
-            end_epoch, log) == 1:
-        raise T.NumericsError("training diverged in its first epoch")
+    _fit(net, cfg.lr, cfg.l2, cfg.max_epochs, epoch_batches, batch_loss,
+         end_epoch, log)
     if stopper.best_state is not None:
         net.load_state_dict(stopper.best_state)
     net.eval()
@@ -419,9 +418,7 @@ def ensemble_predict(nets, record, data_dir, seed, channels, heatmap_dir, n,
 
 
 def save_train_log(path, rows):
-    with open(path, "w", newline="") as f:
-        f.write(TRAIN_LOG_HEADER + "\n")
-        for epoch, split, label, auc, loss in rows:
-            auc_s = "" if auc is None else f"{auc:.6f}"
-            loss_s = "" if loss is None else f"{loss:.6f}"
-            f.write(f"{epoch},{split},{label},{auc_s},{loss_s}\n")
+    write_table(path, TRAIN_LOG_HEADER, (
+        (epoch, split, label, "" if auc is None else f"{auc:.6f}",
+         "" if loss is None else f"{loss:.6f}")
+        for epoch, split, label, auc, loss in rows))

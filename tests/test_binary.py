@@ -1,5 +1,7 @@
-"""Truncated and garbled binary inputs raise ``FormatError``, nothing else."""
+"""Truncated and garbled input files raise ``FormatError``, nothing else."""
 
+import itertools
+import struct
 import tempfile
 from pathlib import Path
 
@@ -7,13 +9,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mscope.binary import FormatError
 from mscope.checkpoint import load_checkpoint, save_checkpoint
+from mscope.cli import METRICS_HEADER, _read_metrics
+from mscope.evaluation import PREDICTIONS_HEADER, read_predictions
+from mscope.formats import FormatError, save_arrays
 from mscope.heatmaps import load_heatmap, save_heatmap
 from mscope.patches import load_patch_cache, save_patch_cache
+from mscope.phantom import MANIFEST_HEADER, load_manifest
 from mscope.pgm import read_pgm, write_pgm8, write_pgm16
 
 CACHE_SIDE = 3
+
+
+def f32(*shape, seed=0):
+    return np.random.default_rng(seed).standard_normal(shape).astype(
+        np.float32)
+
+
+def _written(write):
+    """The bytes ``write(path)`` puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        write(path)
+        return path.read_bytes()
 
 
 def _valid_files():
@@ -34,13 +52,7 @@ def _valid_files():
             p, (f32(3, CACHE_SIDE, CACHE_SIDE),
                 np.arange(3, dtype=np.uint8))),
     }
-    blobs = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, write in writers.items():
-            path = Path(tmp) / name
-            write(path)
-            blobs[name] = path.read_bytes()
-    return blobs
+    return {name: _written(write) for name, write in writers.items()}
 
 
 VALID = _valid_files()
@@ -87,21 +99,91 @@ def test_garbled_file_loads_or_raises_format_error(fmt, data):
         pass
 
 
+def _container(magic, **arrays):
+    return _written(lambda p: save_arrays(p, magic, arrays))
+
+
 @pytest.mark.parametrize("fmt, blob, detail", [
     ("mshm", b"NOPE" + bytes(12), "bad magic b'NOPE', expected b'MSHM' at byte 0"),
-    ("mshm", VALID["mshm"][:20], "truncated malignant plane: 60 bytes needed, "
-                                 "4 left at byte 16"),
+    ("mshm", VALID["mshm"][:36], "truncated tensor 'malignant': 60 bytes "
+                                 "needed, 4 left at byte 32"),
     ("ckpt", VALID["ckpt"] + b"\0", "1 trailing bytes at byte"),
     ("pgm16", b"P5\n4 x\n65535\n", "bad binary PGM header at byte 0"),
     ("pgm8", b"P5\n0 3\n255\n", "bad PGM dims 0x3 or maxval 255 at byte 0"),
     ("pgm8", b"P5\n" + b"9" * 5000 + b" 3\n255\n",
      "bad binary PGM header at byte 0"),
-    ("cache", VALID["cache"][:-1] + b"\x04",
-     f"label 4 is not a patch class index at byte {len(VALID['cache']) - 1}"),
-    ("cache", VALID["cache"][:12] + b"\x04" + VALID["cache"][13:],
-     "truncated patch pixels: 144 bytes needed, 111 left at byte 16"),
+    ("cache", VALID["cache"][:-4] + np.float32(4).tobytes(),
+     f"label 4 is not a patch class index at byte {len(VALID['cache']) - 4}"),
+    ("cache", VALID["cache"][:21] + b"\x04" + VALID["cache"][22:],
+     "truncated tensor 'pixels': 144 bytes needed, 133 left at byte 33"),
+    # the layouts before heatmaps and the cache were containers
+    ("mshm", b"MSHM" + struct.pack("<III", 1, 3, 5) + f32(2, 3, 5).tobytes(),
+     "3 tensors, expected 2 at byte 8"),
+    ("cache", b"MSPC" + struct.pack("<III", 1, 3, 2)
+     + f32(2, 3, 3).tobytes() + bytes([0, 1]),
+     "3 tensors, expected 2 at byte 8"),
+    # containers whose arrays are not what the kind holds
+    ("mshm", _container(b"MSHM", benign=f32(3, 5), malignant=f32(3, 5)),
+     "tensor 'benign', expected 'malignant' at byte 12"),
+    ("mshm", _container(b"MSHM", malignant=f32(3, 5), benign=f32(3, 4)),
+     "heatmap planes (3, 5) and (3, 4) do not share one 2-D shape at "
+     "byte 32"),
+    ("cache", _container(b"MSPC", pixels=f32(3, 3, 3), labels=np.zeros(4)),
+     "patch pixels (3, 3, 3) and labels (4,) are not (N, p, p) and (N,) at "
+     "byte 33"),
+    ("cache", _container(b"MSPC", pixels=f32(2, 3, 3), labels=[0, 2.5]),
+     "label 2.5 is not a patch class index at byte 122"),
 ])
 def test_error_names_what_and_where(fmt, blob, detail):
     with pytest.raises(FormatError) as exc:
         _load(fmt, blob)
+    assert detail in str(exc.value)
+
+
+CONTAINERS = {"ckpt": b"MSCK", "mshm": b"MSHM", "cache": b"MSPC"}
+
+
+@pytest.mark.parametrize("writer, reader",
+                         list(itertools.permutations(CONTAINERS, 2)))
+def test_container_of_another_kind_fails_on_its_magic(writer, reader):
+    with pytest.raises(FormatError) as exc:
+        _load(reader, VALID[writer])
+    assert f"bad magic {CONTAINERS[writer]!r}, expected " \
+           f"{CONTAINERS[reader]!r} at byte 0" in str(exc.value)
+
+
+# -- tables --
+
+def _metrics(path):
+    _read_metrics(path, {}, {})
+
+
+TABLES = {
+    "manifest": (load_manifest, MANIFEST_HEADER,
+                 "e0,p0,train,50s,fatty,0,1,0,0,1,0,0,0,2,a,b,c,d"),
+    "predictions": (read_predictions, PREDICTIONS_HEADER, "e0,L,0.5,0.25,m"),
+    "metrics": (_metrics, METRICS_HEADER, "m,screening,malignant,auc,0.5"),
+}
+
+
+@pytest.mark.parametrize("table, lines, detail", [
+    *((name, ["a,b", row], "line 1: unexpected header")
+      for name, (_, _, row) in TABLES.items()),
+    *((name, [header, row, row.rsplit(",", 1)[0]], "line 3: expected")
+      for name, (_, header, row) in TABLES.items()),
+    ("manifest", [MANIFEST_HEADER, TABLES["manifest"][2].replace(",2,", ",3,")],
+     "line 2: birads '3' is not one of 0, 1, 2"),
+    ("predictions", [PREDICTIONS_HEADER, "e0,X,0.5,0.25,m"],
+     "line 2: side 'X' is not L or R"),
+    ("predictions", [PREDICTIONS_HEADER, "e0,L,1.5,0.25,m"],
+     "line 2: probability '1.5' is not a number in [0, 1]"),
+    ("metrics", [METRICS_HEADER, "m,screening,malignant,auc,oops"],
+     "line 2: value 'oops' is not a number"),
+])
+def test_table_error_names_file_and_line(tmp_path, table, lines, detail):
+    path = tmp_path / f"{table}.csv"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    with pytest.raises(FormatError) as exc:
+        TABLES[table][0](path)
+    assert str(exc.value).startswith(f"{path}, line ")
     assert detail in str(exc.value)

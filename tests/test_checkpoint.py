@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mscope.binary import FormatError
+from mscope.formats import FormatError
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 
 

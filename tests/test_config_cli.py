@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
 from mscope.evaluation import read_predictions, roc_auc
+from mscope.heatmaps import load_heatmap
 from mscope.patches import load_patch_cache
 from mscope.phantom import load_manifest
 
@@ -414,7 +416,8 @@ def test_config_txt_records_alias_flags(pipeline, tmp_path):
     assert sorted(f.name for f in (out / "checkpoints").iterdir()) == \
         ["patch_ep0001.ckpt", "patch_ep0002.ckpt"]
     pixels, labels = load_patch_cache(cache, 16)
-    assert 16 + pixels.nbytes + labels.nbytes == cache.stat().st_size
+    assert 12 + 21 + pixels.nbytes + 13 + 4 * len(labels) == \
+        cache.stat().st_size
 
 
 def test_patch_cache_reuse_matches_a_run_without_it(pipeline, tmp_path,
@@ -711,7 +714,47 @@ def test_truncated_heatmap_exits_1(pipeline, tmp_path, capsys):
                  str(pipeline["cancer_hm"]), "--out", str(tmp_path / "o"),
                  "--seed", "5", "--heatmaps", str(heatmaps), *sets()]) == 1
     err = capsys.readouterr().err
-    assert str(victim) in err and "truncated" in err and "at byte 16" in err
+    assert str(victim) in err and "truncated" in err and "at byte 32" in err
+
+
+def test_heatmaps_and_cache_in_their_old_layouts_exit_1(pipeline, tmp_path,
+                                                        capsys):
+    """Heatmaps and a patch cache in the layouts they had before they were
+    containers (a header of version, dims or patch size and count, then the
+    raw values) exit 1 naming the file, not 2."""
+    p = pipeline
+    heatmaps = tmp_path / "heatmaps"
+    heatmaps.mkdir()
+    for path in p["heatmaps"].glob("*.mshm"):
+        mal, ben = load_heatmap(path)
+        (heatmaps / path.name).write_bytes(
+            b"MSHM" + struct.pack("<III", 1, *mal.shape) + mal.tobytes()
+            + ben.tobytes())
+    cache = tmp_path / "patches.bin"
+    cache.write_bytes(b"MSPC" + struct.pack("<III", 1, 16, 4)
+                      + np.zeros((4, 16, 16), np.float32).tobytes()
+                      + bytes(range(4)))
+    for argv in (["predict", "--run", str(p["cancer_hm"]), "--heatmaps",
+                  str(heatmaps)],
+                 ["train-patch", "--cache", str(cache)]):
+        capsys.readouterr()
+        assert main([*argv, "--data", str(p["data"]), "--out",
+                     str(tmp_path / "o"), "--seed", "5", *sets()]) == 1, argv
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "tensors, expected 2 at byte 8" in err
+
+
+def test_pools_too_large_to_allocate_exit_1(pipeline, tmp_path, capsys):
+    """Pool targets whose windows do not fit in memory (the paper profile
+    asks for 1.2 TiB) exit 1 naming both keys. 10**16 windows per class of
+    16x16 pass 2**63 bytes, so numpy refuses them without asking the OS."""
+    targets = ",".join([str(10 ** 16)] * 4)
+    assert main(["train-patch", "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5",
+                 *sets((f"patch.pool_targets={targets}",))]) == 1
+    err = capsys.readouterr().err
+    assert f"patch.pool_targets={targets}" in err and "patch.size=16" in err
+    assert "internal error" not in err
 
 
 def test_failed_stage_removes_only_an_out_dir_it_made(pipeline, tmp_path,

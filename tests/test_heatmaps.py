@@ -179,9 +179,11 @@ def test_heatmap_file_roundtrip(tmp_path):
     save_heatmap(path, mal, ben)
     blob = path.read_bytes()
     assert blob[:4] == b"MSHM"
-    assert int.from_bytes(blob[4:8], "little") == 1
-    assert int.from_bytes(blob[8:12], "little") == 11
-    assert int.from_bytes(blob[12:16], "little") == 13
+    assert int.from_bytes(blob[4:8], "little") == 1    # version
+    assert int.from_bytes(blob[8:12], "little") == 2   # tensor count
+    assert blob[14:23] == b"malignant"
+    assert int.from_bytes(blob[24:28], "little") == 11
+    assert int.from_bytes(blob[28:32], "little") == 13
     m2, b2 = load_heatmap(path)
     np.testing.assert_array_equal(m2, mal)
     np.testing.assert_array_equal(b2, ben)

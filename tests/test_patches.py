@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mscope import tensor as T
-from mscope.binary import FormatError
+from mscope.formats import FormatError
 from mscope.patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig,
                             PatchNet, PatchTrainConfig, _extract_window,
                             build_epoch, class_weights, load_patch_cache,
@@ -217,7 +217,8 @@ def test_patch_cache_roundtrip(tmp_path):
     pixels, labels = random_pools(8, [2, 1, 0, 2])
     path = tmp_path / "patches.bin"
     save_patch_cache(path, (pixels, labels))
-    assert path.stat().st_size == 16 + pixels.nbytes + len(labels)
+    # header, then each array's name, rank and dims before its values
+    assert path.stat().st_size == 12 + 21 + pixels.nbytes + 13 + 4 * len(labels)
     loaded_pixels, loaded_labels = load_patch_cache(path, patch_size=8)
     np.testing.assert_array_equal(loaded_pixels, pixels)
     np.testing.assert_array_equal(loaded_labels, labels)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mscope.config import resolve
+from mscope.formats import FormatError
 from mscope.pgm import read_pgm
 from mscope.phantom import (BreastSpec, ExamSpec, GeneratorError,
                             LesionSpec, VIEWS, assign_birads, build_population,
@@ -201,7 +202,7 @@ def test_manifest_with_a_repeated_exam_id_rejected(tmp_path):
     lines = manifest.read_text().splitlines()
     manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
     exam_id = lines[1].split(",")[0]
-    with pytest.raises(GeneratorError) as exc:
+    with pytest.raises(FormatError) as exc:
         load_manifest(manifest)
     assert str(exc.value) == (f"{manifest}, line 5: exam id {exam_id!r} "
                               "is repeated")

@@ -32,6 +32,9 @@ A fifth rule, **unread**, flags a record field that no code in
 ``src/mscope`` or ``perfbench/*.py`` reads as an attribute (``r.name``):
 a field that is written and then dropped. Reads are matched by name
 alone, so a field is hidden by a same-named field of another record.
+
+Every file layout lives in ``formats``: no other module of ``src/mscope``
+imports ``struct`` or ``csv``, at the top or inside a function.
 """
 
 import ast
@@ -426,3 +429,20 @@ class Row(NamedTuple):
 def test_unread_scan_finds_unread_fields(caller, unread):
     found = _unread_fields({"extra": RECORD}, [RECORD, caller])
     assert {field for _, _, field in found} == unread
+
+
+# ---------------------------------------------------------------------------
+# file layouts
+
+@pytest.mark.parametrize("parser", ["struct", "csv"])
+def test_only_formats_imports_a_file_parser(parser):
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and \
+                    parser in (alias.name for alias in node.names) or \
+                    isinstance(node, ast.ImportFrom) and node.module == parser:
+                importers.add(path.stem)
+    assert importers == {"formats"}, \
+        f"modules other than formats import {parser}: " \
+        f"{sorted(importers - {'formats'})}"
