@@ -103,6 +103,18 @@ def _container(magic, **arrays):
     return _written(lambda p: save_arrays(p, magic, arrays))
 
 
+def _cache_before_containers():
+    """``VALID["cache"]`` in the layout before the cache was a container:
+    "MSPC" | u32 version=1 | u32 patch size | u32 count | f32 pixels | u8
+    labels."""
+    pixels, labels = _load("cache", VALID["cache"])
+    return (b"MSPC" + struct.pack("<III", 1, CACHE_SIDE, len(labels))
+            + pixels.tobytes() + labels.tobytes())
+
+
+OLD_CACHE = _cache_before_containers()
+
+
 @pytest.mark.parametrize("fmt, blob, detail", [
     ("mshm", b"NOPE" + bytes(12), "bad magic b'NOPE', expected b'MSHM' at byte 0"),
     ("mshm", VALID["mshm"][:36], "truncated tensor 'malignant': 60 bytes "
@@ -116,11 +128,12 @@ def _container(magic, **arrays):
      f"label 4 is not a patch class index at byte {len(VALID['cache']) - 4}"),
     ("cache", VALID["cache"][:21] + b"\x04" + VALID["cache"][22:],
      "truncated tensor 'pixels': 144 bytes needed, 133 left at byte 33"),
-    # the layouts before heatmaps and the cache were containers
+    # the layouts before heatmaps and the cache were containers; the two
+    # cache rows are the bad label and the wrong count of that layout
     ("mshm", b"MSHM" + struct.pack("<III", 1, 3, 5) + f32(2, 3, 5).tobytes(),
      "3 tensors, expected 2 at byte 8"),
-    ("cache", b"MSPC" + struct.pack("<III", 1, 3, 2)
-     + f32(2, 3, 3).tobytes() + bytes([0, 1]),
+    ("cache", OLD_CACHE[:-1] + b"\x04", "3 tensors, expected 2 at byte 8"),
+    ("cache", OLD_CACHE[:12] + b"\x04" + OLD_CACHE[13:],
      "3 tensors, expected 2 at byte 8"),
     # containers whose arrays are not what the kind holds
     ("mshm", _container(b"MSHM", benign=f32(3, 5), malignant=f32(3, 5)),
