@@ -163,7 +163,7 @@ def _heatmap_task(ctx, idx):
 
 
 def cmd_gen_heatmaps(args, cfg, out, data, records):
-    net = PatchNet(patch_size=cfg["patch.size"])
+    net = PatchNet(patch_size=cfg["patch.size"], seed=None)
     load_into(net, args.checkpoint)
     net.eval()
     ctx = (args, cfg, out, data, records, net)
@@ -261,7 +261,7 @@ def _load_run_models(run_dir, use_members):
              for i in range(run_cfg["train.ensemble_size"])] if use_members \
         else [run_dir / "best.ckpt"]
     nets = [MultiViewNet(variant=run_cfg["model.variant"],
-                         input_channels=channels, task="cancer")
+                         input_channels=channels, task="cancer", seed=None)
             for _ in paths]
     for net, path in zip(nets, paths):
         load_into(net, path)
@@ -553,7 +553,7 @@ def build_parser():
                                           "(default: $MSCOPE_DATA_DIR)")
         if stage.jobs:
             p.add_argument("--jobs", type=_count, default=1,
-                           help="worker processes (1 = bit-reproducible)")
+                           help="worker processes; same outputs at any count")
         for flag, kwargs in stage.flags:
             p.add_argument(flag, **kwargs)
         for alias in stage.aliases:

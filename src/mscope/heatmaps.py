@@ -177,7 +177,7 @@ def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
     best = None
     table = []
     for epoch, path in checkpoints:
-        net = PatchNet(patch_size=patch_size)
+        net = PatchNet(patch_size=patch_size, seed=None)
         load_into(net, path)
         scores = {"malignant": [], "benign": []}
         for rec in records:

@@ -8,13 +8,16 @@ for non-finite values; during training (a step or a validation pass), the
 ``NumericsError`` they raise counts as divergence (see ``optim._fit``).
 Pooling and ReLU cannot create non-finite values from finite input.
 
-Every convolution followed by BatchNorm runs through ``conv_bn``. In eval
-mode it folds the BatchNorm into the convolution (weights scaled per
-output channel, plus a constant bias), so its outputs differ from
-``bn(conv(x))`` by float32 rounding only: about 1e-7 relative per layer,
-which the tests bound at 1e-5 abs on PatchNet probabilities and 1e-4
-relative on the multi-view pre-sigmoid outputs. Train-mode forwards are
-exactly ``bn(conv(x))``.
+Every convolution followed by BatchNorm runs through ``conv_bn``, with the
+residual add and the ReLU that follow it. In eval mode it folds the
+BatchNorm into the convolution (weights scaled per output channel, plus a
+constant bias), so its outputs differ from ``bn(conv(x))`` by float32
+rounding only: about 1e-7 relative per layer, which the tests bound at
+1e-5 abs on PatchNet probabilities and 1e-4 relative on the multi-view
+pre-sigmoid outputs. Each band of that convolution then gets, in place and
+in the train order, the bias, the finiteness check, the residual add and
+the ReLU; the check comes first, as the ReLU would hide a ``-inf``.
+Train-mode forwards are exactly ``relu(bn(conv(x)) + residual)``.
 """
 
 from __future__ import annotations
@@ -127,24 +130,27 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-def he_normal(rng, shape, fan_in):
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(
-        np.float32)
+def he_normal(rng, kernel, cin, cout):
+    """A (kernel, kernel, cin, cout) float32 He-normal kernel, drawn in
+    (cout, cin, kernel, kernel) order so that a seed gives the same values
+    whatever the layout; unfilled with ``rng`` None, for a net built to be
+    loaded (``load_state_dict`` rejects a state missing any parameter)."""
+    if rng is None:
+        return np.empty((kernel, kernel, cin, cout), dtype=np.float32)
+    w = rng.standard_normal((cout, cin, kernel, kernel)) * \
+        np.sqrt(2.0 / (cin * kernel * kernel))
+    return np.ascontiguousarray(w.astype(np.float32).transpose(2, 3, 1, 0))
 
 
 class Conv2d(Module):
     """Convolution of (N, H, W, Cin) activations; the weight is stored
-    (kh, kw, Cin, Cout) (see ``tensor.conv2d``). It is drawn in
-    (Cout, Cin, kh, kw) order and transposed once, so a seed gives the
-    same initial values whatever the layout."""
+    (kh, kw, Cin, Cout) (see ``tensor.conv2d`` and ``he_normal``)."""
 
     def __init__(self, in_ch, out_ch, kernel, *, stride, padding=0, rng):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        w = he_normal(rng, (out_ch, in_ch, kernel, kernel),
-                      in_ch * kernel * kernel)
-        self.weight = Parameter(np.ascontiguousarray(w.transpose(2, 3, 1, 0)))
+        self.weight = Parameter(he_normal(rng, kernel, in_ch, out_ch))
 
     def forward(self, x):
         out = T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
@@ -153,8 +159,8 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Running statistics move on every train-mode forward; see
-    ``tensor.batchnorm2d``."""
+    """Parameters and running statistics; the forward is the train-mode
+    one (``tensor.batchnorm2d``), the only one ``conv_bn`` calls."""
 
     def __init__(self, channels):
         super().__init__()
@@ -165,8 +171,7 @@ class BatchNorm2d(Module):
 
     def forward(self, x):
         out = T.batchnorm2d(x, self.gamma, self.beta,
-                            self.running_mean, self.running_var,
-                            training=self.training)
+                            self.running_mean, self.running_var)
         T.check_finite(out.data, "batchnorm")
         return out
 
@@ -175,10 +180,11 @@ class Linear(Module):
     def __init__(self, in_features, out_features, rng):
         super().__init__()
         bound = 1.0 / np.sqrt(in_features)
-        self.weight = Parameter(rng.uniform(
-            -bound, bound, (out_features, in_features)).astype(np.float32))
-        self.bias = Parameter(
-            rng.uniform(-bound, bound, out_features).astype(np.float32))
+        # unfilled with rng None, as in he_normal
+        self.weight, self.bias = (Parameter(
+            np.empty(shape, dtype=np.float32) if rng is None
+            else rng.uniform(-bound, bound, shape).astype(np.float32))
+            for shape in ((out_features, in_features), out_features))
 
     def forward(self, x):
         out = T.linear(x, self.weight, self.bias)
@@ -186,21 +192,26 @@ class Linear(Module):
         return out
 
 
-def conv_bn(conv, bn, x):
-    """``bn(conv(x))``, with the BatchNorm folded into the convolution in
-    eval mode.
+def conv_bn(conv, bn, x, relu=False, residual=None):
+    """``bn(conv(x))``, then ``+ residual`` and the ReLU when asked for.
 
     In eval mode BatchNorm is the per-channel affine map
     ``y * s + (beta - mean * s)`` with ``s = gamma / sqrt(var + eps)``, so
     one convolution with weights ``w * s`` and that constant bias does
-    both (Jacob et al. 2018, arXiv 1712.05877, section 3.2). Train mode
-    needs the batch statistics and runs the two layers as they are.
+    both (Jacob et al. 2018, arXiv 1712.05877, section 3.2). Each band of
+    it then gets, in place, the bias, the finiteness check, the residual
+    add and the ReLU (``tensor.conv2d``): the check precedes the ReLU,
+    which would hide a ``-inf``. Train mode needs the batch statistics and
+    runs the ops as they are.
     """
     if bn.training:
-        return bn(conv(x))
+        out = bn(conv(x))
+        if residual is not None:
+            out = T.add(out, residual)
+        return T.relu(out) if relu else out
     scale = bn.gamma.data / np.sqrt(bn.running_var + T.BN_EPS)
     weight = Tensor(conv.weight.data * scale)
-    out = T.conv2d(x, weight, stride=conv.stride, padding=conv.padding,
-                   bias=bn.beta.data - bn.running_mean * scale)
-    T.check_finite(out.data, "conv_bn")
-    return out
+    return T.conv2d(x, weight, stride=conv.stride, padding=conv.padding,
+                    bias=bn.beta.data - bn.running_mean * scale,
+                    residual=None if residual is None else residual.data,
+                    relu=relu)

@@ -66,11 +66,10 @@ class ResidualBlock(Module):
             self.shortcut_bn = None
 
     def forward(self, x):
-        h = T.relu(conv_bn(self.conv1, self.bn1, x))
-        h = conv_bn(self.conv2, self.bn2, h)
+        h = conv_bn(self.conv1, self.bn1, x, relu=True)
         if self.shortcut_conv is not None:
             x = conv_bn(self.shortcut_conv, self.shortcut_bn, x)
-        return T.relu(h + x)
+        return conv_bn(self.conv2, self.bn2, h, relu=True, residual=x)
 
 
 class ResNetColumn(Module):
@@ -93,7 +92,7 @@ class ResNetColumn(Module):
         self.blocks = blocks
 
     def forward(self, x):
-        h = T.relu(conv_bn(self.stem, self.stem_bn, x))
+        h = conv_bn(self.stem, self.stem_bn, x, relu=True)
         for block in self.blocks:
             h = block(h)
         return T.global_avgpool2d(h)
@@ -123,14 +122,21 @@ _HEAD_PLANS = {
 }
 
 
+def _fusion_heads(variant, task, rng):
+    return {key: FusionHead(256 * len(views), hidden,
+                            3 if task == "birads" else nout, rng)
+            for key, views, hidden, nout in _HEAD_PLANS[variant]}
+
+
 class MultiViewNet(Module):
     """Shared-weight columns plus a fusion-variant head stack.
 
     ``task`` is "cancer" (four sigmoid outputs) or "birads" (view_wise-
-    shaped three-way softmax, branch probabilities averaged).
+    shaped three-way softmax, branch probabilities averaged). A ``seed``
+    of None leaves it unfilled (``layers.he_normal``).
     """
 
-    def __init__(self, variant, input_channels, task, seed=0):
+    def __init__(self, variant, input_channels, task, seed):
         super().__init__()
         if variant not in FUSION_VARIANTS:
             raise ValueError(f"unknown fusion variant {variant!r}")
@@ -139,16 +145,11 @@ class MultiViewNet(Module):
         self.variant = variant
         self.task = task
         self.input_channels = input_channels
-        col_rng = substream(seed, "columns")
+        col_rng, head_rng = (None, None) if seed is None else (
+            substream(seed, "columns"), substream(seed, "heads"))
         self.cc_column = ResNetColumn(input_channels, col_rng)
         self.mlo_column = ResNetColumn(input_channels, col_rng)
-        head_rng = substream(seed, "heads")
-        self.heads = {}
-        for key, views, hidden, nout in _HEAD_PLANS[variant]:
-            if task == "birads":
-                nout = 3
-            self.heads[key] = FusionHead(256 * len(views), hidden, nout,
-                                         head_rng)
+        self.heads = _fusion_heads(variant, task, head_rng)
 
     def column_for(self, view):
         return self.cc_column if view.endswith("cc") else self.mlo_column
@@ -198,10 +199,11 @@ def transfer_from_pretrained(source_state, variant, input_channels, seed):
     entries outside the columns are ignored. A source that does not fit
     (a column entry missing or without a target, a shape mismatch, a stem
     that is not single-channel) raises ``StateDictError`` naming the first
-    key at fault.
+    key at fault. Only the heads are drawn, as the columns are copied.
     """
     net = MultiViewNet(variant=variant, input_channels=input_channels,
-                       task="cancer", seed=seed)
+                       task="cancer", seed=None)
+    net.heads = _fusion_heads(variant, "cancer", substream(seed, "heads"))
     columns = ("cc_column.", "mlo_column.")
     params = dict(net.named_parameters())
     entries = [(n, p.data) for n, p in params.items()]

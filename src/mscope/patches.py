@@ -292,11 +292,12 @@ def load_patch_cache(path, patch_size):
 # the classifier
 
 class PatchNet(Module):
-    """Compact 6-layer convnet (4 conv + 2 fc) over single-channel patches."""
+    """Compact 6-layer convnet (4 conv + 2 fc) over single-channel patches;
+    a ``seed`` of None leaves it unfilled (``layers.he_normal``)."""
 
-    def __init__(self, patch_size, seed=0):
+    def __init__(self, patch_size, seed):
         super().__init__()
-        rng = substream(seed, "patchnet-init")
+        rng = None if seed is None else substream(seed, "patchnet-init")
         self.patch_size = patch_size
         # full-resolution first layer: fine speck/margin structure must be
         # seen before any downsampling
@@ -312,12 +313,12 @@ class PatchNet(Module):
         self.fc2 = Linear(32, 4, rng=rng)
 
     def forward(self, x):
-        h = T.relu(conv_bn(self.conv1, self.bn1, x))
-        h = T.relu(conv_bn(self.conv2, self.bn2, h))
+        h = conv_bn(self.conv1, self.bn1, x, relu=True)
+        h = conv_bn(self.conv2, self.bn2, h, relu=True)
         h = T.maxpool2d(h)
-        h = T.relu(conv_bn(self.conv3, self.bn3, h))
+        h = conv_bn(self.conv3, self.bn3, h, relu=True)
         h = T.maxpool2d(h)
-        h = T.relu(conv_bn(self.conv4, self.bn4, h))
+        h = conv_bn(self.conv4, self.bn4, h, relu=True)
         h = T.relu(self.fc1(T.global_avgpool2d(h)))
         return self.fc2(h)
 

@@ -136,15 +136,9 @@ class Tensor:
             if not node.requires_grad:
                 node.grad = None
 
-    # -- convenience arithmetic used by model heads and losses --
-
-    def __add__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    __radd__ = __add__
     __rmul__ = __mul__
 
 
@@ -306,11 +300,12 @@ def _conv_bands(n, ho, wo, k, cout, itemsize):
             for a, b in _even_cuts(ho, -(-ho // rows))]
 
 
-def _conv_forward(xc, wmat, kh, kw, s, bias):
-    """The product of padded ``xc`` with ``wmat``: per band, one im2col
-    and one GEMM written straight into the output. Banding changes no
-    arithmetic, but a BLAS may take another kernel for a small GEMM, so a
-    budget far below this one can move low-order bits."""
+def _conv_forward(xc, wmat, kh, kw, s, bias, residual, relu):
+    """The product of padded ``xc`` with ``wmat``: per band, one im2col,
+    one GEMM written straight into the output and ``conv2d``'s epilogue in
+    place. Banding changes no arithmetic, but a BLAS may take another
+    kernel for a small GEMM, so a budget far below this one can move
+    low-order bits."""
     win = _windows(xc, kh, kw, s)
     n, ho, wo = win.shape[:3]
     k, cout = wmat.shape
@@ -322,19 +317,27 @@ def _conv_forward(xc, wmat, kh, kw, s, bias):
         np.matmul(cols.reshape(m * r * wo, k), wmat, out=y)
         if bias is not None:
             y += bias
+            check_finite(y, "conv_bn")
+        if residual is not None:
+            y += residual[images, band].reshape(y.shape)
+        if relu:
+            np.maximum(y, 0, out=y)
     return out
 
 
-def conv2d(x, w, stride, padding, bias=None):
+def conv2d(x, w, stride, padding, bias=None, residual=None, relu=False):
     """Cross-correlation of x:(N,H,W,Cin) with w:(kh,kw,Cin,Cout), giving
     (N,Ho,Wo,Cout).
 
     Forward is the column matrix times ``w`` reshaped to (kh*kw*Cin,
-    Cout), in bands within ``COLUMN_BUDGET`` (``_conv_bands``). ``bias``
-    is an optional per-channel constant (Cout,) that gets no gradient
-    (``layers.conv_bn`` passes folded BatchNorm shifts here). The input
-    gradient is built tap by tap with strided scatter-adds, and gradients
-    into non-differentiable leaves (raw image batches) are skipped.
+    Cout), in bands within ``COLUMN_BUDGET`` (``_conv_bands``), read from
+    ``x`` itself, with no copy, at ``padding`` 0, else from a padded copy.
+    ``bias`` (Cout,), ``residual`` (an (N,Ho,Wo,Cout) array) and ``relu``
+    are the eval epilogue of ``layers.conv_bn`` and get no gradient: each
+    band, after its GEMM, gets in place the bias, a finiteness check
+    naming ``conv_bn``, the residual add and the ReLU. The input gradient
+    is built tap by tap with strided scatter-adds, and gradients into
+    non-differentiable leaves (raw image batches) are skipped.
     """
     s, p = stride, padding
     n, h, wdt, c = x.data.shape
@@ -344,9 +347,10 @@ def conv2d(x, w, stride, padding, bias=None):
     ho = conv2d_shape(h, kh, s, p)
     wo = conv2d_shape(wdt, kw, s, p)
 
-    xc = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0)))
+    xc = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
     wd = w.data
-    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, s, bias)
+    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, s, bias,
+                      residual, relu)
 
     def bwd(g):
         gmat = g.reshape(n * ho * wo, cout)
@@ -364,32 +368,25 @@ def conv2d(x, w, stride, padding, bias=None):
     return _node(y, (x, w), bwd)
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
-    """Per-channel normalization; batch statistics in training, running in eval.
+def batchnorm2d(x, gamma, beta, running_mean, running_var):
+    """Train-mode per-channel normalization by the batch statistics.
 
     Works on the (N*H*W, C) view of ``x``; every per-channel sum (the batch
     mean, the two-pass variance, the backward's) is a ones-vector GEMV.
     ``running_mean``/``running_var`` are plain arrays mutated in place
-    during training (biased variance convention throughout). Eval forwards
-    of the networks fold BatchNorm into the preceding convolution
-    (``layers.conv_bn``), so the eval branch here is the reference that
-    the fold is tested against, within float32 rounding.
+    (biased variance convention throughout). Eval forwards fold BatchNorm
+    into the preceding convolution (``layers.conv_bn``).
     """
     xd = x.data.reshape(-1, x.data.shape[-1])
     m = xd.shape[0]
     ones = np.ones(m, dtype=xd.dtype)
-    if training:
-        mu = ones @ xd / m
-        d = xd - mu
-        var = ones @ (d * d) / m
-        running_mean *= (1.0 - BN_MOMENTUM)
-        running_mean += BN_MOMENTUM * mu
-        running_var *= (1.0 - BN_MOMENTUM)
-        running_var += BN_MOMENTUM * var
-    else:
-        mu = running_mean
-        var = running_var
-        d = xd - mu
+    mu = ones @ xd / m
+    d = xd - mu
+    var = ones @ (d * d) / m
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mu
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = d * inv
     y = gamma.data * xhat + beta.data
@@ -399,8 +396,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
         sum_g, sum_gx = ones @ g, ones @ (g * xhat)
         gamma._accumulate(sum_gx)
         beta._accumulate(sum_g)
-        gi = gamma.data * inv
-        dx = gi * (g - sum_g / m - xhat * (sum_gx / m)) if training else gi * g
+        dx = gamma.data * inv * (g - sum_g / m - xhat * (sum_gx / m))
         x._accumulate(dx.reshape(x.data.shape))
 
     return _node(y.astype(xd.dtype, copy=False).reshape(x.data.shape),

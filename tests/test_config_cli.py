@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscope import cli, patches
+from mscope import cli, layers, multiview, patches
 from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
@@ -379,6 +379,39 @@ def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path):
         assert main([*argv, "--out", str(out), "--seed", "5", "--jobs", "2",
                      *sets()]) == 0, key
         assert tree_hash(out) == tree_hash(p[key]), key
+
+
+def test_loaded_nets_draw_no_weights(pipeline, tmp_path, monkeypatch):
+    """predict and gen-heatmaps build the nets they load unfilled: they
+    draw no He-normal weights, and write the bytes that nets built with a
+    seed and then loaded write."""
+    p = pipeline
+    runs = {
+        "heatmaps": ["gen-heatmaps", "--data", str(p["data"]),
+                     "--checkpoint", str(p["patch"] / "best.ckpt")],
+        "pred": ["predict", "--data", str(p["data"]), "--run",
+                 str(p["cancer"]), "--model-id", "image_only"],
+    }
+    drawn = layers.he_normal
+
+    def no_draw(rng, *args):
+        assert rng is None, "a net built to be loaded drew its weights"
+        return drawn(rng, *args)
+
+    def run(key, out):
+        assert main([*runs[key], "--out", str(out), "--seed", "5",
+                     *sets()]) == 0, key
+        return tree_hash(out)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "PatchNet", lambda patch_size, seed:
+                  patches.PatchNet(patch_size, seed=0))
+        m.setattr(cli, "MultiViewNet", lambda seed, **kw:
+                  multiview.MultiViewNet(seed=0, **kw))
+        seeded = {key: run(key, tmp_path / f"seeded_{key}") for key in runs}
+    monkeypatch.setattr(layers, "he_normal", no_draw)
+    for key in runs:
+        assert run(key, tmp_path / key) == seeded[key], key
 
 
 def test_every_alias_names_a_config_key():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mscope import multiview, patches
+from mscope import layers, multiview, patches
 from mscope import tensor as T
-from mscope.layers import (BatchNorm2d, Conv2d, Linear, StateDictError,
-                           he_normal)
+from mscope.layers import BatchNorm2d, Conv2d, Linear, StateDictError
 from mscope.multiview import MultiViewNet
 from mscope.optim import binary_cross_entropy
 from mscope.patches import PatchNet
@@ -24,7 +23,8 @@ def test_conv_weight_is_the_oihw_draw_transposed():
     kh, kw) order, so a seed gives the same initial values in either
     layout."""
     w = Conv2d(3, 5, 3, stride=1, rng=np.random.default_rng(4)).weight.data
-    drawn = he_normal(np.random.default_rng(4), (5, 3, 3, 3), 27)
+    drawn = (np.random.default_rng(4).standard_normal((5, 3, 3, 3))
+             * np.sqrt(2.0 / 27)).astype(np.float32)
     assert w.flags.c_contiguous
     np.testing.assert_array_equal(w, drawn.transpose(2, 3, 1, 0))
 
@@ -50,16 +50,32 @@ def test_global_avgpool_constant():
 def test_batchnorm_train_vs_eval():
     bn = BatchNorm2d(2)
     rng = np.random.default_rng(1)
-    x = T.Tensor(rng.standard_normal((4, 5, 5, 2)).astype(np.float32) * 3 + 1)
+    xd = rng.standard_normal((4, 5, 5, 2)).astype(np.float32) * 3 + 1
+    x = T.Tensor(xd)
     y_train = bn(x).data
     # batch statistics: normalized output has ~zero mean / unit variance
     np.testing.assert_allclose(y_train.mean(axis=(0, 1, 2)), 0.0, atol=1e-5)
     np.testing.assert_allclose(y_train.var(axis=(0, 1, 2)), 1.0, atol=1e-3)
+    # and they move the running statistics by BN_MOMENTUM
+    mean, var = xd.mean(axis=(0, 1, 2)), xd.var(axis=(0, 1, 2))
+    np.testing.assert_allclose(bn.running_mean, T.BN_MOMENTUM * mean,
+                               rtol=1e-5)
+    np.testing.assert_allclose(bn.running_var, 1 - T.BN_MOMENTUM * (1 - var),
+                               rtol=1e-5)
+    # eval mode, folded into an identity convolution by conv_bn, uses the
+    # running statistics and has no side effects
     bn.eval()
-    y1 = bn(x).data
-    y2 = bn(x).data
-    # eval mode uses running statistics and has no side effects
+    conv = Conv2d(2, 2, 1, stride=1, rng=np.random.default_rng(0))
+    conv.weight.data = np.eye(2, dtype=np.float32).reshape(1, 1, 2, 2)
+    running = bn.running_mean.copy(), bn.running_var.copy()
+    y1 = layers.conv_bn(conv, bn, x).data
+    y2 = layers.conv_bn(conv, bn, x).data
     np.testing.assert_array_equal(y1, y2)
+    np.testing.assert_array_equal(bn.running_mean, running[0])
+    np.testing.assert_array_equal(bn.running_var, running[1])
+    np.testing.assert_allclose(
+        y1, (xd - running[0]) / np.sqrt(running[1] + T.BN_EPS), rtol=1e-5,
+        atol=1e-6)
 
 
 def test_layer_forward_nan_detected():
@@ -131,11 +147,26 @@ def _moved_batchnorm(net, run_train_forward, rng):
     return net.eval()
 
 
+def _eval_conv_bn64(conv, bn, x, relu=False, residual=None):
+    """Eval-mode ``conv_bn`` in float64 numpy: the convolution, then
+    BatchNorm's affine map by the running statistics, then the residual
+    add and the ReLU."""
+    y = T.conv2d(T.Tensor(x.data.astype(np.float64)),
+                 T.Tensor(conv.weight.data.astype(np.float64)),
+                 stride=conv.stride, padding=conv.padding).data
+    var = bn.running_var.astype(np.float64)
+    y = (y - bn.running_mean) / np.sqrt(var + T.BN_EPS) * bn.gamma.data \
+        + bn.beta.data
+    if residual is not None:
+        y = y + residual.data
+    return T.Tensor(np.maximum(y, 0) if relu else y)
+
+
 def _unfused(monkeypatch, *modules):
-    """Make ``conv_bn`` run ``bn(conv(x))`` in eval mode too: the reference
-    that the folded forward is compared against."""
+    """Make ``conv_bn`` run ``_eval_conv_bn64``: the reference that the
+    folded forward is compared against."""
     for mod in modules:
-        monkeypatch.setattr(mod, "conv_bn", lambda conv, bn, x: bn(conv(x)))
+        monkeypatch.setattr(mod, "conv_bn", _eval_conv_bn64)
 
 
 def test_folded_eval_matches_batchnorm_patchnet(monkeypatch):
@@ -174,6 +205,65 @@ def test_folded_eval_matches_batchnorm_multiview(monkeypatch):
     np.testing.assert_allclose(folded, reference, rtol=1e-4)
 
 
+def _composed(monkeypatch, *modules):
+    """Make ``conv_bn`` run with no epilogue, then ``T.add`` and
+    ``T.relu``: the reference that the fused epilogue is compared
+    against."""
+    fused = layers.conv_bn
+
+    def composed(conv, bn, x, relu=False, residual=None):
+        out = fused(conv, bn, x)
+        if residual is not None:
+            out = T.add(out, residual)
+        return T.relu(out) if relu else out
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "conv_bn", composed)
+
+
+@pytest.mark.parametrize("budget", [T.COLUMN_BUDGET, 1 << 14])
+def test_fused_epilogue_matches_composed_ops(budget, monkeypatch):
+    """Eval outputs of a residual block, a column and PatchNet are
+    bit-identical with the bias, residual add and ReLU applied per band in
+    place; the small budget runs the residual convs in row bands."""
+    monkeypatch.setattr(T, "COLUMN_BUDGET", budget)
+    rng = np.random.default_rng(6)
+    col = multiview.ResNetColumn(3, rng)
+    net = PatchNet(patch_size=32, seed=7)
+    x = T.Tensor(rng.uniform(0, 1, (3, 64, 48, 3)).astype(np.float32))
+    _moved_batchnorm(col, lambda: col(x), rng)
+    _moved_batchnorm(net, lambda: net(T.Tensor(
+        rng.uniform(0, 1, (8, 32, 32, 1)).astype(np.float32))), rng)
+    # block 2 carries a shortcut conv, block 3 adds its input
+    h = T.Tensor(rng.standard_normal((3, 32, 24, 16)).astype(np.float32))
+    patch_batch = rng.uniform(0, 1, (12, 32, 32)).astype(np.float32)
+
+    def outputs():
+        h2 = col.blocks[2](h)
+        return [h2.data, col.blocks[3](h2).data, col(x).data,
+                net.predict_proba(patch_batch)]
+
+    fused = outputs()
+    _composed(monkeypatch, multiview, patches)
+    for a, b in zip(fused, outputs()):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_fused_epilogue_checks_before_the_relu(residual):
+    """A ``-inf`` that the ReLU would turn into 0 still raises, naming
+    ``conv_bn``."""
+    conv = Conv2d(1, 2, 1, stride=1, rng=np.random.default_rng(0))
+    bn = BatchNorm2d(2).eval()
+    x = np.ones((1, 3, 3, 1), dtype=np.float32)
+    x[0, 1, 1, 0] = -np.inf
+    conv.weight.data = np.ones((1, 1, 1, 2), dtype=np.float32)
+    res = T.Tensor(np.ones((1, 3, 3, 2), dtype=np.float32)) \
+        if residual else None
+    with pytest.raises(T.NumericsError, match="conv_bn"):
+        layers.conv_bn(conv, bn, T.Tensor(x), relu=True, residual=res)
+
+
 def test_state_dict_roundtrip():
     rng = np.random.default_rng(2)
     net = PatchNet(patch_size=16, seed=1)
@@ -194,7 +284,7 @@ def test_load_state_shape_mismatch():
 
 
 def test_load_state_names_first_key_at_fault():
-    net = PatchNet(patch_size=16)
+    net = PatchNet(patch_size=16, seed=0)
     state = net.state_dict()
     with pytest.raises(StateDictError, match="missing parameter 'conv1.weight'"):
         net.load_state_dict({k: v for k, v in state.items()

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mscope import layers
 from mscope import tensor as T
 from mscope.multiview import (FUSION_VARIANTS, MultiViewNet, ResNetColumn,
                               VIEW_ORDER, column_shape_audit,
@@ -167,7 +168,8 @@ def test_birads_variant_softmax_head():
     assert out.shape == (1, 3)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
     with pytest.raises(ValueError):
-        MultiViewNet(variant="joint", input_channels=1, task="birads")
+        MultiViewNet(variant="joint", input_channels=1, task="birads",
+                     seed=0)
 
 
 # -- the NHWC column against the NCHW arithmetic it replaced --
@@ -203,7 +205,7 @@ def _conv2d_nchw(x, w, stride=1, padding=0, bias=None):
     return T._node(np.ascontiguousarray(y), (x, w), bwd)
 
 
-def _batchnorm2d_nchw(x, gamma, beta, running_mean, running_var, training,
+def _batchnorm2d_nchw(x, gamma, beta, running_mean, running_var,
                       momentum=0.1, eps=1e-5):
     """Train-mode BatchNorm of NCHW ``x`` by numpy reductions."""
     xd = x.data
@@ -305,6 +307,30 @@ def test_transfer_head_seeds_differ_columns_match():
             np.testing.assert_array_equal(s1[k], s2[k])
     head_keys = [k for k in s1 if k.startswith("heads.")]
     assert any(not np.array_equal(s1[k], s2[k]) for k in head_keys)
+
+
+def test_transfer_draws_only_the_heads(monkeypatch):
+    """The columns are copied, so none of their weights are drawn; the
+    heads are those of a new model of the same seed."""
+    src = MultiViewNet(variant="view_wise", input_channels=1, task="birads",
+                       seed=20)
+    fresh = MultiViewNet(variant="view_wise", input_channels=3,
+                         task="cancer", seed=21)
+    drawn = layers.he_normal
+
+    def no_draw(rng, *args):
+        assert rng is None, "transfer drew a column weight"
+        return drawn(rng, *args)
+
+    monkeypatch.setattr(layers, "he_normal", no_draw)
+    dst = transfer_from_pretrained(src.state_dict(), variant="view_wise",
+                                   input_channels=3, seed=21)
+    heads = {k: v for k, v in fresh.state_dict().items()
+             if k.startswith("heads.")}
+    dst_all = dst.state_dict()
+    assert heads
+    for k, v in heads.items():
+        np.testing.assert_array_equal(dst_all[k], v, err_msg=k)
 
 
 def test_transfer_architecture_mismatch_rejected():

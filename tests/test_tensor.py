@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -34,7 +37,7 @@ def _composite_net(seed):
 
     def loss_fn():
         h = T.conv2d(Tx(), conv_w, stride=1, padding=1)
-        h = T.batchnorm2d(h, gamma, beta, rmean.copy(), rvar.copy(), training=True)
+        h = T.batchnorm2d(h, gamma, beta, rmean.copy(), rvar.copy())
         h = T.relu(h)
         h = T.maxpool2d(h)
         h = T.global_avgpool2d(h)
@@ -113,8 +116,7 @@ def test_backward_frees_the_graph():
     beta = Parameter(np.zeros(3, dtype=np.float32))
     conv = T.conv2d(x, w, stride=1, padding=1)
     conv_out = weakref.ref(conv.data)
-    h = T.relu(T.batchnorm2d(conv, gamma, beta, np.zeros(3), np.ones(3),
-                             training=True))
+    h = T.relu(T.batchnorm2d(conv, gamma, beta, np.zeros(3), np.ones(3)))
     del conv
     loss = T.sum_all(h)
     grads = T.collect_gradients(loss, [w, gamma, beta])
@@ -194,7 +196,7 @@ def test_split_layers_keep_large_bands(monkeypatch):
                cfg["train.tta_samples"])
     for channels in (1, 3):
         column = MultiViewNet(variant="view_wise", input_channels=channels,
-                              task="cancer").cc_column.eval()
+                              task="cancer", seed=0).cc_column.eval()
         for n in batches:
             for dims in views:
                 column(T.Tensor(np.zeros((n, *dims, channels), np.float32)))
@@ -203,10 +205,71 @@ def test_split_layers_keep_large_bands(monkeypatch):
     windows = [len(plan.positions(0)) * len(plan.positions(1))
                for plan in (heatmaps.make_stride_plan(
                    dims, p, cfg["heatmap.stride"], rng) for dims in views)]
-    net = PatchNet(patch_size=p).eval()
+    net = PatchNet(patch_size=p, seed=0).eval()
     for n in (cfg["patch.batch_size"], *windows):
         net(T.Tensor(np.zeros((n, p, p, 1), np.float32)))
     assert sizes and min(sizes) >= 1.2e6
+
+
+# One desk-dims view_wise eval forward (3 channels, a TTA batch) and one
+# PatchNet batch of a desk CC view's windows; saves the raw outputs and the
+# number of threads numpy's OpenBLAS runs (-1 where it cannot be queried).
+EVAL_FORWARDS = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+from mscope import config, heatmaps
+from mscope import tensor as T
+from mscope.multiview import VIEW_ORDER, MultiViewNet
+from mscope.patches import PatchNet
+
+cfg = config.resolve()
+rng = np.random.default_rng(8)
+dims = {"cc": (cfg["data.cc_height"], cfg["data.cc_width"]),
+        "mlo": (cfg["data.mlo_height"], cfg["data.mlo_width"])}
+net = MultiViewNet(variant="view_wise", input_channels=3, task="cancer",
+                   seed=9).eval()
+vecs = {v: net.column_for(v)(T.Tensor(rng.uniform(
+            0, 1, (cfg["train.tta_samples"], *dims[v[1:]], 3)
+        ).astype(np.float32))) for v in VIEW_ORDER}
+p = cfg["patch.size"]
+plan = heatmaps.make_stride_plan(dims["cc"], p, cfg["heatmap.stride"], rng)
+windows = rng.uniform(0, 1, (len(plan.positions(0)) *
+                             len(plan.positions(1)), p, p))
+threads = -1
+libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+for lib in libs.glob("*openblas*"):
+    query = getattr(ctypes.CDLL(str(lib)),
+                    "scipy_openblas_get_num_threads64_", None)
+    threads = query() if query else threads
+np.savez(sys.argv[1], threads=threads, probs=net.fuse(vecs).data,
+         patches=PatchNet(patch_size=p, seed=10).predict_proba(windows),
+         **{v: vec.data for v, vec in vecs.items()})
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS runs one thread on one core")
+def test_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The eval forwards of predict and gen-heatmaps give the same bytes on
+    one BLAS thread as on two: each conv band is one GEMM whose rows do not
+    depend on how OpenBLAS splits it."""
+    out = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(Path(T.__file__).parent.parent),
+                       os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"t{threads}.npz"
+        proc = subprocess.run([sys.executable, "-c", EVAL_FORWARDS, path],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out[threads] = dict(np.load(path))
+        assert out[threads].pop("threads") in (-1, threads)
+    assert out[1].keys() == out[2].keys()
+    for key in out[1]:
+        np.testing.assert_array_equal(out[1][key], out[2][key], err_msg=key)
 
 
 def _extent(conv, h, w):
@@ -258,7 +321,7 @@ def test_every_conv_layer_is_one_band_or_large_bands():
         col = ResNetColumn(channels, np.random.default_rng(0))
         layers += [(conv, n, h, w) for n in batches for dims in views
                    for conv, h, w in _column_convs(col, *dims)]
-    net = PatchNet(cfg["patch.size"])
+    net = PatchNet(cfg["patch.size"], seed=0)
     layers += [(conv, cfg["patch.batch_size"], h, w)
                for conv, h, w in _patchnet_convs(net, cfg["patch.size"])]
     split = 0
