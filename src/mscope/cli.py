@@ -15,11 +15,12 @@ one-line summary. An alias flag is nothing but its config key (``--epochs
 and ``config.txt`` records what ran. ``report`` has no config and no
 output directory.
 
-Exit codes: 0 success; 1 user error (bad flags, out-of-range config
-values, bad paths, checkpoints that do not fit the model, a learning rate
-that diverges in the first epoch, and any input file that does not parse,
-binary or CSV, which raises ``formats.FormatError`` naming the file and
-the byte or line); 2 internal invariant violation.
+Exit codes: 0 success; 1 user error (bad flags, out-of-range config values
+such as ``heatmap.stride`` above ``patch.size``, bad paths, images smaller
+than ``patch.size``, checkpoints that do not fit the model, a learning rate
+that diverges in the first epoch, and input files that do not parse, binary
+or CSV, or heatmaps not of their image's dims, which raise ``FormatError``
+naming the file and the byte or line); 2 internal invariant violation.
 """
 
 from __future__ import annotations

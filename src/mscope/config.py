@@ -4,8 +4,9 @@ Two named profiles carry the default constant sets: ``desk`` (scaled-down
 images, shorter schedules, everything runnable on CPU in minutes) and
 ``paper`` (full-scale constants). A config file overrides profile
 defaults; command-line ``--set key=value`` flags override the file.
-Unknown keys and out-of-range values are rejected, naming the key. Every
-run directory receives the fully resolved config.
+Unknown keys and out-of-range values (``heatmap.stride`` above
+``patch.size`` among them) are rejected, naming the keys. Every run
+directory receives the fully resolved config.
 
 ``KEYS`` is the only home of a default value. Each stage's record
 (``phantom.DatasetConfig``, ``patches.PatchConfig`` and
@@ -201,6 +202,10 @@ def resolve(file_values=None, overrides=None):
         why = _out_of_range(key, values[key])
         if why:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({why})")
+    stride, size = values["heatmap.stride"], values["patch.size"]
+    if stride > size:
+        raise ConfigError(f"heatmap.stride={stride} exceeds patch.size={size}: "
+                          "the heatmap windows would leave pixels uncovered")
     return RunConfig(values)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -257,7 +258,7 @@ def simulate_readers(labels, targets, rng):
         if not 0.5 <= target <= 0.999:
             raise MetricError(f"unattainable reader AUC target {target}")
         # gaussian score model: auc = Phi(sep / sqrt(2))
-        sep = math.sqrt(2.0) * _probit(target)
+        sep = math.sqrt(2.0) * NormalDist().inv_cdf(target)
         lo, hi = 0.0, max(4.0 * sep, 8.0)
         for _ in range(READER_MAX_ITER):
             draw_rng = np.random.default_rng(rng.integers(0, 2 ** 63))
@@ -275,18 +276,6 @@ def simulate_readers(labels, targets, rng):
             raise MetricError(f"reader {ri}: calibration failed for {target}")
         rows.append(scores)
     return np.stack(rows)
-
-
-def _probit(p):
-    # Acklam-style rational approximation is overkill; bisect the erf instead
-    lo, hi = -8.0, 8.0
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
 
 
 # ---------------------------------------------------------------------------

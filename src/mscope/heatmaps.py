@@ -1,11 +1,19 @@
 """Dense sliding-window heatmaps from the patch classifier.
 
-A stride plan tiles each image axis with steps no larger than a prefixed
-stride, adjusted so the windows end exactly at the image border; the
-window grid is the cumulative sum of the strides. Every window's
-malignant/benign probabilities are painted over the window's pixels and
-overlapping windows are averaged (float64 accumulation, so the result is
-independent of evaluation order).
+``stride_list`` tiles an image axis with steps of at most a prefixed
+stride (itself at most the patch) so that the last window ends at the
+border; an axis's window starts are 0 and the running sums of its steps.
+The grid's windows are gathered in one fancy index of the image's
+sliding-window view and classified in one batch, in row-major order. A
+pixel gets the mean probability of the windows over it: with each axis's
+0/1 (pixels x windows) cover matrix, ``cover_rows @ probs_grid @
+cover_cols.T`` over the outer product of the cover counts, in float64,
+cast to float32. Each product there is exact (a probability times 0 or
+1), so the sums differ from adding window after window only in the order
+of a few nonzero terms, by a float64 ulp or so, which the cast drops
+unless a sum lies that near a float32 rounding boundary. The tests pin
+the planes equal to a float64 loop over the windows in row-major order,
+on seeded cases with extreme softmax outputs.
 
 A heatmap file is a ``formats`` container under "MSHM" holding the arrays
 ``malignant`` and ``benign``.
@@ -13,12 +21,12 @@ A heatmap file is a ``formats`` container under "MSHM" holding the arrays
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import ConfigError
 from .formats import Reader, save_arrays
-from .phantom import VIEWS, load_image
+from .phantom import VIEWS, image_path, load_image
 from .seeding import substream
 
 HEATMAP_MAGIC = b"MSHM"
@@ -35,8 +43,9 @@ def stride_list(image_extent, patch_size, prefixed_stride, rng):
     """
     if image_extent < patch_size:
         raise ValueError(f"extent {image_extent} smaller than patch {patch_size}")
-    if prefixed_stride < 1:
-        raise ValueError("prefixed stride must be >= 1")
+    if not 1 <= prefixed_stride <= patch_size:
+        raise ValueError(f"prefixed stride {prefixed_stride} outside "
+                         f"[1, {patch_size}]")
     diff = image_extent - patch_size
     steps = diff // prefixed_stride
     remaining = diff % prefixed_stride
@@ -51,61 +60,26 @@ def stride_list(image_extent, patch_size, prefixed_stride, rng):
     return strides
 
 
-@dataclass
-class StridePlan:
-    vertical: list
-    horizontal: list
-    patch_size: int
-
-    def positions(self, axis):
-        strides = self.vertical if axis == 0 else self.horizontal
-        return [0] + list(np.cumsum(strides))
-
-    def validate(self, dims):
-        h, w = dims
-        if sum(self.vertical) != h - self.patch_size or \
-                sum(self.horizontal) != w - self.patch_size:
-            raise ValueError("stride plan does not match image dims")
-
-
-def make_stride_plan(dims, patch_size, prefixed_stride, rng):
-    return StridePlan(
-        vertical=stride_list(dims[0], patch_size, prefixed_stride, rng),
-        horizontal=stride_list(dims[1], patch_size, prefixed_stride, rng),
-        patch_size=patch_size)
-
-
-def generate_heatmaps(image, predict, plan: StridePlan):
-    """(malignant, benign) float32 planes matching ``image``'s shape.
-
-    ``predict`` maps an (N, p, p) window batch to (N, 4) class
-    probabilities ordered (malignant, benign, outside, negative); the
-    trailing two columns are ignored.
-    """
-    image = np.asarray(image)
-    plan.validate(image.shape)
-    p = plan.patch_size
-    ys = plan.positions(0)
-    xs = plan.positions(1)
-    windows = np.stack([image[y:y + p, x:x + p] for y in ys for x in xs])
+def generate_heatmaps(image, predict, patch_size, prefixed_stride, rng):
+    """(malignant, benign) float32 planes matching ``image``'s shape, on a
+    grid whose strides are drawn from ``rng``, rows first. ``predict`` maps
+    an (N, p, p) window batch to (N, 4) probabilities ordered (malignant,
+    benign, outside, negative); the last two columns are ignored."""
+    p = patch_size
+    ys, xs = (np.cumsum([0] + stride_list(extent, p, prefixed_stride, rng))
+              for extent in image.shape)
+    windows = sliding_window_view(image, (p, p))[np.ix_(ys, xs)]
+    windows = windows.reshape(-1, p, p)
     probs = np.asarray(predict(windows), dtype=np.float64)
     if probs.shape != (len(windows), 4):
         raise ValueError(f"predict returned shape {probs.shape}")
-
-    sums = np.zeros(image.shape + (2,), dtype=np.float64)
-    count = np.zeros(image.shape, dtype=np.float64)
-    k = 0
-    for y in ys:
-        for x in xs:
-            sums[y:y + p, x:x + p, 0] += probs[k, 0]
-            sums[y:y + p, x:x + p, 1] += probs[k, 1]
-            count[y:y + p, x:x + p] += 1.0
-            k += 1
-    if (count == 0).any():
-        raise ValueError("stride plan leaves pixels uncovered")
-    mal = (sums[..., 0] / count).astype(np.float32)
-    ben = (sums[..., 1] / count).astype(np.float32)
-    return mal, ben
+    # cover[y, i] is 1 where the axis's window i covers its pixel y
+    rows, cols = (((np.arange(n)[:, None] - starts) // p == 0) * 1.0
+                  for n, starts in zip(image.shape, (ys, xs)))
+    counts = np.outer(rows.sum(axis=1), cols.sum(axis=1))
+    return tuple(
+        (rows @ probs[:, k].reshape(len(ys), len(xs)) @ cols.T / counts)
+        .astype(np.float32) for k in (0, 1))
 
 
 def save_heatmap(path, malignant, benign):
@@ -136,14 +110,18 @@ def heatmap_breast_score(heatmap_pairs):
 def heatmaps_for_exam(record, data_dir, predict, patch_size, prefixed_stride,
                       seed):
     """Heatmap planes for all four views; stride randomness is keyed by
-    (seed, exam, view) so any processing order gives identical output."""
-    out = {}
-    for view in VIEWS:
-        img = load_image(data_dir, record, view)
-        rng = substream(seed, "strides", record.exam_id, view)
-        plan = make_stride_plan(img.shape, patch_size, prefixed_stride, rng)
-        out[view] = generate_heatmaps(img, predict, plan)
-    return out
+    (seed, exam, view) so any processing order gives identical output. A
+    view smaller than the patch raises ``ConfigError`` naming its file
+    before any window of the exam is classified."""
+    images = {view: load_image(data_dir, record, view) for view in VIEWS}
+    for view, img in images.items():
+        if min(img.shape) < patch_size:
+            raise ConfigError(f"{image_path(data_dir, record, view)}: image "
+                              f"dims {img.shape} below patch.size={patch_size}")
+    return {view: generate_heatmaps(img, predict, patch_size, prefixed_stride,
+                                    substream(seed, "strides", record.exam_id,
+                                              view))
+            for view, img in images.items()}
 
 
 def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .config import KEYS
 from .evaluation import MetricError, roc_auc
-from .formats import write_table
+from .formats import FormatError, write_table
 from .heatmaps import load_heatmap
 from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
                         transfer_from_pretrained)
@@ -64,9 +64,10 @@ def load_view_stack(record, data_dir, view, channels, heatmap_dir):
         return img[None]
     if heatmap_dir is None:
         raise ValueError("3-channel input requires a heatmap directory")
-    mal, ben = load_heatmap(Path(heatmap_dir) / f"{record.exam_id}_{view}.mshm")
+    path = Path(heatmap_dir) / f"{record.exam_id}_{view}.mshm"
+    mal, ben = load_heatmap(path)
     if mal.shape != img.shape:
-        raise ValueError(f"heatmap dims {mal.shape} != image dims {img.shape}")
+        raise FormatError(f"{path}: dims {mal.shape}, not the image's {img.shape}")
     return np.stack([img, mal, ben])
 
 

@@ -15,7 +15,7 @@ from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
 from mscope.evaluation import read_predictions, roc_auc
-from mscope.heatmaps import load_heatmap
+from mscope.heatmaps import load_heatmap, save_heatmap
 from mscope.patches import load_patch_cache
 from mscope.phantom import load_manifest
 
@@ -748,6 +748,71 @@ def test_truncated_heatmap_exits_1(pipeline, tmp_path, capsys):
                  "--seed", "5", "--heatmaps", str(heatmaps), *sets()]) == 1
     err = capsys.readouterr().err
     assert str(victim) in err and "truncated" in err and "at byte 32" in err
+
+
+@pytest.mark.parametrize("command", ["gen-heatmaps", "train-patch"])
+def test_stride_above_patch_exits_1_naming_both_keys(pipeline, tmp_path,
+                                                     capsys, command):
+    """A heatmap stride above the patch would leave pixels between windows
+    uncovered: the config is refused before any work, naming both keys."""
+    extra = ["--checkpoint", str(pipeline["patch"] / "best.ckpt")] \
+        if command == "gen-heatmaps" else []
+    capsys.readouterr()
+    assert main([command, "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *extra,
+                 *sets(("heatmap.stride=20",))]) == 1
+    err = capsys.readouterr().err
+    assert "heatmap.stride=20" in err and "patch.size=16" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("size,view,dims", [(64, "rcc", "(64, 48)"),
+                                             (46, "rmlo", "(72, 44)")])
+def test_image_smaller_than_patch_exits_1_before_any_window(
+        pipeline, tmp_path, capsys, monkeypatch, size, view, dims):
+    """gen-heatmaps with a patch wider than the images exits 1 naming the
+    image file, its dims and patch.size, and classifies no window first:
+    not even of the CC views, which a 46-pixel patch fits (the tiny CC
+    views are 64x48, the MLO views 72x44)."""
+    def classify(net, batch):
+        raise AssertionError("a window was classified")
+    monkeypatch.setattr(patches.PatchNet, "predict_proba", classify)
+    capsys.readouterr()
+    assert main(["gen-heatmaps", "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--checkpoint",
+                 str(pipeline["patch"] / "best.ckpt"), "--seed", "5",
+                 *sets((f"patch.size={size}",))]) == 1
+    err = capsys.readouterr().err
+    assert str(pipeline["data"] / "images") in err and f"_{view}.pgm" in err
+    assert dims in err and f"patch.size={size}" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_heatmap_dims_not_the_images_exit_1(pipeline, tmp_path, capsys):
+    """Heatmaps made on other image dims (72x48 planes for 64x48 CC
+    views) exit 1 in predict and in train-cancer, naming the heatmap file
+    and both shapes."""
+    heatmaps = tmp_path / "heatmaps"
+    heatmaps.mkdir()
+    for path in pipeline["heatmaps"].glob("*cc.mshm"):
+        save_heatmap(heatmaps / path.name, np.zeros((72, 48)),
+                     np.zeros((72, 48)))
+    for path in pipeline["heatmaps"].glob("*mlo.mshm"):
+        shutil.copy(path, heatmaps / path.name)
+    for i, argv in enumerate((["predict", "--run", str(pipeline["cancer_hm"])],
+                              ["train-cancer"])):
+        capsys.readouterr()
+        out = tmp_path / f"o{i}"
+        assert main([*argv, "--data", str(pipeline["data"]), "--out",
+                     str(out), "--seed", "5", "--heatmaps", str(heatmaps),
+                     *sets()]) == 1, argv
+        err = capsys.readouterr().err
+        assert str(heatmaps) in err and "cc.mshm" in err
+        assert "(72, 48)" in err and "(64, 48)" in err
+        assert "internal error" not in err
+        assert not out.exists()
 
 
 def test_heatmaps_and_cache_in_their_old_layouts_exit_1(pipeline, tmp_path,

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mscope.heatmaps import (StridePlan, generate_heatmaps,
-                             heatmap_breast_score, load_heatmap,
-                             make_stride_plan, save_heatmap, stride_list)
+from mscope.heatmaps import (generate_heatmaps, heatmap_breast_score,
+                             load_heatmap, save_heatmap, stride_list)
 from mscope.seeding import substream
 
 
@@ -58,8 +57,8 @@ def constant_predictor(p_mal, p_ben):
 
 def test_constant_model_uniform_plane():
     img = np.random.default_rng(0).uniform(0, 1, (40, 33))
-    plan = make_stride_plan(img.shape, 16, 7, rng())
-    mal, ben = generate_heatmaps(img, constant_predictor(0.7, 0.1), plan)
+    mal, ben = generate_heatmaps(img, constant_predictor(0.7, 0.1), 16, 7,
+                                 rng())
     np.testing.assert_allclose(mal, 0.7, atol=1e-6)
     np.testing.assert_allclose(ben, 0.1, atol=1e-6)
     assert mal.shape == img.shape
@@ -67,13 +66,12 @@ def test_constant_model_uniform_plane():
 
 def test_single_window_case():
     img = np.zeros((16, 16))
-    plan = make_stride_plan(img.shape, 16, 7, rng())
 
     def predict(windows):
         assert len(windows) == 1
         return np.array([[0.9, 0.25, 0.0, 0.0]])
 
-    mal, ben = generate_heatmaps(img, predict, plan)
+    mal, ben = generate_heatmaps(img, predict, 16, 7, rng())
     np.testing.assert_allclose(mal, 0.9)
     np.testing.assert_allclose(ben, 0.25)
 
@@ -81,27 +79,32 @@ def test_single_window_case():
 def test_overlap_pairwise_means():
     """Three overlapping windows along one axis: overlaps average pairwise."""
     img = np.zeros((16, 32))
-    plan = StridePlan(vertical=[], horizontal=[8, 8], patch_size=16)
     outputs = iter([0.2, 0.6, 1.0])
 
     def predict(windows):
         return np.array([[next(outputs), 0.0, 0.5, 0.5] for _ in windows])
 
-    mal, _ = generate_heatmaps(img, predict, plan)
+    mal, _ = generate_heatmaps(img, predict, 16, 8, rng())
     np.testing.assert_allclose(mal[:, 0:8], 0.2, atol=1e-7)
     np.testing.assert_allclose(mal[:, 8:16], 0.4, atol=1e-7)
     np.testing.assert_allclose(mal[:, 16:24], 0.8, atol=1e-7)
     np.testing.assert_allclose(mal[:, 24:32], 1.0, atol=1e-7)
 
 
-def brute_force_heatmap(img, plan, probs_per_window):
-    h, w = img.shape
-    p = plan.patch_size
+def window_starts(dims, p, stride, r):
+    """Each axis's window starts, drawn from ``r`` as ``generate_heatmaps``
+    draws its strides: rows first."""
+    return [[0, *np.cumsum(stride_list(extent, p, stride, r))]
+            for extent in dims]
+
+
+def brute_force_heatmap(dims, starts, p, probs_per_window):
+    h, w = dims
     sums = np.zeros((h, w))
     counts = np.zeros((h, w))
     k = 0
-    for y in plan.positions(0):
-        for x in plan.positions(1):
+    for y in starts[0]:
+        for x in starts[1]:
             for yy in range(y, y + p):
                 for xx in range(x, x + p):
                     sums[yy, xx] += probs_per_window[k]
@@ -116,27 +119,64 @@ def test_heatmap_matches_bruteforce_oracle():
         h = int(r.integers(20, 64))
         w = int(r.integers(20, 64))
         img = r.uniform(0, 1, (h, w))
-        plan = make_stride_plan((h, w), 16, int(r.integers(5, 12)), r)
-        n_windows = (len(plan.vertical) + 1) * (len(plan.horizontal) + 1)
-        probs = r.uniform(0, 1, n_windows)
+        stride = int(r.integers(5, 12))
+        starts = window_starts((h, w), 16, stride, substream(3, "grid", trial))
+        probs = r.uniform(0, 1, len(starts[0]) * len(starts[1]))
 
         def predict(windows, probs=probs):
             rest = (1 - probs) / 2
             return np.stack([probs, 1 - probs, rest, rest], axis=1)
 
-        mal, ben = generate_heatmaps(img, predict, plan)
-        expected = brute_force_heatmap(img, plan, probs)
+        mal, ben = generate_heatmaps(img, predict, 16, stride,
+                                     substream(3, "grid", trial))
+        expected = brute_force_heatmap((h, w), starts, 16, probs)
         np.testing.assert_allclose(mal, expected, atol=1e-6)
-        np.testing.assert_allclose(ben, brute_force_heatmap(img, plan, 1 - probs),
-                                   atol=1e-6)
+        np.testing.assert_allclose(
+            ben, brute_force_heatmap((h, w), starts, 16, 1 - probs),
+            atol=1e-6)
         assert (mal >= 0).all() and (mal <= 1).all()
 
 
-def test_plan_dims_mismatch_rejected():
-    img = np.zeros((20, 20))
-    plan = make_stride_plan((24, 24), 16, 7, rng())
-    with pytest.raises(ValueError):
-        generate_heatmaps(img, constant_predictor(0.5, 0.5), plan)
+def loop_paint(dims, starts, p, probs):
+    """The per-window paint loop: float64 window sums and counts, added
+    window after window in row-major grid order, then cast to float32."""
+    sums = np.zeros(dims + (2,), dtype=np.float64)
+    count = np.zeros(dims, dtype=np.float64)
+    k = 0
+    for y in starts[0]:
+        for x in starts[1]:
+            sums[y:y + p, x:x + p, 0] += probs[k, 0]
+            sums[y:y + p, x:x + p, 1] += probs[k, 1]
+            count[y:y + p, x:x + p] += 1.0
+            k += 1
+    return tuple((sums[..., i] / count).astype(np.float32) for i in (0, 1))
+
+
+def test_planes_equal_the_per_window_loop():
+    """The cover-matrix planes equal those of the per-window loop, value
+    for value, on seeded grids with strides from 1 to the patch and on
+    softmax outputs of logits scaled by up to 40, whose smallest
+    probabilities lie below 1e-100."""
+    r = substream(6, "paint")
+    for case in range(60):
+        p = int(r.integers(4, 33))
+        dims = (int(r.integers(p, 3 * p + 20)), int(r.integers(p, 3 * p + 20)))
+        stride = int(r.integers(1, p + 1))
+        scale = float(r.choice([0.5, 5.0, 40.0]))
+        drawn = []
+
+        def predict(windows):
+            z = r.standard_normal((len(windows), 4)) * scale
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            drawn.append(e / e.sum(axis=1, keepdims=True))
+            return drawn[-1]
+
+        planes = generate_heatmaps(r.uniform(0, 1, dims), predict, p, stride,
+                                   substream(6, "grid", case))
+        starts = window_starts(dims, p, stride, substream(6, "grid", case))
+        for got, want in zip(planes, loop_paint(dims, starts, p, drawn[0])):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
 
 
 # -- breast scores --

@@ -202,9 +202,9 @@ def test_split_layers_keep_large_bands(monkeypatch):
                 column(T.Tensor(np.zeros((n, *dims, channels), np.float32)))
     p = cfg["patch.size"]
     rng = np.random.default_rng(0)
-    windows = [len(plan.positions(0)) * len(plan.positions(1))
-               for plan in (heatmaps.make_stride_plan(
-                   dims, p, cfg["heatmap.stride"], rng) for dims in views)]
+    windows = [np.prod([len(heatmaps.stride_list(
+                   extent, p, cfg["heatmap.stride"], rng)) + 1
+                   for extent in dims]) for dims in views]
     net = PatchNet(patch_size=p, seed=0).eval()
     for n in (cfg["patch.batch_size"], *windows):
         net(T.Tensor(np.zeros((n, p, p, 1), np.float32)))
@@ -233,9 +233,9 @@ vecs = {v: net.column_for(v)(T.Tensor(rng.uniform(
             0, 1, (cfg["train.tta_samples"], *dims[v[1:]], 3)
         ).astype(np.float32))) for v in VIEW_ORDER}
 p = cfg["patch.size"]
-plan = heatmaps.make_stride_plan(dims["cc"], p, cfg["heatmap.stride"], rng)
-windows = rng.uniform(0, 1, (len(plan.positions(0)) *
-                             len(plan.positions(1)), p, p))
+n = np.prod([len(heatmaps.stride_list(extent, p, cfg["heatmap.stride"], rng))
+            + 1 for extent in dims["cc"]])
+windows = rng.uniform(0, 1, (n, p, p))
 threads = -1
 libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 for lib in libs.glob("*openblas*"):
