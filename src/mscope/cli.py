@@ -46,7 +46,8 @@ from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
                          reader_study_draw, roc_auc, roc_curve_points,
                          simulate_readers, subpopulation, write_predictions)
 from .formats import FormatError, read_table, write_table
-from .heatmaps import heatmaps_for_exam, save_heatmap, select_patch_checkpoint
+from .heatmaps import (exam_views, heatmaps_for_exam, save_heatmap,
+                       select_patch_checkpoint)
 from .layers import StateDictError
 from .multiview import MultiViewNet
 from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
@@ -102,6 +103,17 @@ def cmd_train_patch(args, cfg, out, data, records):
                        side_min=cfg["patch.side_min"],
                        side_max=cfg["patch.side_max"],
                        max_angle=cfg["patch.max_angle"])
+    val = [r for r in records if r.split == "val"]
+    n_select = cfg["patch.select_exams"]
+    if n_select and n_select < len(val):
+        rng = substream(args.seed, "select-subset")
+        biopsied = [r for r in val if r.any_biopsied]
+        rest = [r for r in val if not r.any_biopsied]
+        need = max(0, n_select - len(biopsied))
+        idx = rng.choice(len(rest), size=min(need, len(rest)), replace=False)
+        val = biopsied + [rest[i] for i in idx]
+    for rec in val:                   # fail on a small image before training
+        exam_views(rec, data, patch_size)
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.exists():
         pools = load_patch_cache(cache_path, patch_size)
@@ -126,15 +138,6 @@ def cmd_train_patch(args, cfg, out, data, records):
     checkpoints, _ = train_patch_classifier(
         pools, out / "checkpoints", tcfg, patch_size=patch_size)
 
-    val = [r for r in records if r.split == "val"]
-    n_select = cfg["patch.select_exams"]
-    if n_select and n_select < len(val):
-        rng = substream(args.seed, "select-subset")
-        biopsied = [r for r in val if r.any_biopsied]
-        rest = [r for r in val if not r.any_biopsied]
-        need = max(0, n_select - len(biopsied))
-        idx = rng.choice(len(rest), size=min(need, len(rest)), replace=False)
-        val = biopsied + [rest[i] for i in idx]
     try:
         best, table = select_patch_checkpoint(
             checkpoints, val, data, patch_size, cfg["heatmap.stride"],
@@ -156,7 +159,8 @@ def cmd_train_patch(args, cfg, out, data, records):
 def _heatmap_task(ctx, idx):
     args, cfg, out, data, records, net = ctx
     rec = records[idx]
-    maps = heatmaps_for_exam(rec, data, net.predict_proba, cfg["patch.size"],
+    maps = heatmaps_for_exam(rec, exam_views(rec, data, cfg["patch.size"]),
+                             net.predict_proba, cfg["patch.size"],
                              cfg["heatmap.stride"], args.seed)
     for view, (mal, ben) in maps.items():
         save_heatmap(out / f"{rec.exam_id}_{view}.mshm", mal, ben)

@@ -107,17 +107,22 @@ def heatmap_breast_score(heatmap_pairs):
     return p_mal, p_ben
 
 
-def heatmaps_for_exam(record, data_dir, predict, patch_size, prefixed_stride,
-                      seed):
-    """Heatmap planes for all four views; stride randomness is keyed by
-    (seed, exam, view) so any processing order gives identical output. A
-    view smaller than the patch raises ``ConfigError`` naming its file
-    before any window of the exam is classified."""
+def exam_views(record, data_dir, patch_size):
+    """An exam's four images by view; a view smaller than the patch raises
+    ``ConfigError`` naming its file."""
     images = {view: load_image(data_dir, record, view) for view in VIEWS}
     for view, img in images.items():
         if min(img.shape) < patch_size:
             raise ConfigError(f"{image_path(data_dir, record, view)}: image "
                               f"dims {img.shape} below patch.size={patch_size}")
+    return images
+
+
+def heatmaps_for_exam(record, images, predict, patch_size, prefixed_stride,
+                      seed):
+    """Heatmap planes for the four ``images`` of an exam (``exam_views``);
+    stride randomness is keyed by (seed, exam, view) so any processing
+    order gives identical output."""
     return {view: generate_heatmaps(img, predict, patch_size, prefixed_stride,
                                     substream(seed, "strides", record.exam_id,
                                               view))
@@ -152,20 +157,23 @@ def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
             raise MetricError(f"the {len(records)} selection exams have a "
                               f"single {task} class; checkpoint selection "
                               "undefined")
-    best = None
-    table = []
-    for epoch, path in checkpoints:
-        net = PatchNet(patch_size=patch_size, seed=None)
+    nets = [PatchNet(patch_size=patch_size, seed=None) for _ in checkpoints]
+    for net, (_, path) in zip(nets, checkpoints):
         load_into(net, path)
-        scores = {"malignant": [], "benign": []}
-        for rec in records:
-            maps = heatmaps_for_exam(rec, data_dir, net.predict_proba,
+    scores = [{"malignant": [], "benign": []} for _ in checkpoints]
+    for rec in records:
+        images = exam_views(rec, data_dir, patch_size)
+        for net, score in zip(nets, scores):
+            maps = heatmaps_for_exam(rec, images, net.predict_proba,
                                      patch_size, prefixed_stride, seed)
             for _, views in sides:
                 p_mal, p_ben = heatmap_breast_score([maps[v] for v in views])
-                scores["malignant"].append(p_mal)
-                scores["benign"].append(p_ben)
-        aucs = {task: roc_auc(scores[task], labels[task])
+                score["malignant"].append(p_mal)
+                score["benign"].append(p_ben)
+    best = None
+    table = []
+    for (epoch, path), score in zip(checkpoints, scores):
+        aucs = {task: roc_auc(score[task], labels[task])
                 for task in ("malignant", "benign")}
         mean_auc = (aucs["malignant"] + aucs["benign"]) / 2.0
         table.append((epoch, path, aucs["malignant"], aucs["benign"], mean_auc))

@@ -10,6 +10,11 @@ oriented the same way.
 Four fusion variants combine the view vectors, all constrained to 1,024
 hidden activations across their fully connected layers, and all emitting
 four probabilities ordered (L-benign, L-malignant, R-benign, R-malignant).
+They differ only in their rows of ``_HEAD_PLANS``: the views each head
+reads (concatenated) and the breasts it scores, "LR", "L" or "R". A head
+has 2 outputs per breast it scores, through a sigmoid (3 through a
+softmax for the assessment task); the heads of the same breasts are
+averaged, and the groups concatenated, L before R.
 """
 
 from __future__ import annotations
@@ -35,14 +40,11 @@ def column_shape_audit(in_dims):
     Returns [(name, (h, w, channels))] for the stem and each stage of a
     column fed an (H, W) image.
     """
-    h, w = in_dims
-    k, s, p = STEM_KERNEL, STEM_STRIDE, STEM_PADDING
-    h = (h + 2 * p - k) // s + 1
-    w = (w + 2 * p - k) // s + 1
+    h, w = (T.conv2d_shape(n, STEM_KERNEL, STEM_STRIDE, STEM_PADDING)
+            for n in in_dims)
     rows = [("conv7x7", (h, w, COLUMN_CHANNELS[0]))]
     for i, cout in enumerate(COLUMN_CHANNELS[1:]):
-        h = (h + 2 * 1 - 3) // 2 + 1
-        w = (w + 2 * 1 - 3) // 2 + 1
+        h, w = (T.conv2d_shape(n, 3, 2, 1) for n in (h, w))
         rows.append((f"resblock{i}", (h, w, cout)))
     return rows
 
@@ -111,21 +113,21 @@ class FusionHead(Module):
 
 
 _HEAD_PLANS = {
-    # name -> list of (head key, input views, hidden, outputs)
-    "view_wise": [("cc", ("lcc", "rcc"), 512, 4),
-                  ("mlo", ("lmlo", "rmlo"), 512, 4)],
-    "image_wise": [("lcc", ("lcc",), 256, 2), ("rcc", ("rcc",), 256, 2),
-                   ("lmlo", ("lmlo",), 256, 2), ("rmlo", ("rmlo",), 256, 2)],
-    "breast_wise": [("left", ("lcc", "lmlo"), 512, 2),
-                    ("right", ("rcc", "rmlo"), 512, 2)],
-    "joint": [("all", ("lcc", "rcc", "lmlo", "rmlo"), 1024, 4)],
+    # name -> list of (head key, input views, breasts scored, hidden)
+    "view_wise": [("cc", ("lcc", "rcc"), "LR", 512),
+                  ("mlo", ("lmlo", "rmlo"), "LR", 512)],
+    "image_wise": [(v, (v,), v[0].upper(), 256)
+                   for v in ("lcc", "rcc", "lmlo", "rmlo")],
+    "breast_wise": [("left", ("lcc", "lmlo"), "L", 512),
+                    ("right", ("rcc", "rmlo"), "R", 512)],
+    "joint": [("all", ("lcc", "rcc", "lmlo", "rmlo"), "LR", 1024)],
 }
 
 
 def _fusion_heads(variant, task, rng):
     return {key: FusionHead(256 * len(views), hidden,
-                            3 if task == "birads" else nout, rng)
-            for key, views, hidden, nout in _HEAD_PLANS[variant]}
+                            3 if task == "birads" else 2 * len(breasts), rng)
+            for key, views, breasts, hidden in _HEAD_PLANS[variant]}
 
 
 class MultiViewNet(Module):
@@ -144,7 +146,6 @@ class MultiViewNet(Module):
             raise ValueError("the 3-way assessment model is view_wise-shaped")
         self.variant = variant
         self.task = task
-        self.input_channels = input_channels
         col_rng, head_rng = (None, None) if seed is None else (
             substream(seed, "columns"), substream(seed, "heads"))
         self.cc_column = ResNetColumn(input_channels, col_rng)
@@ -162,32 +163,18 @@ class MultiViewNet(Module):
         return self.fuse(vecs)
 
     def fuse(self, vecs):
-        """Fusion over per-view 256-vectors (Tensors shaped (N, 256))."""
-        head_out = {}
-        for key, views, _, _ in _HEAD_PLANS[self.variant]:
+        """Fusion over per-view 256-vectors (Tensors shaped (N, 256)), by
+        the variant's rows of ``_HEAD_PLANS`` (see the module docstring)."""
+        act = T.softmax if self.task == "birads" else T.sigmoid
+        groups = {}
+        for key, views, breasts, _ in _HEAD_PLANS[self.variant]:
             x = vecs[views[0]] if len(views) == 1 else \
                 T.concat([vecs[v] for v in views])
-            head_out[key] = self.heads[key](x)
-
-        if self.task == "birads":
-            cc = T.softmax(head_out["cc"])
-            mlo = T.softmax(head_out["mlo"])
-            return T.mul(T.add(cc, mlo), 0.5)
-
-        if self.variant == "view_wise":
-            cc = T.sigmoid(head_out["cc"])
-            mlo = T.sigmoid(head_out["mlo"])
-            return T.mul(T.add(cc, mlo), 0.5)
-        if self.variant == "image_wise":
-            left = T.mul(T.add(T.sigmoid(head_out["lcc"]),
-                               T.sigmoid(head_out["lmlo"])), 0.5)
-            right = T.mul(T.add(T.sigmoid(head_out["rcc"]),
-                                T.sigmoid(head_out["rmlo"])), 0.5)
-            return T.concat([left, right])
-        if self.variant == "breast_wise":
-            return T.concat([T.sigmoid(head_out["left"]),
-                             T.sigmoid(head_out["right"])])
-        return T.sigmoid(head_out["all"])  # joint
+            groups.setdefault(breasts, []).append(act(self.heads[key](x)))
+        out = [probs[0] if len(probs) == 1 else
+               T.mul(T.add(*probs), 1 / len(probs))
+               for _, probs in sorted(groups.items())]
+        return out[0] if len(out) == 1 else T.concat(out)
 
 
 def transfer_from_pretrained(source_state, variant, input_channels, seed):
@@ -204,30 +191,16 @@ def transfer_from_pretrained(source_state, variant, input_channels, seed):
     net = MultiViewNet(variant=variant, input_channels=input_channels,
                        task="cancer", seed=None)
     net.heads = _fusion_heads(variant, "cancer", substream(seed, "heads"))
-    columns = ("cc_column.", "mlo_column.")
-    params = dict(net.named_parameters())
-    entries = [(n, p.data) for n, p in params.items()]
-    entries += list(net.named_buffers())
-    targets = {n: arr for n, arr in entries if n.startswith(columns)}
-    for name in targets:
-        if name not in source_state:
-            raise StateDictError(f"missing column entry {name!r} in source")
-    extra = sorted(n for n in source_state
-                   if n.startswith(columns) and n not in targets)
-    if extra:
-        raise StateDictError(f"source entry {extra[0]!r} has no target")
-    for name, dst in targets.items():
-        src = source_state[name]
+    state = {name: arr for name, arr in net.state_dict().items()
+             if name.startswith("heads.")}
+    for name, src in source_state.items():
+        if not name.startswith(("cc_column.", "mlo_column.")):
+            continue
         if name.endswith(".stem.weight"):
             if src.ndim != 4 or src.shape[2] != 1:
                 raise StateDictError(f"source stem {name!r} must be "
                                      f"single-channel, got {src.shape}")
             src = np.repeat(src, input_channels, axis=2)
-        if src.shape != dst.shape:
-            raise StateDictError(f"shape mismatch for {name!r}: "
-                                 f"{src.shape} vs {dst.shape}")
-        if name in params:
-            params[name].data = src.astype(dst.dtype, copy=True)
-        else:
-            dst[...] = src
+        state[name] = src
+    net.load_state_dict(state)
     return net

@@ -119,7 +119,8 @@ class Tensor:
                 continue
             seen.add(id(node))
             if node._backward is _consumed:
-                _consumed(None)  # raises
+                raise GraphError("graph already consumed; "
+                                 "re-run the forward pass")
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
@@ -135,11 +136,6 @@ class Tensor:
                 node._backward = _consumed
             if not node.requires_grad:
                 node.grad = None
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _consumed(g):

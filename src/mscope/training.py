@@ -95,20 +95,26 @@ def augment_window(stack, rng, max_offset):
     return np.ascontiguousarray(out, dtype=np.float32)
 
 
-def prepare_views(record, data_dir, channels, heatmap_dir, rng, max_offset,
+def prepare_views(records, data_dir, channels, heatmap_dir, rng, max_offset,
                   copies=1):
-    """All four views as channels-last (copies, H, W, C) arrays, left views
-    flipped so every breast is oriented the same way. Augmentation applies
-    only when an rng is given."""
+    """All four views of ``records`` as channels-last (len(records) *
+    copies, H, W, C) arrays, left views flipped so every breast is oriented
+    the same way; row ``i * copies + j`` is copy j of record i. Augmentation
+    applies only when an rng is given, drawn record by record, then view by
+    view (``VIEW_ORDER``), then copy by copy."""
     out = {}
-    for view in VIEW_ORDER:
-        stack = load_view_stack(record, data_dir, view, channels, heatmap_dir)
-        flip = slice(None, None, -1 if view.startswith("l") else 1)
-        out[view] = np.empty((copies, *stack.shape[1:], channels), np.float32)
-        for copy in out[view]:
-            s = augment_window(stack, rng, max_offset) \
-                if rng is not None and max_offset > 0 else stack
-            copy[...] = s.transpose(1, 2, 0)[:, flip]
+    for i, record in enumerate(records):
+        for view in VIEW_ORDER:
+            stack = load_view_stack(record, data_dir, view, channels,
+                                    heatmap_dir)
+            if view not in out:
+                out[view] = np.empty((len(records) * copies,
+                                      *stack.shape[1:], channels), np.float32)
+            flip = slice(None, None, -1 if view.startswith("l") else 1)
+            for copy in out[view][i * copies:(i + 1) * copies]:
+                s = augment_window(stack, rng, max_offset) \
+                    if rng is not None and max_offset > 0 else stack
+                copy[...] = s.transpose(1, 2, 0)[:, flip]
     return out
 
 
@@ -149,14 +155,9 @@ def _batched(seq, size):
 
 
 def _forward_batch(net, recs, data_dir, channels, heatmap_dir, rng, max_offset):
-    views = {v: [] for v in VIEW_ORDER}
-    for rec in recs:
-        per = prepare_views(rec, data_dir, channels, heatmap_dir, rng,
-                            max_offset)
-        for v in VIEW_ORDER:
-            views[v].append(per[v][0])
-    tensors = {v: T.Tensor(np.stack(views[v])) for v in VIEW_ORDER}
-    return net(tensors)
+    views = prepare_views(recs, data_dir, channels, heatmap_dir, rng,
+                          max_offset)
+    return net({v: T.Tensor(a) for v, a in views.items()})
 
 
 def predict_exams(net, records, data_dir, channels, heatmap_dir):
@@ -398,11 +399,9 @@ def predict_tta(net, record, data_dir, rng, channels, heatmap_dir, n,
     if n < 1:
         raise ValueError("tta needs n >= 1")
     net.eval()
-    views = prepare_views(record, data_dir, channels, heatmap_dir, rng,
+    views = prepare_views([record], data_dir, channels, heatmap_dir, rng,
                           max_offset, copies=n)
-    tensors = {v: T.Tensor(views[v]) for v in VIEW_ORDER}
-    probs = net(tensors)
-    return probs.data.mean(axis=0)
+    return net({v: T.Tensor(a) for v, a in views.items()}).data.mean(axis=0)
 
 
 def ensemble_predict(nets, record, data_dir, seed, channels, heatmap_dir, n,

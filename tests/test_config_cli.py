@@ -732,7 +732,7 @@ def test_init_from_wrong_checkpoint_exits_1(pipeline, tmp_path, capsys):
                  str(tmp_path / "o"), "--seed", "5", "--init", str(ckpt),
                  *sets()]) == 1
     err = capsys.readouterr().err
-    assert str(ckpt) in err and "missing column entry 'cc_column." in err
+    assert str(ckpt) in err and "missing parameter 'cc_column." in err
 
 
 def test_truncated_heatmap_exits_1(pipeline, tmp_path, capsys):
@@ -787,6 +787,22 @@ def test_image_smaller_than_patch_exits_1_before_any_window(
     assert str(pipeline["data"] / "images") in err and f"_{view}.pgm" in err
     assert dims in err and f"patch.size={size}" in err
     assert "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_patch_image_smaller_than_patch_exits_1_before_training(
+        pipeline, tmp_path, capsys):
+    """train-patch checks its selection exams' dims before it builds pools:
+    a patch wider than the 64x48 CC views exits 1 naming the image file,
+    and no patch epoch runs."""
+    capsys.readouterr()
+    assert main(["train-patch", "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5",
+                 *sets(("patch.size=64",))]) == 1
+    out, err = capsys.readouterr()
+    assert str(pipeline["data"] / "images") in err and "_rcc.pgm" in err
+    assert "(64, 48)" in err and "patch.size=64" in err
+    assert "patch epoch" not in out + err and "pools" not in out
     assert not (tmp_path / "o").exists()
 
 

@@ -149,6 +149,63 @@ def test_breast_wise_order():
     np.testing.assert_allclose(out, [0.2, 0.9, 0.6, 0.1], atol=1e-6)
 
 
+def _branch_fuse(net, vecs):
+    """The fusion as one hand-written branch per variant, kept here as the
+    reference for the table-driven ``MultiViewNet.fuse``."""
+    plans = {"view_wise": [("cc", ("lcc", "rcc")), ("mlo", ("lmlo", "rmlo"))],
+             "image_wise": [(v, (v,)) for v in ("lcc", "rcc", "lmlo", "rmlo")],
+             "breast_wise": [("left", ("lcc", "lmlo")),
+                             ("right", ("rcc", "rmlo"))],
+             "joint": [("all", ("lcc", "rcc", "lmlo", "rmlo"))]}
+    head_out = {}
+    for key, views in plans[net.variant]:
+        x = vecs[views[0]] if len(views) == 1 else \
+            T.concat([vecs[v] for v in views])
+        head_out[key] = net.heads[key](x)
+    if net.task == "birads":
+        cc = T.softmax(head_out["cc"])
+        mlo = T.softmax(head_out["mlo"])
+        return T.mul(T.add(cc, mlo), 0.5)
+    if net.variant == "view_wise":
+        cc = T.sigmoid(head_out["cc"])
+        mlo = T.sigmoid(head_out["mlo"])
+        return T.mul(T.add(cc, mlo), 0.5)
+    if net.variant == "image_wise":
+        left = T.mul(T.add(T.sigmoid(head_out["lcc"]),
+                           T.sigmoid(head_out["lmlo"])), 0.5)
+        right = T.mul(T.add(T.sigmoid(head_out["rcc"]),
+                            T.sigmoid(head_out["rmlo"])), 0.5)
+        return T.concat([left, right])
+    if net.variant == "breast_wise":
+        return T.concat([T.sigmoid(head_out["left"]),
+                         T.sigmoid(head_out["right"])])
+    return T.sigmoid(head_out["all"])
+
+
+@pytest.mark.parametrize("variant,task", [(v, "cancer") for v in
+                                          FUSION_VARIANTS] +
+                         [("view_wise", "birads")])
+def test_fuse_equals_the_per_variant_branches(variant, task):
+    """Outputs and the gradients into the four view vectors are the bytes
+    of the per-variant branches the head table replaced."""
+    net = MultiViewNet(variant=variant, input_channels=1, task=task, seed=31)
+    rng = np.random.default_rng(32)
+    vecs = {v: rng.standard_normal((3, 256)).astype(np.float32)
+            for v in VIEW_ORDER}
+    weights = rng.standard_normal((3, 3 if task == "birads" else 4)) \
+        .astype(np.float32)
+    results = []
+    for fuse in (net.fuse, lambda x: _branch_fuse(net, x)):
+        inputs = {v: T.Tensor(vecs[v], requires_grad=True) for v in VIEW_ORDER}
+        out = fuse(inputs)
+        T.sum_all(T.mul(out, weights)).backward()
+        results.append((out.data, [inputs[v].grad for v in VIEW_ORDER]))
+    (out, grads), (ref_out, ref_grads) = results
+    np.testing.assert_array_equal(out, ref_out)
+    for v, g, ref in zip(VIEW_ORDER, grads, ref_grads):
+        np.testing.assert_array_equal(g, ref, err_msg=v)
+
+
 def test_parameter_counts():
     """The 3-channel model differs from the 1-channel one only in the stem
     kernel: 2 extra channels x 16 filters x 49 taps x 2 columns."""
@@ -343,6 +400,26 @@ def test_transfer_architecture_mismatch_rejected():
     with pytest.raises(ValueError):
         transfer_from_pretrained(bad, variant="view_wise", input_channels=1,
                                  seed=0)
+
+
+def test_transfer_extra_column_entry_rejected():
+    src = MultiViewNet(variant="view_wise", input_channels=1, task="birads",
+                       seed=24)
+    state = dict(src.state_dict(),
+                 **{"mlo_column.blocks.9.extra": np.zeros(3, np.float32)})
+    with pytest.raises(layers.StateDictError,
+                       match="'mlo_column.blocks.9.extra'"):
+        transfer_from_pretrained(state, variant="view_wise", input_channels=3,
+                                 seed=0)
+
+
+def test_transfer_multichannel_source_stem_rejected():
+    src = MultiViewNet(variant="view_wise", input_channels=3, task="cancer",
+                       seed=25)
+    with pytest.raises(layers.StateDictError,
+                       match="'cc_column.stem.weight' must be single-channel"):
+        transfer_from_pretrained(src.state_dict(), variant="view_wise",
+                                 input_channels=3, seed=0)
 
 
 # -- eval mode records no graph --

@@ -62,11 +62,7 @@ ALLOWED_KNOBS = {
 
 # (module, callable, input or pair of inputs) -> why every call may pass
 # it the same constant or expression
-ALLOWED_ARGUMENTS = {
-    ("tensor", "_consumed", "g"):
-        "the closure of a consumed node: backward calls it with no "
-        "gradient only to raise, and it keeps a closure's signature",
-}
+ALLOWED_ARGUMENTS = {}
 
 
 def _definitions_and_references():

@@ -266,7 +266,7 @@ def test_left_views_flipped_to_rightward(tmp_path):
     write_pgm16(tmp_path / "images/e00000_rmlo.pgm", mlo)
     write_pgm16(tmp_path / "images/e00000_lmlo.pgm", mlo[:, ::-1])
 
-    views = prepare_views(rec, tmp_path, channels=1, heatmap_dir=None,
+    views = prepare_views([rec], tmp_path, channels=1, heatmap_dir=None,
                           rng=None, max_offset=0)
     np.testing.assert_array_equal(views["lcc"], views["rcc"])
     np.testing.assert_array_equal(views["lmlo"], views["rmlo"])
