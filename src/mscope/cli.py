@@ -46,8 +46,8 @@ from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
                          reader_study_draw, roc_auc, roc_curve_points,
                          simulate_readers, subpopulation, write_predictions)
 from .formats import FormatError, read_table, write_table
-from .heatmaps import (exam_views, heatmaps_for_exam, save_heatmap,
-                       select_patch_checkpoint)
+from .heatmaps import (check_views_fit, exam_views, heatmaps_for_exam,
+                       save_heatmap, select_patch_checkpoint)
 from .layers import StateDictError
 from .multiview import MultiViewNet
 from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
@@ -113,7 +113,7 @@ def cmd_train_patch(args, cfg, out, data, records):
         idx = rng.choice(len(rest), size=min(need, len(rest)), replace=False)
         val = biopsied + [rest[i] for i in idx]
     for rec in val:                   # fail on a small image before training
-        exam_views(rec, data, patch_size)
+        check_views_fit(rec, data, patch_size)
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.exists():
         pools = load_patch_cache(cache_path, patch_size)

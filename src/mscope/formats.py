@@ -38,9 +38,10 @@ class FormatError(IOError):
 class Reader:
     """Sequential reads over a whole file's bytes, each checked first."""
 
-    def __init__(self, path):
+    def __init__(self, path, blob=None):
+        """``blob``, when given, stands for the file's first bytes."""
         self.path = path
-        self.blob = Path(path).read_bytes()
+        self.blob = Path(path).read_bytes() if blob is None else blob
         self.off = 0
         self.payload = {}       # array name -> byte offset of its payload
 

@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ConfigError
 from .formats import Reader, save_arrays
+from .pgm import pgm_dims
 from .phantom import VIEWS, image_path, load_image
 from .seeding import substream
 
@@ -107,15 +108,21 @@ def heatmap_breast_score(heatmap_pairs):
     return p_mal, p_ben
 
 
+def check_views_fit(record, data_dir, patch_size):
+    """Raise ``ConfigError`` naming the first view of an exam that is
+    smaller than the patch. Reads each view's PGM header only."""
+    for view in VIEWS:
+        path = image_path(data_dir, record, view)
+        dims = pgm_dims(path)
+        if min(dims) < patch_size:
+            raise ConfigError(f"{path}: image dims {dims} below "
+                              f"patch.size={patch_size}")
+
+
 def exam_views(record, data_dir, patch_size):
-    """An exam's four images by view; a view smaller than the patch raises
-    ``ConfigError`` naming its file."""
-    images = {view: load_image(data_dir, record, view) for view in VIEWS}
-    for view, img in images.items():
-        if min(img.shape) < patch_size:
-            raise ConfigError(f"{image_path(data_dir, record, view)}: image "
-                              f"dims {img.shape} below patch.size={patch_size}")
-    return images
+    """An exam's four images by view, once ``check_views_fit`` passes."""
+    check_views_fit(record, data_dir, patch_size)
+    return {view: load_image(data_dir, record, view) for view in VIEWS}
 
 
 def heatmaps_for_exam(record, images, predict, patch_size, prefixed_stride,

@@ -39,9 +39,9 @@ def write_pgm8(path, img: np.ndarray):
         f.write(img.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read P5, returning uint16 (maxval > 255) or uint8."""
-    r = Reader(path)
+def _read_header(r):
+    """(height, width, maxval) of the P5 header that ``r`` starts with,
+    consumed."""
     header = _HEADER.match(r.blob)
     if header is None:
         r.fail("bad binary PGM header")
@@ -49,6 +49,24 @@ def read_pgm(path) -> np.ndarray:
     r.take(header.end(), "header")
     if w == 0 or h == 0 or not 0 < maxval <= 0xFFFF:
         r.fail(f"bad PGM dims {w}x{h} or maxval {maxval}", at=0)
+    return h, w, maxval
+
+
+def pgm_dims(path):
+    """(height, width) of a P5 file, read from its header alone: the
+    raster is neither read nor decoded. A bad header fails as in
+    ``read_pgm``."""
+    with open(path, "rb") as f:
+        head = f.read(64)
+        while _HEADER.match(head) is None and (more := f.read(len(head))):
+            head += more            # long comments: read on, doubling
+    return _read_header(Reader(path, head))[:2]
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read P5, returning uint16 (maxval > 255) or uint8."""
+    r = Reader(path)
+    h, w, maxval = _read_header(r)
     wide = maxval > 255
     arr = r.array(">u2" if wide else np.uint8, (h, w), "raster")
     r.end()

@@ -31,8 +31,10 @@ MANIFEST_HEADER = ("exam_id,patient_id,split,age_band,density,"
                    "left_biopsied,right_biopsied,left_occult,right_occult,"
                    "birads,rcc_path,lcc_path,rmlo_path,lmlo_path")
 
+_LESION_KINDS = ("mass", "calcification_cluster", "asymmetry")
 _AGE_P = (0.10, 0.30, 0.30, 0.20, 0.10)
 _DENSITY_P = (0.10, 0.40, 0.40, 0.10)
+_KIND_P = (0.55, 0.35, 0.10)
 _DENSITY_CONTRAST = {"fatty": 0.55, "scattered": 1.0,
                      "heterogeneous": 1.6, "extreme": 2.3}
 MAXVAL = 65535
@@ -407,13 +409,26 @@ def assign_birads(exam, rng, noise_rate=0.0):
     return cat
 
 
+def _cdf(p):
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
+
+
+_AGE_CDF, _DENSITY_CDF, _KIND_CDF = map(_cdf, (_AGE_P, _DENSITY_P, _KIND_P))
+
+
+def _weighted(rng, cdf):
+    """An index drawn from the cumulative probabilities ``cdf`` of ``p``:
+    the inverse-CDF draw that ``rng.choice(len(p), p=p)`` makes from the
+    same one double, without ``choice``'s per-call validation."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _make_lesions(rng, malignant, benign, min_px, max_px, shape_seed):
     lesions = []
-    kinds = ("mass", "calcification_cluster", "asymmetry")
-    kind_p = (0.55, 0.35, 0.10)
     for i in range(malignant + benign):
         is_mal = i < malignant
-        kind = kinds[rng.choice(3, p=kind_p)]
+        kind = _LESION_KINDS[_weighted(rng, _KIND_CDF)]
         irr = rng.uniform(0.55, 0.95) if is_mal else rng.uniform(0.05, 0.45)
         lesions.append(LesionSpec(
             kind=kind,
@@ -431,6 +446,13 @@ def build_population(config: DatasetConfig, seed: int):
     Biopsy, malignancy, and occult statuses are quota-based (exact counts,
     assigned over a seeded permutation) so realized fractions track the
     config tightly; splits are assigned per patient.
+
+    Three kinds of stream: one ``population`` stream (quotas, patient
+    grouping, split order), one ``patient`` stream per patient (age band
+    and density), and one ``examplan`` stream per *biopsied* exam (sides,
+    findings, lesions). An exam stream is built only where it is read:
+    each costs tens of microseconds to seed, and at the paper's 2.5%
+    biopsy rate nearly every exam would build one that nothing reads.
     """
     config.validate()
     n = config.exams
@@ -464,7 +486,7 @@ def build_population(config: DatasetConfig, seed: int):
     for pi in rng.permutation(len(patients)):
         pid, exam_idxs = patients[pi]
         deficits = [targets[s] - counts[s] for s in range(3)]
-        s = int(np.argmax(deficits))
+        s = max(range(3), key=deficits.__getitem__)
         split_of_patient[pid] = names[s]
         counts[s] += len(exam_idxs)
 
@@ -475,12 +497,12 @@ def build_population(config: DatasetConfig, seed: int):
     specs = []
     for pid, exam_idxs in patients:
         prng = substream(seed, "patient", pid)
-        age = AGE_BANDS[prng.choice(len(AGE_BANDS), p=_AGE_P)]
-        dens = DENSITIES[prng.choice(len(DENSITIES), p=_DENSITY_P)]
+        age = AGE_BANDS[_weighted(prng, _AGE_CDF)]
+        dens = DENSITIES[_weighted(prng, _DENSITY_CDF)]
         for ei in exam_idxs:
-            erng = substream(seed, "examplan", ei)
             left, right = BreastSpec(), BreastSpec()
             if ei in biopsied_ids:
+                erng = substream(seed, "examplan", ei)
                 sides = ["L", "R"] if erng.uniform() < config.bilateral_fraction \
                     else [("L", "R")[int(erng.integers(0, 2))]]
                 for side in sides:

@@ -384,16 +384,21 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var):
     running_var *= (1.0 - BN_MOMENTUM)
     running_var += BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = d * inv
-    y = gamma.data * xhat + beta.data
+    xhat = np.multiply(d, inv, out=d)
+    y = gamma.data * xhat
+    y += beta.data
 
     def bwd(g):
+        # One scratch buffer, and xhat overwritten: the graph is single-use.
         g = g.reshape(xhat.shape)
-        sum_g, sum_gx = ones @ g, ones @ (g * xhat)
+        buf = g * xhat
+        sum_g, sum_gx = ones @ g, ones @ buf
         gamma._accumulate(sum_gx)
         beta._accumulate(sum_g)
-        dx = gamma.data * inv * (g - sum_g / m - xhat * (sum_gx / m))
-        x._accumulate(dx.reshape(x.data.shape))
+        np.subtract(g, sum_g / m, out=buf)
+        buf -= np.multiply(xhat, sum_gx / m, out=xhat)
+        buf *= gamma.data * inv
+        x._accumulate(buf.reshape(x.data.shape))
 
     return _node(y.astype(xd.dtype, copy=False).reshape(x.data.shape),
                  (x, gamma, beta), bwd)

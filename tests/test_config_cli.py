@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscope import cli, layers, multiview, patches
+from mscope import cli, layers, multiview, patches, phantom
 from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
@@ -804,6 +804,28 @@ def test_train_patch_image_smaller_than_patch_exits_1_before_training(
     assert "(64, 48)" in err and "patch.size=64" in err
     assert "patch epoch" not in out + err and "pools" not in out
     assert not (tmp_path / "o").exists()
+
+
+def test_train_patch_decodes_each_selection_image_once(pipeline, tmp_path,
+                                                      monkeypatch):
+    """The up-front dims check of train-patch reads PGM headers only, so
+    the 24 images of its 6 selection exams are decoded once each, at
+    checkpoint selection (48 decodes when the check decoded them too)."""
+    decoded = []
+    read = phantom.read_pgm
+
+    def counting_read(path):
+        decoded.append(Path(path))
+        return read(path)
+
+    monkeypatch.setattr(phantom, "read_pgm", counting_read)
+    assert main(["train-patch", "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *sets()]) == 0
+    val = {r.exam_id for r in load_manifest(pipeline["data"] / "manifest.csv")
+           if r.split == "val"}
+    selection = [p for p in decoded if p.parent.name == "images"
+                 and p.name.split("_")[0] in val]
+    assert len(selection) == 24 and len(set(selection)) == 24
 
 
 def test_heatmap_dims_not_the_images_exit_1(pipeline, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from mscope.config import resolve
 from mscope.formats import FormatError
 from mscope.pgm import read_pgm
+from mscope import phantom
 from mscope.phantom import (BreastSpec, ExamSpec, GeneratorError,
                             LesionSpec, VIEWS, assign_birads, build_population,
                             generate_dataset, load_manifest, load_mask,
@@ -84,6 +85,45 @@ def test_split_by_patient_and_ratios():
     assert abs(counts["train"] - 200) <= 1
     assert abs(counts["val"] - 100) <= 1
     assert abs(counts["test"] - 100) <= 1
+
+
+def test_weighted_draw_is_numpys_choice():
+    """``_weighted`` gives the index ``Generator.choice(len(p), p=p)``
+    gives and leaves the generator in the same state, for each of the
+    planner's tables; if numpy changes ``choice``, this fails before any
+    manifest changes silently."""
+    for p, cdf in ((phantom._AGE_P, phantom._AGE_CDF),
+                   (phantom._DENSITY_P, phantom._DENSITY_CDF),
+                   (phantom._KIND_P, phantom._KIND_CDF)):
+        for seed in range(10000):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert phantom._weighted(ours, cdf) == numpys.choice(len(p), p=p)
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+# sha256 of repr(build_population(config, seed)), computed with the planner
+# that built an exam stream for every exam and drew through Generator.choice
+PLAN_DIGESTS = {
+    "desk": ({}, 7,
+             "966911917ad33284e949f3c1c80896146efd57655fef16b2f5fa8ee8453a368a"),
+    "paper_eval": ({"profile": "paper", "data.exams": "10000",
+                    "data.biopsied_fraction": "0.3"}, 31,
+                   "87810adfaae60f402f9ff6a4102daacce08059fee5d044f5fe4a06214699cec0"),
+    "bilateral_multi_exam": ({"data.exams": "3000",
+                              "data.biopsied_fraction": "0.9",
+                              "data.bilateral_fraction": "0.5",
+                              "data.multi_exam_fraction": "0.5",
+                              "data.both_fraction": "0.3",
+                              "data.occult_fraction": "0.2"}, 3,
+                             "0aa456f84f28c43e1096032e1c326ed114bd45f2c8900fdf045f04f54b30b4a8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+def test_population_plan_bytes_pinned(name):
+    overrides, seed, digest = PLAN_DIGESTS[name]
+    specs = build_population(resolve(overrides=overrides).dataset_config(), seed)
+    assert hashlib.sha256(repr(specs).encode()).hexdigest() == digest
 
 
 def test_render_no_lesions():

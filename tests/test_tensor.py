@@ -171,6 +171,39 @@ def test_banded_conv_equals_whole_matrix(xshape, wshape, stride, padding):
         _conv_reference(x, w, stride, padding))
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 4, 3), (100, 8, 8, 8),
+                                   (4, 14, 11, 64)])
+def test_batchnorm_reuses_buffers_without_changing_bytes(shape):
+    """Train-mode BatchNorm writes xhat into its centred copy and its
+    backward into one scratch buffer; output and gradients equal the
+    plain expressions byte for byte."""
+    rng = np.random.default_rng(sum(shape))
+    x = T.Tensor(rng.standard_normal(shape).astype(np.float32) * 3 + 1,
+                 requires_grad=True)
+    c = shape[-1]
+    gamma = T.Tensor(rng.standard_normal(c).astype(np.float32),
+                     requires_grad=True)
+    beta = T.Tensor(rng.standard_normal(c).astype(np.float32),
+                    requires_grad=True)
+    g = rng.standard_normal(shape).astype(np.float32)
+    y = T.batchnorm2d(x, gamma, beta, np.zeros(c, np.float32),
+                      np.ones(c, np.float32))
+    y._backward(g)
+
+    xd, gd = x.data.reshape(-1, c), g.reshape(-1, c)
+    m = xd.shape[0]
+    ones = np.ones(m, np.float32)
+    d = xd - ones @ xd / m
+    inv = 1.0 / np.sqrt(ones @ (d * d) / m + T.BN_EPS)
+    xhat = d * inv
+    sum_g, sum_gx = ones @ gd, ones @ (gd * xhat)
+    dx = gamma.data * inv * (gd - sum_g / m - xhat * (sum_gx / m))
+    assert np.array_equal(y.data.reshape(-1, c), gamma.data * xhat + beta.data)
+    assert np.array_equal(x.grad.reshape(-1, c), dx)
+    assert np.array_equal(gamma.grad, sum_gx)
+    assert np.array_equal(beta.grad, sum_g)
+
+
 def test_split_layers_keep_large_bands(monkeypatch):
     """Every band of a convolution split by the band plan, at the batches
     the pipeline runs on the desk profile, has M*N*K >= 1.2e6. Below about
