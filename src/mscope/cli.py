@@ -46,8 +46,9 @@ from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
                          reader_study_draw, roc_auc, roc_curve_points,
                          simulate_readers, subpopulation, write_predictions)
 from .formats import FormatError, read_table, write_table
-from .heatmaps import (check_views_fit, exam_views, heatmaps_for_exam,
-                       save_heatmap, select_patch_checkpoint)
+from .heatmaps import (check_views_fit, exam_views, heatmap_path,
+                       heatmaps_for_exam, save_heatmap,
+                       select_patch_checkpoint)
 from .layers import StateDictError
 from .multiview import MultiViewNet
 from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
@@ -163,7 +164,7 @@ def _heatmap_task(ctx, idx):
                              net.predict_proba, cfg["patch.size"],
                              cfg["heatmap.stride"], args.seed)
     for view, (mal, ben) in maps.items():
-        save_heatmap(out / f"{rec.exam_id}_{view}.mshm", mal, ben)
+        save_heatmap(heatmap_path(out, rec, view), mal, ben)
     return rec.exam_id
 
 

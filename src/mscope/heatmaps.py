@@ -16,10 +16,13 @@ the planes equal to a float64 loop over the windows in row-major order,
 on seeded cases with extreme softmax outputs.
 
 A heatmap file is a ``formats`` container under "MSHM" holding the arrays
-``malignant`` and ``benign``.
+``malignant`` and ``benign``; ``heatmap_path`` names an exam view's file,
+``<exam>_<view>.mshm`` in a heatmap directory.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,6 +84,10 @@ def generate_heatmaps(image, predict, patch_size, prefixed_stride, rng):
     return tuple(
         (rows @ probs[:, k].reshape(len(ys), len(xs)) @ cols.T / counts)
         .astype(np.float32) for k in (0, 1))
+
+
+def heatmap_path(heatmap_dir, record, view):
+    return Path(heatmap_dir) / f"{record.exam_id}_{view}.mshm"
 
 
 def save_heatmap(path, malignant, benign):

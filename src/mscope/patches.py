@@ -29,7 +29,7 @@ from .config import KEYS, ConfigError
 from .formats import Reader, save_arrays
 from .layers import BatchNorm2d, Conv2d, Linear, Module, conv_bn
 from .optim import _fit, weighted_batch_cross_entropy
-from .phantom import VIEWS, load_image, load_mask, mask_path
+from .phantom import VIEWS, load_image, mask_points
 from .seeding import substream
 
 PATCH_CLASSES = ("malignant", "benign", "outside", "negative")
@@ -167,9 +167,11 @@ def build_epoch(labels, counts, rng):
 def eligible_images(records, data_dir):
     """Classify train-split images into patch sources.
 
-    Returns (segmented, negative): lists of (record, view). A view image is
+    Returns (segmented, negative): lists of (record, view, points), with
+    ``points`` the view's ``phantom.mask_points``. A view image is
     "segmented" when its breast carries at least one rendered mask;
-    "negative" images come from exams without any biopsied breast.
+    "negative" images come from exams without any biopsied breast, and
+    their points are empty.
     """
     segmented, negative = [], []
     for rec in records:
@@ -177,25 +179,12 @@ def eligible_images(records, data_dir):
             continue
         for view in VIEWS:
             if not rec.any_biopsied:
-                negative.append((rec, view))
+                negative.append((rec, view, {}))
                 continue
-            has_mask = any(
-                mask_path(data_dir, rec, view, m).exists()
-                and load_mask(data_dir, rec, view, m).any()
-                for m in ("benign", "malignant"))
-            if has_mask:
-                segmented.append((rec, view))
+            points = mask_points(data_dir, rec, view)
+            if any(len(ys) for ys, _ in points.values()):
+                segmented.append((rec, view, points))
     return segmented, negative
-
-
-def _load_image_and_masks(data_dir, rec, view):
-    img = load_image(data_dir, rec, view)
-    points = {}
-    for malignancy in ("malignant", "benign"):
-        mask = load_mask(data_dir, rec, view, malignancy, dims=img.shape)
-        ys, xs = np.nonzero(mask)
-        points[malignancy] = (ys, xs)
-    return img, points
 
 
 def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
@@ -222,12 +211,12 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
 
     cache = {}
 
-    def get(rec, view):
+    def image(rec, view):
         key = (rec.exam_id, view)
         if key not in cache:
             if len(cache) > 64:
                 cache.clear()
-            cache[key] = _load_image_and_masks(data_dir, rec, view)
+            cache[key] = load_image(data_dir, rec, view)
         return cache[key]
 
     for rnd in range(MAX_ROUNDS):
@@ -240,8 +229,8 @@ def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
             sources.extend(("negative", rv) for rv in negative)
         if not sources:
             break
-        for kind, (rec, view) in sources:
-            img, points = get(rec, view)
+        for kind, (rec, view, points) in sources:
+            img = image(rec, view)
             rng = substream(seed, "patch", rec.exam_id, view, rnd)
             for _ in range(ATTEMPTS_PER_ROUND):
                 reason, label, window = sample_patch(img, points, rng, cfg,

@@ -8,12 +8,19 @@ calcification clusters, or asymmetries; the malignant/benign distinction
 is carried by an explicit margin-irregularity knob so the classes are
 separable by construction. This is a stand-in corpus with known ground
 truth, not a claim of anatomical realism.
+
+On disk, a dataset directory holds ``images/<exam>_<view>.pgm`` for every
+view; ``masks/<exam>_<view>_<malignancy>.pgm`` (8-bit, 255 on the
+lesion support), written only for a non-empty support; and
+``manifest.csv``, whose columns are ``ExamRecord``'s fields in their
+order, then the four view paths (``<view>_path``, relative to the
+directory).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +33,6 @@ from .seeding import _map_exams, substream
 VIEWS = ("rcc", "lcc", "rmlo", "lmlo")
 AGE_BANDS = ("<40", "40s", "50s", "60s", "70+")
 DENSITIES = ("fatty", "scattered", "heterogeneous", "extreme")
-MANIFEST_HEADER = ("exam_id,patient_id,split,age_band,density,"
-                   "left_benign,left_malignant,right_benign,right_malignant,"
-                   "left_biopsied,right_biopsied,left_occult,right_occult,"
-                   "birads,rcc_path,lcc_path,rmlo_path,lmlo_path")
 
 _LESION_KINDS = ("mass", "calcification_cluster", "asymmetry")
 _AGE_P = (0.10, 0.30, 0.30, 0.20, 0.10)
@@ -114,6 +117,11 @@ class ExamRecord:
         return bool(self.left_biopsied or self.right_biopsied)
 
 
+# the manifest's columns: the record's fields, with the view paths last
+_COLUMNS = [f.name for f in fields(ExamRecord)][:-1]
+MANIFEST_HEADER = ",".join(_COLUMNS + [f"{v}_path" for v in VIEWS])
+
+
 @dataclass
 class DatasetConfig:
     exams: int
@@ -138,33 +146,22 @@ class DatasetConfig:
 
 
 # ---------------------------------------------------------------------------
-# silhouettes and lesion fields
+# view frames and lesion fields
 
-def _silhouette(dims, mlo, geo):
-    """Boolean breast region for a rightward-oriented breast (chest wall at
-    x=0) plus the placement geometry (cy, ry, rx)."""
+def _frame(dims, mlo, geo):
+    """A view geometry's frame for a rightward-oriented breast (chest wall
+    at x=0): the breast region, the pectoral wedge (empty on a CC view),
+    the vignette, and the lesion placement geometry (cy, ry, rx)."""
     h, w = dims
     ry = (geo["ry_mlo"] if mlo else geo["ry_cc"]) * h
     rx = (geo["rx_mlo"] if mlo else geo["rx_cc"]) * w
     cy = h * (0.55 if mlo else 0.5)
     yy, xx = np.mgrid[0:h, 0:w]
-    mask = ((xx / rx) ** 2 + ((yy - cy) / ry) ** 2) <= 1.0
-    if mlo:
-        mask |= _pectoral_wedge(dims, geo)
-    return mask, cy, ry, rx
-
-
-def _pectoral_wedge(dims, geo):
-    h, w = dims
-    yy, xx = np.mgrid[0:h, 0:w]
-    ph = geo["pec_h"] * h
-    pw = geo["pec_w"] * w
-    return (yy < ph) & (xx < pw * (1.0 - yy / ph))
-
-
-def _lesion_center_px(center, cy, ry, rx):
-    u, v = center
-    return cy + v * ry * 0.68, u * rx * 0.80
+    q = (xx / rx) ** 2 + ((yy - cy) / ry) ** 2
+    ph, pw = geo["pec_h"] * h, geo["pec_w"] * w
+    wedge = mlo & (yy < ph) & (xx < pw * (1.0 - yy / ph))
+    vignette = np.clip(1.15 - 0.45 * np.sqrt(q) ** 3, 0.0, 1.15)
+    return (q <= 1.0) | wedge, wedge, vignette, (cy, ry, rx)
 
 
 def _mass_field(dims, center, size_px, irregularity, amp, rng):
@@ -281,17 +278,19 @@ def _lesion_amp(lesion, density_idx, coupling):
     return amp
 
 
-def _render_lesion(lesion, dims, sil, cy, ry, rx, density_idx, coupling):
-    """Field for one lesion in one view, or None when support leaves the
-    silhouette. The shape stream restarts per view so both views draw the
-    same margin."""
-    center = _lesion_center_px(lesion.center, cy, ry, rx)
+def _render_lesion(lesion, frame, density_idx, coupling):
+    """Field for one lesion in one view's ``frame``, or None when support
+    leaves the breast region. The shape stream restarts per view so both
+    views draw the same margin."""
+    region, _, _, (cy, ry, rx) = frame
+    u, v = lesion.center
+    center = cy + v * ry * 0.68, u * rx * 0.80
     amp = _lesion_amp(lesion, density_idx, coupling)
     rng = substream(lesion.shape_seed, "shape")
-    fld = _FIELDS[lesion.kind](dims, center, lesion.size_px,
+    fld = _FIELDS[lesion.kind](region.shape, center, lesion.size_px,
                                lesion.irregularity, amp, rng)
     support = fld > 0
-    if not support.any() or (support & ~sil).any():
+    if not support.any() or (support & ~region).any():
         return None
     return fld
 
@@ -316,68 +315,46 @@ def render_exam(spec: ExamSpec, cc_dims, mlo_dims):
     base = geo_rng.uniform(14000, 19000)
     contrast = _DENSITY_CONTRAST[spec.density]
     density_idx = DENSITIES.index(spec.density)
-    sil_cc, cy_cc, ry_cc, rx_cc = _silhouette(cc_dims, False, geo)
-    sil_mlo, cy_mlo, ry_mlo, rx_mlo = _silhouette(mlo_dims, True, geo)
+    frames = (_frame(cc_dims, False, geo), _frame(mlo_dims, True, geo))
 
     # resolve lesion placements once per breast against both its views
-    fields = {}   # (side, malignancy) -> {False: cc field, True: mlo field}
+    drawn = {}   # (side, malignancy) -> [cc field, mlo field]
     for side, breast in (("r", spec.right), ("l", spec.left)):
-        lesions = () if breast.occult else tuple(breast.lesions)
-        for li, lesion in enumerate(lesions):
+        for li, lesion in enumerate(() if breast.occult else breast.lesions):
             place_rng = substream(spec.seed, "place", spec.exam_id, side, li)
-            cur = lesion
-            pair = None
-            for attempt in range(101):
-                f_cc = _render_lesion(cur, cc_dims, sil_cc, cy_cc, ry_cc, rx_cc,
-                                      density_idx, spec.density_coupling)
-                f_mlo = _render_lesion(cur, mlo_dims, sil_mlo, cy_mlo, ry_mlo,
-                                       rx_mlo, density_idx,
+            for _ in range(101):
+                pair = [_render_lesion(lesion, frame, density_idx,
                                        spec.density_coupling)
-                if f_cc is not None and f_mlo is not None:
-                    pair = (f_cc, f_mlo)
+                        for frame in frames]
+                if all(f is not None for f in pair):
                     break
-                cur = replace(cur, center=(place_rng.uniform(0.2, 0.75),
-                                           place_rng.uniform(-0.5, 0.5)))
-            if pair is None:
+                lesion = replace(lesion, center=(place_rng.uniform(0.2, 0.75),
+                                                 place_rng.uniform(-0.5, 0.5)))
+            else:
                 raise GeneratorError(
                     f"{spec.exam_id}/{side}: lesion does not fit after 100 retries")
-            key = (side, cur.malignancy)
-            prev = fields.get(key, (0.0, 0.0))
-            fields[key] = (prev[0] + pair[0], prev[1] + pair[1])
+            key = (side, lesion.malignancy)
+            drawn[key] = [a + b for a, b in zip(drawn.get(key, (0.0, 0.0)),
+                                                pair)]
 
     images, masks = {}, {}
     for view in VIEWS:
-        side = view[0]
         mlo = view.endswith("mlo")
-        dims = mlo_dims if mlo else cc_dims
-        sil = sil_mlo if mlo else sil_cc
-        cy, ry, rx = (cy_mlo, ry_mlo, rx_mlo) if mlo else (cy_cc, ry_cc, rx_cc)
-
+        region, wedge, vignette, _ = frames[mlo]
+        flip = np.s_[:, ::-1] if view[0] == "l" else np.s_[:, :]
         tex_rng = substream(spec.seed, "texture", spec.exam_id, view)
-        canvas = np.zeros(dims)
-        canvas[sil] = base
-        canvas += _texture(dims, contrast, tex_rng) * sil
-        if mlo:
-            canvas[_pectoral_wedge(dims, geo) & sil] += 6000.0
-        yy, xx = np.mgrid[0:dims[0], 0:dims[1]]
-        rad = np.sqrt((xx / rx) ** 2 + ((yy - cy) / ry) ** 2)
-        canvas *= np.clip(1.15 - 0.45 * rad ** 3, 0.0, 1.15)
-
+        canvas = np.zeros(region.shape)
+        canvas[region] = base
+        canvas += _texture(region.shape, contrast, tex_rng) * region
+        canvas[wedge] += 6000.0
+        canvas *= vignette
         for malignancy in ("benign", "malignant"):
-            pair = fields.get((side, malignancy))
-            if pair is None:
-                continue
-            fld = pair[1] if mlo else pair[0]
-            canvas += fld
-            masks[(view, malignancy)] = fld > 0
-
-        canvas[~sil] = 0.0
-        if side == "l":
-            canvas = canvas[:, ::-1]
-            for malignancy in ("benign", "malignant"):
-                if (view, malignancy) in masks:
-                    masks[(view, malignancy)] = masks[(view, malignancy)][:, ::-1]
-        images[view] = np.clip(canvas, 0, MAXVAL).astype(np.uint16)
+            pair = drawn.get((view[0], malignancy))
+            if pair is not None:
+                canvas += pair[mlo]
+                masks[(view, malignancy)] = (pair[mlo] > 0)[flip]
+        canvas[~region] = 0.0
+        images[view] = np.clip(canvas[flip], 0, MAXVAL).astype(np.uint16)
     return images, masks
 
 
@@ -534,12 +511,11 @@ def _render_task(ctx, idx):
     images, masks = render_exam(spec, config.cc_dims, config.mlo_dims)
     paths = {}
     for view in VIEWS:
-        p = Path(out_dir) / "images" / f"{spec.exam_id}_{view}.pgm"
-        write_pgm16(p, images[view])
-        paths[view] = f"images/{p.name}"
+        paths[view] = f"images/{spec.exam_id}_{view}.pgm"
+        write_pgm16(Path(out_dir) / paths[view], images[view])
     for (view, malignancy), m in sorted(masks.items()):
-        mp = Path(out_dir) / "masks" / f"{spec.exam_id}_{view}_{malignancy}.pgm"
-        write_pgm8(mp, m.astype(np.uint8) * 255)
+        write_pgm8(mask_path(out_dir, spec.exam_id, view, malignancy),
+                   m.astype(np.uint8) * 255)
     return paths
 
 
@@ -561,10 +537,9 @@ def generate_dataset(config: DatasetConfig, seed: int, out_dir, jobs=1):
         rec = ExamRecord(
             exam_id=spec.exam_id, patient_id=spec.patient_id, split=spec.split,
             age_band=spec.age_band, density=spec.density,
-            left_benign=spec.left.benign, left_malignant=spec.left.malignant,
-            right_benign=spec.right.benign, right_malignant=spec.right.malignant,
-            left_biopsied=spec.left.biopsied, right_biopsied=spec.right.biopsied,
-            left_occult=spec.left.occult, right_occult=spec.right.occult,
+            **{f"{side}_{flag}": getattr(getattr(spec, side), flag)
+               for side in ("left", "right")
+               for flag in ("benign", "malignant", "biopsied", "occult")},
             birads=0, view_paths=paths)
         rec.birads = assign_birads(
             rec, substream(seed, "birads", spec.exam_id), config.birads_noise)
@@ -583,11 +558,10 @@ def write_manifest(path, records):
         for r in records))
 
 
-# the label and flag fields, and the 3-way assessment, with their codes
-_MANIFEST_CODES = dict.fromkeys(
-    ("left_benign", "left_malignant", "right_benign", "right_malignant",
-     "left_biopsied", "right_biopsied", "left_occult", "right_occult"),
-    {"0": 0, "1": 1})
+# the int fields' codes: 0/1 for the labels and flags, 0-2 for the 3-way
+# assessment
+_MANIFEST_CODES = {f.name: {"0": 0, "1": 1} for f in fields(ExamRecord)
+                   if f.type == "int"}
 _MANIFEST_CODES["birads"] = {"0": 0, "1": 1, "2": 2}
 
 
@@ -595,28 +569,20 @@ def load_manifest(path):
     records = []
     seen = set()
     for where, row in read_table(path, MANIFEST_HEADER):
-        codes = {k: allowed.get(row[k])
-                 for k, allowed in _MANIFEST_CODES.items()}
-        if None in codes.values():
-            key = next(k for k, v in codes.items() if v is None)
-            raise FormatError(f"{where}: {key} {row[key]!r} is not one of "
-                              f"{', '.join(_MANIFEST_CODES[key])}")
+        values = {}
+        for column in _COLUMNS:
+            codes = _MANIFEST_CODES.get(column)
+            values[column] = row[column] if codes is None \
+                else codes.get(row[column])
+            if values[column] is None:
+                raise FormatError(f"{where}: {column} {row[column]!r} is not "
+                                  f"one of {', '.join(codes)}")
         if row["exam_id"] in seen:
             raise FormatError(f"{where}: exam id {row['exam_id']!r} is "
                               "repeated")
         seen.add(row["exam_id"])
         records.append(ExamRecord(
-            exam_id=row["exam_id"], patient_id=row["patient_id"],
-            split=row["split"], age_band=row["age_band"],
-            density=row["density"], left_benign=codes["left_benign"],
-            left_malignant=codes["left_malignant"],
-            right_benign=codes["right_benign"],
-            right_malignant=codes["right_malignant"],
-            left_biopsied=codes["left_biopsied"],
-            right_biopsied=codes["right_biopsied"],
-            left_occult=codes["left_occult"],
-            right_occult=codes["right_occult"], birads=codes["birads"],
-            view_paths={v: row[f"{v}_path"] for v in VIEWS}))
+            **values, view_paths={v: row[f"{v}_path"] for v in VIEWS}))
     return records
 
 
@@ -629,15 +595,16 @@ def load_image(data_dir, record, view):
     return read_pgm(image_path(data_dir, record, view)).astype(np.float32) / MAXVAL
 
 
-def mask_path(data_dir, record, view, malignancy):
-    return Path(data_dir) / "masks" / f"{record.exam_id}_{view}_{malignancy}.pgm"
+def mask_path(data_dir, exam_id, view, malignancy):
+    return Path(data_dir) / "masks" / f"{exam_id}_{view}_{malignancy}.pgm"
 
 
-def load_mask(data_dir, record, view, malignancy, dims=None):
-    """Boolean mask; a missing file means empty support."""
-    p = mask_path(data_dir, record, view, malignancy)
-    if not p.exists():
-        if dims is None:
-            dims = read_pgm(image_path(data_dir, record, view)).shape
-        return np.zeros(dims, dtype=bool)
-    return read_pgm(p) > 0
+def mask_points(data_dir, record, view):
+    """A view's lesion pixels as (ys, xs) index arrays by malignancy,
+    malignant first; a missing mask file means an empty support."""
+    points = {}
+    for malignancy in ("malignant", "benign"):
+        path = mask_path(data_dir, record.exam_id, view, malignancy)
+        points[malignancy] = np.nonzero(read_pgm(path)) if path.exists() \
+            else (np.empty(0, np.intp),) * 2
+    return points

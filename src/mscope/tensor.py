@@ -16,6 +16,13 @@ end the sweep holding ``.grad``. A graph is therefore single-use: a
 second backward through any consumed node raises ``GraphError``, and a
 fresh forward pass is needed before differentiating again.
 
+Gradients are never written in place. A node keeps the first gradient
+it is handed as its ``.grad``, with no copy, and adds later ones into a
+new array; a backward closure, and ``optim.adam_step``, only read the
+gradient they are handed. So one array may serve as several gradients
+at once: ``add`` hands the same ``g`` to both of its inputs, ``concat``
+hands views of it.
+
 Spatial ops keep one layout from a net's input to its global pool:
 activations are (N, H, W, C) and kernels (kh, kw, Cin, Cout), so a
 kernel's GEMM matrix is a free reshape and a convolution moves no data
@@ -89,7 +96,7 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+            self.grad = np.asarray(g)
         else:
             self.grad = self.grad + g
 

@@ -11,7 +11,6 @@ changing results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from . import tensor as T
 from .config import KEYS
 from .evaluation import MetricError, roc_auc
 from .formats import FormatError, write_table
-from .heatmaps import load_heatmap
+from .heatmaps import heatmap_path, load_heatmap
 from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
                         transfer_from_pretrained)
 from .optim import _fit, binary_cross_entropy, nll_on_probs
@@ -64,7 +63,7 @@ def load_view_stack(record, data_dir, view, channels, heatmap_dir):
         return img[None]
     if heatmap_dir is None:
         raise ValueError("3-channel input requires a heatmap directory")
-    path = Path(heatmap_dir) / f"{record.exam_id}_{view}.mshm"
+    path = heatmap_path(heatmap_dir, record, view)
     mal, ben = load_heatmap(path)
     if mal.shape != img.shape:
         raise FormatError(f"{path}: dims {mal.shape}, not the image's {img.shape}")
@@ -171,12 +170,14 @@ def predict_exams(net, records, data_dir, channels, heatmap_dir):
     return np.concatenate(rows, axis=0)
 
 
-def mean_label_auc(probs, labels, log):
-    """Mean per-label AUC; single-class labels are skipped with a warning."""
+def mean_column_auc(probs, targets, names, log):
+    """Mean AUC over the columns of (N, K) 0/1 ``targets``, each scored by
+    the same column of ``probs``, and the AUCs by column name; a column
+    with a single class is skipped with a warning."""
     aucs = {}
-    for i, name in enumerate(OUTPUT_ORDER):
+    for k, name in enumerate(names):
         try:
-            aucs[name] = roc_auc(probs[:, i], labels[:, i].astype(int))
+            aucs[name] = roc_auc(probs[:, k], targets[:, k].astype(int))
         except MetricError:
             log(f"warning: label {name} has a single class; skipped in the "
                 "validation metric")
@@ -317,9 +318,9 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
 
         val_loss = float(binary_cross_entropy(
             T.Tensor(val_probs), val_y).data)
-        metric, per_label = mean_label_auc(val_probs, val_y, log)
+        metric, aucs = mean_column_auc(val_probs, val_y, OUTPUT_ORDER, log)
         for name in OUTPUT_ORDER:
-            log_rows.append((epoch, "val", name, per_label.get(name), val_loss))
+            log_rows.append((epoch, "val", name, aucs.get(name), val_loss))
         log_rows.append((epoch, "val", "mean", metric, val_loss))
         log(f"epoch {epoch}: train loss {train_loss:.4f} val mean auc "
             f"{metric:.4f}")
@@ -328,22 +329,6 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
     best_epoch = _fit_early_stopping(net, cfg, epoch_batches, batch_loss,
                                      validate, log)
     return net, log_rows, best_epoch
-
-
-def birads_ovr_auc(probs, labels, log):
-    """Mean one-vs-rest AUC over the three assessment classes; classes
-    absent from ``labels`` are skipped with a warning."""
-    labels = np.asarray(labels)
-    aucs = []
-    for cls in (0, 1, 2):
-        try:
-            aucs.append(roc_auc(probs[:, cls], (labels == cls).astype(int)))
-        except MetricError:
-            log(f"warning: class {cls} missing in validation; one-vs-rest "
-                "term skipped")
-    if not aucs:
-        raise MetricError("no assessment class present in validation")
-    return float(np.mean(aucs))
 
 
 def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
@@ -357,7 +342,7 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
                        task="birads", seed=cfg.seed)
     train = [r for r in records if r.split == "train"]
     val_records = _val_subset(records, cfg.val_exams, cfg.seed)
-    val_y = np.array([r.birads for r in val_records])
+    val_y = np.eye(3)[[r.birads for r in val_records]]   # one-hot
     log_rows = []
 
     def epoch_batches(epoch):
@@ -377,7 +362,8 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
     def validate(epoch, losses):
         val_probs = predict_exams(net, val_records, data_dir,
                                   cfg.input_channels, None)
-        metric = birads_ovr_auc(val_probs, val_y, log)
+        metric, _ = mean_column_auc(val_probs, val_y,
+                                    ("birads_0", "birads_1", "birads_2"), log)
         train_loss = float(np.mean(losses)) if losses else None
         log_rows.append((epoch, "train", "birads", None, train_loss))
         log_rows.append((epoch, "val", "birads", metric, None))

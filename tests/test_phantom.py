@@ -11,8 +11,8 @@ from mscope.pgm import read_pgm
 from mscope import phantom
 from mscope.phantom import (BreastSpec, ExamSpec, GeneratorError,
                             LesionSpec, VIEWS, assign_birads, build_population,
-                            generate_dataset, load_manifest, load_mask,
-                            mask_path, render_exam)
+                            generate_dataset, load_manifest, mask_points,
+                            render_exam)
 from mscope.seeding import substream
 
 TINY_CC = (64, 48)
@@ -36,10 +36,11 @@ def exam_spec(left=None, right=None, density="scattered", seed=9):
 
 
 def dataset_hash(root):
+    """sha256 over the sorted relative paths and bytes of a tree's files."""
     digest = hashlib.sha256()
     for p in sorted(Path(root).rglob("*")):
         if p.is_file():
-            digest.update(p.name.encode())
+            digest.update(str(p.relative_to(root)).encode())
             digest.update(p.read_bytes())
     return digest.hexdigest()
 
@@ -126,6 +127,24 @@ def test_population_plan_bytes_pinned(name):
     assert hashlib.sha256(repr(specs).encode()).hexdigest() == digest
 
 
+# sha256 of a tiny gen-data tree (``dataset_hash``), computed with the
+# renderer that built each view's silhouette, grid and vignette apart
+TREE_DIGEST = ("a7d3eb09c281db40860e3fa36ac81f72"
+               "b40e22a17b2b404018dd857c415cc893")
+
+
+def test_dataset_bytes_pinned(tmp_path):
+    """Images, masks and manifest of a tiny dataset with several lesions,
+    a bilateral exam and occult findings stay byte for byte."""
+    cfg = tiny_config(exams=12, biopsied_fraction=0.75, bilateral_fraction=0.5,
+                      both_fraction=0.5, occult_fraction=0.25)
+    records = generate_dataset(cfg, seed=4, out_dir=tmp_path)
+    assert any(r.left_biopsied and r.right_biopsied for r in records)
+    assert any(r.left_occult or r.right_occult for r in records)
+    assert len(list((tmp_path / "masks").iterdir())) >= 8
+    assert dataset_hash(tmp_path) == TREE_DIGEST
+
+
 def test_render_no_lesions():
     images, masks = render_exam(exam_spec(), TINY_CC, TINY_MLO)
     assert masks == {}
@@ -188,12 +207,14 @@ def test_manifest_matches_masks(tmp_path):
             benign, malignant = rec.labels(side)
             occult = rec.left_occult if side == "L" else rec.right_occult
             for view in views:
+                points = mask_points(tmp_path, rec, view)
                 for malignancy, flag in (("benign", benign), ("malignant", malignant)):
-                    mask = load_mask(tmp_path, rec, view, malignancy)
+                    ys, xs = points[malignancy]
+                    assert len(ys) == len(xs)
                     if occult or not flag:
-                        assert not mask.any()
+                        assert not len(ys)
                     else:
-                        assert mask.any()
+                        assert len(ys)
         # labels only come from biopsies
         assert rec.left_biopsied == int(bool(rec.left_benign or rec.left_malignant))
         assert rec.right_biopsied == int(bool(rec.right_benign or rec.right_malignant))

@@ -34,7 +34,9 @@ a field that is written and then dropped. Reads are matched by name
 alone, so a field is hidden by a same-named field of another record.
 
 Every file layout lives in ``formats``: no other module of ``src/mscope``
-imports ``struct`` or ``csv``, at the top or inside a function.
+imports ``struct`` or ``csv``, at the top or inside a function. Every
+exam file name lives in ``phantom`` (``.pgm``) or ``heatmaps``
+(``.mshm``): no other module holds a string literal with either suffix.
 """
 
 import ast
@@ -442,3 +444,18 @@ def test_only_formats_imports_a_file_parser(parser):
     assert importers == {"formats"}, \
         f"modules other than formats import {parser}: " \
         f"{sorted(importers - {'formats'})}"
+
+
+def test_only_phantom_and_heatmaps_name_exam_files():
+    """Exam files are named in one place each: the ``.pgm`` images and
+    masks by ``phantom``, the ``.mshm`` heatmaps by ``heatmaps``; no other
+    module of ``src/mscope`` holds a string literal with either suffix."""
+    namers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and (".pgm" in node.value or ".mshm" in node.value):
+                namers.add(path.stem)
+    assert namers <= {"phantom", "heatmaps"}, \
+        f"modules other than phantom and heatmaps name exam files: " \
+        f"{sorted(namers - {'phantom', 'heatmaps'})}"

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mscope.config import resolve
-from mscope.multiview import MultiViewNet
+from mscope.multiview import OUTPUT_ORDER, MultiViewNet
 from mscope.phantom import generate_dataset, load_manifest
 from mscope.seeding import substream
 from mscope.training import (IMPROVEMENT_EPS, EarlyStopper, TrainRunConfig,
-                             augment_window, birads_ovr_auc, ensemble_predict,
-                             exam_labels, mean_label_auc, predict_exams,
+                             augment_window, ensemble_predict,
+                             exam_labels, mean_column_auc, predict_exams,
                              predict_tta, pretrain_birads, prepare_views,
                              subsample_epoch, train_cancer_model)
 
@@ -159,26 +159,30 @@ def test_float_noise_does_not_count_as_improvement():
     assert stopper.best_epoch == 1
 
 
-# -- 3-way metric --
+# -- 3-way metric: the mean column AUC of a one-hot --
 
 def test_birads_ovr_auc_perfect_oracle():
     labels = np.array([0, 1, 2] * 20)
     probs = np.eye(3)[labels]
-    assert birads_ovr_auc(probs, labels, log=quiet) == 1.0
+    assert mean_column_auc(probs, np.eye(3)[labels], "abc", log=quiet) == \
+        (1.0, {"a": 1.0, "b": 1.0, "c": 1.0})
 
 
 def test_birads_ovr_auc_random_is_half():
     rng = substream(7, "ovr")
     labels = np.array([0, 1, 2] * 200)
     probs = rng.uniform(0, 1, (600, 3))
-    assert abs(birads_ovr_auc(probs, labels, log=quiet) - 0.5) < 0.05
+    metric, _ = mean_column_auc(probs, np.eye(3)[labels], "abc", log=quiet)
+    assert abs(metric - 0.5) < 0.05
 
 
 def test_birads_ovr_auc_missing_class_skipped(capsys):
     labels = np.array([0, 1] * 30)
     probs = substream(8, "m").uniform(0, 1, (60, 3))
-    birads_ovr_auc(probs, labels, log=print)
-    assert "skipped" in capsys.readouterr().out
+    metric, aucs = mean_column_auc(probs, np.eye(3)[labels], "abc", log=print)
+    assert "label c has a single class; skipped" in capsys.readouterr().out
+    assert list(aucs) == ["a", "b"]
+    assert metric == np.mean([aucs["a"], aucs["b"]])
 
 
 # -- TTA and ensembling --
@@ -318,7 +322,7 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
     val = [r for r in records if r.split == "val"]
     probs = predict_exams(net, val, root, cfg.input_channels, None)
     val_y = np.stack([exam_labels(r) for r in val])
-    metric, _ = mean_label_auc(probs, val_y, quiet)
+    metric, _ = mean_column_auc(probs, val_y, OUTPUT_ORDER, quiet)
     assert metric == best
 
 
@@ -400,8 +404,8 @@ def test_cancer_training_divergence_keeps_best_epoch(tiny_dataset,
     monkeypatch.undo()
     val = [r for r in records if r.split == "val"]
     probs = predict_exams(net, val, root, cfg.input_channels, None)
-    metric, _ = mean_label_auc(probs, np.stack([exam_labels(r) for r in val]),
-                               quiet)
+    metric, _ = mean_column_auc(probs, np.stack([exam_labels(r) for r in val]),
+                                OUTPUT_ORDER, quiet)
     logged = [r[3] for r in rows if r[1] == "val" and r[2] == "mean"]
     assert logged == [metric]
 
