@@ -18,7 +18,10 @@ output directory.
 Exit codes: 0 success; 1 user error (bad flags, out-of-range config values
 such as ``heatmap.stride`` above ``patch.size``, bad paths, images smaller
 than ``patch.size``, checkpoints that do not fit the model, a learning rate
-that diverges in the first epoch, and input files that do not parse, binary
+that diverges in the first epoch, a model id holding ',', '/' or a line
+break, which ``predict`` refuses naming ``--model-id``, a predictions file
+with no rows, a ``reader-study`` over the predictions of more than one
+model, which names the model ids, and input files that do not parse, binary
 or CSV, or heatmaps not of their image's dims, which raise ``FormatError``
 naming the file and the byte or line); 2 internal invariant violation.
 """
@@ -39,12 +42,13 @@ import numpy as np
 from . import config as cfgmod
 from .checkpoint import load_checkpoint, load_into, named, save_checkpoint
 from .config import ConfigError
-from .evaluation import (POPULATIONS, MetricError, PredictionRecord,
-                         breast_table, hybrid_scores, hybrid_sweep,
-                         malignant_vs_benign_score, prediction_columns,
-                         pr_auc, pr_curve_points, read_predictions,
-                         reader_study_draw, roc_auc, roc_curve_points,
-                         simulate_readers, subpopulation, write_predictions)
+from .evaluation import (MODEL_ID_FORBIDDEN, POPULATIONS, MetricError,
+                         PredictionRecord, breast_table, hybrid_scores,
+                         hybrid_sweep, malignant_vs_benign_score,
+                         prediction_columns, pr_auc, pr_curve_points,
+                         read_predictions, reader_study_draw, roc_auc,
+                         roc_curve_points, simulate_readers, subpopulation,
+                         write_predictions)
 from .formats import FormatError, read_table, write_table
 from .heatmaps import (check_views_fit, exam_views, heatmap_path,
                        heatmaps_for_exam, save_heatmap,
@@ -289,13 +293,17 @@ def _predict_task(ctx, idx):
 
 
 def cmd_predict(args, cfg, out, data, records):
+    model_id = args.model_id or Path(args.run).name
+    if any(c in model_id for c in MODEL_ID_FORBIDDEN):
+        raise UserError(f"model id {model_id!r} holds ',', '/' or a line "
+                        "break, which predictions.csv cannot round-trip; "
+                        "pass a --model-id without them")
     records = [r for r in records if r.split == args.split]
     if not records:
         raise UserError(f"no exams in split {args.split!r}")
     nets, channels, run_cfg = _load_run_models(args.run, args.ensemble)
     if channels == 3 and not args.heatmaps:
         raise UserError("this model needs --heatmaps DIR")
-    model_id = args.model_id or Path(args.run).name
 
     ctx = (args, data, records, nets, channels, run_cfg, model_id)
     nested = _map_exams(_predict_task, ctx, len(records), args.jobs, 2)

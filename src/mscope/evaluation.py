@@ -191,7 +191,12 @@ def reader_study_draw(records, rng, n_biopsied, n_clean):
 
 def prediction_columns(preds, ids):
     """(p_malignant, p_benign) arrays aligned with the breast ``ids``; of
-    two predictions for one breast the later wins."""
+    two predictions for one breast the later wins. Predictions of more
+    than one model raise ``MetricError`` naming the model ids."""
+    models = sorted({p.model_id for p in preds})
+    if len(models) > 1:
+        raise MetricError(f"predictions of {len(models)} models "
+                          f"({', '.join(models)}); score one at a time")
     latest = {p.breast_id: p for p in preds}
     ids = ids.tolist()
     missing = [b for b in ids if b not in latest]
@@ -282,6 +287,9 @@ def simulate_readers(labels, targets, rng):
 # prediction CSV
 
 PREDICTIONS_HEADER = "exam_id,side,p_malignant,p_benign,model_id"
+# a model id is a field of predictions.csv and metrics.csv, and evaluate
+# names its curve files after it
+MODEL_ID_FORBIDDEN = ",/\r\n"
 
 
 def write_predictions(path, records):
@@ -297,11 +305,16 @@ def read_predictions(path):
     for where, row in read_table(path, PREDICTIONS_HEADER):
         if row["side"] not in SIDES:
             raise FormatError(f"{where}: side {row['side']!r} is not L or R")
+        if any(c in row["model_id"] for c in MODEL_ID_FORBIDDEN):
+            raise FormatError(f"{where}: model_id {row['model_id']!r} holds "
+                              "',', '/' or a line break")
         out.append(PredictionRecord(
             exam_id=row["exam_id"], side=row["side"],
             p_malignant=_probability(row["p_malignant"], where),
             p_benign=_probability(row["p_benign"], where),
             model_id=row["model_id"]))
+    if not out:
+        raise FormatError(f"{path}: no prediction rows")
     return out
 
 

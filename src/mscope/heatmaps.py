@@ -144,7 +144,7 @@ def heatmaps_for_exam(record, images, predict, patch_size, prefixed_stride,
 
 
 def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
-                            prefixed_stride, seed, log=print):
+                            prefixed_stride, seed):
     """Pick the checkpoint whose heatmap-derived breast scores maximize the
     mean of malignant and benign AUC over ``records``; ties go to the
     earliest checkpoint.
@@ -191,8 +191,8 @@ def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
                 for task in ("malignant", "benign")}
         mean_auc = (aucs["malignant"] + aucs["benign"]) / 2.0
         table.append((epoch, path, aucs["malignant"], aucs["benign"], mean_auc))
-        log(f"checkpoint epoch {epoch}: auc_mal {aucs['malignant']:.3f} "
-            f"auc_ben {aucs['benign']:.3f} mean {mean_auc:.3f}")
+        print(f"checkpoint epoch {epoch}: auc_mal {aucs['malignant']:.3f} "
+              f"auc_ben {aucs['benign']:.3f} mean {mean_auc:.3f}")
         if best is None or mean_auc > best[4]:
             best = table[-1]
     return best, table

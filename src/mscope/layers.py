@@ -1,8 +1,15 @@
 """Module tree shared by the patch-level and breast-level networks.
 
-``Module`` walks its attributes to find parameters (``Parameter``), buffers
-(arrays named ``running_*``) and child modules, and gives every network
-``parameters``, ``state_dict``/``load_state_dict`` and ``train``/``eval``.
+``Module`` walks its tree once (``named_modules``): a module, then its
+attributes in order, into lists by index and dicts by key. A module's path
+joins those names with dots (``cc_column.blocks.3.conv1``). The walk gives
+every network ``parameters``, ``train``/``eval`` and its state: a state
+entry is named by its module's path and its attribute, every module's
+``Parameter``s come in walk order, then every module's buffers (arrays
+named ``running_*``) in walk order. A checkpoint keeps that order. It is
+the order of an attribute-by-attribute recursion only because no module
+holds both parameters of its own and child modules: layers hold
+parameters, blocks and networks hold layers.
 ``Conv2d``, ``BatchNorm2d``, ``Linear`` and ``conv_bn`` check every output
 for non-finite values; during training (a step or a validation pass), the
 ``NumericsError`` they raise counts as divergence (see ``optim._fit``).
@@ -38,47 +45,38 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
+def _walk(path, val):
+    """The walk of ``named_modules`` from ``val``, found at ``path``."""
+    if isinstance(val, Module):
+        yield path, val
+        val = vars(val)
+    elif isinstance(val, list):
+        val = dict(enumerate(val))
+    if isinstance(val, dict):
+        for key, item in val.items():
+            yield from _walk(f"{path}.{key}" if path else key, item)
+
+
 class Module:
     def __init__(self):
         self.training = True
 
-    @staticmethod
-    def _children(val, key):
-        if isinstance(val, Module):
-            yield key, val
-        elif isinstance(val, (list, tuple)):
-            for i, item in enumerate(val):
-                yield from Module._children(item, f"{key}.{i}")
-        elif isinstance(val, dict):
-            for k, item in val.items():
-                yield from Module._children(item, f"{key}.{k}")
+    def named_modules(self):
+        """``(path, module)`` for this module (path ``""``) and every module
+        below it, in the walk's order (see the module doc)."""
+        return _walk("", self)
 
-    def named_parameters(self, prefix=""):
-        for name, val in vars(self).items():
-            key = f"{prefix}{name}"
-            if isinstance(val, Parameter):
-                yield key, val
-            else:
-                for ckey, child in Module._children(val, key):
-                    yield from child.named_parameters(f"{ckey}.")
+    def _state(self):
+        """``(name, entry)`` for every ``Parameter``, then every buffer."""
+        own = [(f"{path}.{attr}" if path else attr, attr, val)
+               for path, m in self.named_modules()
+               for attr, val in vars(m).items()]
+        return [(name, v) for name, _, v in own if isinstance(v, Parameter)] \
+            + [(name, v) for name, attr, v in own
+               if isinstance(v, np.ndarray) and attr.startswith("running_")]
 
     def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
-    def named_buffers(self, prefix=""):
-        for name, val in vars(self).items():
-            key = f"{prefix}{name}"
-            if isinstance(val, np.ndarray) and name.startswith("running_"):
-                yield key, val
-            elif not isinstance(val, Parameter):
-                for ckey, child in Module._children(val, key):
-                    yield from child.named_buffers(f"{ckey}.")
-
-    def modules(self):
-        yield self
-        for name, val in vars(self).items():
-            for _, child in Module._children(val, name):
-                yield from child.modules()
+        return [p for _, p in self._state() if isinstance(p, Parameter)]
 
     def train(self, flag=True):
         """Train mode (``flag`` True) or eval mode for every submodule.
@@ -87,7 +85,7 @@ class Module:
         eval-mode forward records no graph (see ``tensor``) and
         ``train()`` restores gradient recording.
         """
-        for m in self.modules():
+        for _, m in self.named_modules():
             m.training = flag
         for p in self.parameters():
             p.requires_grad = flag
@@ -99,29 +97,25 @@ class Module:
         return self.train(False)
 
     def state_dict(self):
-        state = {name: p.data for name, p in self.named_parameters()}
-        state.update({name: buf for name, buf in self.named_buffers()})
-        return state
+        return {name: e.data if isinstance(e, Parameter) else e
+                for name, e in self._state()}
 
     def load_state_dict(self, state):
-        found = set()
-        for name, p in self.named_parameters():
+        entries = self._state()
+        for name, e in entries:
+            param = isinstance(e, Parameter)
+            have = e.data if param else e
             if name not in state:
-                raise StateDictError(f"missing parameter {name!r} in state")
-            if state[name].shape != p.data.shape:
+                kind = "parameter" if param else "buffer"
+                raise StateDictError(f"missing {kind} {name!r} in state")
+            if state[name].shape != have.shape:
                 raise StateDictError(f"shape mismatch for {name!r}: "
-                                     f"{state[name].shape} vs {p.data.shape}")
-            p.data = state[name].astype(p.data.dtype, copy=True)
-            found.add(name)
-        for name, buf in self.named_buffers():
-            if name not in state:
-                raise StateDictError(f"missing buffer {name!r} in state")
-            if state[name].shape != buf.shape:
-                raise StateDictError(f"shape mismatch for {name!r}: "
-                                     f"{state[name].shape} vs {buf.shape}")
-            buf[...] = state[name]
-            found.add(name)
-        extra = sorted(set(state) - found)
+                                     f"{state[name].shape} vs {have.shape}")
+            if param:
+                e.data = state[name].astype(have.dtype, copy=True)
+            else:
+                have[...] = state[name]
+        extra = sorted(set(state) - {name for name, _ in entries})
         if extra:
             raise StateDictError(f"unexpected entry {extra[0]!r} in state "
                                  f"({len(extra)} in all)")

@@ -23,6 +23,12 @@ gradient they are handed. So one array may serve as several gradients
 at once: ``add`` hands the same ``g`` to both of its inputs, ``concat``
 hands views of it.
 
+The elementwise ops are only those the networks run: ``add`` sums two
+tensors of one shape (a residual, two heads' probabilities) and ``mul``
+scales a tensor by a Python number (their mean); neither broadcasts. Tests
+that need a scalar loss over a tensor-valued op build it with
+``weighted_sum`` in ``tests/gradcheck.py``.
+
 Spatial ops keep one layout from a net's input to its global pool:
 activations are (N, H, W, C) and kernels (kh, kw, Cin, Cout), so a
 kernel's GEMM matrix is a free reshape and a convolution moves no data
@@ -83,10 +89,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype})"
@@ -150,12 +152,6 @@ def _consumed(g):
     raise GraphError("graph already consumed; re-run the forward pass")
 
 
-def _wrap_const(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 def _wants_grad(t):
     return t.requires_grad or t._backward is not None
 
@@ -168,35 +164,21 @@ def _node(data, parents, bwd):
     return Tensor(data)
 
 
-def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def add(a, b):
-    b = _wrap_const(b, a)
-
+    """Sum of two tensors of one shape."""
     def bwd(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        a._accumulate(g)
+        b._accumulate(g)
 
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def mul(a, b):
-    b = _wrap_const(b, a)
-
+def mul(a, c):
+    """``a`` scaled by the number ``c``."""
     def bwd(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        a._accumulate(g * c)
 
-    return _node(a.data * b.data, (a, b), bwd)
+    return _node(a.data * c, (a,), bwd)
 
 
 def concat(tensors):
@@ -238,13 +220,6 @@ def softmax(x):
         x._accumulate((g - dot) * y)
 
     return _node(y, (x,), bwd)
-
-
-def sum_all(x):
-    def bwd(g):
-        x._accumulate(np.full_like(x.data, float(g)))
-
-    return _node(np.asarray(x.data.sum(), dtype=x.dtype), (x,), bwd)
 
 
 def linear(x, w, b):

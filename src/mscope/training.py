@@ -331,7 +331,7 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
     return net, log_rows, best_epoch
 
 
-def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
+def pretrain_birads(records, data_dir, cfg: TrainRunConfig):
     """3-way assessment pretraining; metric is the mean one-vs-rest AUC.
 
     Stops early and handles divergence as ``train_cancer_model`` does:
@@ -363,16 +363,18 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig, log=print):
         val_probs = predict_exams(net, val_records, data_dir,
                                   cfg.input_channels, None)
         metric, _ = mean_column_auc(val_probs, val_y,
-                                    ("birads_0", "birads_1", "birads_2"), log)
+                                    ("birads_0", "birads_1", "birads_2"),
+                                    print)
         train_loss = float(np.mean(losses)) if losses else None
         log_rows.append((epoch, "train", "birads", None, train_loss))
         log_rows.append((epoch, "val", "birads", metric, None))
-        log(f"pretrain epoch {epoch}: loss {train_loss if train_loss is None else round(train_loss, 4)} "
-            f"val ovr auc {metric:.4f}")
+        print(f"pretrain epoch {epoch}: loss "
+              f"{train_loss if train_loss is None else round(train_loss, 4)} "
+              f"val ovr auc {metric:.4f}")
         return metric
 
     best_epoch = _fit_early_stopping(net, cfg, epoch_batches, batch_loss,
-                                     validate, log)
+                                     validate, print)
     return net, log_rows, best_epoch
 
 

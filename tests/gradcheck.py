@@ -1,4 +1,5 @@
-"""Finite-difference gradient oracle.
+"""Finite-difference gradient oracle, and the scalar loss tests put on a
+tensor-valued op.
 
 Central differences over every parameter element, independent of the
 engine's backward pass. Used in float64 where truncation and roundoff are
@@ -6,6 +7,20 @@ both far below the comparison tolerance.
 """
 
 import numpy as np
+
+from mscope import tensor as T
+
+
+def weighted_sum(x, w):
+    """The scalar ``sum(x * w)`` for a tensor ``x`` and a number or an
+    array ``w`` broadcastable to it; the gradient into ``x`` is ``w``
+    broadcast to its shape."""
+    w = np.asarray(w, dtype=x.dtype)
+
+    def bwd(g):
+        x._accumulate(np.broadcast_to(g * w, x.shape))
+
+    return T._node(np.asarray((x.data * w).sum(), dtype=x.dtype), (x,), bwd)
 
 
 def numerical_gradients(loss_fn, params, h=1e-5):

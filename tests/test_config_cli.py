@@ -14,7 +14,7 @@ from mscope import cli, layers, multiview, patches, phantom
 from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
-from mscope.evaluation import read_predictions, roc_auc
+from mscope.evaluation import PREDICTIONS_HEADER, read_predictions, roc_auc
 from mscope.heatmaps import load_heatmap, save_heatmap
 from mscope.patches import load_patch_cache
 from mscope.phantom import load_manifest
@@ -289,6 +289,65 @@ def test_predict_ensemble_missing_member_exits_1(pipeline, tmp_path, capsys):
                  str(run), "--ensemble", "--out", str(tmp_path / "o"),
                  "--seed", "5", *sets()]) == 1
     assert str(run / "members" / "m1.ckpt") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model_id, from_flag", [
+    ("run,1", True), ("a/b", True), ("two\nlines", True), ("run,1", False)])
+def test_model_id_that_cannot_round_trip_exits_1(pipeline, tmp_path, capsys,
+                                                 monkeypatch, model_id,
+                                                 from_flag):
+    """A model id holding ',', '/' or a line break, given by --model-id or
+    by the --run directory's name, would break its predictions.csv row or
+    evaluate's curve file names: predict refuses it before any net loads,
+    naming --model-id."""
+    run = pipeline["cancer"]
+    if not from_flag:
+        run = tmp_path / model_id
+        shutil.copytree(pipeline["cancer"], run)
+    monkeypatch.setattr(cli, "load_into",
+                        lambda *_: pytest.fail("a net was loaded"))
+    argv = ["predict", "--data", str(pipeline["data"]), "--run", str(run),
+            "--out", str(tmp_path / "o"), "--seed", "5", *sets()]
+    capsys.readouterr()
+    assert main(argv + (["--model-id", model_id] if from_flag else [])) == 1
+    err = capsys.readouterr().err
+    assert repr(model_id) in err and "--model-id" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reader-study"])
+def test_predictions_without_rows_exit_1(pipeline, tmp_path, capsys,
+                                         command):
+    """A header-only predictions file has nothing to score: evaluate and
+    reader-study exit 1 naming it, and write no output."""
+    preds = tmp_path / "predictions.csv"
+    preds.write_text(PREDICTIONS_HEADER + "\n")
+    capsys.readouterr()
+    assert main([command, "--data", str(pipeline["data"]),
+                 "--predictions", str(preds), "--out", str(tmp_path / "o"),
+                 "--seed", "5", *sets()]) == 1
+    assert f"{preds}: no prediction rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_reader_study_on_two_models_exits_1_naming_them(pipeline, tmp_path,
+                                                        capsys):
+    """reader-study scores one model: on a file holding two it exits 1
+    naming both, where evaluate scores each of them."""
+    preds = tmp_path / "predictions.csv"
+    rows = [line for key in ("pred", "pred_hm") for line in
+            (pipeline[key] / "predictions.csv").read_text().splitlines()[1:]]
+    preds.write_text("\n".join([PREDICTIONS_HEADER, *rows]) + "\n")
+    argv = ["--data", str(pipeline["data"]), "--predictions", str(preds),
+            "--seed", "5", *sets()]
+    capsys.readouterr()
+    assert main(["reader-study", *argv, "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "image_and_heatmaps" in err and "image_only" in err
+    assert main(["evaluate", *argv, "--out", str(tmp_path / "e")]) == 0
+    models = {line.split(",")[0] for line in
+              (tmp_path / "e" / "metrics.csv").read_text().splitlines()[1:]}
+    assert models == {"image_and_heatmaps", "image_only"}
 
 
 def test_oihw_checkpoint_exits_1_naming_first_conv(pipeline, tmp_path, capsys):
@@ -593,6 +652,7 @@ GARBLED_INPUTS = {
     "probability-above-1": ("predictions.csv", 1, _set_field(3, "1.5")),
     "side": ("predictions.csv", 1, _set_field(1, "X")),
     "short-row": ("predictions.csv", 1, lambda fields: fields[:-1]),
+    "model-id-slash": ("predictions.csv", 1, _set_field(4, "a/b")),
     "manifest-header": ("manifest.csv", 0, _set_field(6, "left_cancer")),
     "manifest-label": ("manifest.csv", 1, _set_field(6, "2")),
     "manifest-flag": ("manifest.csv", 1, _set_field(9, "x")),

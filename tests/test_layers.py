@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mscope import layers, multiview, patches
 from mscope import tensor as T
 from mscope.layers import BatchNorm2d, Conv2d, Linear, StateDictError
-from mscope.multiview import MultiViewNet
-from mscope.optim import binary_cross_entropy
+from mscope.multiview import FUSION_VARIANTS, VIEW_ORDER, MultiViewNet
+from mscope.optim import (binary_cross_entropy, nll_on_probs,
+                          weighted_batch_cross_entropy)
 from mscope.patches import PatchNet
+
+from gradcheck import weighted_sum
 
 
 def test_identity_kernel_conv_is_identity():
@@ -127,7 +132,7 @@ def test_maxpool_matches_argmax_rule_on_ties(k, shape, monkeypatch):
     x = T.Tensor(xd.transpose(0, 2, 3, 1), requires_grad=True)
     out = T.maxpool2d(x)
     g = rng.standard_normal(out.shape).astype(np.float32)
-    T.sum_all(T.mul(out, g)).backward()
+    weighted_sum(out, g).backward()
     y_ref, dx_ref = _argmax_maxpool(xd, g.transpose(0, 3, 1, 2), k)
     np.testing.assert_array_equal(out.data.transpose(0, 3, 1, 2), y_ref)
     np.testing.assert_array_equal(x.grad.transpose(0, 3, 1, 2), dx_ref)
@@ -136,7 +141,7 @@ def test_maxpool_matches_argmax_rule_on_ties(k, shape, monkeypatch):
 def _moved_batchnorm(net, run_train_forward, rng):
     """Give every BatchNorm non-trivial gamma/beta and running statistics
     moved by train-mode forwards, then switch the net to eval mode."""
-    for m in net.modules():
+    for _, m in net.named_modules():
         if isinstance(m, BatchNorm2d):
             m.gamma.data = rng.uniform(0.5, 1.5, m.gamma.shape).astype(np.float32)
             m.beta.data = (rng.standard_normal(m.beta.shape) * 0.2) \
@@ -278,9 +283,28 @@ def test_state_dict_roundtrip():
 
 def test_load_state_shape_mismatch():
     net = Linear(3, 2, rng=np.random.default_rng(0))
-    bad = {k: np.zeros((5, 5), dtype=np.float32) for k, _ in net.named_parameters()}
+    bad = {k: np.zeros((5, 5), dtype=np.float32) for k in net.state_dict()}
     with pytest.raises(StateDictError, match="'weight'"):
         net.load_state_dict(bad)
+
+
+def test_named_modules_walks_paths_in_pre_order():
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=None)
+    paths = [path for path, _ in net.named_modules()]
+    assert paths[:4] == ["", "cc_column", "cc_column.stem",
+                         "cc_column.stem_bn"]
+    assert paths.index("cc_column.blocks.3") + 1 == \
+        paths.index("cc_column.blocks.3.conv1")
+    assert paths[-3:] == ["heads.mlo", "heads.mlo.fc1", "heads.mlo.fc2"]
+    assert len(paths) == len(set(paths))
+    # a state entry is its module's path, a dot and the attribute's name
+    modules = dict(net.named_modules())
+    for name, arr in net.state_dict().items():
+        path, _, attr = name.rpartition(".")
+        entry = getattr(modules[path], attr)
+        assert arr is (entry.data if isinstance(entry, layers.Parameter)
+                       else entry)
 
 
 def test_load_state_names_first_key_at_fault():
@@ -303,3 +327,68 @@ def test_collect_gradients_rejects_eval_mode_loss():
     loss = binary_cross_entropy(T.sigmoid(lin(x)), np.ones((4, 2)))
     with pytest.raises(T.GraphError):
         T.collect_gradients(loss, lin.parameters())
+
+
+# sha256 digests of ``_pinned_states`` and ``_pinned_steps``
+STATE_SHA256 = \
+    "cb25e06d11c2ee040a4781b46cdf38e32bde792f458b6b73f36c91f6669de937"
+STEP_SHA256 = \
+    "bc6a60dd13aa0e7c0864adbaf376130932cf2290279e157bf6feb903fc8c7190"
+
+
+def _sha256(entries):
+    h = hashlib.sha256()
+    for name, arr in entries:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_states():
+    """The fresh state of every net the pipeline builds: the four fusion
+    variants at 1 and 3 channels, BI-RADS pretraining and PatchNet."""
+    nets = [(MultiViewNet, dict(variant=v, input_channels=c, task="cancer"))
+            for v in FUSION_VARIANTS for c in (1, 3)]
+    nets += [(MultiViewNet, dict(variant="view_wise", input_channels=1,
+                                 task="birads")),
+             (PatchNet, dict(patch_size=32))]
+    for cls, kwargs in nets:
+        yield from cls(seed=11, **kwargs).state_dict().items()
+
+
+def _pinned_steps():
+    """One seeded train step, on a batch of two, of the four fusion
+    variants, BI-RADS and PatchNet, each through the loss it trains with:
+    every gradient, then the state the step leaves (running statistics
+    moved)."""
+    rng = np.random.default_rng(12)
+    nets = [MultiViewNet(variant=v, input_channels=1, task="cancer", seed=13)
+            for v in FUSION_VARIANTS]
+    nets += [MultiViewNet(variant="view_wise", input_channels=1,
+                          task="birads", seed=13), PatchNet(patch_size=32,
+                                                            seed=13)]
+    for net in nets:
+        if isinstance(net, PatchNet):
+            x = rng.uniform(0, 1, (2, 32, 32, 1)).astype(np.float32)
+            loss = weighted_batch_cross_entropy(
+                net(T.Tensor(x)), rng.integers(0, 4, 2), [1, 2, 3, 4])
+        else:
+            out = net({v: T.Tensor(rng.uniform(
+                0, 1, (2,) + ((56, 32) if v.endswith("mlo") else (48, 36))
+                + (1,)).astype(np.float32)) for v in VIEW_ORDER})
+            loss = nll_on_probs(out, rng.integers(0, 3, 2)) \
+                if net.task == "birads" else \
+                binary_cross_entropy(out, rng.integers(0, 2, out.shape))
+        grads = T.collect_gradients(loss, net.parameters())
+        state = net.state_dict()
+        yield from zip(state, grads)
+        yield from state.items()
+
+
+def test_state_and_train_step_bytes_are_pinned():
+    """The module walk and the engine's ops give the state keys, the
+    initial weights, a train step's gradients and its running statistics
+    these exact bytes. The step is small enough that its bytes were the
+    same on one BLAS thread as on two."""
+    assert _sha256(_pinned_states()) == STATE_SHA256
+    assert _sha256(_pinned_steps()) == STEP_SHA256

@@ -10,6 +10,8 @@ from mscope.multiview import (FUSION_VARIANTS, MultiViewNet, ResNetColumn,
                               transfer_from_pretrained)
 from mscope.optim import binary_cross_entropy
 
+from gradcheck import weighted_sum
+
 TINY_CC = (48, 36)
 TINY_MLO = (56, 32)
 
@@ -198,7 +200,7 @@ def test_fuse_equals_the_per_variant_branches(variant, task):
     for fuse in (net.fuse, lambda x: _branch_fuse(net, x)):
         inputs = {v: T.Tensor(vecs[v], requires_grad=True) for v in VIEW_ORDER}
         out = fuse(inputs)
-        T.sum_all(T.mul(out, weights)).backward()
+        weighted_sum(out, weights).backward()
         results.append((out.data, [inputs[v].grad for v in VIEW_ORDER]))
     (out, grads), (ref_out, ref_grads) = results
     np.testing.assert_array_equal(out, ref_out)
@@ -307,7 +309,7 @@ def test_train_column_matches_nchw_reference(monkeypatch):
 
     def run(inp):
         out = col(T.Tensor(inp))
-        loss = T.sum_all(T.mul(out, weights))
+        loss = weighted_sum(out, weights)
         return out.data, T.collect_gradients(loss, params)
 
     out, grads = run(x)
@@ -315,8 +317,9 @@ def test_train_column_matches_nchw_reference(monkeypatch):
     monkeypatch.setattr(T, "batchnorm2d", _batchnorm2d_nchw)
     monkeypatch.setattr(T, "global_avgpool2d", _global_avgpool2d_nchw)
     ref_out, ref_grads = run(np.ascontiguousarray(x.transpose(0, 3, 1, 2)))
+    # the state names its parameters first, in the order of parameters()
     for name, a, b in [("output", out, ref_out)] + list(
-            zip([n for n, _ in col.named_parameters()], grads, ref_grads)):
+            zip(col.state_dict(), grads, ref_grads)):
         np.testing.assert_allclose(a, b, rtol=1e-4,
                                    atol=1e-4 * np.abs(b).max(), err_msg=name)
 

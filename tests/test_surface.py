@@ -49,18 +49,12 @@ SRC = ROOT / "src" / "mscope"
 CALLERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 ALLOWED = {
-    "tensor.sum_all": "scalar reduction the gradient checks differentiate",
     "multiview.column_shape_audit": "symbolic check of the paper's "
                                     "full-scale column shapes",
 }
 
 # (module, callable, parameter or field) -> why it stays without a setter
-ALLOWED_KNOBS = {
-    ("heatmaps", "select_patch_checkpoint", "log"):
-        "progress hook, replaced by the run ledger's event sink",
-    ("training", "pretrain_birads", "log"):
-        "progress hook, replaced by the run ledger's event sink",
-}
+ALLOWED_KNOBS = {}
 
 # (module, callable, input or pair of inputs) -> why every call may pass
 # it the same constant or expression

@@ -16,7 +16,7 @@ from mscope.multiview import MultiViewNet, ResNetColumn
 from mscope.optim import weighted_batch_cross_entropy
 from mscope.patches import PatchNet
 
-from gradcheck import numerical_gradients, max_relative_error
+from gradcheck import max_relative_error, numerical_gradients, weighted_sum
 
 
 def _composite_net(seed):
@@ -62,14 +62,14 @@ def test_gradients_match_finite_differences(seed):
 def test_linear_grad_is_broadcast_input():
     x = np.array([[1.0, 2.0, 3.0]])
     w = Parameter(np.zeros((2, 3)))
-    out = T.sum_all(T.linear(T.Tensor(x), w, Parameter(np.zeros(2))))
+    out = weighted_sum(T.linear(T.Tensor(x), w, Parameter(np.zeros(2))), 1.0)
     out.backward()
     np.testing.assert_allclose(w.grad, np.tile(x, (2, 1)))
 
 
 def test_relu_blocks_gradient_at_negative_preactivation():
     x = Parameter(np.array([-1.5, 0.5]))
-    out = T.sum_all(T.relu(x))
+    out = weighted_sum(T.relu(x), 1.0)
     out.backward()
     np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
@@ -83,7 +83,7 @@ def test_backward_requires_scalar():
 
 def test_backward_twice_rejected():
     x = Parameter(np.ones(3))
-    loss = T.sum_all(T.relu(x))
+    loss = weighted_sum(T.relu(x), 1.0)
     loss.backward()
     with pytest.raises(T.GraphError):
         loss.backward()
@@ -91,18 +91,18 @@ def test_backward_twice_rejected():
 
 def test_second_forward_allows_second_backward():
     x = Parameter(np.ones(3))
-    T.sum_all(x).backward()
+    weighted_sum(x, 1.0).backward()
     x.zero_grad()
-    T.sum_all(x).backward()
+    weighted_sum(x, 1.0).backward()
     np.testing.assert_allclose(x.grad, np.ones(3))
 
 
 def test_second_loss_through_consumed_subgraph_rejected():
     w = Parameter(np.ones(3))
     shared = T.relu(T.mul(w, 2.0))
-    T.sum_all(shared).backward()
+    weighted_sum(shared, 1.0).backward()
     with pytest.raises(T.GraphError):
-        T.sum_all(T.mul(shared, 3.0)).backward()
+        weighted_sum(T.mul(shared, 3.0), 1.0).backward()
 
 
 def test_backward_frees_the_graph():
@@ -118,7 +118,7 @@ def test_backward_frees_the_graph():
     conv_out = weakref.ref(conv.data)
     h = T.relu(T.batchnorm2d(conv, gamma, beta, np.zeros(3), np.ones(3)))
     del conv
-    loss = T.sum_all(h)
+    loss = weighted_sum(h, 1.0)
     grads = T.collect_gradients(loss, [w, gamma, beta])
     assert conv_out() is None
     for node in (loss, h):
@@ -447,7 +447,7 @@ def test_concat_backward_splits():
     a = Parameter(np.ones((2, 3)))
     b = Parameter(np.ones((2, 5)))
     out = T.concat([a, b])
-    T.sum_all(T.mul(out, 2.0)).backward()
+    weighted_sum(out, 2.0).backward()
     np.testing.assert_allclose(a.grad, 2 * np.ones((2, 3)))
     np.testing.assert_allclose(b.grad, 2 * np.ones((2, 5)))
 

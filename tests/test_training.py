@@ -341,7 +341,7 @@ def test_pretrain_birads_runs_and_logs(tiny_dataset):
     cfg = TrainRunConfig(lr=3e-4, batch_size=6, l2=10 ** -4.5, patience=2,
                          max_epochs=3, seed=33, max_offset=0,
                          variant="view_wise", input_channels=1)
-    net, rows, best_epoch = pretrain_birads(records, root, cfg, log=quiet)
+    net, rows, best_epoch = pretrain_birads(records, root, cfg)
     assert net.task == "birads"
     assert best_epoch is not None
     val_rows = [r for r in rows if r[1] == "val"]
@@ -400,7 +400,7 @@ def test_cancer_training_divergence_keeps_best_epoch(tiny_dataset,
     net, rows, best_epoch = train_cancer_model(records, root, cfg, log=quiet)
     assert best_epoch == 1
     assert {r[0] for r in rows} == {1}
-    assert not any(m.training for m in net.modules())
+    assert not any(m.training for _, m in net.named_modules())
     monkeypatch.undo()
     val = [r for r in records if r.split == "val"]
     probs = predict_exams(net, val, root, cfg.input_channels, None)
@@ -417,10 +417,10 @@ def test_pretrain_birads_divergence_keeps_best_epoch(tiny_dataset,
     cfg = TrainRunConfig(lr=3e-4, batch_size=6, l2=10 ** -4.5, patience=2,
                          max_epochs=3, seed=35, max_offset=0,
                          variant="view_wise", input_channels=1)
-    net, rows, best_epoch = pretrain_birads(records, root, cfg, log=quiet)
+    net, rows, best_epoch = pretrain_birads(records, root, cfg)
     assert best_epoch == 1
     assert {r[0] for r in rows} == {1}
-    assert not any(m.training for m in net.modules())
+    assert not any(m.training for _, m in net.named_modules())
 
 
 def test_divergence_in_first_epoch_raises(tiny_dataset, monkeypatch):
