@@ -20,10 +20,12 @@ such as ``heatmap.stride`` above ``patch.size``, bad paths, images smaller
 than ``patch.size``, checkpoints that do not fit the model, a learning rate
 that diverges in the first epoch, a model id holding ',', '/' or a line
 break, which ``predict`` refuses naming ``--model-id``, a predictions file
-with no rows, a ``reader-study`` over the predictions of more than one
-model, which names the model ids, and input files that do not parse, binary
-or CSV, or heatmaps not of their image's dims, which raise ``FormatError``
-naming the file and the byte or line); 2 internal invariant violation.
+with no rows, a manifest with no test-split exam for ``evaluate`` or
+``reader-study``, a ``reader-study`` over the predictions of more than one
+model, which names the model ids, and input files that do not parse, such
+as a manifest split not train, val or test, or heatmaps not of their
+image's dims, which raise ``FormatError`` naming the file and the byte or
+line); 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .evaluation import (MODEL_ID_FORBIDDEN, POPULATIONS, MetricError,
                          read_predictions, reader_study_draw, roc_auc,
                          roc_curve_points, simulate_readers, subpopulation,
                          write_predictions)
-from .formats import FormatError, read_table, write_table
+from .formats import FormatError, checked, read_table, write_table
 from .heatmaps import (check_views_fit, exam_views, heatmap_path,
                        heatmaps_for_exam, save_heatmap,
                        select_patch_checkpoint)
@@ -58,7 +60,7 @@ from .multiview import MultiViewNet
 from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
                       PatchTrainConfig, build_patch_pools, load_patch_cache,
                       save_patch_cache, train_patch_classifier)
-from .phantom import GeneratorError, generate_dataset, load_manifest
+from .phantom import SPLITS, GeneratorError, generate_dataset, load_manifest
 from .seeding import _map_exams, substream
 from .tensor import NumericsError
 from .training import (TrainRunConfig, ensemble_predict, pretrain_birads,
@@ -318,8 +320,10 @@ METRICS_HEADER = "model_id,population,task,metric,value"
 
 def cmd_evaluate(args, cfg, out, data, records):
     preds = read_predictions(args.predictions)
-    (out / "curves").mkdir(exist_ok=True)
     breasts = breast_table(records)
+    if not len(breasts.ids):
+        raise UserError(f"{data / 'manifest.csv'} has no test-split exam")
+    (out / "curves").mkdir(exist_ok=True)
     wanted = cfg["eval.population"]
     pops = [row for kind in (POPULATIONS if wanted == "all" else (wanted,))
             for row in subpopulation(breasts, kind)]
@@ -363,10 +367,12 @@ def cmd_evaluate(args, cfg, out, data, records):
 
 def cmd_reader_study(args, cfg, out, data, records):
     preds = read_predictions(args.predictions)
+    breasts = breast_table(records)
+    if not len(breasts.ids):
+        raise UserError(f"{data / 'manifest.csv'} has no test-split exam")
     n_biopsied, n_clean = cfg["eval.reader_biopsied"], cfg["eval.reader_clean"]
     drawn = reader_study_draw(records, substream(args.seed, "reader-study"),
                               n_biopsied, n_clean)
-    breasts = breast_table(records)
     in_study = np.isin(breasts.ids, drawn)
     ids, y = breasts.ids[in_study], breasts.malignant[in_study]
     model = prediction_columns(preds, ids)[0]
@@ -422,15 +428,12 @@ def _read_metrics(path, values, models):
     """Add the rows of one ``metrics.csv`` to ``values`` and its model ids
     to ``models``; a value that is not a number raises ``FormatError``
     naming the file and line."""
-    for where, row in read_table(path, METRICS_HEADER):
-        try:
-            value = float(row["value"])
-        except ValueError:
-            raise FormatError(f"{where}: value {row['value']!r} is not a "
-                              "number") from None
-        values[row["model_id"], row["population"], row["task"],
-               row["metric"]] = value
-        models[row["model_id"]] = None
+    columns, where = read_table(path, METRICS_HEADER)
+    numbers = checked(columns["value"], float, where,
+                      "value {!r} is not a number")
+    keys = zip(*(columns[c] for c in METRICS_HEADER.split(",")[:4]))
+    values.update(zip(keys, numbers))
+    models.update(dict.fromkeys(columns["model_id"]))
 
 
 def cmd_report(args):
@@ -531,7 +534,7 @@ STAGES = (
                                      help="average the run's ensemble "
                                           "members")),
                  ("--split", dict(default="test",
-                                  choices=("train", "val", "test"))),
+                                  choices=SPLITS)),
                  ("--heatmaps", {}), ("--model-id", {}))),
     Stage("evaluate", "metrics over test populations", cmd_evaluate,
           flags=(_PREDICTIONS,),

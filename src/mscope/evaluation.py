@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .formats import FormatError, read_table, write_table
+from .formats import FormatError, checked, read_table, write_table
 
 
 class MetricError(ValueError):
@@ -301,29 +301,21 @@ def write_predictions(path, records):
 
 
 def read_predictions(path):
-    out = []
-    for where, row in read_table(path, PREDICTIONS_HEADER):
-        if row["side"] not in SIDES:
-            raise FormatError(f"{where}: side {row['side']!r} is not L or R")
-        if any(c in row["model_id"] for c in MODEL_ID_FORBIDDEN):
-            raise FormatError(f"{where}: model_id {row['model_id']!r} holds "
-                              "',', '/' or a line break")
-        out.append(PredictionRecord(
-            exam_id=row["exam_id"], side=row["side"],
-            p_malignant=_probability(row["p_malignant"], where),
-            p_benign=_probability(row["p_benign"], where),
-            model_id=row["model_id"]))
-    if not out:
+    columns, where = read_table(path, PREDICTIONS_HEADER)
+    if not columns["exam_id"]:
         raise FormatError(f"{path}: no prediction rows")
-    return out
+    sides = checked(columns["side"], lambda s: s if s in SIDES else None,
+                    where, "side {!r} is not L or R")
+    p_mal, p_ben = (checked(columns[c], _probability, where,
+                            "probability {!r} is not a number in [0, 1]")
+                    for c in ("p_malignant", "p_benign"))
+    models = checked(columns["model_id"],
+                     lambda m: None if set(m) & set(MODEL_ID_FORBIDDEN) else m,
+                     where, "model_id {!r} holds ',', '/' or a line break")
+    return [PredictionRecord(*row) for row in
+            zip(columns["exam_id"], sides, p_mal, p_ben, models)]
 
 
-def _probability(text, where):
-    try:
-        p = float(text)
-    except ValueError:
-        p = math.nan
-    if not 0.0 <= p <= 1.0:  # also rejects NaN
-        raise FormatError(f"{where}: probability {text!r} is not a number "
-                          "in [0, 1]")
-    return p
+def _probability(text):
+    p = float(text)
+    return p if 0.0 <= p <= 1.0 else None   # also rejects NaN

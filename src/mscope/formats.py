@@ -1,11 +1,11 @@
 """Every file layout the stages pass their work through.
 
 A file that does not parse raises ``FormatError`` naming the file and the
-byte or the line, instead of whatever numpy, ``struct`` or ``csv`` would
-raise. Binary files are read through one ``Reader``, which checks the
-bytes left before every read. Checkpoints, heatmaps and the patch cache
-are one container of named float32 arrays under a four-byte magic (all
-integers little-endian):
+byte or the line, instead of whatever numpy or ``struct`` would raise.
+Binary files are read through one ``Reader``, which checks the bytes left
+before every read. Checkpoints, heatmaps and the patch cache are one
+container of named float32 arrays under a four-byte magic (all integers
+little-endian):
 
     magic | u32 version=1 | u32 array count
     per array: u16 name length | UTF-8 name | u8 rank | u32 dims... | f32 payload
@@ -13,15 +13,15 @@ integers little-endian):
 Arrays are written in the order given, which is part of the bytes, and
 read back as read-only views of the file's bytes.
 
-Tables are CSV: a header line of comma-separated names, then one line per
-row with one field per name, unquoted. ``read_table`` checks the header
-and each row's field count, and yields each row with its "path, line N"
-location for the caller's own checks to name.
+Tables are split, not parsed: a header line, then one line per row (any
+line ending), fields joined by bare commas. With no quoting, a field free of
+commas and line breaks reads back as written; a blank line is a bad row. A
+loader checks the header and field counts, then its columns left to right:
+of faults in several columns, the leftmost column's first bad row is named.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from pathlib import Path
@@ -123,18 +123,33 @@ def write_table(path, header, rows):
 
 
 def read_table(path, header):
-    """Yield ``(where, row)`` for each row of the table at ``path``: the row
-    as a dict by column name, and "path, line N". A header other than
-    ``header`` or a row with another number of fields raises
-    ``FormatError``."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != header.split(","):
-            raise FormatError(f"{path}, line 1: unexpected header; "
-                              f"expected {header}")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if None in row or None in row.values():
-                raise FormatError(f"{where}: expected "
-                                  f"{len(reader.fieldnames)} fields")
-            yield where, row
+    """``(columns, where)``: each column's fields in row order by name, and
+    ``where(i)``, the "path, line N" of row i. A header other than
+    ``header`` or a row of another field count raises ``FormatError``."""
+    lines = Path(path).read_text().removesuffix("\n").split("\n")
+    if lines[0] != header:
+        raise FormatError(f"{path}, line 1: unexpected header; "
+                          f"expected {header}")
+    names, rows = header.split(","), [line.split(",") for line in lines[1:]]
+
+    def where(i):
+        return f"{path}, line {i + 2}"
+    checked([len(row) for row in rows], {len(names): True}.get, where,
+            f"expected {len(names)} fields")       # a column of field counts
+    return dict(zip(names, list(zip(*rows)) or [()] * len(names))), where
+
+
+def checked(fields, convert, where, message):
+    """``convert`` of each of a column's ``fields``, asked once per distinct
+    field. A field it gives None for, or raises ``ValueError`` on, raises
+    ``FormatError``: ``where(i)`` of its first row, then ``message``."""
+    values = {}
+    for f in set(fields):
+        try:
+            values[f] = convert(f)
+        except ValueError:
+            values[f] = None
+    if None in values.values():
+        i = next(i for i, f in enumerate(fields) if values[f] is None)
+        raise FormatError(f"{where(i)}: " + message.format(fields[i]))
+    return list(map(values.__getitem__, fields))

@@ -12,9 +12,10 @@ truth, not a claim of anatomical realism.
 On disk, a dataset directory holds ``images/<exam>_<view>.pgm`` for every
 view; ``masks/<exam>_<view>_<malignancy>.pgm`` (8-bit, 255 on the
 lesion support), written only for a non-empty support; and
-``manifest.csv``, whose columns are ``ExamRecord``'s fields in their
-order, then the four view paths (``<view>_path``, relative to the
-directory).
+``manifest.csv``, whose columns are ``ExamRecord``'s fields in their order,
+then the four view paths (``<view>_path``, relative to the directory). Its
+coded columns are ``split`` (one of ``SPLITS``), the eight 0/1 labels and
+flags and the 0-2 ``birads``; the age band and density are free labels.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .formats import FormatError, read_table, write_table
+from .formats import FormatError, checked, read_table, write_table
 from .pgm import read_pgm, write_pgm8, write_pgm16
 from .resample import gaussian_blur
 from .seeding import _map_exams, substream
 
 VIEWS = ("rcc", "lcc", "rmlo", "lmlo")
+SPLITS = ("train", "val", "test")
 AGE_BANDS = ("<40", "40s", "50s", "60s", "70+")
 DENSITIES = ("fatty", "scattered", "heterogeneous", "extreme")
 
@@ -458,13 +460,12 @@ def build_population(config: DatasetConfig, seed: int):
     # per-patient split assignment chasing exam-count targets
     targets = [f * n for f in config.split_fractions]
     counts = [0.0, 0.0, 0.0]
-    names = ("train", "val", "test")
     split_of_patient = {}
     for pi in rng.permutation(len(patients)):
         pid, exam_idxs = patients[pi]
         deficits = [targets[s] - counts[s] for s in range(3)]
         s = max(range(3), key=deficits.__getitem__)
-        split_of_patient[pid] = names[s]
+        split_of_patient[pid] = SPLITS[s]
         counts[s] += len(exam_idxs)
 
     min_dim = min(min(config.cc_dims), min(config.mlo_dims))
@@ -558,32 +559,29 @@ def write_manifest(path, records):
         for r in records))
 
 
-# the int fields' codes: 0/1 for the labels and flags, 0-2 for the 3-way
-# assessment
-_MANIFEST_CODES = {f.name: {"0": 0, "1": 1} for f in fields(ExamRecord)
-                   if f.type == "int"}
-_MANIFEST_CODES["birads"] = {"0": 0, "1": 1, "2": 2}
+# each coded column's codes: split names, 0/1 labels and flags, 0-2 birads
+_MANIFEST_CODES = {"split": dict(zip(SPLITS, SPLITS)), **{
+    f.name: {"0": 0, "1": 1} for f in fields(ExamRecord) if f.type == "int"},
+    "birads": {"0": 0, "1": 1, "2": 2}}
 
 
 def load_manifest(path):
-    records = []
-    seen = set()
-    for where, row in read_table(path, MANIFEST_HEADER):
-        values = {}
-        for column in _COLUMNS:
-            codes = _MANIFEST_CODES.get(column)
-            values[column] = row[column] if codes is None \
-                else codes.get(row[column])
-            if values[column] is None:
-                raise FormatError(f"{where}: {column} {row[column]!r} is not "
-                                  f"one of {', '.join(codes)}")
-        if row["exam_id"] in seen:
-            raise FormatError(f"{where}: exam id {row['exam_id']!r} is "
-                              "repeated")
-        seen.add(row["exam_id"])
-        records.append(ExamRecord(
-            **values, view_paths={v: row[f"{v}_path"] for v in VIEWS}))
-    return records
+    """The exam records of a manifest, checked as a table (see
+    ``formats``), then for a repeated exam id."""
+    columns, where = read_table(path, MANIFEST_HEADER)
+    values = []
+    for c in _COLUMNS:
+        codes = _MANIFEST_CODES.get(c)
+        values.append(columns[c] if codes is None else checked(
+            columns[c], codes.get, where,
+            f"{c} {{!r}} is not one of {', '.join(codes)}"))
+    ids, first = columns["exam_id"], {}   # exam id -> its first row
+    if len(set(ids)) < len(ids):
+        i = next(i for i, e in enumerate(ids) if first.setdefault(e, i) != i)
+        raise FormatError(f"{where(i)}: exam id {ids[i]!r} is repeated")
+    paths = (dict(zip(VIEWS, p))
+             for p in zip(*(columns[f"{v}_path"] for v in VIEWS)))
+    return [ExamRecord(*row) for row in zip(*values, paths)]
 
 
 def image_path(data_dir, record, view):

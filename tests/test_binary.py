@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import METRICS_HEADER, _read_metrics
 from mscope.evaluation import PREDICTIONS_HEADER, read_predictions
-from mscope.formats import FormatError, save_arrays
+from mscope.formats import FormatError, read_table, save_arrays, write_table
 from mscope.heatmaps import load_heatmap, save_heatmap
 from mscope.patches import load_patch_cache, save_patch_cache
 from mscope.phantom import MANIFEST_HEADER, load_manifest
@@ -200,3 +200,54 @@ def test_table_error_names_file_and_line(tmp_path, table, lines, detail):
         TABLES[table][0](path)
     assert str(exc.value).startswith(f"{path}, line ")
     assert detail in str(exc.value)
+
+
+# characters that str.splitlines or a csv dialect treat specially, none of
+# which a table field has to avoid
+AWKWARD = '" \t\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+FIELDS = st.text(st.sampled_from(AWKWARD) | st.characters(
+    blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(FIELDS, min_size=3, max_size=3), max_size=4))
+@example(rows=[['"q"', ' "x', 'a\x1cb\x85'], ['', '" ', '\u2028']])
+def test_read_table_gives_back_what_write_table_wrote(rows):
+    """Any fields free of commas, CR and LF, leading and trailing quotes
+    and spaces included, read back as written, row by row."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_table(path, "a,b,c", rows)
+        columns, where = read_table(path, "a,b,c")
+    assert list(columns) == ["a", "b", "c"]
+    assert [list(row) for row in zip(*columns.values())] == rows
+    assert all(len(fields) == len(rows) for fields in columns.values())
+    assert where(0) == f"{path}, line 2"
+
+
+def test_crlf_manifest_reads_as_lf_and_a_blank_line_is_a_bad_row(tmp_path):
+    row = TABLES["manifest"][2]
+    lines = [MANIFEST_HEADER, row, row.replace("e0,", "e1,", 1)]
+    lf, crlf, blank = (tmp_path / f"{name}.csv"
+                       for name in ("lf", "crlf", "blank"))
+    lf.write_bytes("".join(f"{line}\n" for line in lines).encode())
+    crlf.write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+    records = load_manifest(lf)
+    assert [r.exam_id for r in records] == ["e0", "e1"]
+    assert load_manifest(crlf) == records
+    blank.write_text("\n".join([*lines[:2], "", lines[2]]) + "\n")
+    with pytest.raises(FormatError) as exc:
+        load_manifest(blank)
+    assert str(exc.value) == f"{blank}, line 3: expected 18 fields"
+
+
+def test_manifest_split_is_one_of_train_val_test(tmp_path):
+    """A split that is not a split name would drop its exam from every
+    population in silence; it is a bad field instead."""
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"{MANIFEST_HEADER}\n"
+                    f"{TABLES['manifest'][2].replace(',train,', ',tst,')}\n")
+    with pytest.raises(FormatError) as exc:
+        load_manifest(path)
+    assert str(exc.value) == \
+        f"{path}, line 2: split 'tst' is not one of train, val, test"

@@ -659,6 +659,7 @@ GARBLED_INPUTS = {
     "manifest-birads": ("manifest.csv", 1, _set_field(13, "9")),
     "manifest-short-row": ("manifest.csv", 1, lambda fields: fields[:-1]),
     "manifest-repeated-id": ("manifest.csv", 2, _set_field(0, "e00000")),
+    "manifest-split": ("manifest.csv", 1, _set_field(2, "tst")),
 }
 
 
@@ -685,6 +686,46 @@ def test_garbled_evaluation_inputs_exit_1(pipeline, tmp_path, capsys,
     assert str(bad) in err
     if line:
         assert f"line {line + 1}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reader-study"])
+def test_manifest_without_a_test_exam_exits_1(pipeline, tmp_path, capsys,
+                                              command):
+    """A manifest with no test-split exam leaves nothing to score: evaluate
+    and reader-study exit 1 naming it, write no output, and do not advise
+    drawing more breasts, which cannot help."""
+    data = tmp_path / "data"
+    data.mkdir()
+    text = (pipeline["data"] / "manifest.csv").read_text()
+    assert ",test," in text
+    (data / "manifest.csv").write_text(text.replace(",test,", ",val,"))
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--predictions",
+                 str(pipeline["pred"] / "predictions.csv"), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *sets()]) == 1
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.csv'} has no test-split exam" in err
+    assert "eval.reader_biopsied" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model_id", ['"q"', '"x'])
+def test_quoted_model_id_round_trips(pipeline, tmp_path, model_id):
+    """A model id with quotes, balanced or not, reads back as it was
+    written, as no quoting applies: predict, then evaluate, gives the
+    metrics of the pipeline's own run under that id."""
+    pred, ev = tmp_path / "pred", tmp_path / "ev"
+    assert main(["predict", "--data", str(pipeline["data"]), "--run",
+                 str(pipeline["cancer"]), "--out", str(pred), "--seed", "5",
+                 "--model-id", model_id, *sets()]) == 0
+    assert main(["evaluate", "--data", str(pipeline["data"]),
+                 "--predictions", str(pred / "predictions.csv"), "--out",
+                 str(ev), "--seed", "5", *sets()]) == 0
+    metrics = (ev / "metrics.csv").read_text()
+    assert metrics == (pipeline["eval"] / "metrics.csv").read_text() \
+        .replace("\nimage_only,", f"\n{model_id},")
+    assert {line.split(",")[0] for line in metrics.splitlines()[1:]} == \
+        {model_id}
 
 
 def test_single_class_band_keeps_counts(pipeline, tmp_path):
