@@ -16,16 +16,20 @@ and ``config.txt`` records what ran. ``report`` has no config and no
 output directory.
 
 Exit codes: 0 success; 1 user error (bad flags, out-of-range config values
-such as ``heatmap.stride`` above ``patch.size``, bad paths, images smaller
-than ``patch.size``, checkpoints that do not fit the model, a learning rate
-that diverges in the first epoch, a model id holding ',', '/' or a line
-break, which ``predict`` refuses naming ``--model-id``, a predictions file
-with no rows, a manifest with no test-split exam for ``evaluate`` or
-``reader-study``, a ``reader-study`` over the predictions of more than one
-model, which names the model ids, and input files that do not parse, such
-as a manifest split not train, val or test, or heatmaps not of their
-image's dims, which raise ``FormatError`` naming the file and the byte or
-line); 2 internal invariant violation.
+such as ``heatmap.stride`` above ``patch.size``, a config file that is not
+UTF-8, bad paths, images smaller than ``patch.size``, checkpoints that do
+not fit the model, a learning rate that diverges in the first epoch, a
+manifest that leaves a trainer nothing to score or train on, refused before
+its first step: no val exam, no train exam its epoch draws, no two-class
+validation label, or ``train-patch`` selection exams of one class; a model
+id holding ',', '/' or a line break, which ``predict`` refuses naming
+``--model-id``, a predictions file with no rows, a manifest with no
+test-split exam for ``evaluate`` or ``reader-study``, a ``reader-study``
+over the predictions of more than one model, which names the model ids,
+and input files that do not parse, such as a table that is not UTF-8, a
+manifest split not train, val or test, or heatmaps not of their image's
+dims, which raise ``FormatError`` naming the file and the byte or line);
+2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .evaluation import (MODEL_ID_FORBIDDEN, POPULATIONS, MetricError,
 from .formats import FormatError, checked, read_table, write_table
 from .heatmaps import (check_views_fit, exam_views, heatmap_path,
                        heatmaps_for_exam, save_heatmap,
-                       select_patch_checkpoint)
+                       select_patch_checkpoint, selection_labels)
 from .layers import StateDictError
 from .multiview import MultiViewNet
 from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
@@ -63,8 +67,9 @@ from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
 from .phantom import SPLITS, GeneratorError, generate_dataset, load_manifest
 from .seeding import _map_exams, substream
 from .tensor import NumericsError
-from .training import (TrainRunConfig, ensemble_predict, pretrain_birads,
-                       save_train_log, train_cancer_model)
+from .training import (SplitError, TrainRunConfig, ensemble_predict,
+                       pretrain_birads, save_train_log, train_cancer_model,
+                       validation_exams)
 
 
 class UserError(Exception):
@@ -110,16 +115,10 @@ def cmd_train_patch(args, cfg, out, data, records):
                        side_min=cfg["patch.side_min"],
                        side_max=cfg["patch.side_max"],
                        max_angle=cfg["patch.max_angle"])
-    val = [r for r in records if r.split == "val"]
     n_select = cfg["patch.select_exams"]
-    if n_select and n_select < len(val):
-        rng = substream(args.seed, "select-subset")
-        biopsied = [r for r in val if r.any_biopsied]
-        rest = [r for r in val if not r.any_biopsied]
-        need = max(0, n_select - len(biopsied))
-        idx = rng.choice(len(rest), size=min(need, len(rest)), replace=False)
-        val = biopsied + [rest[i] for i in idx]
-    for rec in val:                   # fail on a small image before training
+    val = validation_exams(records, n_select,
+                           substream(args.seed, "select-subset"))
+    for rec in val:                   # fail on a small image before the pools
         check_views_fit(rec, data, patch_size)
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.exists():
@@ -136,6 +135,17 @@ def cmd_train_patch(args, cfg, out, data, records):
                 f"zero={stats['all_zero']} mixed={stats['mixed_classes']})")
         if cache_path:
             save_patch_cache(cache_path, pools)
+    # before any epoch: a class with no window, then one-class selection
+    sizes = np.bincount(pools[1], minlength=len(PATCH_CLASSES))
+    if not sizes.all():
+        raise EmptyPoolError(f"no {PATCH_CLASSES[sizes.argmin()]} patches: "
+                             "no training image or cache gave one")
+    try:
+        selection_labels(val)
+    except MetricError as exc:
+        raise UserError(f"{exc}; raise patch.select_exams (now {n_select}) "
+                        "or use a validation split with both classes") \
+            from exc
 
     tcfg = PatchTrainConfig(
         epochs=cfg["patch.epochs"], save_every=cfg["patch.save_every"],
@@ -145,15 +155,8 @@ def cmd_train_patch(args, cfg, out, data, records):
     checkpoints, _ = train_patch_classifier(
         pools, out / "checkpoints", tcfg, patch_size=patch_size)
 
-    try:
-        best, table = select_patch_checkpoint(
-            checkpoints, val, data, patch_size, cfg["heatmap.stride"],
-            args.seed)
-    except MetricError as exc:
-        raise UserError(f"{exc}; raise patch.select_exams (now {n_select}) "
-                        "or use a validation split with both classes") \
-            from exc
-
+    best, table = select_patch_checkpoint(
+        checkpoints, val, data, patch_size, cfg["heatmap.stride"], args.seed)
     shutil.copyfile(best[1], out / "best.ckpt")
     write_table(out / "selection.csv",
                 "epoch,auc_malignant,auc_benign,auc_mean",
@@ -632,7 +635,7 @@ def main(argv=None):
         return _run_stage(args.stage, args) if args.stage.run_dir \
             else args.stage.body(args)
     except (UserError, ConfigError, MetricError, GeneratorError, FormatError,
-            StateDictError, EmptyPoolError, FileNotFoundError,
+            StateDictError, EmptyPoolError, SplitError, FileNotFoundError,
             NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,9 +4,11 @@ Two named profiles carry the default constant sets: ``desk`` (scaled-down
 images, shorter schedules, everything runnable on CPU in minutes) and
 ``paper`` (full-scale constants). A config file overrides profile
 defaults; command-line ``--set key=value`` flags override the file.
-Unknown keys and out-of-range values (``heatmap.stride`` above
-``patch.size`` among them) are rejected, naming the keys. Every run
-directory receives the fully resolved config.
+Unknown keys and out-of-range values (a negative count, a share outside
+[0, 1], ``heatmap.stride`` above ``patch.size`` or ``data.lesion_min_frac``
+above ``data.lesion_max_frac`` among them) are rejected, naming the keys;
+so is a config file that is not UTF-8. Every run directory receives the
+fully resolved config.
 
 ``KEYS`` is the only home of a default value. Each stage's record
 (``phantom.DatasetConfig``, ``patches.PatchConfig`` and
@@ -97,12 +99,21 @@ _AT_LEAST_ONE = ("patch.size", "patch.epochs", "patch.save_every",
                  "train.tta_samples", "train.ensemble_size", "eval.readers")
 # keys that hold one count per patch class
 _CLASS_COUNTS = ("patch.plan", "patch.pool_targets")
+# keys that hold a share of something: every float of the dataset's
+_SHARES = ("eval.hybrid_lambda", *(k for k, (kind, *_) in KEYS.items()
+                                  if k.startswith("data.") and kind is float))
 
 
 def _out_of_range(key, value):
     """Why ``value`` is not a valid value of ``key``, or None if it is."""
     if key in _AT_LEAST_ONE and value < 1:
         return "must be at least 1"
+    if KEYS[key][0] is int and value < 0:
+        return "must be at least 0"
+    if key in _SHARES and not 0.0 <= value <= 1.0:
+        return "must lie in [0, 1]"
+    if key == "data.birads_noise" and not 0.0 <= value < 1.0:
+        return "must lie in [0, 1)"
     if key in _CLASS_COUNTS:
         from .patches import PATCH_CLASSES
         counts = value.split(",")
@@ -120,8 +131,6 @@ def _out_of_range(key, value):
         from .evaluation import POPULATIONS
         if value != "all" and value not in POPULATIONS:
             return f"must be all or one of {', '.join(POPULATIONS)}"
-    if key == "eval.hybrid_lambda" and not 0.0 <= value <= 1.0:
-        return "must lie in [0, 1]"
     return None
 
 
@@ -163,7 +172,11 @@ class RunConfig:
 
 def parse_file(path):
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -206,6 +219,8 @@ def resolve(file_values=None, overrides=None):
     if stride > size:
         raise ConfigError(f"heatmap.stride={stride} exceeds patch.size={size}: "
                           "the heatmap windows would leave pixels uncovered")
+    if values["data.lesion_min_frac"] > values["data.lesion_max_frac"]:
+        raise ConfigError("data.lesion_min_frac exceeds data.lesion_max_frac")
     return RunConfig(values)
 
 

@@ -13,11 +13,12 @@ little-endian):
 Arrays are written in the order given, which is part of the bytes, and
 read back as read-only views of the file's bytes.
 
-Tables are split, not parsed: a header line, then one line per row (any
-line ending), fields joined by bare commas. With no quoting, a field free of
-commas and line breaks reads back as written; a blank line is a bad row. A
-loader checks the header and field counts, then its columns left to right:
-of faults in several columns, the leftmost column's first bad row is named.
+Tables are split, not parsed: UTF-8 text of a header line, then one line
+per row (any line ending), fields joined by bare commas. With no quoting, a
+field free of commas and line breaks reads back as written; a blank line is
+a bad row. A loader checks the header and field counts, then its columns
+left to right: of faults in several columns, the leftmost column's first
+bad row is named.
 """
 
 from __future__ import annotations
@@ -117,16 +118,21 @@ def save_arrays(path, magic, arrays: dict):
 
 def write_table(path, header, rows):
     """Write the ``header`` line, then each row's fields joined by commas."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(header + "\n")
         f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def read_table(path, header):
     """``(columns, where)``: each column's fields in row order by name, and
-    ``where(i)``, the "path, line N" of row i. A header other than
-    ``header`` or a row of another field count raises ``FormatError``."""
-    lines = Path(path).read_text().removesuffix("\n").split("\n")
+    ``where(i)``, the "path, line N" of row i. A file that is not UTF-8, a
+    header other than ``header`` or a row of another field count raises
+    ``FormatError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    lines = text.removesuffix("\n").split("\n")
     if lines[0] != header:
         raise FormatError(f"{path}, line 1: unexpected header; "
                           f"expected {header}")

@@ -143,34 +143,34 @@ def heatmaps_for_exam(record, images, predict, patch_size, prefixed_stride,
             for view, img in images.items()}
 
 
-def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
-                            prefixed_stride, seed):
-    """Pick the checkpoint whose heatmap-derived breast scores maximize the
-    mean of malignant and benign AUC over ``records``; ties go to the
-    earliest checkpoint.
+def selection_labels(records):
+    """The malignant and benign labels of the breasts of ``records``, in
+    exam then side order; a single class of either, which leaves checkpoint
+    selection undefined, raises ``MetricError``."""
+    from .evaluation import MetricError
 
-    Raises ``MetricError`` before any heatmap is made when the breasts of
-    ``records`` have a single malignant or a single benign class: the
-    labels do not depend on the checkpoint, and neither AUC is defined.
-    """
-    from .checkpoint import load_into
-    from .evaluation import MetricError, roc_auc
-    from .patches import PatchNet
-
-    if not checkpoints:
-        raise ValueError("no checkpoints to select from")
-    sides = (("L", ("lcc", "lmlo")), ("R", ("rcc", "rmlo")))
-    labels = {"malignant": [], "benign": []}
-    for rec in records:
-        for side, _ in sides:
-            benign, malignant = rec.labels(side)
-            labels["malignant"].append(malignant)
-            labels["benign"].append(benign)
+    pairs = [rec.labels(side) for rec in records for side in ("L", "R")]
+    labels = {"malignant": [m for _, m in pairs],
+              "benign": [b for b, _ in pairs]}
     for task in ("malignant", "benign"):
         if len(set(labels[task])) < 2:
             raise MetricError(f"the {len(records)} selection exams have a "
                               f"single {task} class; checkpoint selection "
                               "undefined")
+    return labels
+
+
+def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
+                            prefixed_stride, seed):
+    """Pick the checkpoint whose heatmap-derived breast scores maximize the
+    mean of malignant and benign AUC over the breasts of ``records``, whose
+    ``selection_labels`` it checks first; ties go to the earliest
+    checkpoint."""
+    from .checkpoint import load_into
+    from .evaluation import roc_auc
+    from .patches import PatchNet
+
+    labels = selection_labels(records)
     nets = [PatchNet(patch_size=patch_size, seed=None) for _ in checkpoints]
     for net, (_, path) in zip(nets, checkpoints):
         load_into(net, path)
@@ -180,7 +180,7 @@ def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
         for net, score in zip(nets, scores):
             maps = heatmaps_for_exam(rec, images, net.predict_proba,
                                      patch_size, prefixed_stride, seed)
-            for _, views in sides:
+            for views in (("lcc", "lmlo"), ("rcc", "rmlo")):
                 p_mal, p_ben = heatmap_breast_score([maps[v] for v in views])
                 score["malignant"].append(p_mal)
                 score["benign"].append(p_ben)

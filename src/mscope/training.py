@@ -2,6 +2,11 @@
 the 3-way assessment pretraining task, cancer-model training with early
 stopping, test-time augmentation, and ensembling.
 
+Both multi-view trainers build only their net and epoch draw; one body,
+``_train_multiview``, runs the batches, validation, early stopping and
+best-state restore, checks the splits before the first step, and reads
+what differs by task (output columns, target row, loss) from ``TASKS``.
+
 All randomness flows through substreams of the run seed keyed by purpose
 (epoch index, exam id, member id), so a rerun with the same config and
 seed reproduces every byte, and per-exam work can be parallelized without
@@ -34,6 +39,10 @@ IMPROVEMENT_EPS = 1e-6
 PREDICT_BATCH = 8
 
 
+class SplitError(ValueError):
+    """A manifest split with no exam for a run to train or validate on."""
+
+
 @dataclass
 class TrainRunConfig:
     lr: float
@@ -47,10 +56,6 @@ class TrainRunConfig:
     input_channels: int
     epoch_exams: int = KEYS["train.epoch_exams"][1]  # exams per epoch, 0 = all
     val_exams: int = KEYS["train.val_exams"][1]      # exams validated, 0 = all
-
-    def __post_init__(self):
-        if self.patience < 1 or self.batch_size < 1:
-            raise ValueError("patience and batch size must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +139,6 @@ def subsample_epoch(records, rng, log):
     train = [r for r in records if r.split == "train"]
     biopsied = [r.exam_id for r in train if r.any_biopsied]
     clean = [r.exam_id for r in train if not r.any_biopsied]
-    if not biopsied:
-        raise ValueError("no biopsied exams in the train split")
     if len(clean) < len(biopsied):
         log(f"warning: only {len(clean)} non-biopsied train exams for "
             f"{len(biopsied)} biopsied ones; taking all")
@@ -189,16 +192,17 @@ def mean_column_auc(probs, targets, names, log):
 # ---------------------------------------------------------------------------
 # training loops
 
-def _val_subset(records, cap, seed):
-    subset = [r for r in records if r.split == "val"]
-    if cap and cap < len(subset):
-        rng = substream(seed, "valsubset")
-        idx = rng.choice(len(subset), size=cap, replace=False)
-        keep = {subset[i].exam_id for i in idx}
-        # keep every biopsied exam so the metric always sees positives
-        subset = [r for r in subset
-                  if r.exam_id in keep or r.any_biopsied]
-    return subset
+def validation_exams(records, cap, rng):
+    """The validation exams a run scores: every val exam, or with a ``cap``
+    below their count, every biopsied one plus a draw by ``rng`` of clean
+    ones up to ``cap`` exams, so the scores always see positives."""
+    val = [r for r in records if r.split == "val"]
+    if not cap or cap >= len(val):
+        return val
+    biopsied = [r for r in val if r.any_biopsied]
+    clean = [r for r in val if not r.any_biopsied]
+    idx = rng.choice(len(clean), max(0, cap - len(biopsied)), replace=False)
+    return biopsied + [clean[i] for i in idx]
 
 
 class EarlyStopper:
@@ -229,16 +233,77 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
-def _fit_early_stopping(net, cfg: TrainRunConfig, epoch_batches, batch_loss,
-                        validate, log):
-    """``optim._fit`` with a validation pass and early stopping after each
-    epoch; ``validate(epoch, losses)`` returns the epoch's metric. Restores
-    the best state, puts ``net`` in eval mode and returns the best epoch.
-    A first epoch that diverges raises ``NumericsError`` from ``_fit``."""
+# per ``MultiViewNet.task``: output columns, an exam's 0/1 target row, the
+# loss of (probs, target rows), what an epoch draws; the lambdas look module
+# functions up when called, so a replaced function is the one run
+TASKS = {
+    "cancer": (OUTPUT_ORDER, lambda r: exam_labels(r),
+               lambda probs, y: binary_cross_entropy(probs, y),
+               "biopsied train exam"),
+    "birads": (("birads_0", "birads_1", "birads_2"),
+               lambda r: np.eye(3)[r.birads],
+               lambda probs, y: nll_on_probs(probs, y.argmax(axis=1)),
+               "train exam"),
+}
+
+
+def _train_multiview(net, records, data_dir, cfg: TrainRunConfig,
+                     heatmap_dir, epoch_records, log):
+    """Train ``net`` on its task over the exams and rng that
+    ``epoch_records(epoch)`` gives; return (net in its best state and eval
+    mode, log rows, best_epoch). Before the first step, an empty validation
+    set or train epoch raises ``SplitError``, and validation labels with no
+    two-class column ``MetricError``. An epoch logs a train and a val row
+    per column with its losses, then the val ``mean`` AUC that
+    ``EarlyStopper`` tracks; ``optim._fit`` handles divergence."""
+    names, target, loss, trains_on = TASKS[net.task]
+    val_records = validation_exams(records, cfg.val_exams,
+                                   substream(cfg.seed, "valsubset"))
+    if not val_records:
+        raise SplitError("no val exam to validate on")
+    val_y = np.stack([target(r) for r in val_records])
+    mean_column_auc(val_y, val_y, names, log)   # raises, or warns once
     stopper = EarlyStopper(cfg.patience)
+    log_rows = []
+    seen = []                         # (probs, targets) of this epoch's steps
+
+    def epoch_batches(epoch):
+        seen.clear()
+        recs, rng = epoch_records(epoch)
+        if not recs:
+            raise SplitError(f"no {trains_on} to train on")
+        for chunk in _batched(recs[:cfg.epoch_exams or None], cfg.batch_size):
+            yield chunk, rng
+
+    def batch_loss(batch):
+        recs, rng = batch
+        probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
+                               heatmap_dir, rng, cfg.max_offset)
+        y = np.stack([target(r) for r in recs])
+        seen.append((probs.data, y))
+        return loss(probs, y)
 
     def end_epoch(epoch, losses):
-        if stopper.update(validate(epoch, losses), epoch, net):
+        # the validation pass comes first: it may raise NumericsError, and
+        # a diverged epoch must leave no rows
+        val_probs = predict_exams(net, val_records, data_dir,
+                                  cfg.input_channels, heatmap_dir)
+        val_loss = float(loss(T.Tensor(val_probs), val_y).data)
+        metric, aucs = mean_column_auc(val_probs, val_y, names, lambda _: None)
+        train_loss = float(np.mean(losses))
+        tp, ty = (np.concatenate(a) for a in zip(*seen))
+        for i, name in enumerate(names):
+            try:
+                auc_i = roc_auc(tp[:, i], ty[:, i].astype(int))
+            except MetricError:
+                auc_i = None
+            log_rows.append((epoch, "train", name, auc_i, train_loss))
+        for name in names:
+            log_rows.append((epoch, "val", name, aucs.get(name), val_loss))
+        log_rows.append((epoch, "val", "mean", metric, val_loss))
+        log(f"epoch {epoch}: train loss {train_loss:.4f} val mean auc "
+            f"{metric:.4f}")
+        if stopper.update(metric, epoch, net):
             log(f"no improvement for {cfg.patience} epochs; stopping")
             return True
         return False
@@ -248,28 +313,16 @@ def _fit_early_stopping(net, cfg: TrainRunConfig, epoch_batches, batch_loss,
     if stopper.best_state is not None:
         net.load_state_dict(stopper.best_state)
     net.eval()
-    return stopper.best_epoch
+    return net, log_rows, stopper.best_epoch
 
 
 def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
                        heatmap_dir=None, init_state=None, log=print):
-    """Four-label training with balanced epochs and AUC-based early stopping.
-
-    Training stops ``cfg.patience`` epochs after the last strict improvement
-    (by more than ``IMPROVEMENT_EPS``) of the validation mean AUC, or
-    after ``cfg.max_epochs``. ``lr=0`` fixes the parameters, but train-mode
-    forward passes still move the BatchNorm running statistics, so the
-    validation metric can change from epoch to epoch.
-
-    Divergence (a non-finite loss, or a ``NumericsError`` raised in a
-    training step or in the epoch's validation pass) ends training and
-    discards the diverged epoch: it logs no rows, and the net returns to
-    the best epoch so far. If the first epoch diverges, ``NumericsError``
-    is raised.
-
-    Returns (net restored to its best state, in eval mode, log rows,
-    best_epoch).
-    """
+    """Four-label training on balanced epochs (``subsample_epoch``) from
+    ``init_state`` or a fresh net, run by ``_train_multiview``. ``lr=0``
+    fixes the parameters, but train-mode forward passes still move the
+    BatchNorm running statistics, so the validation metric can change from
+    epoch to epoch."""
     if init_state is not None:
         net = transfer_from_pretrained(init_state, variant=cfg.variant,
                                        input_channels=cfg.input_channels,
@@ -279,103 +332,29 @@ def train_cancer_model(records, data_dir, cfg: TrainRunConfig,
                            input_channels=cfg.input_channels,
                            task="cancer", seed=cfg.seed)
     by_id = {r.exam_id: r for r in records}
-    val_records = _val_subset(records, cfg.val_exams, cfg.seed)
-    val_y = np.stack([exam_labels(r) for r in val_records])
-    log_rows = []
-    seen = []                         # (probs, labels) of this epoch's steps
 
-    def epoch_batches(epoch):
-        seen.clear()
+    def epoch_records(epoch):
         rng = substream(cfg.seed, "epoch", epoch)
-        ids = subsample_epoch(records, rng, log=log)
-        if cfg.epoch_exams and len(ids) > cfg.epoch_exams:
-            ids = ids[:cfg.epoch_exams]
-        for chunk in _batched(ids, cfg.batch_size):
-            yield [by_id[i] for i in chunk], rng
+        return [by_id[i] for i in subsample_epoch(records, rng, log=log)], rng
 
-    def batch_loss(batch):
-        recs, rng = batch
-        probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
-                               heatmap_dir, rng, cfg.max_offset)
-        y = np.stack([exam_labels(r) for r in recs])
-        seen.append((probs.data, y))
-        return binary_cross_entropy(probs, y)
-
-    def validate(epoch, losses):
-        # the validation pass comes first: it may raise NumericsError, and
-        # a diverged epoch must leave no rows
-        val_probs = predict_exams(net, val_records, data_dir,
-                                  cfg.input_channels, heatmap_dir)
-        train_loss = float(np.mean(losses))
-        tp = np.concatenate([p for p, _ in seen])
-        tl = np.concatenate([y for _, y in seen])
-        for i, name in enumerate(OUTPUT_ORDER):
-            try:
-                auc_i = roc_auc(tp[:, i], tl[:, i].astype(int))
-            except MetricError:
-                auc_i = None
-            log_rows.append((epoch, "train", name, auc_i, train_loss))
-
-        val_loss = float(binary_cross_entropy(
-            T.Tensor(val_probs), val_y).data)
-        metric, aucs = mean_column_auc(val_probs, val_y, OUTPUT_ORDER, log)
-        for name in OUTPUT_ORDER:
-            log_rows.append((epoch, "val", name, aucs.get(name), val_loss))
-        log_rows.append((epoch, "val", "mean", metric, val_loss))
-        log(f"epoch {epoch}: train loss {train_loss:.4f} val mean auc "
-            f"{metric:.4f}")
-        return metric
-
-    best_epoch = _fit_early_stopping(net, cfg, epoch_batches, batch_loss,
-                                     validate, log)
-    return net, log_rows, best_epoch
+    return _train_multiview(net, records, data_dir, cfg, heatmap_dir,
+                            epoch_records, log)
 
 
 def pretrain_birads(records, data_dir, cfg: TrainRunConfig):
-    """3-way assessment pretraining; metric is the mean one-vs-rest AUC.
-
-    Stops early and handles divergence as ``train_cancer_model`` does:
-    a diverged epoch logs no rows and the best epoch so far is restored.
-    Returns (net in eval mode, log rows, best_epoch).
-    """
+    """3-way assessment pretraining on every train exam, shuffled each
+    epoch, run by ``_train_multiview`` with its log on stdout; the metric
+    is the mean one-vs-rest AUC."""
     net = MultiViewNet(variant="view_wise", input_channels=cfg.input_channels,
                        task="birads", seed=cfg.seed)
     train = [r for r in records if r.split == "train"]
-    val_records = _val_subset(records, cfg.val_exams, cfg.seed)
-    val_y = np.eye(3)[[r.birads for r in val_records]]   # one-hot
-    log_rows = []
 
-    def epoch_batches(epoch):
+    def epoch_records(epoch):
         rng = substream(cfg.seed, "birads-epoch", epoch)
-        order = rng.permutation(len(train))
-        if cfg.epoch_exams and len(order) > cfg.epoch_exams:
-            order = order[:cfg.epoch_exams]
-        for chunk in _batched(list(order), cfg.batch_size):
-            yield [train[i] for i in chunk], rng
+        return [train[i] for i in rng.permutation(len(train))], rng
 
-    def batch_loss(batch):
-        recs, rng = batch
-        probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
-                               None, rng, cfg.max_offset)
-        return nll_on_probs(probs, np.array([r.birads for r in recs]))
-
-    def validate(epoch, losses):
-        val_probs = predict_exams(net, val_records, data_dir,
-                                  cfg.input_channels, None)
-        metric, _ = mean_column_auc(val_probs, val_y,
-                                    ("birads_0", "birads_1", "birads_2"),
-                                    print)
-        train_loss = float(np.mean(losses)) if losses else None
-        log_rows.append((epoch, "train", "birads", None, train_loss))
-        log_rows.append((epoch, "val", "birads", metric, None))
-        print(f"pretrain epoch {epoch}: loss "
-              f"{train_loss if train_loss is None else round(train_loss, 4)} "
-              f"val ovr auc {metric:.4f}")
-        return metric
-
-    best_epoch = _fit_early_stopping(net, cfg, epoch_batches, batch_loss,
-                                     validate, print)
-    return net, log_rows, best_epoch
+    return _train_multiview(net, records, data_dir, cfg, None, epoch_records,
+                            print)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +363,6 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig):
 def predict_tta(net, record, data_dir, rng, channels, heatmap_dir, n,
                 max_offset):
     """Mean probability over n jittered forward passes of one exam."""
-    if n < 1:
-        raise ValueError("tta needs n >= 1")
     net.eval()
     views = prepare_views([record], data_dir, channels, heatmap_dir, rng,
                           max_offset, copies=n)
@@ -408,5 +385,4 @@ def ensemble_predict(nets, record, data_dir, seed, channels, heatmap_dir, n,
 def save_train_log(path, rows):
     write_table(path, TRAIN_LOG_HEADER, (
         (epoch, split, label, "" if auc is None else f"{auc:.6f}",
-         "" if loss is None else f"{loss:.6f}")
-        for epoch, split, label, auc, loss in rows))
+         f"{loss:.6f}") for epoch, split, label, auc, loss in rows))

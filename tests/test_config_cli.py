@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscope import cli, layers, multiview, patches, phantom
+from mscope import cli, layers, multiview, patches, phantom, training
 from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
@@ -660,6 +660,11 @@ GARBLED_INPUTS = {
     "manifest-short-row": ("manifest.csv", 1, lambda fields: fields[:-1]),
     "manifest-repeated-id": ("manifest.csv", 2, _set_field(0, "e00000")),
     "manifest-split": ("manifest.csv", 1, _set_field(2, "tst")),
+    # bytes 0xff 0xfe, which no UTF-8 text holds
+    "predictions-not-utf8": ("predictions.csv", 0,
+                             _set_field(0, "exam_id\udcff\udcfe")),
+    "manifest-not-utf8": ("manifest.csv", 0,
+                          _set_field(0, "exam_id\udcff\udcfe")),
 }
 
 
@@ -678,7 +683,7 @@ def test_garbled_evaluation_inputs_exit_1(pipeline, tmp_path, capsys,
     bad = data / name if name == "manifest.csv" else preds
     lines = bad.read_text().splitlines()
     lines[line] = ",".join(edit(lines[line].split(",")))
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines) + "\n", errors="surrogateescape")
     capsys.readouterr()
     assert main([command, "--data", str(data), "--predictions", str(preds),
                  "--out", str(tmp_path / "o"), "--seed", "5", *sets()]) == 1
@@ -1047,3 +1052,162 @@ def test_biopsy_task_scores_the_larger_head(pipeline):
                (pipeline["eval"] / "metrics.csv").read_text().splitlines()}
     assert metrics["screening", "biopsy", "auc"] == \
         f"{roc_auc(scores, labels):.6f}"
+
+
+# sha256 of trainer artifacts of the tiny pipeline (TINY_SETS, seed 5), as
+# written before pretrain-birads and train-cancer shared one training body
+PINNED_DIGESTS = {
+    ("birads", "best.ckpt"):
+        "eb0a771ec3bded65d0539ace5779eecccf052dab6fb632b832db89b0a31354c5",
+    ("cancer", "best.ckpt"):
+        "88d77d1e9242ad38f7a606be1c76f2f1de249b565acdb5e946f316bed29d81b4",
+    ("cancer", "log.csv"):
+        "f9caac54d77c16cf5b118c13ad921d828d48efadc0ea381f06326bf1ef75acae",
+}
+
+
+@pytest.mark.parametrize("run,name", sorted(PINNED_DIGESTS))
+def test_trainer_artifacts_keep_their_bytes(pipeline, run, name):
+    digest = hashlib.sha256((pipeline[run] / name).read_bytes()).hexdigest()
+    assert digest == PINNED_DIGESTS[run, name]
+
+
+def _data_with(pipeline, tmp_path, edit):
+    """The tiny dataset with each manifest row, as a dict by column, passed
+    through ``edit``; the images and masks are the pipeline's own."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for sub in ("images", "masks"):
+        (data / sub).symlink_to(pipeline["data"] / sub)
+    lines = (pipeline["data"] / "manifest.csv").read_text().splitlines()
+    names = lines[0].split(",")
+    rows = [dict(zip(names, line.split(","))) for line in lines[1:]]
+    for row in rows:
+        edit(row)
+    (data / "manifest.csv").write_text("".join(
+        ",".join(row) + "\n" for row in
+        [names, *([row[n] for n in names] for row in rows)]))
+    return data
+
+
+def _move(split, to):
+    def edit(row):
+        if row["split"] == split:
+            row["split"] = to
+    return edit
+
+
+def _clear_findings(split):
+    """No finding and no biopsy in ``split``: its four labels have one
+    class, and its epoch draw of biopsied exams is empty."""
+    def edit(row):
+        if row["split"] == split:
+            for side in ("left", "right"):
+                for flag in ("benign", "malignant", "biopsied", "occult"):
+                    row[f"{side}_{flag}"] = "0"
+    return edit
+
+
+def _one_birads(row):
+    if row["split"] == "val":
+        row["birads"] = "1"
+
+
+# command, manifest edit, the error's words
+UNUSABLE_SPLITS = [
+    ("pretrain-birads", _move("val", "test"), "no val exam"),
+    ("train-cancer", _move("val", "test"), "no val exam"),
+    ("pretrain-birads", _move("train", "test"), "no train exam"),
+    ("train-cancer", _clear_findings("train"), "no biopsied train exam"),
+    ("ensemble", _clear_findings("train"), "no biopsied train exam"),
+    ("train-cancer", _clear_findings("val"), "no label had both classes"),
+    ("pretrain-birads", _one_birads, "no label had both classes"),
+]
+
+
+@pytest.mark.parametrize("command,edit,words", UNUSABLE_SPLITS,
+                         ids=[f"{c}-{w.replace(' ', '-')}"
+                              for c, _, w in UNUSABLE_SPLITS])
+def test_split_a_trainer_cannot_use_exits_1_before_any_step(
+        pipeline, tmp_path, capsys, monkeypatch, command, edit, words):
+    """A manifest that leaves a multi-view trainer no val exam, no exam
+    for its epoch, or no two-class validation label exits 1 naming the
+    fault before any training step, and leaves no output."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "_forward_batch", no_step)
+    data = _data_with(pipeline, tmp_path, edit)
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "o"),
+            "--seed", "5", *sets()]
+    if command == "ensemble":
+        argv += ["--members", "2"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert words in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_patch_without_val_exams_exits_1_before_training(
+        pipeline, tmp_path, capsys):
+    """With no val exam to select a checkpoint on, train-patch exits 1
+    before its first epoch, naming patch.select_exams."""
+    data = _data_with(pipeline, tmp_path, _move("val", "test"))
+    capsys.readouterr()
+    assert main(["train-patch", "--data", str(data), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *sets()]) == 1
+    out, err = capsys.readouterr()
+    assert "the 0 selection exams have a single malignant class" in err
+    assert "patch.select_exams" in err and "patch epoch" not in out + err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "data.birads_noise=1.0", "data.birads_noise=-0.1",
+    "data.biopsied_fraction=1.5", "data.occult_fraction=2",
+    "data.malignant_fraction=-1", "data.exams=-3",
+    "data.lesion_max_frac=-0.1", "data.lesion_min_frac=0.2"])
+def test_bad_dataset_value_exits_1_naming_the_key(tmp_path, capsys, setting):
+    """A dataset value out of its range (a share outside [0, 1], a
+    negative count, a lesion size range upside down) is refused before
+    any exam is written."""
+    capsys.readouterr()
+    assert main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "5",
+                 *sets((setting,))]) == 1
+    err = capsys.readouterr().err
+    assert setting.split("=")[0] in err and "internal error" not in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_config_file_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"data.exams=3\n# caf\xe9\n")
+    assert main(["gen-data", "--config", str(path), "--out",
+                 str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 at byte 18" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("table", ["manifest", "predictions", "metrics"])
+def test_table_not_utf8_exits_1(pipeline, tmp_path, capsys, table):
+    """A manifest, predictions or metrics table holding bytes that are not
+    UTF-8 exits 1 naming the file and the byte."""
+    source = {"manifest": pipeline["data"] / "manifest.csv",
+              "predictions": pipeline["pred"] / "predictions.csv",
+              "metrics": pipeline["eval"] / "metrics.csv"}[table]
+    bad = tmp_path / table / source.name
+    bad.parent.mkdir()
+    blob = source.read_bytes()
+    at = blob.index(b"\n") + 1                 # the first row's first byte
+    bad.write_bytes(blob[:at] + b"\xff\xfe" + blob[at:])
+    data = bad.parent if table == "manifest" else pipeline["data"]
+    preds = bad if table == "predictions" else \
+        pipeline["pred"] / "predictions.csv"
+    argv = ["report", str(bad)] if table == "metrics" else \
+        ["evaluate", "--data", str(data), "--predictions", str(preds),
+         "--out", str(tmp_path / "o"), "--seed", "5", *sets()]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"{bad}: not UTF-8 at byte {at}" in capsys.readouterr().err

@@ -11,7 +11,8 @@ from mscope.training import (IMPROVEMENT_EPS, EarlyStopper, TrainRunConfig,
                              augment_window, ensemble_predict,
                              exam_labels, mean_column_auc, predict_exams,
                              predict_tta, pretrain_birads, prepare_views,
-                             subsample_epoch, train_cancer_model)
+                             subsample_epoch, train_cancer_model,
+                             validation_exams)
 
 TINY = dict(cc_dims=(48, 36), mlo_dims=(56, 32), biopsied_fraction=0.5,
             malignant_fraction=0.5, occult_fraction=0.0,
@@ -336,20 +337,34 @@ def test_cancer_training_replay_determinism(tiny_dataset):
     assert rows1 == rows2
 
 
-def test_pretrain_birads_runs_and_logs(tiny_dataset):
+def test_pretrain_birads_runs_and_logs(tiny_dataset, capsys):
+    """The 3-way pretraining logs as cancer training does: per epoch a
+    train and a val row for each class with the step and validation
+    losses, then the val mean AUC that early stopping tracks."""
     root, records = tiny_dataset
     cfg = TrainRunConfig(lr=3e-4, batch_size=6, l2=10 ** -4.5, patience=2,
                          max_epochs=3, seed=33, max_offset=0,
                          variant="view_wise", input_channels=1)
     net, rows, best_epoch = pretrain_birads(records, root, cfg)
     assert net.task == "birads"
-    assert best_epoch is not None
-    val_rows = [r for r in rows if r[1] == "val"]
-    assert val_rows and all(0.0 <= r[3] <= 1.0 for r in val_rows)
+    names = ["birads_0", "birads_1", "birads_2"]
+    epochs = sorted({r[0] for r in rows})
+    assert epochs == list(range(1, len(epochs) + 1))
+    for epoch in epochs:
+        mine = [r for r in rows if r[0] == epoch]
+        assert [(r[1], r[2]) for r in mine] == \
+            [("train", n) for n in names] + [("val", n) for n in names] + \
+            [("val", "mean")]
+        assert all(r[4] is not None and r[4] > 0 for r in mine)
+        assert len({r[4] for r in mine[:3]}) == 1      # one train loss
+        assert len({r[4] for r in mine[3:]}) == 1      # one val loss
+        val_aucs = [r[3] for r in mine[3:6] if r[3] is not None]
+        assert mine[6][3] == np.mean(val_aucs)
     # best metric is the max over epochs seen
-    metrics = [r[3] for r in val_rows]
-    best = max(metrics)
-    assert metrics.index(best) + 1 == best_epoch
+    metrics = [r[3] for r in rows if r[2] == "mean"]
+    assert metrics.index(max(metrics)) + 1 == best_epoch
+    out = capsys.readouterr().out
+    assert out.count("val mean auc") == len(epochs)
 
 
 def test_exam_labels_order(tiny_dataset):
@@ -437,3 +452,94 @@ def test_divergence_in_first_epoch_raises(tiny_dataset, monkeypatch):
     with pytest.raises(T.NumericsError, match="first epoch"):
         train_cancer_model(records=tiny_dataset[1], data_dir=tiny_dataset[0],
                            cfg=cfg, log=quiet)
+
+
+# -- the one multi-view body --
+
+def test_trainer_calls_the_module_functions_a_profiler_replaces(
+        tiny_dataset, monkeypatch):
+    """A one-epoch train calls ``binary_cross_entropy``, ``subsample_epoch``,
+    ``predict_exams`` and ``_forward_batch`` through the training module,
+    so wrappers set on it (as the benchmark's tracer sets them) see every
+    call."""
+    from mscope import training
+
+    root, records = tiny_dataset
+    hits = {}
+    for name in ("binary_cross_entropy", "subsample_epoch", "predict_exams",
+                 "_forward_batch"):
+        def counted(*args, _real=getattr(training, name), _name=name,
+                    **kwargs):
+            hits[_name] = hits.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(training, name, counted)
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, l2=10 ** -4.5, patience=2,
+                         max_epochs=1, seed=37, max_offset=0,
+                         variant="view_wise", input_channels=1)
+    train_cancer_model(records, root, cfg, log=quiet)
+    assert set(hits) == {"binary_cross_entropy", "subsample_epoch",
+                         "predict_exams", "_forward_batch"}, hits
+    assert hits["subsample_epoch"] == 1 and hits["predict_exams"] == 1
+
+
+def test_single_class_validation_label_warns_once(tiny_dataset):
+    """Validation labels are fixed, so a single-class label is warned of
+    once per run, not once per epoch."""
+    root, records = tiny_dataset
+    records = [r for r in records
+               if not (r.split == "val" and r.right_malignant)]
+    seen = []
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, l2=10 ** -4.5, patience=5,
+                         max_epochs=2, seed=38, max_offset=0,
+                         variant="view_wise", input_channels=1)
+    _, rows, _ = train_cancer_model(records, root, cfg, log=seen.append)
+    assert {r[0] for r in rows} == {1, 2}
+    warned = [line for line in seen if "label r_malignant" in line]
+    assert len(warned) == 1 and "single class" in warned[0]
+
+
+@pytest.mark.parametrize("trainer", ["cancer", "birads"])
+@pytest.mark.parametrize("drop", ["val", "train"])
+def test_empty_split_fails_before_the_first_step(tiny_dataset, monkeypatch,
+                                                 trainer, drop):
+    """No val exam, or no exam an epoch draws from, raises ``SplitError``
+    naming what is missing before any training step."""
+    from mscope import training
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "_forward_batch", no_step)
+    root, records = tiny_dataset
+    if drop == "val":
+        records = [r for r in records if r.split != "val"]
+    elif trainer == "cancer":
+        records = [r for r in records
+                   if not (r.split == "train" and r.any_biopsied)]
+    else:
+        records = [r for r in records if r.split != "train"]
+    cfg = TrainRunConfig(lr=3e-4, batch_size=4, l2=10 ** -4.5, patience=2,
+                         max_epochs=2, seed=39, max_offset=0,
+                         variant="view_wise", input_channels=1)
+    expected = {"val": "no val exam", "train": "biopsied train exam"
+                if trainer == "cancer" else "no train exam"}[drop]
+    with pytest.raises(training.SplitError, match=expected):
+        if trainer == "cancer":
+            train_cancer_model(records, root, cfg, log=quiet)
+        else:
+            pretrain_birads(records, root, cfg)
+
+
+def test_validation_exams_keep_every_biopsied_exam(tiny_dataset):
+    """A cap keeps every biopsied val exam and draws clean ones up to it;
+    no cap, or one at or above the split's size, keeps the whole split."""
+    _, records = tiny_dataset
+    val = [r for r in records if r.split == "val"]
+    biopsied = [r for r in val if r.any_biopsied]
+    assert 0 < len(biopsied) < len(val) - 1
+    for cap in (0, len(val), len(val) + 3):
+        assert validation_exams(records, cap, substream(1, "v")) == val
+    capped = validation_exams(records, len(biopsied) + 1, substream(1, "v"))
+    assert capped[:len(biopsied)] == biopsied and len(capped) == \
+        len(biopsied) + 1 and not capped[-1].any_biopsied
+    assert validation_exams(records, 1, substream(1, "v")) == biopsied
