@@ -63,7 +63,8 @@ from .layers import StateDictError
 from .multiview import MultiViewNet
 from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
                       PatchTrainConfig, build_patch_pools, load_patch_cache,
-                      save_patch_cache, train_patch_classifier)
+                      save_patch_cache, train_patch_classifier,
+                      train_split_classes)
 from .phantom import SPLITS, GeneratorError, generate_dataset, load_manifest
 from .seeding import _map_exams, substream
 from .tensor import NumericsError
@@ -109,6 +110,14 @@ def cmd_gen_data(args, cfg, out, data, records):
     return f"gen-data: {len(records)} exams -> {out} (manifest {digest[:12]})"
 
 
+def _require_classes(given):
+    """Raises ``EmptyPoolError`` naming the first of ``PATCH_CLASSES``
+    whose entry in ``given`` (a flag or a pool size) is false."""
+    if not all(given):
+        raise EmptyPoolError(f"no {PATCH_CLASSES[np.argmin(given)]} patches: "
+                             "no training image or cache gave one")
+
+
 def cmd_train_patch(args, cfg, out, data, records):
     patch_size = cfg["patch.size"]
     pcfg = PatchConfig(patch_size=patch_size,
@@ -121,10 +130,21 @@ def cmd_train_patch(args, cfg, out, data, records):
     for rec in val:                   # fail on a small image before the pools
         check_views_fit(rec, data, patch_size)
     cache_path = Path(args.cache) if args.cache else None
+    pools = None
     if cache_path and cache_path.exists():
         pools = load_patch_cache(cache_path, patch_size)
         print(f"train-patch: loaded {len(pools[1])} cached patches")
-    else:
+    # before any pool is sampled: a class no window can give, then
+    # one-class selection
+    _require_classes(train_split_classes(records) if pools is None else
+                     np.bincount(pools[1], minlength=len(PATCH_CLASSES)))
+    try:
+        selection_labels(val)
+    except MetricError as exc:
+        raise UserError(f"{exc}; raise patch.select_exams (now {n_select}) "
+                        "or use a validation split with both classes") \
+            from exc
+    if pools is None:
         targets = cfg.ints("patch.pool_targets")
         pools, stats = build_patch_pools(records, data, pcfg, targets,
                                          seed=args.seed)
@@ -135,17 +155,7 @@ def cmd_train_patch(args, cfg, out, data, records):
                 f"zero={stats['all_zero']} mixed={stats['mixed_classes']})")
         if cache_path:
             save_patch_cache(cache_path, pools)
-    # before any epoch: a class with no window, then one-class selection
-    sizes = np.bincount(pools[1], minlength=len(PATCH_CLASSES))
-    if not sizes.all():
-        raise EmptyPoolError(f"no {PATCH_CLASSES[sizes.argmin()]} patches: "
-                             "no training image or cache gave one")
-    try:
-        selection_labels(val)
-    except MetricError as exc:
-        raise UserError(f"{exc}; raise patch.select_exams (now {n_select}) "
-                        "or use a validation split with both classes") \
-            from exc
+        _require_classes(sizes)         # a class that sampling left empty
 
     tcfg = PatchTrainConfig(
         epochs=cfg["patch.epochs"], save_every=cfg["patch.save_every"],

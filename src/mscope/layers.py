@@ -21,10 +21,8 @@ BatchNorm into the convolution (weights scaled per output channel, plus a
 constant bias), so its outputs differ from ``bn(conv(x))`` by float32
 rounding only: about 1e-7 relative per layer, which the tests bound at
 1e-5 abs on PatchNet probabilities and 1e-4 relative on the multi-view
-pre-sigmoid outputs. Each band of that convolution then gets, in place and
-in the train order, the bias, the finiteness check, the residual add and
-the ReLU; the check comes first, as the ReLU would hide a ``-inf``.
-Train-mode forwards are exactly ``relu(bn(conv(x)) + residual)``.
+pre-sigmoid outputs. In train mode it is one graph node
+(``tensor.conv_bn``) with the floats of ``relu(bn(conv(x)) + residual)``.
 """
 
 from __future__ import annotations
@@ -154,7 +152,7 @@ class Conv2d(Module):
 
 class BatchNorm2d(Module):
     """Parameters and running statistics; the forward is the train-mode
-    one (``tensor.batchnorm2d``), the only one ``conv_bn`` calls."""
+    one (``tensor.batchnorm2d``). ``conv_bn`` runs BatchNorm itself."""
 
     def __init__(self, channels):
         super().__init__()
@@ -195,14 +193,13 @@ def conv_bn(conv, bn, x, relu=False, residual=None):
     both (Jacob et al. 2018, arXiv 1712.05877, section 3.2). Each band of
     it then gets, in place, the bias, the finiteness check, the residual
     add and the ReLU (``tensor.conv2d``): the check precedes the ReLU,
-    which would hide a ``-inf``. Train mode needs the batch statistics and
-    runs the ops as they are.
+    which would hide a ``-inf``. Train mode is one node with the floats of
+    ``relu(bn(conv(x)) + residual)`` (``tensor.conv_bn``).
     """
     if bn.training:
-        out = bn(conv(x))
-        if residual is not None:
-            out = T.add(out, residual)
-        return T.relu(out) if relu else out
+        return T.conv_bn(x, conv.weight, conv.stride, conv.padding, bn.gamma,
+                         bn.beta, bn.running_mean, bn.running_var, residual,
+                         relu)
     scale = bn.gamma.data / np.sqrt(bn.running_var + T.BN_EPS)
     weight = Tensor(conv.weight.data * scale)
     return T.conv2d(x, weight, stride=conv.stride, padding=conv.padding,

@@ -187,6 +187,20 @@ def eligible_images(records, data_dir):
     return segmented, negative
 
 
+def train_split_classes(records):
+    """Whether the train split can give each of ``PATCH_CLASSES``, read
+    from the records alone: a malignant or benign window needs a breast
+    with that finding drawn (not occult), an outside window the images of
+    such a breast, a negative window an exam with no biopsied breast."""
+    train = [rec for rec in records if rec.split == "train"]
+    drawn = [rec.labels(side) for rec in train for side, occult in
+             (("L", rec.left_occult), ("R", rec.right_occult)) if not occult]
+    malignant = any(m for _, m in drawn)
+    benign = any(b for b, _ in drawn)
+    return [malignant, benign, malignant or benign,
+            any(not rec.any_biopsied for rec in train)]
+
+
 def build_patch_pools(records, data_dir, cfg: PatchConfig, targets, seed):
     """Sample until each class pool reaches its target (or ``MAX_ROUNDS``
     rounds of ``ATTEMPTS_PER_ROUND`` draws per source image run out).

@@ -24,10 +24,15 @@ at once: ``add`` hands the same ``g`` to both of its inputs, ``concat``
 hands views of it.
 
 The elementwise ops are only those the networks run: ``add`` sums two
-tensors of one shape (a residual, two heads' probabilities) and ``mul``
-scales a tensor by a Python number (their mean); neither broadcasts. Tests
-that need a scalar loss over a tensor-valued op build it with
-``weighted_sum`` in ``tests/gradcheck.py``.
+tensors of one shape (two heads' probabilities) and ``mul`` scales a
+tensor by a Python number (their mean); neither broadcasts. Tests that
+need a scalar loss over a tensor-valued op build it with ``weighted_sum``
+in ``tests/gradcheck.py``.
+
+A train-mode ``layers.conv_bn`` is one node, ``conv_bn``, that keeps two
+arrays of its output's size, the output and BatchNorm's ``xhat``, where
+``conv2d``, ``batchnorm2d``, ``add`` and ``relu`` in turn keep about five
+and the padded input; its backward pads the input again.
 
 Spatial ops keep one layout from a net's input to its global pool:
 activations are (N, H, W, C) and kernels (kh, kw, Cin, Cout), so a
@@ -278,15 +283,26 @@ def _conv_bands(n, ho, wo, k, cout, itemsize):
             for a, b in _even_cuts(ho, -(-ho // rows))]
 
 
-def _conv_forward(xc, wmat, kh, kw, s, bias, residual, relu):
-    """The product of padded ``xc`` with ``wmat``: per band, one im2col,
-    one GEMM written straight into the output and ``conv2d``'s epilogue in
-    place. Banding changes no arithmetic, but a BLAS may take another
-    kernel for a small GEMM, so a budget far below this one can move
-    low-order bits."""
+def _padded(xd, p):
+    """``xd`` with ``p`` zeros around both spatial axes (itself at 0)."""
+    return np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))) if p else xd
+
+
+def _conv_forward(xd, wd, s, p, bias, residual, relu):
+    """``xd`` convolved by ``wd``, and the padded input it read: per band,
+    one im2col, one GEMM written straight into the output and ``conv2d``'s
+    epilogue in place. Banding changes no arithmetic, but a BLAS may take
+    another kernel for a small GEMM, so a budget far below this one can
+    move low-order bits."""
+    n, h, wdt, c = xd.shape
+    kh, kw, cin, cout = wd.shape
+    if cin != c:
+        raise ValueError(f"conv2d channel mismatch: input {c}, kernel {cin}")
+    ho, wo = conv2d_shape(h, kh, s, p), conv2d_shape(wdt, kw, s, p)
+    xc = _padded(xd, p)
     win = _windows(xc, kh, kw, s)
-    n, ho, wo = win.shape[:3]
-    k, cout = wmat.shape
+    k = kh * kw * c
+    wmat = wd.reshape(k, cout)
     out = np.empty((n, ho, wo, cout), dtype=np.result_type(xc, wmat))
     for images, band in _conv_bands(n, ho, wo, k, cout, xc.itemsize):
         cols = win[images, band]
@@ -300,62 +316,56 @@ def _conv_forward(xc, wmat, kh, kw, s, bias, residual, relu):
             y += residual[images, band].reshape(y.shape)
         if relu:
             np.maximum(y, 0, out=y)
-    return out
+    return out, xc
+
+
+def _conv_backward(g, x, w, xc, s, p):
+    """Hands ``w`` and ``x`` their gradients from the output gradient
+    ``g``, ``xc`` being ``x`` padded by ``p``; the input's is built tap by
+    tap with strided scatter-adds, and skipped for raw image batches."""
+    n, ho, wo, cout = g.shape
+    h, wdt = x.data.shape[1:3]
+    kh, kw, c, _ = w.data.shape
+    gmat = g.reshape(n * ho * wo, cout)
+    if _wants_grad(w):
+        cols = _windows(xc, kh, kw, s).reshape(n * ho * wo, -1)
+        w._accumulate((cols.T @ gmat).reshape(kh, kw, c, cout))
+    if _wants_grad(x):
+        dxp = np.zeros(xc.shape, dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                contrib = (gmat @ w.data[i, j].T).reshape(n, ho, wo, c)
+                dxp[:, i:i + s * ho:s, j:j + s * wo:s] += contrib
+        x._accumulate(dxp[:, p:p + h, p:p + wdt])
 
 
 def conv2d(x, w, stride, padding, bias=None, residual=None, relu=False):
     """Cross-correlation of x:(N,H,W,Cin) with w:(kh,kw,Cin,Cout), giving
-    (N,Ho,Wo,Cout).
-
-    Forward is the column matrix times ``w`` reshaped to (kh*kw*Cin,
+    (N,Ho,Wo,Cout): the column matrix times ``w`` reshaped to (kh*kw*Cin,
     Cout), in bands within ``COLUMN_BUDGET`` (``_conv_bands``), read from
-    ``x`` itself, with no copy, at ``padding`` 0, else from a padded copy.
-    ``bias`` (Cout,), ``residual`` (an (N,Ho,Wo,Cout) array) and ``relu``
-    are the eval epilogue of ``layers.conv_bn`` and get no gradient: each
-    band, after its GEMM, gets in place the bias, a finiteness check
-    naming ``conv_bn``, the residual add and the ReLU. The input gradient
-    is built tap by tap with strided scatter-adds, and gradients into
-    non-differentiable leaves (raw image batches) are skipped.
+    ``x`` itself at ``padding`` 0, else from a padded copy that the node
+    keeps for its backward. ``bias`` (Cout,), ``residual`` (an
+    (N,Ho,Wo,Cout) array) and ``relu`` are the eval epilogue of
+    ``layers.conv_bn`` and get no gradient: each band, after its GEMM,
+    gets in place the bias, a finiteness check naming ``conv_bn``, the
+    residual add and the ReLU.
     """
-    s, p = stride, padding
-    n, h, wdt, c = x.data.shape
-    kh, kw, cin, cout = w.data.shape
-    if cin != c:
-        raise ValueError(f"conv2d channel mismatch: input {c}, kernel {cin}")
-    ho = conv2d_shape(h, kh, s, p)
-    wo = conv2d_shape(wdt, kw, s, p)
-
-    xc = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
-    wd = w.data
-    y = _conv_forward(xc, wd.reshape(kh * kw * c, cout), kh, kw, s, bias,
-                      residual, relu)
+    y, xc = _conv_forward(x.data, w.data, stride, padding, bias, residual,
+                          relu)
 
     def bwd(g):
-        gmat = g.reshape(n * ho * wo, cout)
-        if _wants_grad(w):
-            cols = _windows(xc, kh, kw, s).reshape(n * ho * wo, -1)
-            w._accumulate((cols.T @ gmat).reshape(kh, kw, c, cout))
-        if _wants_grad(x):
-            dxp = np.zeros(xc.shape, dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    contrib = (gmat @ wd[i, j].T).reshape(n, ho, wo, c)
-                    dxp[:, i:i + s * ho:s, j:j + s * wo:s] += contrib
-            x._accumulate(dxp[:, p:p + h, p:p + wdt])
+        _conv_backward(g, x, w, xc, stride, padding)
 
     return _node(y, (x, w), bwd)
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var):
-    """Train-mode per-channel normalization by the batch statistics.
-
-    Works on the (N*H*W, C) view of ``x``; every per-channel sum (the batch
-    mean, the two-pass variance, the backward's) is a ones-vector GEMV.
-    ``running_mean``/``running_var`` are plain arrays mutated in place
-    (biased variance convention throughout). Eval forwards fold BatchNorm
-    into the preceding convolution (``layers.conv_bn``).
-    """
-    xd = x.data.reshape(-1, x.data.shape[-1])
+def _bn_train(x, gamma, beta, running_mean, running_var):
+    """BatchNorm's train forward of the array ``x``, channels last, which
+    moves the running statistics: its output, and the backward that hands
+    ``gamma`` and ``beta`` their gradients and returns the input's. That
+    backward keeps ``xhat`` and overwrites it, with one scratch buffer: the
+    graph is single-use."""
+    xd = x.reshape(-1, x.shape[-1])
     m = xd.shape[0]
     ones = np.ones(m, dtype=xd.dtype)
     mu = ones @ xd / m
@@ -371,19 +381,64 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var):
     y += beta.data
 
     def bwd(g):
-        # One scratch buffer, and xhat overwritten: the graph is single-use.
-        g = g.reshape(xhat.shape)
-        buf = g * xhat
-        sum_g, sum_gx = ones @ g, ones @ buf
+        gd = g.reshape(xhat.shape)
+        ones = np.ones(m, dtype=xhat.dtype)     # rebuilt, not kept
+        buf = gd * xhat
+        sum_g, sum_gx = ones @ gd, ones @ buf
         gamma._accumulate(sum_gx)
         beta._accumulate(sum_g)
-        np.subtract(g, sum_g / m, out=buf)
+        np.subtract(gd, sum_g / m, out=buf)
         buf -= np.multiply(xhat, sum_gx / m, out=xhat)
         buf *= gamma.data * inv
-        x._accumulate(buf.reshape(x.data.shape))
+        return buf.reshape(g.shape)
 
-    return _node(y.astype(xd.dtype, copy=False).reshape(x.data.shape),
-                 (x, gamma, beta), bwd)
+    return y.astype(xd.dtype, copy=False).reshape(x.shape), bwd
+
+
+def batchnorm2d(x, gamma, beta, running_mean, running_var):
+    """Train-mode per-channel normalization by the batch statistics.
+
+    Works on the (N*H*W, C) view of ``x``; every per-channel sum (the batch
+    mean, the two-pass variance, the backward's) is a ones-vector GEMV.
+    ``running_mean``/``running_var`` are plain arrays mutated in place
+    (biased variance convention throughout). Eval forwards fold BatchNorm
+    into the preceding convolution (``layers.conv_bn``).
+    """
+    y, bn_bwd = _bn_train(x.data, gamma, beta, running_mean, running_var)
+
+    def bwd(g):
+        x._accumulate(bn_bwd(g))
+
+    return _node(y, (x, gamma, beta), bwd)
+
+
+def conv_bn(x, w, stride, padding, gamma, beta, running_mean, running_var,
+            residual, relu):
+    """Train-mode ``layers.conv_bn``, one node with the floats of
+    ``relu(add(batchnorm2d(conv2d(x, w)), residual))``: BatchNorm's output
+    is checked finite (a non-finite convolution output makes its channel's
+    statistics so), then gets the residual (a Tensor or None) and the
+    ReLU in place. Backward takes the ReLU mask from the output, as
+    ``relu(z) > 0`` exactly where ``z > 0``."""
+    y, bn_bwd = _bn_train(
+        _conv_forward(x.data, w.data, stride, padding, None, None, False)[0],
+        gamma, beta, running_mean, running_var)
+    check_finite(y, "conv_bn")
+    if residual is not None:
+        y += residual.data
+    if relu:
+        np.maximum(y, 0, out=y)
+
+    def bwd(g):
+        if relu:
+            g = g * (y > 0)
+        if residual is not None:
+            residual._accumulate(g)
+        _conv_backward(bn_bwd(g), x, w, _padded(x.data, padding), stride,
+                       padding)
+
+    parents = (x, w, gamma, beta) + (() if residual is None else (residual,))
+    return _node(y, parents, bwd)
 
 
 def maxpool2d(x):

@@ -552,6 +552,27 @@ def test_class_no_window_can_fill_exits_1(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("source", ["sampling", "cache"])
+def test_class_left_empty_exits_1(pipeline, tmp_path, capsys, monkeypatch,
+                                  source):
+    """A class the records could give but sampling left empty, or that a
+    cache lacks, is the same user error naming the class."""
+    monkeypatch.setattr(patches, "MAX_ROUNDS", 0)
+    cache = tmp_path / "patches.bin"
+    if source == "cache":
+        patches.save_patch_cache(cache, (np.zeros((3, 16, 16), np.float32),
+                                         np.arange(3, dtype=np.uint8)))
+    capsys.readouterr()
+    assert main(["train-patch", "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", "--cache", str(cache),
+                 *sets()]) == 1
+    out, err = capsys.readouterr()
+    missing = {"sampling": "malignant", "cache": "negative"}[source]
+    assert f"no {missing} patches" in err and "internal error" not in err
+    assert ("train-patch: pools" in out) == (source == "sampling")
+    assert not (tmp_path / "o").exists()
+
+
 # command, the one bad config value; each exits 1 and names the key
 BAD_CONFIG_VALUES = [
     ("train-cancer", "model.input_channels=2"),
@@ -1160,6 +1181,7 @@ def test_train_patch_without_val_exams_exits_1_before_training(
     out, err = capsys.readouterr()
     assert "the 0 selection exams have a single malignant class" in err
     assert "patch.select_exams" in err and "patch epoch" not in out + err
+    assert "train-patch: pools" not in out
     assert not (tmp_path / "o").exists()
 
 

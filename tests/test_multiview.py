@@ -1,16 +1,19 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from mscope import layers
+from mscope import layers, multiview, patches
 from mscope import tensor as T
-from mscope.multiview import (FUSION_VARIANTS, MultiViewNet, ResNetColumn,
-                              VIEW_ORDER, column_shape_audit,
+from mscope.multiview import (FUSION_VARIANTS, MultiViewNet, ResidualBlock,
+                              ResNetColumn, VIEW_ORDER, column_shape_audit,
                               transfer_from_pretrained)
 from mscope.optim import binary_cross_entropy
+from mscope.patches import PatchNet
 
-from gradcheck import weighted_sum
+from gradcheck import (max_relative_error, numerical_gradients,
+                       weighted_sum)
 
 TINY_CC = (48, 36)
 TINY_MLO = (56, 32)
@@ -294,6 +297,16 @@ def _global_avgpool2d_nchw(x):
     return T._node(x.data.mean(axis=(2, 3)), (x,), bwd)
 
 
+def _composed_conv_bn(conv, bn, x, relu=False, residual=None):
+    """Train-mode ``conv_bn`` as its module forwards, then ``T.add`` and
+    ``T.relu``, so that the NCHW ops patched over ``T.conv2d`` and
+    ``T.batchnorm2d`` run in it."""
+    out = bn(conv(x))
+    if residual is not None:
+        out = T.add(out, residual)
+    return T.relu(out) if relu else out
+
+
 def test_train_column_matches_nchw_reference(monkeypatch):
     """Train-mode outputs and parameter gradients agree with the NCHW ops
     within rtol 1e-4, each tensor's error taken against its largest
@@ -313,6 +326,7 @@ def test_train_column_matches_nchw_reference(monkeypatch):
         return out.data, T.collect_gradients(loss, params)
 
     out, grads = run(x)
+    monkeypatch.setattr(multiview, "conv_bn", _composed_conv_bn)
     monkeypatch.setattr(T, "conv2d", _conv2d_nchw)
     monkeypatch.setattr(T, "batchnorm2d", _batchnorm2d_nchw)
     monkeypatch.setattr(T, "global_avgpool2d", _global_avgpool2d_nchw)
@@ -322,6 +336,74 @@ def test_train_column_matches_nchw_reference(monkeypatch):
             zip(col.state_dict(), grads, ref_grads)):
         np.testing.assert_allclose(a, b, rtol=1e-4,
                                    atol=1e-4 * np.abs(b).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("cin, stride", [(3, 1), (2, 2)])
+def test_train_residual_block_gradients_match_finite_differences(cin,
+                                                                 stride):
+    """A train-mode block, identity residual (stride 1) or projected
+    shortcut (stride 2), in float64: every parameter's gradient and the
+    input's agree with central differences."""
+    rng = np.random.default_rng(40 + stride)
+    block = ResidualBlock(cin, 3, stride, rng)
+    for p in block.parameters():
+        p.data = p.data.astype(np.float64)
+    x = layers.Parameter(rng.standard_normal((2, 6, 6, cin)))
+    weights = rng.standard_normal((2, 6 // stride, 6 // stride, 3))
+    params = block.parameters() + [x]
+
+    def loss_fn():
+        return weighted_sum(block(x), weights)
+
+    analytic = T.collect_gradients(loss_fn(), params)
+    numeric = numerical_gradients(loss_fn, params, h=1e-5)
+    assert max_relative_error(analytic, numeric) < 1e-4
+
+
+def test_train_forward_holds_under_045x_of_the_composed_graph(monkeypatch):
+    """The bytes a train forward leaves held (its graph and output) are at
+    most 0.45x those of the composed ops, for a column and for PatchNet,
+    and no padded input outlives the forward; the composed ops keep
+    theirs for the convolution backward."""
+    rng = np.random.default_rng(39)
+    runs = [(ResNetColumn(1, rng), (4, 96, 72, 1)),
+            (PatchNet(patch_size=32, seed=40), (20, 32, 32, 1))]
+    inputs = [T.Tensor(rng.uniform(0, 1, shape).astype(np.float32))
+              for _, shape in runs]
+    pads = []
+    pad = T._padded
+
+    def spy(xd, p):
+        out = pad(xd, p)
+        if p:
+            pads.append(weakref.ref(out))
+        return out
+
+    def held():
+        """Per net: the bytes held after its forward, and how many padded
+        inputs are still alive then."""
+        sizes, alive = [], []
+        for (net, _), x in zip(runs, inputs):
+            pads.clear()
+            tracemalloc.start()
+            try:
+                out = net(x)
+                sizes.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert out._backward is not None and pads
+            alive.append(sum(ref() is not None for ref in pads))
+        return sizes, alive
+
+    monkeypatch.setattr(T, "_padded", spy)
+    fused, fused_pads = held()
+    assert fused_pads == [0, 0]
+    monkeypatch.setattr(multiview, "conv_bn", _composed_conv_bn)
+    monkeypatch.setattr(patches, "conv_bn", _composed_conv_bn)
+    composed, composed_pads = held()
+    assert min(composed_pads) > 0
+    for a, b in zip(fused, composed):
+        assert a <= 0.45 * b, (fused, composed)
 
 
 # -- transfer --

@@ -204,6 +204,63 @@ def test_batchnorm_reuses_buffers_without_changing_bytes(shape):
     assert np.array_equal(beta.grad, sum_g)
 
 
+# (input shape, kernel, stride, padding, output channels, residual)
+CONV_BN_LAYERS = [
+    ((2, 20, 16, 1), 7, 2, 3, 16, None),          # the stem
+    ((2, 20, 16, 3), 7, 2, 3, 16, None),
+    ((2, 12, 10, 8), 3, 1, 1, 8, None),
+    ((2, 12, 10, 8), 3, 1, 1, 8, "identity"),     # the conv's own input
+    ((2, 12, 10, 8), 3, 1, 1, 8, "projected"),
+    ((2, 12, 10, 8), 3, 2, 1, 16, None),
+    ((2, 12, 10, 8), 3, 2, 1, 16, "projected"),
+    ((2, 12, 10, 8), 1, 2, 0, 16, None),          # the 1x1 shortcut
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("xshape, k, stride, padding, cout, residual",
+                         CONV_BN_LAYERS)
+def test_conv_bn_node_equals_composed_ops(xshape, k, stride, padding, cout,
+                                          residual, relu, dtype):
+    """The one train-mode node gives the bytes of ``conv2d``,
+    ``batchnorm2d``, ``add`` and ``relu`` run in turn: the output, both
+    running statistics, and the gradients into x, w, gamma, beta and the
+    residual."""
+    seed = sum(xshape) + k + stride + cout
+    ho, wo = (T.conv2d_shape(n, k, stride, padding) for n in xshape[1:3])
+
+    def run(fused):
+        rng = np.random.default_rng(seed)
+
+        def tensor(shape, scale=1.0):
+            return T.Tensor((rng.standard_normal(shape) * scale)
+                            .astype(dtype), requires_grad=True)
+
+        x = tensor(xshape)
+        w = tensor((k, k, xshape[3], cout), 0.3)
+        gamma, beta = tensor(cout, 0.5), tensor(cout, 0.2)
+        res = {None: None, "identity": x,
+               "projected": tensor((xshape[0], ho, wo, cout))}[residual]
+        weights = rng.standard_normal((xshape[0], ho, wo, cout))
+        stats = [np.full(cout, 0.5, dtype), np.full(cout, 2.0, dtype)]
+        if fused:
+            out = T.conv_bn(x, w, stride, padding, gamma, beta, *stats, res,
+                            relu)
+        else:
+            out = T.batchnorm2d(T.conv2d(x, w, stride, padding), gamma, beta,
+                                *stats)
+            out = out if res is None else T.add(out, res)
+            out = T.relu(out) if relu else out
+        weighted_sum(out, weights).backward()
+        grads = [t.grad for t in (x, w, gamma, beta)]
+        return [out.data, *stats, *grads] + \
+            ([res.grad] if residual == "projected" else [])
+
+    for a, b in zip(run(True), run(False), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_split_layers_keep_large_bands(monkeypatch):
     """Every band of a convolution split by the band plan, at the batches
     the pipeline runs on the desk profile, has M*N*K >= 1.2e6. Below about
