@@ -16,8 +16,9 @@ and ``config.txt`` records what ran. ``report`` has no config and no
 output directory.
 
 Exit codes: 0 success; 1 user error (bad flags, out-of-range config values
-such as ``heatmap.stride`` above ``patch.size``, a config file that is not
-UTF-8, bad paths, images smaller than ``patch.size``, checkpoints that do
+such as ``heatmap.stride`` above ``patch.size`` or a ``train.max_offset``
+that could crop a view to nothing, a config file that is not UTF-8, bad
+paths, images smaller than ``patch.size``, checkpoints that do
 not fit the model, a learning rate that diverges in the first epoch, a
 manifest that leaves a trainer nothing to score or train on, refused before
 its first step: no val exam, no train exam its epoch draws, no two-class
@@ -295,10 +296,9 @@ def _load_run_models(run_dir, use_members):
 
 
 def _predict_task(ctx, idx):
-    args, data, records, nets, channels, run_cfg, model_id = ctx
+    args, data, records, nets, heatmaps, run_cfg, model_id = ctx
     rec = records[idx]
-    probs = ensemble_predict(nets, rec, data, args.seed, channels=channels,
-                             heatmap_dir=args.heatmaps,
+    probs = ensemble_predict(nets, rec, data, args.seed, heatmap_dir=heatmaps,
                              n=run_cfg["train.tta_samples"],
                              max_offset=run_cfg["train.max_offset"])
     # probs holds (benign, malignant) of the left, then the right breast
@@ -319,8 +319,9 @@ def cmd_predict(args, cfg, out, data, records):
     nets, channels, run_cfg = _load_run_models(args.run, args.ensemble)
     if channels == 3 and not args.heatmaps:
         raise UserError("this model needs --heatmaps DIR")
-
-    ctx = (args, data, records, nets, channels, run_cfg, model_id)
+    # a 1-channel model reads no heatmaps, whatever --heatmaps says
+    heatmaps = args.heatmaps if channels == 3 else None
+    ctx = (args, data, records, nets, heatmaps, run_cfg, model_id)
     nested = _map_exams(_predict_task, ctx, len(records), args.jobs, 2)
     preds = [p for pair in nested for p in pair]
     write_predictions(out / "predictions.csv", preds)

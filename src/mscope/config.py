@@ -5,8 +5,9 @@ images, shorter schedules, everything runnable on CPU in minutes) and
 ``paper`` (full-scale constants). A config file overrides profile
 defaults; command-line ``--set key=value`` flags override the file.
 Unknown keys and out-of-range values (a negative count, a share outside
-[0, 1], ``heatmap.stride`` above ``patch.size`` or ``data.lesion_min_frac``
-above ``data.lesion_max_frac`` among them) are rejected, naming the keys;
+[0, 1], a ``patch.size`` below ``patches.MIN_PATCH``, ``heatmap.stride``
+above ``patch.size`` or ``data.lesion_min_frac`` above
+``data.lesion_max_frac`` among them) are rejected, naming the keys;
 so is a config file that is not UTF-8. Every run directory receives the
 fully resolved config.
 
@@ -93,8 +94,8 @@ KEYS = {
 PROFILES = ("desk", "paper")
 
 # keys that count something which must happen at least once
-_AT_LEAST_ONE = ("patch.size", "patch.epochs", "patch.save_every",
-                 "patch.batch_size", "heatmap.stride", "train.batch_size",
+_AT_LEAST_ONE = ("patch.epochs", "patch.save_every", "patch.batch_size",
+                 "heatmap.stride", "train.batch_size",
                  "train.birads_batch_size", "train.patience",
                  "train.tta_samples", "train.ensemble_size", "eval.readers")
 # keys that hold one count per patch class
@@ -114,6 +115,10 @@ def _out_of_range(key, value):
         return "must lie in [0, 1]"
     if key == "data.birads_noise" and not 0.0 <= value < 1.0:
         return "must lie in [0, 1)"
+    if key == "patch.size":
+        from .patches import MIN_PATCH
+        if value < MIN_PATCH:
+            return f"must be at least {MIN_PATCH}, or PatchNet's map is empty"
     if key in _CLASS_COUNTS:
         from .patches import PATCH_CLASSES
         counts = value.split(",")

@@ -294,6 +294,11 @@ def load_patch_cache(path, patch_size):
 # ---------------------------------------------------------------------------
 # the classifier
 
+# the smallest patch side PatchNet maps to a non-empty feature map: its
+# stride-2 conv and two 2x2 pools leave ceil(7 / 2) // 2 // 2 = 1 pixel
+MIN_PATCH = 7
+
+
 class PatchNet(Module):
     """Compact 6-layer convnet (4 conv + 2 fc) over single-channel patches;
     a ``seed`` of None leaves it unfilled (``layers.he_normal``)."""

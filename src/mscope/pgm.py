@@ -19,24 +19,17 @@ _SEP = rb"(?:\s|#[^\n]*\n)+"
 _HEADER = re.compile(rb"P5" + (_SEP + rb"(\d{1,10})") * 3 + rb"\s")
 
 
-def write_pgm16(path, img: np.ndarray):
+def write_pgm(path, img: np.ndarray):
+    """Write a 2-D image as P5 with the maxval of its dtype: uint16 as
+    big-endian samples under 65535, uint8 under 255; any other dtype raises
+    ``ValueError``."""
     img = np.asarray(img)
-    if img.dtype != np.uint16:
-        raise ValueError(f"expected uint16 image, got {img.dtype}")
+    if img.dtype not in (np.uint16, np.uint8):
+        raise ValueError(f"expected a uint16 or uint8 image, got {img.dtype}")
     h, w = img.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        f.write(img.astype(">u2").tobytes())
-
-
-def write_pgm8(path, img: np.ndarray):
-    img = np.asarray(img)
-    if img.dtype != np.uint8:
-        raise ValueError(f"expected uint8 image, got {img.dtype}")
-    h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(img.tobytes())
+        f.write(f"P5\n{w} {h}\n{np.iinfo(img.dtype).max}\n".encode("ascii"))
+        f.write(img.astype(img.dtype.newbyteorder(">")).tobytes())
 
 
 def _read_header(r):

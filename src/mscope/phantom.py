@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .formats import FormatError, checked, read_table, write_table
-from .pgm import read_pgm, write_pgm8, write_pgm16
+from .pgm import read_pgm, write_pgm
 from .resample import gaussian_blur
 from .seeding import _map_exams, substream
 
@@ -513,10 +513,10 @@ def _render_task(ctx, idx):
     paths = {}
     for view in VIEWS:
         paths[view] = f"images/{spec.exam_id}_{view}.pgm"
-        write_pgm16(Path(out_dir) / paths[view], images[view])
+        write_pgm(Path(out_dir) / paths[view], images[view])
     for (view, malignancy), m in sorted(masks.items()):
-        write_pgm8(mask_path(out_dir, spec.exam_id, view, malignancy),
-                   m.astype(np.uint8) * 255)
+        write_pgm(mask_path(out_dir, spec.exam_id, view, malignancy),
+                  m.astype(np.uint8) * 255)
     return paths
 
 

@@ -1,6 +1,6 @@
 """Image resampling primitives: bilinear point sampling, separable bicubic
-resize of image stacks, and a small separable blur. All pure numpy, so
-results are bit-reproducible across runs on the same platform.
+resize of channels-last stacks, and a small separable blur. All pure numpy,
+so results are bit-reproducible across runs on the same platform.
 """
 
 from __future__ import annotations
@@ -61,33 +61,41 @@ def _cubic_taps(src: int, dst: int):
     return idx, wgt
 
 
-def _resize_axis(arr: np.ndarray, dst: int, axis: int) -> np.ndarray:
-    """Resize ``arr`` along ``axis`` (-2 or -1): four weighted gathers."""
-    idx, wgt = _cubic_taps(arr.shape[axis], dst)
-    shape = (dst, 1) if axis == -2 else (dst,)
-    out = np.take(arr, idx[0], axis=axis)
+def _resize_axis(flat: np.ndarray, dst: int, pixel: int,
+                 axis: int) -> np.ndarray:
+    """Resample axis 0 or 1 of a 2-D array, along which a pixel is a run of
+    ``pixel`` elements, to ``dst`` pixels: four weighted gathers, where
+    element c of an output pixel takes element c of each tap."""
+    idx, wgt = _cubic_taps(flat.shape[axis] // pixel, dst)
+    idx = (idx[..., None] * pixel + np.arange(pixel)).reshape(4, -1)
+    wgt = np.repeat(wgt, pixel, axis=1)
+    shape = (-1, 1) if axis == 0 else (-1,)
+    out = np.take(flat, idx[0], axis=axis)
     out *= wgt[0].reshape(shape)
     for i, w in zip(idx[1:], wgt[1:]):
-        tap = np.take(arr, i, axis=axis)
+        tap = np.take(flat, i, axis=axis)
         tap *= w.reshape(shape)
         out += tap
     return out
 
 
 def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable cubic-convolution resize of a (..., H, W) stack.
-
-    Returns a new float64 (..., out_h, out_w) array; each leading index
-    (a plane of a (C, H, W) crop, say) is resized on its own. Rows are
-    resampled first, then columns; an axis whose size does not change is
-    copied as it is.
+    """Separable cubic-convolution resize of an (H, W, ...) stack, such as
+    a channels-last (H, W, C) view, whose C (the product of the trailing
+    axes) comes from the array; each channel is resized on its own. Rows
+    are resampled first, then columns, whose taps gather whole pixels of
+    the (H, W * C) view; an axis whose size does not change is copied as
+    it is. Returns a new float64 (out_h, out_w, ...) array.
     """
     out = np.array(img, dtype=np.float64)
-    if out.shape[-2] != out_h:
-        out = _resize_axis(out, out_h, -2)
-    if out.shape[-1] != out_w:
-        out = _resize_axis(out, out_w, -1)
-    return out
+    h, w, *rest = out.shape
+    pixel = int(np.prod(rest))
+    flat = out.reshape(h, w * pixel)
+    if h != out_h:
+        flat = _resize_axis(flat, out_h, 1, axis=0)
+    if w != out_w:
+        flat = _resize_axis(flat, out_w, pixel, axis=1)
+    return flat.reshape(out_h, out_w, *rest)
 
 
 def _correlate1d(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:

@@ -34,10 +34,10 @@ arrays of its output's size, the output and BatchNorm's ``xhat``, where
 ``conv2d``, ``batchnorm2d``, ``add`` and ``relu`` in turn keep about five
 and the padded input; its backward pads the input again.
 
-Spatial ops keep one layout from a net's input to its global pool:
-activations are (N, H, W, C) and kernels (kh, kw, Cin, Cout), so a
-kernel's GEMM matrix is a free reshape and a convolution moves no data
-but its column matrix.
+Arrays keep one layout from the view loader (``training``) to a net's
+global pool: activations are (N, H, W, C) and kernels (kh, kw, Cin, Cout),
+so a kernel's GEMM matrix is a free reshape and a convolution moves no
+data but its column matrix.
 
 A convolution forward builds its column matrix in bands, runs of whole
 images or of one image's output rows, each band's columns and product

@@ -7,6 +7,9 @@ Both multi-view trainers build only their net and epoch draw; one body,
 best-state restore, checks the splits before the first step, and reads
 what differs by task (output columns, target row, loss) from ``TASKS``.
 
+A view is an (H, W, C) stack from its file to its column: C is 1, or 3
+with the heatmap planes exactly when a heatmap directory is given.
+
 All randomness flows through substreams of the run seed keyed by purpose
 (epoch index, exam id, member id), so a rerun with the same config and
 seed reproduces every byte, and per-exam work can be parallelized without
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import KEYS
+from .config import KEYS, ConfigError
 from .evaluation import MetricError, roc_auc
 from .formats import FormatError, write_table
 from .heatmaps import heatmap_path, load_heatmap
@@ -61,64 +64,66 @@ class TrainRunConfig:
 # ---------------------------------------------------------------------------
 # input preparation
 
-def load_view_stack(record, data_dir, view, channels, heatmap_dir):
-    """(C, H, W) float32 stack: image, plus heatmap planes when channels=3."""
+def load_view_stack(record, data_dir, view, heatmap_dir):
+    """(H, W, C) float32 stack of a view: the image alone (C = 1), or with
+    its malignant and benign heatmap planes (C = 3) exactly when a
+    ``heatmap_dir`` is given."""
     img = load_image(data_dir, record, view)
-    if channels == 1:
-        return img[None]
     if heatmap_dir is None:
-        raise ValueError("3-channel input requires a heatmap directory")
+        return img[..., None]
     path = heatmap_path(heatmap_dir, record, view)
     mal, ben = load_heatmap(path)
     if mal.shape != img.shape:
         raise FormatError(f"{path}: dims {mal.shape}, not the image's {img.shape}")
-    return np.stack([img, mal, ben])
+    return np.stack([img, mal, ben], axis=-1)
 
 
 def augment_window(stack, rng, max_offset):
-    """Jittered crop of a (C, H, W) stack, zero-padded where the window
+    """Jittered crop of an (H, W, C) stack, zero-padded where the window
     leaves the image, cubic-resampled back to (H, W).
 
     Each window edge moves independently by an integer in
     [-max_offset, max_offset], which realizes both size and location
     jitter while keeping every window corner within max_offset of the
-    canonical crop.
+    canonical crop. An offset that could empty the window is refused.
     """
-    c, h, w = stack.shape
+    h, w = stack.shape[:2]
+    if 2 * max_offset >= min(h, w):
+        raise ConfigError(f"train.max_offset={max_offset} could crop a "
+                          f"{h}x{w} view to nothing: it must stay below "
+                          "half of the view's smaller side")
     d_top, d_bottom, d_left, d_right = rng.integers(
         -max_offset, max_offset + 1, size=4)
     top, bottom = int(d_top), h + int(d_bottom)
     left, right = int(d_left), w + int(d_right)
-    wh, ww = bottom - top, right - left
-    window = np.zeros((c, wh, ww), dtype=np.float32)
+    window = np.zeros((bottom - top, right - left, *stack.shape[2:]),
+                      dtype=np.float32)
     sy0, sy1 = max(top, 0), min(bottom, h)
     sx0, sx1 = max(left, 0), min(right, w)
-    window[:, sy0 - top:sy1 - top, sx0 - left:sx1 - left] = \
-        stack[:, sy0:sy1, sx0:sx1]
-    out = bicubic_resize(window, h, w)
-    return np.ascontiguousarray(out, dtype=np.float32)
+    window[sy0 - top:sy1 - top, sx0 - left:sx1 - left] = \
+        stack[sy0:sy1, sx0:sx1]
+    return bicubic_resize(window, h, w).astype(np.float32)
 
 
-def prepare_views(records, data_dir, channels, heatmap_dir, rng, max_offset,
-                  copies=1):
+def prepare_views(records, data_dir, heatmap_dir, rng, max_offset, copies=1):
     """All four views of ``records`` as channels-last (len(records) *
     copies, H, W, C) arrays, left views flipped so every breast is oriented
-    the same way; row ``i * copies + j`` is copy j of record i. Augmentation
-    applies only when an rng is given, drawn record by record, then view by
-    view (``VIEW_ORDER``), then copy by copy."""
+    the same way; row ``i * copies + j`` is copy j of record i, and C comes
+    from ``load_view_stack``. Augmentation applies only when an rng is
+    given, drawn record by record, then view by view (``VIEW_ORDER``), then
+    copy by copy."""
     out = {}
     for i, record in enumerate(records):
         for view in VIEW_ORDER:
-            stack = load_view_stack(record, data_dir, view, channels,
-                                    heatmap_dir)
+            stack = load_view_stack(record, data_dir, view, heatmap_dir)
             if view not in out:
-                out[view] = np.empty((len(records) * copies,
-                                      *stack.shape[1:], channels), np.float32)
+                out[view] = np.empty((len(records) * copies, *stack.shape),
+                                     np.float32)
             flip = slice(None, None, -1 if view.startswith("l") else 1)
             for copy in out[view][i * copies:(i + 1) * copies]:
                 s = augment_window(stack, rng, max_offset) \
                     if rng is not None and max_offset > 0 else stack
-                copy[...] = s.transpose(1, 2, 0)[:, flip]
+                copy[...] = s[:, flip]
     return out
 
 
@@ -156,19 +161,18 @@ def _batched(seq, size):
         yield seq[i:i + size]
 
 
-def _forward_batch(net, recs, data_dir, channels, heatmap_dir, rng, max_offset):
-    views = prepare_views(recs, data_dir, channels, heatmap_dir, rng,
-                          max_offset)
+def _forward_batch(net, recs, data_dir, heatmap_dir, rng, max_offset):
+    views = prepare_views(recs, data_dir, heatmap_dir, rng, max_offset)
     return net({v: T.Tensor(a) for v, a in views.items()})
 
 
-def predict_exams(net, records, data_dir, channels, heatmap_dir):
+def predict_exams(net, records, data_dir, heatmap_dir):
     """Deterministic eval-mode probabilities, (N, 4) aligned with records."""
     net.eval()
     rows = []
     for chunk in _batched(list(records), PREDICT_BATCH):
-        probs = _forward_batch(net, chunk, data_dir, channels, heatmap_dir,
-                               rng=None, max_offset=0)
+        probs = _forward_batch(net, chunk, data_dir, heatmap_dir, rng=None,
+                               max_offset=0)
         rows.append(probs.data)
     return np.concatenate(rows, axis=0)
 
@@ -277,8 +281,8 @@ def _train_multiview(net, records, data_dir, cfg: TrainRunConfig,
 
     def batch_loss(batch):
         recs, rng = batch
-        probs = _forward_batch(net, recs, data_dir, cfg.input_channels,
-                               heatmap_dir, rng, cfg.max_offset)
+        probs = _forward_batch(net, recs, data_dir, heatmap_dir, rng,
+                               cfg.max_offset)
         y = np.stack([target(r) for r in recs])
         seen.append((probs.data, y))
         return loss(probs, y)
@@ -286,8 +290,7 @@ def _train_multiview(net, records, data_dir, cfg: TrainRunConfig,
     def end_epoch(epoch, losses):
         # the validation pass comes first: it may raise NumericsError, and
         # a diverged epoch must leave no rows
-        val_probs = predict_exams(net, val_records, data_dir,
-                                  cfg.input_channels, heatmap_dir)
+        val_probs = predict_exams(net, val_records, data_dir, heatmap_dir)
         val_loss = float(loss(T.Tensor(val_probs), val_y).data)
         metric, aucs = mean_column_auc(val_probs, val_y, names, lambda _: None)
         train_loss = float(np.mean(losses))
@@ -360,25 +363,23 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig):
 # ---------------------------------------------------------------------------
 # inference
 
-def predict_tta(net, record, data_dir, rng, channels, heatmap_dir, n,
-                max_offset):
+def predict_tta(net, record, data_dir, rng, heatmap_dir, n, max_offset):
     """Mean probability over n jittered forward passes of one exam."""
     net.eval()
-    views = prepare_views([record], data_dir, channels, heatmap_dir, rng,
-                          max_offset, copies=n)
+    views = prepare_views([record], data_dir, heatmap_dir, rng, max_offset,
+                          copies=n)
     return net({v: T.Tensor(a) for v, a in views.items()}).data.mean(axis=0)
 
 
-def ensemble_predict(nets, record, data_dir, seed, channels, heatmap_dir, n,
-                     max_offset):
+def ensemble_predict(nets, record, data_dir, seed, heatmap_dir, n, max_offset):
     """Arithmetic mean of the members' TTA predictions."""
     if not nets:
         raise ValueError("an ensemble needs at least one member")
     outs = []
     for mi, net in enumerate(nets):
         rng = substream(seed, "tta", record.exam_id, mi)
-        outs.append(predict_tta(net, record, data_dir, rng, channels,
-                                heatmap_dir, n, max_offset))
+        outs.append(predict_tta(net, record, data_dir, rng, heatmap_dir, n,
+                                max_offset))
     return np.mean(outs, axis=0)
 
 

@@ -16,7 +16,7 @@ from mscope.formats import FormatError, read_table, save_arrays, write_table
 from mscope.heatmaps import load_heatmap, save_heatmap
 from mscope.patches import load_patch_cache, save_patch_cache
 from mscope.phantom import MANIFEST_HEADER, load_manifest
-from mscope.pgm import read_pgm, write_pgm8, write_pgm16
+from mscope.pgm import read_pgm, write_pgm
 
 CACHE_SIDE = 3
 
@@ -44,9 +44,9 @@ def _valid_files():
         "ckpt": lambda p: save_checkpoint(p, {"a.weight": f32(2, 1, 3),
                                               "b": f32(4), "s": f32()}),
         "mshm": lambda p: save_heatmap(p, f32(3, 5), f32(3, 5)),
-        "pgm16": lambda p: write_pgm16(
+        "pgm16": lambda p: write_pgm(
             p, rng.integers(0, 65536, (4, 3)).astype(np.uint16)),
-        "pgm8": lambda p: write_pgm8(
+        "pgm8": lambda p: write_pgm(
             p, rng.integers(0, 256, (3, 5)).astype(np.uint8)),
         "cache": lambda p: save_patch_cache(
             p, (f32(3, CACHE_SIDE, CACHE_SIDE),
@@ -68,6 +68,24 @@ def _load(fmt, blob):
         path = Path(tmp) / f"in.{fmt}"
         path.write_bytes(blob)
         return LOADERS[fmt](path)
+
+
+@pytest.mark.parametrize("dtype,maxval", [(np.uint16, 65535), (np.uint8, 255)])
+def test_pgm_maxval_comes_from_the_dtype(tmp_path, dtype, maxval):
+    img = np.array([[0, 1, 2], [3, 254, 255]], dtype=dtype) * (maxval // 255)
+    write_pgm(tmp_path / "a.pgm", img)
+    assert (tmp_path / "a.pgm").read_bytes().startswith(
+        f"P5\n3 2\n{maxval}\n".encode())
+    back = read_pgm(tmp_path / "a.pgm")
+    assert back.dtype == dtype
+    np.testing.assert_array_equal(back, img)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint32, np.float32, bool])
+def test_pgm_of_another_dtype_is_refused(tmp_path, dtype):
+    with pytest.raises(ValueError, match="uint16 or uint8"):
+        write_pgm(tmp_path / "a.pgm", np.zeros((2, 3), dtype=dtype))
+    assert not (tmp_path / "a.pgm").exists()
 
 
 @pytest.mark.parametrize("fmt", sorted(VALID))

@@ -894,6 +894,50 @@ def test_stride_above_patch_exits_1_naming_both_keys(pipeline, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["gen-heatmaps", "train-patch"])
+def test_patch_below_patchnet_minimum_exits_1_naming_the_key(
+        pipeline, tmp_path, capsys, command):
+    """PatchNet's stride-2 conv and two pools leave no pixel of a patch
+    below ``patches.MIN_PATCH``: the config is refused before any work."""
+    extra = ["--checkpoint", str(pipeline["patch"] / "best.ckpt")] \
+        if command == "gen-heatmaps" else []
+    capsys.readouterr()
+    assert main([command, "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *extra,
+                 *sets(("patch.size=6", "heatmap.stride=4"))]) == 1
+    err = capsys.readouterr().err
+    assert "'patch.size': '6'" in err
+    assert f"at least {patches.MIN_PATCH}" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain-birads", "train-cancer",
+                                     "ensemble", "predict"])
+def test_offset_that_could_empty_a_crop_exits_1_naming_the_key(
+        pipeline, tmp_path, capsys, command):
+    """A crop edge moves by up to train.max_offset, so 40 could leave no
+    row of a 64x48 view: each stage that crops exits 1 naming the key, its
+    value and the view's dims; predict reads it from the run's config."""
+    p = pipeline
+    extra, setting = {"ensemble": ["--members", "2"]}.get(command, []), \
+        ("train.max_offset=40",)
+    if command == "predict":
+        run = tmp_path / "run"
+        shutil.copytree(p["cancer"], run)
+        text = (run / "config.txt").read_text()
+        (run / "config.txt").write_text(
+            text.replace("train.max_offset=2\n", "train.max_offset=40\n"))
+        extra, setting = ["--run", str(run)], ()
+    capsys.readouterr()
+    assert main([command, "--data", str(p["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *extra,
+                 *sets(setting)]) == 1
+    err = capsys.readouterr().err
+    assert "train.max_offset=40" in err and "64x48 view" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("size,view,dims", [(64, "rcc", "(64, 48)"),
                                              (46, "rmlo", "(72, 44)")])
 def test_image_smaller_than_patch_exits_1_before_any_window(

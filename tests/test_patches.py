@@ -5,8 +5,9 @@ import pytest
 
 from mscope import tensor as T
 from mscope.formats import FormatError
-from mscope.patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig,
-                            PatchNet, PatchTrainConfig, _extract_window,
+from mscope.patches import (MIN_PATCH, PATCH_CLASSES, EmptyPoolError,
+                            PatchConfig, PatchNet, PatchTrainConfig,
+                            _extract_window,
                             build_epoch, class_weights, load_patch_cache,
                             sample_patch, save_patch_cache,
                             train_patch_classifier)
@@ -279,6 +280,16 @@ def test_training_loss_decreases_on_separable_data(tmp_path):
     losses = history[0]
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
     assert drops / (len(losses) - 1) >= 0.8
+
+
+def test_min_patch_is_the_smallest_side_patchnet_maps():
+    """``patch.size`` is refused below ``MIN_PATCH``: a forward runs at that
+    side, and one pixel less leaves an empty map."""
+    net = PatchNet(patch_size=MIN_PATCH, seed=0)
+    probs = net.predict_proba(np.zeros((2, MIN_PATCH, MIN_PATCH)))
+    assert probs.shape == (2, len(PATCH_CLASSES))
+    with pytest.raises(ValueError, match="not positive"):
+        net.predict_proba(np.zeros((2, MIN_PATCH - 1, MIN_PATCH - 1)))
 
 
 def test_lr_zero_keeps_parameters(tmp_path):

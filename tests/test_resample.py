@@ -41,17 +41,20 @@ def test_bicubic_same_size_identity():
 @pytest.mark.parametrize("out_h,out_w", [(17, 12), (40, 31), (17, 31),
                                          (23, 12), (23, 19)])
 def test_bicubic_stack_matches_dense_reference(out_h, out_w):
-    # (23, 19) planes: downscale, upscale, mixed, and one axis unchanged
-    stack = np.random.default_rng(4).uniform(0, 1, (3, 23, 19)) \
+    # (23, 19) planes: downscale, upscale, mixed, and one axis unchanged;
+    # a channels-last (H, W, 3) stack, each channel resized on its own
+    stack = np.random.default_rng(4).uniform(0, 1, (23, 19, 3)) \
         .astype(np.float32)
     wy = _resize_matrix(23, out_h)
     wx = _resize_matrix(19, out_w)
-    ref = np.stack([wy @ p.astype(np.float64) @ wx.T for p in stack])
+    ref = np.stack([wy @ stack[..., c].astype(np.float64) @ wx.T
+                    for c in range(3)], axis=-1)
     out = bicubic_resize(stack, out_h, out_w)
-    assert out.dtype == np.float64 and out.shape == (3, out_h, out_w)
+    assert out.dtype == np.float64 and out.shape == (out_h, out_w, 3)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(bicubic_resize(stack[1], out_h, out_w),
-                                  out[1])
+    for c in range(3):
+        np.testing.assert_array_equal(
+            bicubic_resize(stack[..., c], out_h, out_w), out[..., c])
 
 
 def test_bicubic_preserves_constants():

@@ -37,6 +37,10 @@ Every file layout lives in ``formats``: no other module of ``src/mscope``
 imports ``struct`` or ``csv``, at the top or inside a function. Every
 exam file name lives in ``phantom`` (``.pgm``) or ``heatmaps``
 (``.mshm``): no other module holds a string literal with either suffix.
+
+Arrays keep one layout, channels-last from the view loader to the global
+pool: only ``tensor`` and ``layers`` name ``transpose``, ``moveaxis`` or
+``swapaxes``.
 """
 
 import ast
@@ -453,3 +457,22 @@ def test_only_phantom_and_heatmaps_name_exam_files():
     assert namers <= {"phantom", "heatmaps"}, \
         f"modules other than phantom and heatmaps name exam files: " \
         f"{sorted(namers - {'phantom', 'heatmaps'})}"
+
+
+# ---------------------------------------------------------------------------
+# one layout
+
+def test_only_tensor_and_layers_reorder_axes():
+    """A channel-first stack needs an axis reorder to reach a column, so
+    only the engine (``tensor``) and the kernel draw (``layers.he_normal``,
+    in the channel-first order that keeps seeded weights) may name one."""
+    reorders = {"transpose", "moveaxis", "swapaxes"}
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and \
+                    _last_name(node) in reorders:
+                callers.add(path.stem)
+    assert callers <= {"tensor", "layers"}, \
+        f"modules other than tensor and layers reorder axes: " \
+        f"{sorted(callers - {'tensor', 'layers'})}"

@@ -1,11 +1,13 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mscope.config import resolve
-from mscope.multiview import OUTPUT_ORDER, MultiViewNet
-from mscope.phantom import generate_dataset, load_manifest
+from mscope.config import ConfigError, resolve
+from mscope.heatmaps import heatmap_path, save_heatmap
+from mscope.multiview import OUTPUT_ORDER, VIEW_ORDER, MultiViewNet
+from mscope.phantom import generate_dataset, load_image, load_manifest
 from mscope.seeding import substream
 from mscope.training import (IMPROVEMENT_EPS, EarlyStopper, TrainRunConfig,
                              augment_window, ensemble_predict,
@@ -35,13 +37,13 @@ def quiet(*_args, **_kw):
 
 def test_zero_offset_is_canonical():
     rng = substream(0, "aug")
-    stack = np.random.default_rng(1).uniform(0, 1, (1, 20, 16)).astype(np.float32)
+    stack = np.random.default_rng(1).uniform(0, 1, (20, 16, 1)).astype(np.float32)
     out = augment_window(stack, rng, max_offset=0)
     np.testing.assert_array_equal(out, stack)
 
 
 def test_augment_corners_within_offset_and_range_covered():
-    stack = np.random.default_rng(2).uniform(0.2, 1, (1, 40, 30)).astype(np.float32)
+    stack = np.random.default_rng(2).uniform(0.2, 1, (40, 30, 1)).astype(np.float32)
     max_offset = 6
 
     class Probe:
@@ -65,7 +67,7 @@ def test_augment_corners_within_offset_and_range_covered():
 
 
 def test_augment_pads_with_zeros_past_edge():
-    stack = np.full((1, 24, 18), 0.7, dtype=np.float32)
+    stack = np.full((24, 18, 1), 0.7, dtype=np.float32)
 
     class Fixed:
         def integers(self, lo, hi, size):
@@ -73,8 +75,23 @@ def test_augment_pads_with_zeros_past_edge():
 
     out = augment_window(stack, Fixed(), max_offset=5)
     assert out.shape == stack.shape
-    np.testing.assert_array_equal(out[:, :5, :], 0.0)
-    np.testing.assert_allclose(out[:, 6:, :], 0.7, atol=1e-5)
+    np.testing.assert_array_equal(out[:5], 0.0)
+    np.testing.assert_allclose(out[6:], 0.7, atol=1e-5)
+
+
+def test_offset_that_could_empty_the_window_is_refused_on_every_call():
+    """A window edge may move by max_offset, so a window of no rows or
+    columns can be drawn exactly when 2 * max_offset >= min(h, w); that
+    offset is refused whatever the draw, naming the key and the dims."""
+    stack = np.ones((20, 16, 1), dtype=np.float32)
+
+    class Zeros:
+        def integers(self, lo, hi, size):
+            return np.zeros(size, dtype=np.int64)
+
+    assert augment_window(stack, Zeros(), max_offset=7).shape == stack.shape
+    with pytest.raises(ConfigError, match=r"train.max_offset=8 .* 20x16"):
+        augment_window(stack, Zeros(), max_offset=8)
 
 
 # -- epoch subsampling --
@@ -208,7 +225,7 @@ class StubNet:
 def test_tta_constant_model(tiny_dataset):
     root, records = tiny_dataset
     net = StubNet([0.1, 0.2, 0.3, 0.4])
-    out = predict_tta(net, records[0], root, substream(9, "t"), channels=1,
+    out = predict_tta(net, records[0], root, substream(9, "t"),
                       heatmap_dir=None, n=10, max_offset=4)
     np.testing.assert_allclose(out, [0.1, 0.2, 0.3, 0.4], atol=1e-7)
 
@@ -217,8 +234,8 @@ def test_tta_n1_no_offset_equals_plain_forward(tiny_dataset):
     root, records = tiny_dataset
     net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
                        seed=24).eval()
-    plain = predict_exams(net, records[:1], root, 1, None)[0]
-    tta = predict_tta(net, records[0], root, substream(10, "t"), channels=1,
+    plain = predict_exams(net, records[:1], root, None)[0]
+    tta = predict_tta(net, records[0], root, substream(10, "t"),
                       heatmap_dir=None, n=1, max_offset=0)
     np.testing.assert_array_equal(plain, tta)
 
@@ -227,9 +244,9 @@ def test_tta_seed_reproducible(tiny_dataset):
     root, records = tiny_dataset
     net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
                        seed=25).eval()
-    a = predict_tta(net, records[0], root, substream(11, "t"), channels=1,
+    a = predict_tta(net, records[0], root, substream(11, "t"),
                     heatmap_dir=None, n=4, max_offset=3)
-    b = predict_tta(net, records[0], root, substream(11, "t"), channels=1,
+    b = predict_tta(net, records[0], root, substream(11, "t"),
                     heatmap_dir=None, n=4, max_offset=3)
     assert a.tobytes() == b.tobytes()
 
@@ -237,7 +254,7 @@ def test_tta_seed_reproducible(tiny_dataset):
 def test_ensemble_single_member_identity(tiny_dataset):
     root, records = tiny_dataset
     net = StubNet([0.2, 0.2, 0.2, 0.2])
-    single = ensemble_predict([net], records[0], root, seed=12, channels=1,
+    single = ensemble_predict([net], records[0], root, seed=12,
                               heatmap_dir=None, n=2, max_offset=2)
     np.testing.assert_allclose(single, 0.2, atol=1e-7)
 
@@ -245,18 +262,18 @@ def test_ensemble_single_member_identity(tiny_dataset):
 def test_ensemble_averages_members(tiny_dataset):
     root, records = tiny_dataset
     members = [StubNet([0.2] * 4), StubNet([0.6] * 4)]
-    out = ensemble_predict(members, records[0], root, seed=13, channels=1,
+    out = ensemble_predict(members, records[0], root, seed=13,
                            heatmap_dir=None, n=2, max_offset=2)
     np.testing.assert_allclose(out, 0.4, atol=1e-7)
     with pytest.raises(ValueError):
-        ensemble_predict([], records[0], root, seed=0, channels=1,
-                         heatmap_dir=None, n=10, max_offset=8)
+        ensemble_predict([], records[0], root, seed=0, heatmap_dir=None,
+                         n=10, max_offset=8)
 
 
 # -- flip convention end-to-end --
 
 def test_left_views_flipped_to_rightward(tmp_path):
-    from mscope.pgm import write_pgm16
+    from mscope.pgm import write_pgm
     from test_evaluation import make_record
 
     rec = make_record(0)
@@ -266,13 +283,13 @@ def test_left_views_flipped_to_rightward(tmp_path):
     rng = np.random.default_rng(14)
     cc = (rng.uniform(0, 65535, (20, 16))).astype(np.uint16)
     mlo = (rng.uniform(0, 65535, (24, 14))).astype(np.uint16)
-    write_pgm16(tmp_path / "images/e00000_rcc.pgm", cc)
-    write_pgm16(tmp_path / "images/e00000_lcc.pgm", cc[:, ::-1])
-    write_pgm16(tmp_path / "images/e00000_rmlo.pgm", mlo)
-    write_pgm16(tmp_path / "images/e00000_lmlo.pgm", mlo[:, ::-1])
+    write_pgm(tmp_path / "images/e00000_rcc.pgm", cc)
+    write_pgm(tmp_path / "images/e00000_lcc.pgm", cc[:, ::-1])
+    write_pgm(tmp_path / "images/e00000_rmlo.pgm", mlo)
+    write_pgm(tmp_path / "images/e00000_lmlo.pgm", mlo[:, ::-1])
 
-    views = prepare_views([rec], tmp_path, channels=1, heatmap_dir=None,
-                          rng=None, max_offset=0)
+    views = prepare_views([rec], tmp_path, heatmap_dir=None, rng=None,
+                          max_offset=0)
     np.testing.assert_array_equal(views["lcc"], views["rcc"])
     np.testing.assert_array_equal(views["lmlo"], views["rmlo"])
 
@@ -282,6 +299,38 @@ def test_left_views_flipped_to_rightward(tmp_path):
     a = net.cc_column(T.Tensor(views["rcc"])).data
     b = net.cc_column(T.Tensor(views["lcc"])).data
     np.testing.assert_array_equal(a, b)
+
+
+# -- view bytes --
+
+# sha256 of the four views (``VIEW_ORDER``) that ``prepare_views`` gives for
+# the tiny dataset's first exam, by (channels, copies): one copy plain,
+# three jittered with max_offset 4; as written by the (C, H, W) view path
+# that the channels-last one replaced
+VIEW_DIGESTS = {
+    (1, 1): "374aa64d5d926df34c4beb863efa82e9c36800dbfc85fcf7edeb8a3ffaa66652",
+    (1, 3): "13a50939fc381cd5a8bdfa7e1f1b7f03db3f32d0d881e0cce55d9881bc357af6",
+    (3, 1): "93c4d5035d3de5ebab43a64e05ebcef9f6a4858bbdf13a0e29ea65631d95ed60",
+    (3, 3): "5ceda537d0309f707d39ddff56e9b4247552d87a16a4dc362a155d6ac6fdd150",
+}
+
+
+@pytest.mark.parametrize("channels,copies", sorted(VIEW_DIGESTS))
+def test_view_bytes_are_pinned(tiny_dataset, tmp_path, channels, copies):
+    root, records = tiny_dataset
+    rec, heatmap_dir = records[0], None
+    if channels == 3:
+        heatmap_dir, rng = tmp_path, np.random.default_rng(15)
+        for view in VIEW_ORDER:
+            planes = rng.uniform(0, 1, (2, *load_image(root, rec, view).shape))
+            save_heatmap(heatmap_path(tmp_path, rec, view), *planes)
+    rng = substream(16, "views") if copies > 1 else None
+    views = prepare_views([rec], root, heatmap_dir, rng, 4, copies=copies)
+    digest = hashlib.sha256()
+    for view in VIEW_ORDER:
+        assert views[view].shape[::3] == (copies, channels)
+        digest.update(views[view].tobytes())
+    assert digest.hexdigest() == VIEW_DIGESTS[channels, copies]
 
 
 # -- full training loops on the tiny dataset --
@@ -321,7 +370,7 @@ def test_cancer_training_lr_zero_stops_at_patience(tiny_dataset):
     # the returned net is the best-epoch state, running statistics included;
     # val_exams=0 scores the whole val split
     val = [r for r in records if r.split == "val"]
-    probs = predict_exams(net, val, root, cfg.input_channels, None)
+    probs = predict_exams(net, val, root, None)
     val_y = np.stack([exam_labels(r) for r in val])
     metric, _ = mean_column_auc(probs, val_y, OUTPUT_ORDER, quiet)
     assert metric == best
@@ -387,13 +436,12 @@ def _diverge_after_first_validation(monkeypatch, where="step"):
     real_forward, real_predict = training._forward_batch, training.predict_exams
     validated = []
 
-    def forward(net, recs, data_dir, channels, heatmap_dir, rng, max_offset):
+    def forward(net, recs, data_dir, heatmap_dir, rng, max_offset):
         if rng is None:
             validated.append(True)
         elif validated and where == "step":
             raise T.NumericsError("non-finite values produced: conv2d")
-        return real_forward(net, recs, data_dir, channels, heatmap_dir, rng,
-                            max_offset)
+        return real_forward(net, recs, data_dir, heatmap_dir, rng, max_offset)
 
     def predict(*args, **kwargs):
         if validated and where == "validation":
@@ -418,7 +466,7 @@ def test_cancer_training_divergence_keeps_best_epoch(tiny_dataset,
     assert not any(m.training for _, m in net.named_modules())
     monkeypatch.undo()
     val = [r for r in records if r.split == "val"]
-    probs = predict_exams(net, val, root, cfg.input_channels, None)
+    probs = predict_exams(net, val, root, None)
     metric, _ = mean_column_auc(probs, np.stack([exam_labels(r) for r in val]),
                                 OUTPUT_ORDER, quiet)
     logged = [r[3] for r in rows if r[1] == "val" and r[2] == "mean"]
