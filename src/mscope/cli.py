@@ -13,11 +13,14 @@ one-line summary. An alias flag is nothing but its config key (``--epochs
 2`` is ``--set patch.epochs=2``; ``--heatmaps DIR`` also sets
 ``model.input_channels=3``), so bodies read settings only from the config
 and ``config.txt`` records what ran. ``report`` has no config and no
-output directory.
+output directory. ``--jobs`` picks the number of worker processes; the
+validation passes of the trainers run on the process's BLAS threads
+whatever ``--jobs`` is (``training.predict_exams``).
 
 Exit codes: 0 success; 1 user error (bad flags, out-of-range config values
-such as ``heatmap.stride`` above ``patch.size`` or a ``train.max_offset``
-that could crop a view to nothing, a config file that is not UTF-8, bad
+such as ``heatmap.stride`` above ``patch.size``, ``patch.side_min`` above
+``patch.side_max`` or a ``train.max_offset`` that could crop a view to
+nothing, a config file that is not UTF-8, bad
 paths, images smaller than ``patch.size``, checkpoints that do
 not fit the model, a learning rate that diverges in the first epoch, a
 manifest that leaves a trainer nothing to score or train on, refused before
@@ -28,8 +31,9 @@ id holding ',', '/' or a line break, which ``predict`` refuses naming
 test-split exam for ``evaluate`` or ``reader-study``, a ``reader-study``
 over the predictions of more than one model, which names the model ids,
 and input files that do not parse, such as a table that is not UTF-8, a
-manifest split not train, val or test, or heatmaps not of their image's
-dims, which raise ``FormatError`` naming the file and the byte or line);
+manifest split not train, val or test, a NaN or infinity in a checkpoint,
+heatmap or patch cache, or heatmaps not of their image's dims, which raise
+``FormatError`` naming the file and the byte or line);
 2 internal invariant violation.
 """
 

@@ -6,8 +6,9 @@ images, shorter schedules, everything runnable on CPU in minutes) and
 defaults; command-line ``--set key=value`` flags override the file.
 Unknown keys and out-of-range values (a negative count, a share outside
 [0, 1], a ``patch.size`` below ``patches.MIN_PATCH``, ``heatmap.stride``
-above ``patch.size`` or ``data.lesion_min_frac`` above
-``data.lesion_max_frac`` among them) are rejected, naming the keys;
+above ``patch.size``, and the low end of a range in ``_ORDERED`` above
+its high end, such as ``patch.side_min`` above ``patch.side_max``, among
+them) are rejected, naming the keys;
 so is a config file that is not UTF-8. Every run directory receives the
 fully resolved config.
 
@@ -103,6 +104,10 @@ _CLASS_COUNTS = ("patch.plan", "patch.pool_targets")
 # keys that hold a share of something: every float of the dataset's
 _SHARES = ("eval.hybrid_lambda", *(k for k, (kind, *_) in KEYS.items()
                                   if k.startswith("data.") and kind is float))
+
+# (low, high) keys of one range: the low end may not exceed the high end
+_ORDERED = (("data.lesion_min_frac", "data.lesion_max_frac"),
+            ("patch.side_min", "patch.side_max"))
 
 
 def _out_of_range(key, value):
@@ -224,8 +229,10 @@ def resolve(file_values=None, overrides=None):
     if stride > size:
         raise ConfigError(f"heatmap.stride={stride} exceeds patch.size={size}: "
                           "the heatmap windows would leave pixels uncovered")
-    if values["data.lesion_min_frac"] > values["data.lesion_max_frac"]:
-        raise ConfigError("data.lesion_min_frac exceeds data.lesion_max_frac")
+    for low, high in _ORDERED:
+        if values[low] > values[high]:
+            raise ConfigError(f"{low}={values[low]} exceeds "
+                              f"{high}={values[high]}")
     return RunConfig(values)
 
 

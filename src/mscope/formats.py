@@ -11,7 +11,8 @@ little-endian):
     per array: u16 name length | UTF-8 name | u8 rank | u32 dims... | f32 payload
 
 Arrays are written in the order given, which is part of the bytes, and
-read back as read-only views of the file's bytes.
+read back as read-only views of the file's bytes; a value that is not
+finite does not parse.
 
 Tables are split, not parsed: UTF-8 text of a header line, then one line
 per row (any line ending), fields joined by bare commas. With no quoting, a
@@ -74,7 +75,8 @@ class Reader:
     def arrays(self, magic, names):
         """The file as a container under ``magic``: name -> array, in file
         order. ``names`` are the arrays it must hold in order, or None for
-        any; ``self.payload[name]`` is where each array's values start."""
+        any; ``self.payload[name]`` is where each array's values start. A
+        NaN or infinity is refused at its byte."""
         if self.take(len(magic), "magic") != magic:
             self.fail(f"bad magic {self.blob[:4]!r}, expected {magic!r}", at=0)
         version, count = self.unpack("<II", "header")
@@ -98,7 +100,10 @@ class Reader:
             (rank,) = self.unpack("<B", "rank")
             dims = self.unpack(f"<{rank}I", "dims")
             self.payload[name] = self.off
-            out[name] = self.array("<f4", dims, f"tensor {name!r}")
+            arr = out[name] = self.array("<f4", dims, f"tensor {name!r}")
+            if arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+                self.fail(f"tensor {name!r} holds a non-finite value", at=(
+                    self.payload[name] + 4 * int(np.argmin(np.isfinite(arr)))))
         self.end()
         return out
 

@@ -10,6 +10,10 @@ what differs by task (output columns, target row, loss) from ``TASKS``.
 A view is an (H, W, C) stack from its file to its column: C is 1, or 3
 with the heatmap planes exactly when a heatmap directory is given.
 
+The validation pass, ``predict_exams``, runs in the calling process on as
+many threads as OpenBLAS has there, each with one BLAS thread; the train
+steps and ``predict_tta`` run on the calling thread.
+
 All randomness flows through substreams of the run seed keyed by purpose
 (epoch index, exam id, member id), so a rerun with the same config and
 seed reproduces every byte, and per-exam work can be parallelized without
@@ -32,7 +36,7 @@ from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
 from .optim import _fit, binary_cross_entropy, nll_on_probs
 from .phantom import load_image
 from .resample import bicubic_resize
-from .seeding import substream
+from .seeding import _map_threads, substream
 
 TRAIN_LOG_HEADER = "epoch,split,label,auc,loss"
 # an epoch improves only when its validation metric beats the best so far
@@ -167,14 +171,19 @@ def _forward_batch(net, recs, data_dir, heatmap_dir, rng, max_offset):
 
 
 def predict_exams(net, records, data_dir, heatmap_dir):
-    """Deterministic eval-mode probabilities, (N, 4) aligned with records."""
+    """Deterministic eval-mode probabilities, (N, 4) aligned with records.
+
+    The ``PREDICT_BATCH`` chunks run on the process's BLAS threads, one
+    BLAS thread each (``seeding._map_threads``); every chunk is the same
+    forward as on one thread, so the bytes do not depend on where it ran.
+    """
     net.eval()
-    rows = []
-    for chunk in _batched(list(records), PREDICT_BATCH):
-        probs = _forward_batch(net, chunk, data_dir, heatmap_dir, rng=None,
-                               max_offset=0)
-        rows.append(probs.data)
-    return np.concatenate(rows, axis=0)
+
+    def forward(chunk):
+        return _forward_batch(net, chunk, data_dir, heatmap_dir, rng=None,
+                              max_offset=0).data
+    return np.concatenate(_map_threads(
+        forward, list(_batched(list(records), PREDICT_BATCH))), axis=0)
 
 
 def mean_column_auc(probs, targets, names, log):

@@ -15,7 +15,8 @@ from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
 from mscope.evaluation import PREDICTIONS_HEADER, read_predictions, roc_auc
-from mscope.heatmaps import load_heatmap, save_heatmap
+from mscope.formats import Reader
+from mscope.heatmaps import heatmap_path, load_heatmap, save_heatmap
 from mscope.patches import load_patch_cache
 from mscope.phantom import load_manifest
 
@@ -877,6 +878,61 @@ def test_truncated_heatmap_exits_1(pipeline, tmp_path, capsys):
     assert str(victim) in err and "truncated" in err and "at byte 32" in err
 
 
+def _set_nan(path, name, index):
+    """Set value ``index`` of array ``name`` of the container at ``path``
+    to NaN, in place; return the NaN's byte offset."""
+    blob = bytearray(path.read_bytes())
+    reader = Reader(path)
+    reader.arrays(bytes(blob[:4]), None)
+    at = reader.payload[name] + 4 * index
+    blob[at:at + 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(blob)
+    return at
+
+
+@pytest.mark.parametrize("case", ["predict", "init", "heatmaps", "cache",
+                                  "gen-heatmaps"])
+def test_non_finite_value_in_a_file_exits_1_naming_it(pipeline, tmp_path,
+                                                      capsys, case):
+    """One NaN in a multi-view checkpoint (read by ``predict`` or by
+    ``train-cancer --init``), a heatmap plane, a patch cache or a patch
+    checkpoint exits 1, naming the file, the array and the NaN's byte.
+    Read as numbers, the checkpoints and the heatmap made their stage exit
+    2, and the others blamed a learning rate."""
+    p = pipeline
+    if case == "gen-heatmaps":
+        victim, name = tmp_path / "patch.ckpt", "conv1.weight"
+        shutil.copy(p["patch"] / "best.ckpt", victim)
+        argv = ["gen-heatmaps", "--checkpoint", str(victim)]
+    elif case in ("predict", "init"):
+        run = tmp_path / "run"
+        shutil.copytree(p["cancer"], run)
+        victim, name = run / "best.ckpt", "cc_column.stem.weight"
+        argv = ["predict", "--run", str(run)] if case == "predict" else \
+            ["train-cancer", "--init", str(run)]
+    elif case == "heatmaps":
+        heatmaps = tmp_path / "heatmaps"
+        shutil.copytree(p["heatmaps"], heatmaps)
+        first = next(r for r in load_manifest(p["data"] / "manifest.csv")
+                     if r.split == "test")
+        victim, name = heatmap_path(heatmaps, first, "lcc"), "benign"
+        argv = ["predict", "--run", str(p["cancer_hm"]), "--heatmaps",
+                str(heatmaps)]
+    else:
+        victim, name = tmp_path / "patches.bin", "pixels"
+        patches.save_patch_cache(victim, (np.zeros((4, 16, 16), np.float32),
+                                          np.arange(4, dtype=np.float32)))
+        argv = ["train-patch", "--cache", str(victim)]
+    at = _set_nan(victim, name, 5)
+    capsys.readouterr()
+    assert main([*argv, "--data", str(p["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5", *sets()]) == 1
+    err = capsys.readouterr().err
+    assert f"{victim}: tensor {name!r} holds a non-finite value at byte " \
+        f"{at}" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["gen-heatmaps", "train-patch"])
 def test_stride_above_patch_exits_1_naming_both_keys(pipeline, tmp_path,
                                                      capsys, command):
@@ -1244,6 +1300,20 @@ def test_bad_dataset_value_exits_1_naming_the_key(tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert setting.split("=")[0] in err and "internal error" not in err
     assert not (tmp_path / "d").exists()
+
+
+def test_range_upside_down_exits_1_naming_both_keys(pipeline, tmp_path,
+                                                    capsys):
+    """``patch.side_max`` below the tiny ``patch.side_min`` of 8 is refused
+    before any pool is drawn, naming both keys; ``rng.uniform`` made it
+    exit 2."""
+    capsys.readouterr()
+    assert main(["train-patch", "--data", str(pipeline["data"]), "--out",
+                 str(tmp_path / "o"), "--seed", "5",
+                 *sets(("patch.side_max=1",))]) == 1
+    err = capsys.readouterr().err
+    assert "patch.side_min=8.0 exceeds patch.side_max=1.0" in err
+    assert "internal error" not in err and not (tmp_path / "o").exists()
 
 
 def test_config_file_not_utf8_exits_1(tmp_path, capsys):

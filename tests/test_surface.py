@@ -430,18 +430,33 @@ def test_unread_scan_finds_unread_fields(caller, unread):
 # ---------------------------------------------------------------------------
 # file layouts
 
-@pytest.mark.parametrize("parser", ["struct", "csv"])
-def test_only_formats_imports_a_file_parser(parser):
+def _importers(module):
+    """The modules of ``src/mscope`` that import ``module``."""
     importers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import) and \
-                    parser in (alias.name for alias in node.names) or \
-                    isinstance(node, ast.ImportFrom) and node.module == parser:
+                    module in (alias.name for alias in node.names) or \
+                    isinstance(node, ast.ImportFrom) and node.module == module:
                 importers.add(path.stem)
+    return importers
+
+
+@pytest.mark.parametrize("parser", ["struct", "csv"])
+def test_only_formats_imports_a_file_parser(parser):
+    importers = _importers(parser)
     assert importers <= {"formats"}, \
         f"modules other than formats import {parser}: " \
         f"{sorted(importers - {'formats'})}"
+
+
+def test_only_seeding_imports_ctypes():
+    """Foreign calls stay in one place: the OpenBLAS and malloc probes of
+    ``seeding``'s thread map."""
+    importers = _importers("ctypes")
+    assert importers <= {"seeding"}, \
+        f"modules other than seeding import ctypes: " \
+        f"{sorted(importers - {'seeding'})}"
 
 
 def test_only_phantom_and_heatmaps_name_exam_files():

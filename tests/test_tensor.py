@@ -302,16 +302,18 @@ def test_split_layers_keep_large_bands(monkeypatch):
 
 
 # One desk-dims view_wise eval forward (3 channels, a TTA batch) and one
-# PatchNet batch of a desk CC view's windows; saves the raw outputs and the
-# number of threads numpy's OpenBLAS runs (-1 where it cannot be queried).
+# PatchNet batch of a desk CC view's windows; three desk-dims batches of two
+# exams through the net, once by ``seeding._map_threads`` and once in a
+# loop; saves the raw outputs, the number of threads numpy's OpenBLAS runs
+# (-1 where it cannot be queried) and whether the map ran on the main thread.
 EVAL_FORWARDS = """
-import ctypes, sys
-from pathlib import Path
+import sys, threading
 import numpy as np
 from mscope import config, heatmaps
 from mscope import tensor as T
 from mscope.multiview import VIEW_ORDER, MultiViewNet
 from mscope.patches import PatchNet
+from mscope.seeding import _map_threads, _openblas
 
 cfg = config.resolve()
 rng = np.random.default_rng(8)
@@ -326,13 +328,20 @@ p = cfg["patch.size"]
 n = np.prod([len(heatmaps.stride_list(extent, p, cfg["heatmap.stride"], rng))
             + 1 for extent in dims["cc"]])
 windows = rng.uniform(0, 1, (n, p, p))
-threads = -1
-libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-for lib in libs.glob("*openblas*"):
-    query = getattr(ctypes.CDLL(str(lib)),
-                    "scipy_openblas_get_num_threads64_", None)
-    threads = query() if query else threads
-np.savez(sys.argv[1], threads=threads, probs=net.fuse(vecs).data,
+batches = [{v: T.Tensor(rng.uniform(0, 1, (2, *dims[v[1:]], 3)).astype(
+                np.float32)) for v in VIEW_ORDER} for _ in range(3)]
+ran_on = set()
+
+def forward(batch):
+    ran_on.add(threading.get_ident())
+    return net(batch).data
+
+mapped = _map_threads(forward, batches)
+blas = _openblas()
+np.savez(sys.argv[1], threads=blas[0]() if blas else -1,
+         on_main=threading.get_ident() in ran_on,
+         probs=net.fuse(vecs).data, mapped=np.stack(mapped),
+         looped=np.stack([net(b).data for b in batches]),
          patches=PatchNet(patch_size=p, seed=10).predict_proba(windows),
          **{v: vec.data for v, vec in vecs.items()})
 """
@@ -343,7 +352,9 @@ np.savez(sys.argv[1], threads=threads, probs=net.fuse(vecs).data,
 def test_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
     """The eval forwards of predict and gen-heatmaps give the same bytes on
     one BLAS thread as on two: each conv band is one GEMM whose rows do not
-    depend on how OpenBLAS splits it."""
+    depend on how OpenBLAS splits it. So the validation pass's map gives
+    the loop's bytes: on the main thread alone at one BLAS thread, and on
+    helper threads at two."""
     out = {}
     for threads in (1, 2):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
@@ -356,7 +367,11 @@ def test_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
                               timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
         out[threads] = dict(np.load(path))
-        assert out[threads].pop("threads") in (-1, threads)
+        found = out[threads].pop("threads")
+        assert found in (-1, threads)
+        assert out[threads].pop("on_main") == (found != 2)
+        assert out[threads]["mapped"].tobytes() == \
+            out[threads]["looped"].tobytes()
     assert out[1].keys() == out[2].keys()
     for key in out[1]:
         np.testing.assert_array_equal(out[1][key], out[2][key], err_msg=key)
