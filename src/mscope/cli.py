@@ -13,15 +13,17 @@ one-line summary. An alias flag is nothing but its config key (``--epochs
 2`` is ``--set patch.epochs=2``; ``--heatmaps DIR`` also sets
 ``model.input_channels=3``), so bodies read settings only from the config
 and ``config.txt`` records what ran. ``report`` has no config and no
-output directory. ``--jobs`` picks the number of worker processes; the
-validation passes of the trainers run on the process's BLAS threads
-whatever ``--jobs`` is (``training.predict_exams``).
+output directory. ``--jobs`` maps the exams of gen-data, gen-heatmaps and
+predict onto that many threads of the process, capped at the usable cores,
+each with one BLAS thread (``seeding._map_threads``), with the same bytes
+at any count; the validation passes of the trainers run on the process's
+BLAS threads whatever ``--jobs`` is (``training.predict_exams``).
 
 Exit codes: 0 success; 1 user error (bad flags, out-of-range config values
 such as ``heatmap.stride`` above ``patch.size``, ``patch.side_min`` above
 ``patch.side_max`` or a ``train.max_offset`` that could crop a view to
-nothing, a config file that is not UTF-8, bad
-paths, images smaller than ``patch.size``, checkpoints that do
+nothing, a config file that is not UTF-8, bad paths such as a directory
+where a file goes, images smaller than ``patch.size``, checkpoints that do
 not fit the model, a learning rate that diverges in the first epoch, a
 manifest that leaves a trainer nothing to score or train on, refused before
 its first step: no val exam, no train exam its epoch draws, no two-class
@@ -71,7 +73,7 @@ from .patches import (PATCH_CLASSES, EmptyPoolError, PatchConfig, PatchNet,
                       save_patch_cache, train_patch_classifier,
                       train_split_classes)
 from .phantom import SPLITS, GeneratorError, generate_dataset, load_manifest
-from .seeding import _map_exams, substream
+from .seeding import _map_threads, substream
 from .tensor import NumericsError
 from .training import (SplitError, TrainRunConfig, ensemble_predict,
                        pretrain_birads, save_train_log, train_cancer_model,
@@ -181,24 +183,19 @@ def cmd_train_patch(args, cfg, out, data, records):
             f"{best[0]} (mean auc {best[4]:.3f}) -> {out / 'best.ckpt'}")
 
 
-def _heatmap_task(ctx, idx):
-    args, cfg, out, data, records, net = ctx
-    rec = records[idx]
-    maps = heatmaps_for_exam(rec, exam_views(rec, data, cfg["patch.size"]),
-                             net.predict_proba, cfg["patch.size"],
-                             cfg["heatmap.stride"], args.seed)
-    for view, (mal, ben) in maps.items():
-        save_heatmap(heatmap_path(out, rec, view), mal, ben)
-    return rec.exam_id
-
-
 def cmd_gen_heatmaps(args, cfg, out, data, records):
     net = PatchNet(patch_size=cfg["patch.size"], seed=None)
     load_into(net, args.checkpoint)
     net.eval()
-    ctx = (args, cfg, out, data, records, net)
-    done = _map_exams(_heatmap_task, ctx, len(records), args.jobs, 4)
-    return f"gen-heatmaps: {len(done)} exams x 4 views -> {out}"
+
+    def exam(rec):
+        maps = heatmaps_for_exam(
+            rec, exam_views(rec, data, cfg["patch.size"]), net.predict_proba,
+            cfg["patch.size"], cfg["heatmap.stride"], args.seed)
+        for view, (mal, ben) in maps.items():
+            save_heatmap(heatmap_path(out, rec, view), mal, ben)
+    _map_threads(exam, records, args.jobs)
+    return f"gen-heatmaps: {len(records)} exams x 4 views -> {out}"
 
 
 def _train_config(cfg, seed, birads):
@@ -299,18 +296,6 @@ def _load_run_models(run_dir, use_members):
     return nets, channels, run_cfg
 
 
-def _predict_task(ctx, idx):
-    args, data, records, nets, heatmaps, run_cfg, model_id = ctx
-    rec = records[idx]
-    probs = ensemble_predict(nets, rec, data, args.seed, heatmap_dir=heatmaps,
-                             n=run_cfg["train.tta_samples"],
-                             max_offset=run_cfg["train.max_offset"])
-    # probs holds (benign, malignant) of the left, then the right breast
-    return [PredictionRecord(rec.exam_id, side, float(probs[i + 1]),
-                             float(probs[i]), model_id)
-            for side, i in (("L", 0), ("R", 2))]
-
-
 def cmd_predict(args, cfg, out, data, records):
     model_id = args.model_id or Path(args.run).name
     if any(c in model_id for c in MODEL_ID_FORBIDDEN):
@@ -325,9 +310,18 @@ def cmd_predict(args, cfg, out, data, records):
         raise UserError("this model needs --heatmaps DIR")
     # a 1-channel model reads no heatmaps, whatever --heatmaps says
     heatmaps = args.heatmaps if channels == 3 else None
-    ctx = (args, data, records, nets, heatmaps, run_cfg, model_id)
-    nested = _map_exams(_predict_task, ctx, len(records), args.jobs, 2)
-    preds = [p for pair in nested for p in pair]
+
+    def exam(rec):
+        probs = ensemble_predict(
+            nets, rec, data, args.seed, heatmap_dir=heatmaps,
+            n=run_cfg["train.tta_samples"],
+            max_offset=run_cfg["train.max_offset"])
+        # probs holds (benign, malignant) of the left, then the right breast
+        return [PredictionRecord(rec.exam_id, side, float(probs[i + 1]),
+                                 float(probs[i]), model_id)
+                for side, i in (("L", 0), ("R", 2))]
+    preds = [p for pair in _map_threads(exam, records, args.jobs)
+             for p in pair]
     write_predictions(out / "predictions.csv", preds)
     return (f"predict: {len(preds)} breast predictions ({model_id}) -> "
             f"{out / 'predictions.csv'}")
@@ -588,7 +582,9 @@ def build_parser():
                                           "(default: $MSCOPE_DATA_DIR)")
         if stage.jobs:
             p.add_argument("--jobs", type=_count, default=1,
-                           help="worker processes; same outputs at any count")
+                           help="threads of one BLAS thread each, capped "
+                                "at the usable cores; same outputs at any "
+                                "count")
         for flag, kwargs in stage.flags:
             p.add_argument(flag, **kwargs)
         for alias in stage.aliases:
@@ -651,7 +647,7 @@ def main(argv=None):
             else args.stage.body(args)
     except (UserError, ConfigError, MetricError, GeneratorError, FormatError,
             StateDictError, EmptyPoolError, SplitError, FileNotFoundError,
-            NotADirectoryError) as exc:
+            NotADirectoryError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -29,7 +29,7 @@ import numpy as np
 from .formats import FormatError, checked, read_table, write_table
 from .pgm import read_pgm, write_pgm
 from .resample import gaussian_blur
-from .seeding import _map_exams, substream
+from .seeding import _map_threads, substream
 
 VIEWS = ("rcc", "lcc", "rmlo", "lmlo")
 SPLITS = ("train", "val", "test")
@@ -506,20 +506,6 @@ def build_population(config: DatasetConfig, seed: int):
     return specs
 
 
-def _render_task(ctx, idx):
-    specs, config, out_dir = ctx
-    spec = specs[idx]
-    images, masks = render_exam(spec, config.cc_dims, config.mlo_dims)
-    paths = {}
-    for view in VIEWS:
-        paths[view] = f"images/{spec.exam_id}_{view}.pgm"
-        write_pgm(Path(out_dir) / paths[view], images[view])
-    for (view, malignancy), m in sorted(masks.items()):
-        write_pgm(mask_path(out_dir, spec.exam_id, view, malignancy),
-                  m.astype(np.uint8) * 255)
-    return paths
-
-
 def generate_dataset(config: DatasetConfig, seed: int, out_dir, jobs=1):
     """Write images, masks, and manifest.csv; byte-identical per (config, seed)."""
     out_dir = Path(out_dir)
@@ -529,9 +515,19 @@ def generate_dataset(config: DatasetConfig, seed: int, out_dir, jobs=1):
     except OSError as exc:
         raise GeneratorError(f"cannot create output dir {out_dir}: {exc}") from exc
 
+    def render(spec):
+        images, masks = render_exam(spec, config.cc_dims, config.mlo_dims)
+        paths = {}
+        for view in VIEWS:
+            paths[view] = f"images/{spec.exam_id}_{view}.pgm"
+            write_pgm(out_dir / paths[view], images[view])
+        for (view, malignancy), m in sorted(masks.items()):
+            write_pgm(mask_path(out_dir, spec.exam_id, view, malignancy),
+                      m.astype(np.uint8) * 255)
+        return paths
+
     specs = build_population(config, seed)
-    all_paths = _map_exams(_render_task, (specs, config, out_dir),
-                           len(specs), jobs, 8)
+    all_paths = _map_threads(render, specs, jobs)
 
     records = []
     for spec, paths in zip(specs, all_paths):

@@ -1,9 +1,10 @@
-"""Deterministic RNG substreams, and the maps over work items.
+"""Deterministic RNG substreams, and the one map over work items.
 
 Every randomized stage derives its generator from (run seed, purpose tags),
 so work items can be processed in any order or on any worker while still
-producing identical bytes; ``_map_exams`` runs them on ``--jobs`` worker
-processes, ``_map_threads`` on the process's BLAS threads.
+producing identical bytes. ``_map_threads`` runs them on threads of the
+calling process, each with one BLAS thread: ``--jobs`` of them for the
+per-exam stages, as many as OpenBLAS has for the validation pass.
 """
 
 from __future__ import annotations
@@ -29,28 +30,6 @@ def substream(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _map_exams(task, ctx, n, jobs, chunksize):
-    """``[task(ctx, i) for i in range(n)]``, run in ``jobs`` worker
-    processes when ``jobs > 1``. ``ctx`` reaches the workers through the
-    pool's initializer, so every start method sees it."""
-    if jobs == 1:
-        return [task(ctx, i) for i in range(n)]
-    from multiprocessing import Pool
-    with Pool(jobs, initializer=_start_worker, initargs=(task, ctx)) as pool:
-        return pool.map(_worker_task, range(n), chunksize=chunksize)
-
-
-_WORKER = {}                    # set in each worker process by _start_worker
-
-
-def _start_worker(task, ctx):
-    _WORKER.update(task=task, ctx=ctx)
-
-
-def _worker_task(idx):
-    return _WORKER["task"](_WORKER["ctx"], idx)
-
-
 @functools.cache
 def _openblas():
     """(get, set) of numpy's bundled OpenBLAS thread count, or None."""
@@ -63,20 +42,24 @@ def _openblas():
     return None
 
 
-def _map_threads(task, items):
-    """``[task(x) for x in items]`` on as many threads as OpenBLAS has,
-    capped at the usable cores and the items; at one thread, that loop.
-    OpenBLAS runs one thread each until all have joined, and the threads
-    share one malloc arena. Results, and the first failing item's error,
-    come in item order."""
+def _map_threads(task, items, workers):
+    """``[task(x) for x in items]`` on min(workers, usable cores, items)
+    threads; at one thread, or without numpy's OpenBLAS, that loop on the
+    calling thread. OpenBLAS runs one thread each until all have joined,
+    and the threads share one malloc arena. Results, and the first failing
+    item's error, come in item order.
+
+    Tasks share the nets they close over read-only: those nets are in
+    eval mode before the map, so a task's forward writes nothing to them."""
     blas = _openblas()
-    old = blas[0]() if blas else 1
-    threads = min(old, len(os.sched_getaffinity(0)), len(items))
+    threads = min(workers, len(os.sched_getaffinity(0)), len(items)) \
+        if blas else 1
     if threads <= 1:
         return [task(x) for x in items]
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt:
         mallopt(-8, 1)                # M_ARENA_MAX: freed memory is shared
+    old = blas[0]()
     blas[1](1)
     try:
         with ThreadPoolExecutor(threads) as pool:

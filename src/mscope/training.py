@@ -10,9 +10,11 @@ what differs by task (output columns, target row, loss) from ``TASKS``.
 A view is an (H, W, C) stack from its file to its column: C is 1, or 3
 with the heatmap planes exactly when a heatmap directory is given.
 
-The validation pass, ``predict_exams``, runs in the calling process on as
-many threads as OpenBLAS has there, each with one BLAS thread; the train
-steps and ``predict_tta`` run on the calling thread.
+The validation pass, ``predict_exams``, maps its chunks with
+``seeding._map_threads`` onto as many threads as OpenBLAS has in the
+calling process, each with one BLAS thread. The train steps and
+``predict_tta`` run on the thread that calls them; ``predict`` maps its
+exams onto ``--jobs`` threads.
 
 All randomness flows through substreams of the run seed keyed by purpose
 (epoch index, exam id, member id), so a rerun with the same config and
@@ -36,7 +38,7 @@ from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
 from .optim import _fit, binary_cross_entropy, nll_on_probs
 from .phantom import load_image
 from .resample import bicubic_resize
-from .seeding import _map_threads, substream
+from .seeding import _map_threads, _openblas, substream
 
 TRAIN_LOG_HEADER = "epoch,split,label,auc,loss"
 # an epoch improves only when its validation metric beats the best so far
@@ -182,8 +184,10 @@ def predict_exams(net, records, data_dir, heatmap_dir):
     def forward(chunk):
         return _forward_batch(net, chunk, data_dir, heatmap_dir, rng=None,
                               max_offset=0).data
+    blas = _openblas()
     return np.concatenate(_map_threads(
-        forward, list(_batched(list(records), PREDICT_BATCH))), axis=0)
+        forward, list(_batched(list(records), PREDICT_BATCH)),
+        blas[0]() if blas else 1), axis=0)
 
 
 def mean_column_auc(probs, targets, names, log):

@@ -1,10 +1,10 @@
 import hashlib
-import multiprocessing
+import itertools
 import os
 import shutil
 import struct
-import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,7 @@ from mscope.formats import Reader
 from mscope.heatmaps import heatmap_path, load_heatmap, save_heatmap
 from mscope.patches import load_patch_cache
 from mscope.phantom import load_manifest
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from mscope.seeding import _openblas
 
 # tiny-profile overrides: everything small enough for seconds-long runs
 TINY_SETS = [
@@ -220,6 +219,32 @@ def test_report_table(pipeline, tmp_path, capsys):
     text = out.read_text()
     assert "screening population" in text
     assert "malignant" in text
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--predictions",
+                                  "--config", "report"])
+def test_a_directory_where_a_file_goes_exits_1(pipeline, tmp_path, capsys,
+                                               flag):
+    """A directory given for a checkpoint, predictions, config or metrics
+    file is a user error naming it, not an internal error."""
+    p = pipeline
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "--checkpoint": ["gen-heatmaps", "--checkpoint", str(folder)],
+        "--predictions": ["evaluate", "--predictions", str(folder)],
+        "--config": ["gen-heatmaps", "--config", str(folder),
+                     "--checkpoint", str(p["patch"] / "best.ckpt")],
+        "report": ["report", str(folder)],
+    }[flag]
+    if flag != "report":
+        argv += ["--data", str(p["data"]), "--out", str(tmp_path / "o"),
+                 "--seed", "5", *sets()]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(folder) in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, line", [
@@ -424,8 +449,8 @@ def test_first_epoch_divergence_names_lr(pipeline, tmp_path, capsys, command,
 
 
 def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path):
-    """gen-data, gen-heatmaps and predict write the same bytes with two
-    worker processes as with one."""
+    """gen-data, gen-heatmaps and predict write the same bytes on two
+    threads as on one."""
     p = pipeline
     runs = {
         "data": ["gen-data"],
@@ -439,6 +464,55 @@ def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path):
         assert main([*argv, "--out", str(out), "--seed", "5", "--jobs", "2",
                      *sets()]) == 0, key
         assert tree_hash(out) == tree_hash(p[key]), key
+
+
+@pytest.mark.skipif(
+    _openblas() is None or len(os.sched_getaffinity(0)) < 2,
+    reason="--jobs runs one thread without numpy's OpenBLAS or a 2nd core")
+def test_jobs_run_exams_on_threads_of_one_blas_thread(pipeline, tmp_path,
+                                                       monkeypatch):
+    """--jobs 2 runs gen-heatmaps' and predict's exams on two threads of
+    this process, with OpenBLAS on one thread inside and on its old count
+    after; --jobs 8 runs on no more threads than there are usable cores.
+    The first two exams wait for each other, so two threads must run; the
+    threads switch every 10 us, and still write the --jobs 1 bytes."""
+    p = pipeline
+    runs = {   # output, the function that runs one exam, its stage
+        "heatmaps": ("heatmaps_for_exam", [
+            "gen-heatmaps", "--checkpoint", str(p["patch"] / "best.ckpt")]),
+        "pred": ("ensemble_predict", [
+            "predict", "--run", str(p["cancer"]), "--model-id",
+            "image_only"]),
+    }
+    get_blas = _openblas()[0]
+    before = get_blas()
+    interval = sys.getswitchinterval()
+    for key, (name, argv) in runs.items():
+        for jobs in (2, 8):
+            barrier = threading.Barrier(2, timeout=30)
+            calls = itertools.count()
+            seen = []
+
+            def spy(*args, real=getattr(cli, name), **kwargs):
+                seen.append((threading.get_ident(), get_blas()))
+                if next(calls) < 2:
+                    barrier.wait()
+                return real(*args, **kwargs)
+            out = tmp_path / f"{key}{jobs}"
+            with monkeypatch.context() as m:
+                m.setattr(cli, name, spy)
+                sys.setswitchinterval(1e-5)
+                try:
+                    assert main([*argv, "--data", str(p["data"]), "--out",
+                                 str(out), "--seed", "5", "--jobs",
+                                 str(jobs), *sets()]) == 0
+                finally:
+                    sys.setswitchinterval(interval)
+            ran_on, inside = map(set, zip(*seen))
+            assert 2 <= len(ran_on) <= min(jobs, len(os.sched_getaffinity(0)))
+            assert threading.get_ident() not in ran_on
+            assert inside == {1} and get_blas() == before, (key, jobs)
+            assert tree_hash(out) == tree_hash(p[key]), (key, jobs)
 
 
 def test_loaded_nets_draw_no_weights(pipeline, tmp_path, monkeypatch):
@@ -618,48 +692,6 @@ def test_count_flags_below_1_exit_1(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "o"), *sets()]) == 1
     assert argv[1] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-FORKSERVER_DRIVER = """\
-import multiprocessing
-import sys
-
-from mscope.cli import main
-
-# each forkserver worker imports this file again: keep the work guarded
-if __name__ == "__main__":
-    multiprocessing.set_start_method("forkserver")
-    sys.exit(main(sys.argv[1:]))
-"""
-
-
-@pytest.mark.skipif(
-    "forkserver" not in multiprocessing.get_all_start_methods(),
-    reason="no forkserver start method on this platform")
-def test_jobs_2_under_forkserver_equals_jobs_1(pipeline, tmp_path):
-    """--jobs 2 workers get their context from the pool initializer, so
-    gen-data, gen-heatmaps and predict write the --jobs 1 bytes under
-    forkserver (the default start method on Linux from Python 3.14)."""
-    p = pipeline
-    driver = tmp_path / "driver.py"
-    driver.write_text(FORKSERVER_DRIVER)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    runs = {
-        "data": ["gen-data"],
-        "heatmaps": ["gen-heatmaps", "--data", str(p["data"]),
-                     "--checkpoint", str(p["patch"] / "best.ckpt")],
-        "pred": ["predict", "--data", str(p["data"]), "--run",
-                 str(p["cancer"]), "--model-id", "image_only"],
-    }
-    for key, argv in runs.items():
-        out = tmp_path / key
-        proc = subprocess.run(
-            [sys.executable, str(driver), *argv, "--out", str(out), "--seed",
-             "5", "--jobs", "2", *sets()],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, (key, proc.stderr[-2000:])
-        assert tree_hash(out) == tree_hash(p[key]), key
 
 
 def _set_field(col, value):

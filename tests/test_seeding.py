@@ -11,6 +11,7 @@ BLAS = _openblas()
 two_cores = pytest.mark.skipif(
     BLAS is None or len(os.sched_getaffinity(0)) < 2,
     reason="the map runs one thread without numpy's OpenBLAS or a 2nd core")
+CORES = len(os.sched_getaffinity(0))
 
 
 @contextlib.contextmanager
@@ -28,18 +29,17 @@ def blas_at(threads):
         put(old)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_map_gives_results_in_item_order(threads):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_gives_results_in_item_order(workers):
     def task(i):
         time.sleep(0.002 * (9 - i))            # later items finish first
         return i * i
-    with blas_at(threads):
-        assert _map_threads(task, list(range(10))) == \
-            [i * i for i in range(10)]
+    assert _map_threads(task, list(range(10)), workers) == \
+        [i * i for i in range(10)]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_map_raises_the_earliest_failing_items_error(threads):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_raises_the_earliest_failing_items_error(workers):
     def task(i):
         if i == 1:
             time.sleep(0.05)                   # fails after item 2 does
@@ -47,29 +47,37 @@ def test_map_raises_the_earliest_failing_items_error(threads):
         if i == 2:
             raise ValueError("item 2")
         return i
-    with blas_at(threads), pytest.raises(KeyError, match="item 1"):
-        _map_threads(task, [0, 1, 2, 3])
+    with pytest.raises(KeyError, match="item 1"):
+        _map_threads(task, [0, 1, 2, 3], workers)
 
 
 def test_one_blas_thread_maps_on_the_calling_thread():
-    with blas_at(1):
-        ran_on = _map_threads(lambda _: threading.get_ident(), [0, 1, 2])
-    assert ran_on == [threading.get_ident()] * 3
+    """One worker, the validation pass's at one BLAS thread or ``--jobs
+    1`` at any, is the plain loop on the calling thread."""
+    for blas_threads in (1, 2):
+        with blas_at(blas_threads):
+            ran_on = _map_threads(lambda _: threading.get_ident(),
+                                  [0, 1, 2], 1)
+        assert ran_on == [threading.get_ident()] * 3
 
 
 @two_cores
 def test_two_blas_threads_map_on_two_threads_of_one_blas_thread():
     """Each pair of items meets at a barrier, which only two threads at
-    once can pass; inside, OpenBLAS runs one thread."""
+    once can pass; inside, OpenBLAS runs one thread. Eight workers run on
+    no more threads than there are usable cores."""
     barrier = threading.Barrier(2, timeout=30)
 
     def task(_):
         barrier.wait()
         return threading.get_ident(), BLAS[0]()
-    with blas_at(2):
-        ran_on, inside = zip(*_map_threads(task, [0, 1, 2, 3]))
-    assert len(set(ran_on)) == 2 and threading.get_ident() not in ran_on
-    assert set(inside) == {1}
+    for workers in (2, 8):
+        with blas_at(2):
+            ran_on, inside = zip(*_map_threads(task, list(range(16)),
+                                               workers))
+        assert 2 <= len(set(ran_on)) <= min(workers, CORES)
+        assert threading.get_ident() not in ran_on
+        assert set(inside) == {1}
 
 
 @two_cores
@@ -80,8 +88,8 @@ def test_openblas_gets_its_thread_count_back(threads):
     def fail(i):
         raise ValueError(i)
     with blas_at(threads):
-        assert _map_threads(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert _map_threads(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert BLAS[0]() == threads
         with pytest.raises(ValueError):
-            _map_threads(fail, [0, 1, 2])
+            _map_threads(fail, [0, 1, 2], 2)
         assert BLAS[0]() == threads

@@ -37,6 +37,8 @@ Every file layout lives in ``formats``: no other module of ``src/mscope``
 imports ``struct`` or ``csv``, at the top or inside a function. Every
 exam file name lives in ``phantom`` (``.pgm``) or ``heatmaps``
 (``.mshm``): no other module holds a string literal with either suffix.
+Per-exam work has one map, on threads: no module imports
+``multiprocessing``.
 
 Arrays keep one layout, channels-last from the view loader to the global
 pool: only ``tensor`` and ``layers`` name ``transpose``, ``moveaxis`` or
@@ -457,6 +459,12 @@ def test_only_seeding_imports_ctypes():
     assert importers <= {"seeding"}, \
         f"modules other than seeding import ctypes: " \
         f"{sorted(importers - {'seeding'})}"
+
+
+def test_no_module_imports_multiprocessing():
+    """Per-exam work has one map, on threads of the calling process
+    (``seeding._map_threads``): no module starts worker processes."""
+    assert not _importers("multiprocessing")
 
 
 def test_only_phantom_and_heatmaps_name_exam_files():

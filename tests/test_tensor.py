@@ -336,8 +336,8 @@ def forward(batch):
     ran_on.add(threading.get_ident())
     return net(batch).data
 
-mapped = _map_threads(forward, batches)
 blas = _openblas()
+mapped = _map_threads(forward, batches, blas[0]() if blas else 1)
 np.savez(sys.argv[1], threads=blas[0]() if blas else -1,
          on_main=threading.get_ident() in ran_on,
          probs=net.fuse(vecs).data, mapped=np.stack(mapped),
