@@ -28,7 +28,8 @@ not fit the model, a learning rate that diverges in the first epoch, a
 manifest that leaves a trainer nothing to score or train on, refused before
 its first step: no val exam, no train exam its epoch draws, no two-class
 validation label, or ``train-patch`` selection exams of one class; a model
-id holding ',', '/' or a line break, which ``predict`` refuses naming
+id holding ',', '/' or a line break, or a ``--run`` with no directory
+name (``/``) and no ``--model-id``, which ``predict`` refuses naming
 ``--model-id``, a predictions file with no rows, a manifest with no
 test-split exam for ``evaluate`` or ``reader-study``, a ``reader-study``
 over the predictions of more than one model, which names the model ids,
@@ -297,7 +298,11 @@ def _load_run_models(run_dir, use_members):
 
 
 def cmd_predict(args, cfg, out, data, records):
-    model_id = args.model_id or Path(args.run).name
+    # abspath names "." and ".."; resolve would follow a symlinked run
+    model_id = args.model_id or Path(os.path.abspath(args.run)).name
+    if not model_id:
+        raise UserError(f"--run {args.run!r} has no directory name to use "
+                        "as the model id; pass --model-id")
     if any(c in model_id for c in MODEL_ID_FORBIDDEN):
         raise UserError(f"model id {model_id!r} holds ',', '/' or a line "
                         "break, which predictions.csv cannot round-trip; "

@@ -174,6 +174,7 @@ def select_patch_checkpoint(checkpoints, records, data_dir, patch_size,
     nets = [PatchNet(patch_size=patch_size, seed=None) for _ in checkpoints]
     for net, (_, path) in zip(nets, checkpoints):
         load_into(net, path)
+        net.eval()
     scores = [{"malignant": [], "benign": []} for _ in checkpoints]
     for rec in records:
         images = exam_views(rec, data_dir, patch_size)

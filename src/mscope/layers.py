@@ -10,19 +10,19 @@ named ``running_*``) in walk order. A checkpoint keeps that order. It is
 the order of an attribute-by-attribute recursion only because no module
 holds both parameters of its own and child modules: layers hold
 parameters, blocks and networks hold layers.
-``Conv2d``, ``BatchNorm2d``, ``Linear`` and ``conv_bn`` check every output
-for non-finite values; during training (a step or a validation pass), the
+``Conv2d`` and ``BatchNorm2d`` hold parameters and statistics and run
+inside ``conv_bn``; ``conv_bn`` and ``Linear`` check every output for
+non-finite values. During training (a step or a validation pass), the
 ``NumericsError`` they raise counts as divergence (see ``optim._fit``).
 Pooling and ReLU cannot create non-finite values from finite input.
 
-Every convolution followed by BatchNorm runs through ``conv_bn``, with the
-residual add and the ReLU that follow it. In eval mode it folds the
-BatchNorm into the convolution (weights scaled per output channel, plus a
-constant bias), so its outputs differ from ``bn(conv(x))`` by float32
-rounding only: about 1e-7 relative per layer, which the tests bound at
-1e-5 abs on PatchNet probabilities and 1e-4 relative on the multi-view
-pre-sigmoid outputs. In train mode it is one graph node
-(``tensor.conv_bn``) with the floats of ``relu(bn(conv(x)) + residual)``.
+Every convolution runs through ``conv_bn``, with the BatchNorm, residual
+add and ReLU that follow it. In eval mode it folds the BatchNorm into the
+convolution (weights scaled per output channel, plus a constant bias), so
+its outputs differ from the unfolded BatchNorm by float32 rounding only:
+about 1e-7 relative per layer, which the tests bound at 1e-5 abs on
+PatchNet probabilities and 1e-4 relative on the multi-view pre-sigmoid
+outputs. In train mode it is one graph node, ``tensor.conv_bn``.
 """
 
 from __future__ import annotations
@@ -118,6 +118,10 @@ class Module:
             raise StateDictError(f"unexpected entry {extra[0]!r} in state "
                                  f"({len(extra)} in all)")
 
+    def forward(self, *args, **kwargs):
+        raise NotImplementedError(f"{type(self).__name__} has no forward; "
+                                  "it runs inside layers.conv_bn")
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -135,8 +139,8 @@ def he_normal(rng, kernel, cin, cout):
 
 
 class Conv2d(Module):
-    """Convolution of (N, H, W, Cin) activations; the weight is stored
-    (kh, kw, Cin, Cout) (see ``tensor.conv2d`` and ``he_normal``)."""
+    """A convolution's stride, padding and kernel, stored (kh, kw, Cin,
+    Cout) (see ``he_normal``); ``conv_bn`` runs it."""
 
     def __init__(self, in_ch, out_ch, kernel, *, stride, padding=0, rng):
         super().__init__()
@@ -144,15 +148,9 @@ class Conv2d(Module):
         self.padding = padding
         self.weight = Parameter(he_normal(rng, kernel, in_ch, out_ch))
 
-    def forward(self, x):
-        out = T.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        T.check_finite(out.data, "conv2d")
-        return out
-
 
 class BatchNorm2d(Module):
-    """Parameters and running statistics; the forward is the train-mode
-    one (``tensor.batchnorm2d``). ``conv_bn`` runs BatchNorm itself."""
+    """BatchNorm's parameters and running statistics, run by ``conv_bn``."""
 
     def __init__(self, channels):
         super().__init__()
@@ -160,12 +158,6 @@ class BatchNorm2d(Module):
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-
-    def forward(self, x):
-        out = T.batchnorm2d(x, self.gamma, self.beta,
-                            self.running_mean, self.running_var)
-        T.check_finite(out.data, "batchnorm")
-        return out
 
 
 class Linear(Module):
@@ -185,7 +177,7 @@ class Linear(Module):
 
 
 def conv_bn(conv, bn, x, relu=False, residual=None):
-    """``bn(conv(x))``, then ``+ residual`` and the ReLU when asked for.
+    """``x`` through ``conv`` and ``bn``, then ``+ residual`` and the ReLU.
 
     In eval mode BatchNorm is the per-channel affine map
     ``y * s + (beta - mean * s)`` with ``s = gamma / sqrt(var + eps)``, so
@@ -193,8 +185,7 @@ def conv_bn(conv, bn, x, relu=False, residual=None):
     both (Jacob et al. 2018, arXiv 1712.05877, section 3.2). Each band of
     it then gets, in place, the bias, the finiteness check, the residual
     add and the ReLU (``tensor.conv2d``): the check precedes the ReLU,
-    which would hide a ``-inf``. Train mode is one node with the floats of
-    ``relu(bn(conv(x)) + residual)`` (``tensor.conv_bn``).
+    which would hide a ``-inf``. Train mode is one node, ``tensor.conv_bn``.
     """
     if bn.training:
         return T.conv_bn(x, conv.weight, conv.stride, conv.padding, bn.gamma,
@@ -202,7 +193,6 @@ def conv_bn(conv, bn, x, relu=False, residual=None):
                          relu)
     scale = bn.gamma.data / np.sqrt(bn.running_var + T.BN_EPS)
     weight = Tensor(conv.weight.data * scale)
-    return T.conv2d(x, weight, stride=conv.stride, padding=conv.padding,
+    return T.conv2d(x, weight, conv.stride, conv.padding,
                     bias=bn.beta.data - bn.running_mean * scale,
-                    residual=None if residual is None else residual.data,
-                    relu=relu)
+                    residual=residual, relu=relu)

@@ -331,14 +331,12 @@ class PatchNet(Module):
         return self.fc2(h)
 
     def predict_proba(self, batch):
-        """Class probabilities for a raw (N, H, W) batch."""
+        """Class probabilities for a raw (N, H, W) batch from an eval-mode
+        net, which the call only reads: threads may share it."""
+        if self.training:
+            raise T.GraphError("predict_proba needs an eval-mode PatchNet")
         arr = np.asarray(batch, dtype=np.float32)[..., None]
-        was_training = self.training
-        self.eval()
-        logits = self.forward(T.Tensor(arr))
-        probs = T.softmax(logits).data
-        self.train(was_training)
-        return probs
+        return T.softmax(self.forward(T.Tensor(arr))).data
 
 
 @dataclass

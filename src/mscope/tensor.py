@@ -29,10 +29,10 @@ tensor by a Python number (their mean); neither broadcasts. Tests that
 need a scalar loss over a tensor-valued op build it with ``weighted_sum``
 in ``tests/gradcheck.py``.
 
-A train-mode ``layers.conv_bn`` is one node, ``conv_bn``, that keeps two
-arrays of its output's size, the output and BatchNorm's ``xhat``, where
-``conv2d``, ``batchnorm2d``, ``add`` and ``relu`` in turn keep about five
-and the padded input; its backward pads the input again.
+``conv_bn`` is the one train-mode convolution node. It keeps two arrays
+of its output's size, the output and BatchNorm's ``xhat``, and its
+backward pads the input again. ``conv2d`` is the eval convolution, which
+records no graph.
 
 Arrays keep one layout from the view loader (``training``) to a net's
 global pool: activations are (N, H, W, C) and kernels (kh, kw, Cin, Cout),
@@ -63,7 +63,7 @@ POOL = 2
 
 class GraphError(RuntimeError):
     """Raised on misuse of the computation graph (re-backward, non-scalar
-    loss, a loss that reaches no parameter)."""
+    loss, a loss that reaches no parameter, a gradient through eval mode)."""
 
 
 class NumericsError(ArithmeticError):
@@ -289,11 +289,10 @@ def _padded(xd, p):
 
 
 def _conv_forward(xd, wd, s, p, bias, residual, relu):
-    """``xd`` convolved by ``wd``, and the padded input it read: per band,
-    one im2col, one GEMM written straight into the output and ``conv2d``'s
-    epilogue in place. Banding changes no arithmetic, but a BLAS may take
-    another kernel for a small GEMM, so a budget far below this one can
-    move low-order bits."""
+    """``xd`` convolved by ``wd``: per band, one im2col, one GEMM written
+    straight into the output and ``conv2d``'s epilogue in place. Banding
+    changes no arithmetic, but a BLAS may take another kernel for a small
+    GEMM, so a budget far below this one can move low-order bits."""
     n, h, wdt, c = xd.shape
     kh, kw, cin, cout = wd.shape
     if cin != c:
@@ -316,7 +315,7 @@ def _conv_forward(xd, wd, s, p, bias, residual, relu):
             y += residual[images, band].reshape(y.shape)
         if relu:
             np.maximum(y, 0, out=y)
-    return out, xc
+    return out
 
 
 def _conv_backward(g, x, w, xc, s, p):
@@ -339,32 +338,32 @@ def _conv_backward(g, x, w, xc, s, p):
         x._accumulate(dxp[:, p:p + h, p:p + wdt])
 
 
-def conv2d(x, w, stride, padding, bias=None, residual=None, relu=False):
-    """Cross-correlation of x:(N,H,W,Cin) with w:(kh,kw,Cin,Cout), giving
+def conv2d(x, w, stride, padding, bias, residual, relu):
+    """The eval convolution of x:(N,H,W,Cin) by w:(kh,kw,Cin,Cout), giving
     (N,Ho,Wo,Cout): the column matrix times ``w`` reshaped to (kh*kw*Cin,
-    Cout), in bands within ``COLUMN_BUDGET`` (``_conv_bands``), read from
-    ``x`` itself at ``padding`` 0, else from a padded copy that the node
-    keeps for its backward. ``bias`` (Cout,), ``residual`` (an
-    (N,Ho,Wo,Cout) array) and ``relu`` are the eval epilogue of
-    ``layers.conv_bn`` and get no gradient: each band, after its GEMM,
-    gets in place the bias, a finiteness check naming ``conv_bn``, the
-    residual add and the ReLU.
+    Cout), in bands within ``COLUMN_BUDGET`` (``_conv_bands``). ``bias``
+    (Cout,), ``residual`` (an (N,Ho,Wo,Cout) Tensor or None) and ``relu``
+    are the epilogue of an eval-mode ``layers.conv_bn``: each band, after
+    its GEMM, gets in place the bias, a finiteness check naming
+    ``conv_bn``, the residual add and the ReLU. It records no graph, so an
+    ``x``, ``w`` or ``residual`` that wants a gradient raises
+    ``GraphError``.
     """
-    y, xc = _conv_forward(x.data, w.data, stride, padding, bias, residual,
-                          relu)
-
-    def bwd(g):
-        _conv_backward(g, x, w, xc, stride, padding)
-
-    return _node(y, (x, w), bwd)
+    if any(_wants_grad(t) for t in (x, w, residual) if t is not None):
+        raise GraphError("conv2d is the eval convolution and records no "
+                         "graph; a train-mode convolution runs in conv_bn")
+    return Tensor(_conv_forward(
+        x.data, w.data, stride, padding, bias,
+        None if residual is None else residual.data, relu))
 
 
 def _bn_train(x, gamma, beta, running_mean, running_var):
     """BatchNorm's train forward of the array ``x``, channels last, which
-    moves the running statistics: its output, and the backward that hands
-    ``gamma`` and ``beta`` their gradients and returns the input's. That
-    backward keeps ``xhat`` and overwrites it, with one scratch buffer: the
-    graph is single-use."""
+    moves the running statistics (plain arrays, biased variance) in place:
+    its output, and the backward that hands ``gamma`` and ``beta`` their
+    gradients and returns the input's. That backward keeps ``xhat`` and
+    overwrites it, with one scratch buffer: the graph is single-use. Every
+    per-channel sum is a ones-vector GEMV over the (N*H*W, C) view."""
     xd = x.reshape(-1, x.shape[-1])
     m = xd.shape[0]
     ones = np.ones(m, dtype=xd.dtype)
@@ -395,33 +394,16 @@ def _bn_train(x, gamma, beta, running_mean, running_var):
     return y.astype(xd.dtype, copy=False).reshape(x.shape), bwd
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var):
-    """Train-mode per-channel normalization by the batch statistics.
-
-    Works on the (N*H*W, C) view of ``x``; every per-channel sum (the batch
-    mean, the two-pass variance, the backward's) is a ones-vector GEMV.
-    ``running_mean``/``running_var`` are plain arrays mutated in place
-    (biased variance convention throughout). Eval forwards fold BatchNorm
-    into the preceding convolution (``layers.conv_bn``).
-    """
-    y, bn_bwd = _bn_train(x.data, gamma, beta, running_mean, running_var)
-
-    def bwd(g):
-        x._accumulate(bn_bwd(g))
-
-    return _node(y, (x, gamma, beta), bwd)
-
-
 def conv_bn(x, w, stride, padding, gamma, beta, running_mean, running_var,
             residual, relu):
-    """Train-mode ``layers.conv_bn``, one node with the floats of
-    ``relu(add(batchnorm2d(conv2d(x, w)), residual))``: BatchNorm's output
-    is checked finite (a non-finite convolution output makes its channel's
-    statistics so), then gets the residual (a Tensor or None) and the
-    ReLU in place. Backward takes the ReLU mask from the output, as
+    """Train-mode ``layers.conv_bn``, one node: the convolution of
+    ``conv2d``, BatchNorm by the batch statistics (``_bn_train``), then,
+    in place, a finiteness check (a non-finite convolution output makes
+    its channel's statistics so), the residual add (a Tensor or None) and
+    the ReLU. Backward takes the ReLU mask from the output, as
     ``relu(z) > 0`` exactly where ``z > 0``."""
     y, bn_bwd = _bn_train(
-        _conv_forward(x.data, w.data, stride, padding, None, None, False)[0],
+        _conv_forward(x.data, w.data, stride, padding, None, None, False),
         gamma, beta, running_mean, running_var)
     check_finite(y, "conv_bn")
     if residual is not None:

@@ -377,8 +377,10 @@ def pretrain_birads(records, data_dir, cfg: TrainRunConfig):
 # inference
 
 def predict_tta(net, record, data_dir, rng, heatmap_dir, n, max_offset):
-    """Mean probability over n jittered forward passes of one exam."""
-    net.eval()
+    """Mean probability over n jittered forward passes of one exam by an
+    eval-mode net, which the call only reads: threads may share it."""
+    if net.training:
+        raise T.GraphError("predict_tta needs an eval-mode net")
     views = prepare_views([record], data_dir, heatmap_dir, rng, max_offset,
                           copies=n)
     return net({v: T.Tensor(a) for v, a in views.items()}).data.mean(axis=0)

@@ -1,5 +1,6 @@
-"""Finite-difference gradient oracle, and the scalar loss tests put on a
-tensor-valued op.
+"""Finite-difference gradient oracle, the scalar loss tests put on a
+tensor-valued op, and the composed train-mode ops that ``tensor.conv_bn``
+fuses.
 
 Central differences over every parameter element, independent of the
 engine's backward pass. Used in float64 where truncation and roundoff are
@@ -21,6 +22,40 @@ def weighted_sum(x, w):
         x._accumulate(np.broadcast_to(g * w, x.shape))
 
     return T._node(np.asarray((x.data * w).sum(), dtype=x.dtype), (x,), bwd)
+
+
+def conv2d(x, w, stride, padding):
+    """A train-mode convolution as a node of its own: the convolution of
+    ``tensor.conv_bn``, keeping its padded input for the backward."""
+    xc = T._padded(x.data, padding)
+
+    def bwd(g):
+        T._conv_backward(g, x, w, xc, stride, padding)
+
+    return T._node(T._conv_forward(xc, w.data, stride, 0, None, None, False),
+                   (x, w), bwd)
+
+
+def batchnorm2d(x, gamma, beta, running_mean, running_var):
+    """Train-mode BatchNorm as a node of its own: the BatchNorm of
+    ``tensor.conv_bn``, moving the running statistics."""
+    y, bn_bwd = T._bn_train(x.data, gamma, beta, running_mean, running_var)
+
+    def bwd(g):
+        x._accumulate(bn_bwd(g))
+
+    return T._node(y, (x, gamma, beta), bwd)
+
+
+def conv_bn(conv, bn, x, relu=False, residual=None):
+    """Train-mode ``layers.conv_bn`` composed of ``conv2d``,
+    ``batchnorm2d``, ``T.add`` and ``T.relu`` in turn: the reference that
+    the one node is compared against."""
+    out = batchnorm2d(conv2d(x, conv.weight, conv.stride, conv.padding),
+                      bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+    if residual is not None:
+        out = T.add(out, residual)
+    return T.relu(out) if relu else out
 
 
 def numerical_gradients(loss_fn, params, h=1e-5):

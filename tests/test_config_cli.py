@@ -341,6 +341,28 @@ def test_model_id_that_cannot_round_trip_exits_1(pipeline, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("run", [".", "/"])
+def test_model_id_of_a_run_path_with_no_name_of_its_own(
+        pipeline, tmp_path, capsys, monkeypatch, run):
+    """Without --model-id, predict names its model after the --run
+    directory taken as an absolute path: ``.`` inside the run directory
+    gives that directory's name, and ``/``, which has none, exits 1
+    naming --model-id."""
+    monkeypatch.chdir(pipeline["cancer"])
+    out = tmp_path / "o"
+    capsys.readouterr()
+    code = main(["predict", "--data", str(pipeline["data"]), "--run", run,
+                 "--out", str(out), "--seed", "5", *sets()])
+    if run == "/":
+        assert code == 1 and "--model-id" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    named = (pipeline["pred"] / "predictions.csv").read_text() \
+        .replace(",image_only\n", ",cancer\n")
+    assert (out / "predictions.csv").read_text() == named
+
+
 @pytest.mark.parametrize("command", ["evaluate", "reader-study"])
 def test_predictions_without_rows_exit_1(pipeline, tmp_path, capsys,
                                          command):
@@ -448,10 +470,19 @@ def test_first_epoch_divergence_names_lr(pipeline, tmp_path, capsys, command,
     assert key in err and "diverged" in err
 
 
-def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path):
+def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path, monkeypatch):
     """gen-data, gen-heatmaps and predict write the same bytes on two
-    threads as on one."""
+    threads as on one. The threads share each net read-only: only the
+    calling thread switches a net's mode (``Module.train``), once, before
+    the map."""
     p = pipeline
+    switched = []                       # the thread of each Module.train
+    real_train = layers.Module.train
+
+    def train(net, flag=True):
+        switched.append(threading.get_ident())
+        return real_train(net, flag)
+    monkeypatch.setattr(layers.Module, "train", train)
     runs = {
         "data": ["gen-data"],
         "heatmaps": ["gen-heatmaps", "--data", str(p["data"]),
@@ -461,9 +492,12 @@ def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path):
     }
     for key, argv in runs.items():
         out = tmp_path / key
+        switched.clear()
         assert main([*argv, "--out", str(out), "--seed", "5", "--jobs", "2",
                      *sets()]) == 0, key
         assert tree_hash(out) == tree_hash(p[key]), key
+        assert set(switched) <= {threading.get_ident()}, key
+        assert (key == "data") == (not switched), key
 
 
 @pytest.mark.skipif(

@@ -15,11 +15,13 @@ from gradcheck import weighted_sum
 
 
 def test_identity_kernel_conv_is_identity():
-    conv = Conv2d(1, 1, 1, stride=1, padding=0, rng=np.random.default_rng(0))
+    conv = Conv2d(1, 1, 1, stride=1, padding=0,
+                  rng=np.random.default_rng(0)).eval()
     conv.weight.data = np.ones((1, 1, 1, 1), dtype=np.float32)
     rng = np.random.default_rng(0)
     x = T.Tensor(rng.standard_normal((1, 9, 7, 1)).astype(np.float32))
-    out = conv(x)
+    out = T.conv2d(x, conv.weight, conv.stride, conv.padding, None, None,
+                   False)
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -39,8 +41,9 @@ def test_fullscale_stem_shape():
     assert (T.conv2d_shape(2677, 7, 2, 3), T.conv2d_shape(1942, 7, 2, 3)) \
         == (1339, 971)
     stem = Conv2d(1, 16, 7, stride=2, padding=3,
-                  rng=np.random.default_rng(0))
-    out = stem(T.Tensor(np.zeros((1, 2677, 1942, 1), dtype=np.float32)))
+                  rng=np.random.default_rng(0)).eval()
+    out = T.conv2d(T.Tensor(np.zeros((1, 2677, 1942, 1), dtype=np.float32)),
+                   stem.weight, stem.stride, stem.padding, None, None, False)
     assert out.shape == (1, 1339, 971, 16)
 
 
@@ -54,10 +57,13 @@ def test_global_avgpool_constant():
 
 def test_batchnorm_train_vs_eval():
     bn = BatchNorm2d(2)
+    # an identity convolution, so that conv_bn is BatchNorm alone
+    conv = Conv2d(2, 2, 1, stride=1, rng=np.random.default_rng(0))
+    conv.weight.data = np.eye(2, dtype=np.float32).reshape(1, 1, 2, 2)
     rng = np.random.default_rng(1)
     xd = rng.standard_normal((4, 5, 5, 2)).astype(np.float32) * 3 + 1
     x = T.Tensor(xd)
-    y_train = bn(x).data
+    y_train = layers.conv_bn(conv, bn, x).data
     # batch statistics: normalized output has ~zero mean / unit variance
     np.testing.assert_allclose(y_train.mean(axis=(0, 1, 2)), 0.0, atol=1e-5)
     np.testing.assert_allclose(y_train.var(axis=(0, 1, 2)), 1.0, atol=1e-3)
@@ -67,11 +73,9 @@ def test_batchnorm_train_vs_eval():
                                rtol=1e-5)
     np.testing.assert_allclose(bn.running_var, 1 - T.BN_MOMENTUM * (1 - var),
                                rtol=1e-5)
-    # eval mode, folded into an identity convolution by conv_bn, uses the
+    # eval mode, folded into the identity convolution by conv_bn, uses the
     # running statistics and has no side effects
     bn.eval()
-    conv = Conv2d(2, 2, 1, stride=1, rng=np.random.default_rng(0))
-    conv.weight.data = np.eye(2, dtype=np.float32).reshape(1, 1, 2, 2)
     running = bn.running_mean.copy(), bn.running_var.copy()
     y1 = layers.conv_bn(conv, bn, x).data
     y2 = layers.conv_bn(conv, bn, x).data
@@ -88,14 +92,45 @@ def test_layer_forward_nan_detected():
     conv.weight.data = np.ones((1, 1, 1, 1), dtype=np.float32)
     x = T.Tensor(np.array([[[[np.inf]]]], dtype=np.float32))
     with pytest.raises(T.NumericsError):
-        conv(x)
+        layers.conv_bn(conv, BatchNorm2d(1).eval(), x)
+
+
+@pytest.mark.parametrize("layer", [
+    Conv2d(1, 1, 1, stride=1, rng=np.random.default_rng(0)), BatchNorm2d(1)],
+    ids=["Conv2d", "BatchNorm2d"])
+def test_a_parameter_layer_has_no_forward(layer):
+    """``Conv2d`` and ``BatchNorm2d`` only hold parameters and statistics;
+    calling one raises, naming ``conv_bn``, which runs them."""
+    with pytest.raises(NotImplementedError, match="conv_bn"):
+        layer(T.Tensor(np.zeros((1, 2, 2, 1), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("wants", ["input", "residual"])
+def test_gradient_through_eval_conv_bn_is_refused(wants):
+    """An eval-mode ``conv_bn`` records no graph: an input or a residual
+    that wants a gradient raises, where a gradient through the folded
+    convolution would skip its in-place ReLU, or not reach the residual."""
+    rng = np.random.default_rng(3)
+    conv = Conv2d(2, 3, 3, stride=1, padding=1, rng=rng)
+    bn = BatchNorm2d(3)
+    for m in (conv, bn):
+        for p in m.parameters():
+            p.data = p.data.astype(np.float64)
+        m.eval()
+    x = T.Tensor(rng.standard_normal((2, 6, 6, 2)),
+                 requires_grad=wants == "input")
+    res = T.Tensor(rng.standard_normal((2, 6, 6, 3)),
+                   requires_grad=wants == "residual")
+    with pytest.raises(T.GraphError):
+        weighted_sum(layers.conv_bn(conv, bn, x, relu=True, residual=res),
+                     1.0).backward()
 
 
 def test_channel_mismatch_rejected():
     x = T.Tensor(np.zeros((1, 4, 4, 2), dtype=np.float32))
     w = T.Tensor(np.zeros((1, 1, 3, 1), dtype=np.float32))
     with pytest.raises(ValueError):
-        T.conv2d(x, w, stride=1, padding=0)
+        T.conv2d(x, w, 1, 0, None, None, False)
 
 
 def test_maxpool_values():
@@ -158,7 +193,7 @@ def _eval_conv_bn64(conv, bn, x, relu=False, residual=None):
     add and the ReLU."""
     y = T.conv2d(T.Tensor(x.data.astype(np.float64)),
                  T.Tensor(conv.weight.data.astype(np.float64)),
-                 stride=conv.stride, padding=conv.padding).data
+                 conv.stride, conv.padding, None, None, False).data
     var = bn.running_var.astype(np.float64)
     y = (y - bn.running_mean) / np.sqrt(var + T.BN_EPS) * bn.gamma.data \
         + bn.beta.data

@@ -285,7 +285,7 @@ def test_training_loss_decreases_on_separable_data(tmp_path):
 def test_min_patch_is_the_smallest_side_patchnet_maps():
     """``patch.size`` is refused below ``MIN_PATCH``: a forward runs at that
     side, and one pixel less leaves an empty map."""
-    net = PatchNet(patch_size=MIN_PATCH, seed=0)
+    net = PatchNet(patch_size=MIN_PATCH, seed=0).eval()
     probs = net.predict_proba(np.zeros((2, MIN_PATCH, MIN_PATCH)))
     assert probs.shape == (2, len(PATCH_CLASSES))
     with pytest.raises(ValueError, match="not positive"):
@@ -349,11 +349,17 @@ def test_eval_output_has_no_graph():
     assert out._parents == () and out._backward is None
 
 
-def test_predict_proba_keeps_train_mode_gradients():
+def test_predict_proba_refuses_a_train_mode_net():
+    """predict_proba only reads the net, which threads may share: a
+    train-mode net is refused, and left in train mode with its running
+    statistics and gradient recording as they were."""
     net = PatchNet(patch_size=16, seed=8)
     x = np.random.default_rng(9).uniform(0, 1, (3, 16, 16))
-    probs = net.predict_proba(x)
-    assert probs.shape == (3, 4)
+    before = {k: v.copy() for k, v in net.state_dict().items()}
+    with pytest.raises(T.GraphError, match="eval-mode"):
+        net.predict_proba(x)
     assert net.training
     assert all(p.requires_grad for p in net.parameters())
-    assert net(T.Tensor(x[..., None].astype(np.float32)))._backward is not None
+    for k, v in net.state_dict().items():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+    assert net.eval().predict_proba(x).shape == (3, 4)

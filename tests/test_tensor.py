@@ -16,12 +16,13 @@ from mscope.multiview import MultiViewNet, ResNetColumn
 from mscope.optim import weighted_batch_cross_entropy
 from mscope.patches import PatchNet
 
+import gradcheck
 from gradcheck import max_relative_error, numerical_gradients, weighted_sum
 
 
 def _composite_net(seed):
-    """conv -> batchnorm -> relu -> maxpool -> global average pool ->
-    linear, float64."""
+    """conv_bn (conv -> batchnorm -> relu) -> maxpool -> global average
+    pool -> linear, float64."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 8, 8, 2))
     conv_w = Parameter(rng.standard_normal((3, 3, 2, 3)) * 0.5)
@@ -36,9 +37,8 @@ def _composite_net(seed):
     params = [conv_w, gamma, beta, lin_w, lin_b]
 
     def loss_fn():
-        h = T.conv2d(Tx(), conv_w, stride=1, padding=1)
-        h = T.batchnorm2d(h, gamma, beta, rmean.copy(), rvar.copy())
-        h = T.relu(h)
+        h = T.conv_bn(Tx(), conv_w, 1, 1, gamma, beta, rmean.copy(),
+                      rvar.copy(), None, True)
         h = T.maxpool2d(h)
         h = T.global_avgpool2d(h)
         logits = T.linear(h, lin_w, lin_b)
@@ -114,9 +114,10 @@ def test_backward_frees_the_graph():
     w = Parameter(rng.standard_normal((3, 3, 2, 3)).astype(np.float32))
     gamma = Parameter(np.ones(3, dtype=np.float32))
     beta = Parameter(np.zeros(3, dtype=np.float32))
-    conv = T.conv2d(x, w, stride=1, padding=1)
+    conv = T.conv_bn(x, w, 1, 1, gamma, beta, np.zeros(3), np.ones(3), None,
+                     False)
     conv_out = weakref.ref(conv.data)
-    h = T.relu(T.batchnorm2d(conv, gamma, beta, np.zeros(3), np.ones(3)))
+    h = T.relu(conv)
     del conv
     loss = weighted_sum(h, 1.0)
     grads = T.collect_gradients(loss, [w, gamma, beta])
@@ -160,14 +161,15 @@ def test_banded_conv_equals_whole_matrix(xshape, wshape, stride, padding):
     w = rng.standard_normal(wshape).astype(np.float32)
     bias = rng.standard_normal(wshape[3]).astype(np.float32)
     out = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding,
-                   bias=bias).data
+                   bias=bias, residual=None, relu=False).data
     ref = _conv_reference(x, w, stride, padding, bias)
     _, ho, wo, cout = ref.shape
     k = wshape[0] * wshape[1] * wshape[2]
     assert out.shape[0] * ho * wo * (k + cout) * 4 > T.COLUMN_BUDGET  # banded
     assert np.array_equal(out, ref)
     assert np.array_equal(
-        T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding).data,
+        T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, padding=padding,
+                 bias=None, residual=None, relu=False).data,
         _conv_reference(x, w, stride, padding))
 
 
@@ -186,8 +188,8 @@ def test_batchnorm_reuses_buffers_without_changing_bytes(shape):
     beta = T.Tensor(rng.standard_normal(c).astype(np.float32),
                     requires_grad=True)
     g = rng.standard_normal(shape).astype(np.float32)
-    y = T.batchnorm2d(x, gamma, beta, np.zeros(c, np.float32),
-                      np.ones(c, np.float32))
+    y = gradcheck.batchnorm2d(x, gamma, beta, np.zeros(c, np.float32),
+                              np.ones(c, np.float32))
     y._backward(g)
 
     xd, gd = x.data.reshape(-1, c), g.reshape(-1, c)
@@ -223,8 +225,9 @@ CONV_BN_LAYERS = [
                          CONV_BN_LAYERS)
 def test_conv_bn_node_equals_composed_ops(xshape, k, stride, padding, cout,
                                           residual, relu, dtype):
-    """The one train-mode node gives the bytes of ``conv2d``,
-    ``batchnorm2d``, ``add`` and ``relu`` run in turn: the output, both
+    """The one train-mode node gives the bytes of the composed
+    ``gradcheck.conv2d``, ``gradcheck.batchnorm2d``, ``add`` and ``relu``
+    run in turn: the output, both
     running statistics, and the gradients into x, w, gamma, beta and the
     residual."""
     seed = sum(xshape) + k + stride + cout
@@ -248,8 +251,8 @@ def test_conv_bn_node_equals_composed_ops(xshape, k, stride, padding, cout,
             out = T.conv_bn(x, w, stride, padding, gamma, beta, *stats, res,
                             relu)
         else:
-            out = T.batchnorm2d(T.conv2d(x, w, stride, padding), gamma, beta,
-                                *stats)
+            out = gradcheck.batchnorm2d(
+                gradcheck.conv2d(x, w, stride, padding), gamma, beta, *stats)
             out = out if res is None else T.add(out, res)
             out = T.relu(out) if relu else out
         weighted_sum(out, weights).backward()
@@ -342,7 +345,8 @@ np.savez(sys.argv[1], threads=blas[0]() if blas else -1,
          on_main=threading.get_ident() in ran_on,
          probs=net.fuse(vecs).data, mapped=np.stack(mapped),
          looped=np.stack([net(b).data for b in batches]),
-         patches=PatchNet(patch_size=p, seed=10).predict_proba(windows),
+         patches=PatchNet(patch_size=p, seed=10).eval().predict_proba(
+             windows),
          **{v: vec.data for v, vec in vecs.items()})
 """
 
@@ -463,7 +467,7 @@ def test_conv_forward_peak_bounded(n, h, w):
     padded = n * (h + 6) * (w + 6) * 3 * 4
     tracemalloc.start()
     try:
-        out = T.conv2d(x, wt, stride=2, padding=3)
+        out = T.conv2d(x, wt, 2, 3, None, None, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -476,7 +480,7 @@ def test_forward_deterministic_single_thread():
     w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
 
     def run():
-        h = T.conv2d(T.Tensor(x), T.Tensor(w), stride=2, padding=1)
+        h = T.conv2d(T.Tensor(x), T.Tensor(w), 2, 1, None, None, False)
         h = T.relu(h)
         return T.global_avgpool2d(h).data
 
@@ -496,7 +500,7 @@ def test_conv_shape_rule_randomized():
             continue
         x = T.Tensor(rng.standard_normal((1, h, w, 2)).astype(np.float32))
         wt = T.Tensor(rng.standard_normal((k, k, 2, 3)).astype(np.float32))
-        out = T.conv2d(x, wt, stride=s, padding=p)
+        out = T.conv2d(x, wt, s, p, None, None, False)
         assert out.shape == (1, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1, 3)
 
 
@@ -504,7 +508,22 @@ def test_nonpositive_conv_extent_rejected():
     x = T.Tensor(np.zeros((1, 2, 2, 1), dtype=np.float32))
     w = T.Tensor(np.zeros((5, 5, 1, 1), dtype=np.float32))
     with pytest.raises(ValueError):
-        T.conv2d(x, w, stride=1, padding=0)
+        T.conv2d(x, w, 1, 0, None, None, False)
+
+
+@pytest.mark.parametrize("wants", ["input", "kernel", "recorded input"])
+def test_conv2d_refuses_an_input_that_wants_a_gradient(wants):
+    """``conv2d`` is the eval convolution and records no graph: an input or
+    a kernel that wants a gradient raises instead of getting none."""
+    rng = np.random.default_rng(12)
+    x = T.Tensor(rng.standard_normal((1, 5, 5, 2)),
+                 requires_grad=wants == "input")
+    w = T.Tensor(rng.standard_normal((3, 3, 2, 2)),
+                 requires_grad=wants == "kernel")
+    if wants == "recorded input":
+        x = T.relu(Parameter(x.data))
+    with pytest.raises(T.GraphError, match="conv_bn"):
+        T.conv2d(x, w, 1, 1, None, None, False)
 
 
 def test_softmax_rows_are_distributions():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mscope import tensor as T
 from mscope.config import ConfigError, resolve
 from mscope.heatmaps import heatmap_path, save_heatmap
 from mscope.multiview import OUTPUT_ORDER, VIEW_ORDER, MultiViewNet
@@ -213,9 +214,6 @@ class StubNet:
         self.input_channels = 1
         self.training = False
 
-    def eval(self):
-        return self
-
     def __call__(self, views):
         from mscope import tensor as T
         n = views["lcc"].shape[0]
@@ -238,6 +236,18 @@ def test_tta_n1_no_offset_equals_plain_forward(tiny_dataset):
     tta = predict_tta(net, records[0], root, substream(10, "t"),
                       heatmap_dir=None, n=1, max_offset=0)
     np.testing.assert_array_equal(plain, tta)
+
+
+def test_tta_refuses_a_train_mode_net(tiny_dataset):
+    """predict_tta only reads the net, which threads may share: a
+    train-mode net is refused and left in train mode."""
+    root, records = tiny_dataset
+    net = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                       seed=26)
+    with pytest.raises(T.GraphError, match="eval-mode"):
+        predict_tta(net, records[0], root, substream(11, "t"),
+                    heatmap_dir=None, n=1, max_offset=0)
+    assert net.training
 
 
 def test_tta_seed_reproducible(tiny_dataset):
