@@ -16,8 +16,11 @@ and ``config.txt`` records what ran. ``report`` has no config and no
 output directory. ``--jobs`` maps the exams of gen-data, gen-heatmaps and
 predict onto that many threads of the process, capped at the usable cores,
 each with one BLAS thread (``seeding._map_threads``), with the same bytes
-at any count; the validation passes of the trainers run on the process's
-BLAS threads whatever ``--jobs`` is (``training.predict_exams``).
+at any count. The process's BLAS threads run the trainers' validation
+passes (``training.predict_exams``), ``train-patch``'s checkpoint
+selection and, at ``--jobs 1``, an exam's four views: its heatmaps and the
+column calls of its eval forwards. When ``--jobs`` runs the exams on
+threads, each exam's views run on its thread.
 
 Exit codes: 0 success; 1 user error (bad flags, out-of-range config values
 such as ``heatmap.stride`` above ``patch.size``, ``patch.side_min`` above

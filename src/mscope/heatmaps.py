@@ -31,7 +31,7 @@ from .config import ConfigError
 from .formats import Reader, save_arrays
 from .pgm import pgm_dims
 from .phantom import VIEWS, image_path, load_image
-from .seeding import substream
+from .seeding import _map_blas, substream
 
 HEATMAP_MAGIC = b"MSHM"
 PLANES = ("malignant", "benign")
@@ -134,13 +134,15 @@ def exam_views(record, data_dir, patch_size):
 
 def heatmaps_for_exam(record, images, predict, patch_size, prefixed_stride,
                       seed):
-    """Heatmap planes for the four ``images`` of an exam (``exam_views``);
-    stride randomness is keyed by (seed, exam, view) so any processing
-    order gives identical output."""
-    return {view: generate_heatmaps(img, predict, patch_size, prefixed_stride,
-                                    substream(seed, "strides", record.exam_id,
-                                              view))
-            for view, img in images.items()}
+    """Heatmap planes for the four ``images`` of an exam (``exam_views``),
+    one view per thread of ``seeding._map_blas``; stride randomness is
+    keyed by (seed, exam, view) so any processing order or thread gives
+    identical output."""
+    def planes(view):
+        return generate_heatmaps(images[view], predict, patch_size,
+                                 prefixed_stride, substream(
+                                     seed, "strides", record.exam_id, view))
+    return dict(zip(images, _map_blas(planes, list(images))))
 
 
 def selection_labels(records):

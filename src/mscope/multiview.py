@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .layers import (BatchNorm2d, Conv2d, Linear, Module, StateDictError,
                      conv_bn)
-from .seeding import substream
+from .seeding import _map_blas, substream
 
 COLUMN_CHANNELS = (16, 16, 32, 64, 128, 256)
 STEM_KERNEL, STEM_STRIDE, STEM_PADDING = 7, 2, 3
@@ -158,9 +158,14 @@ class MultiViewNet(Module):
     def forward(self, views):
         """``views`` maps view name to an (N, H, W, C) Tensor with left
         images already flipped; returns (N, 4) probabilities (or (N, 3)
-        class probabilities for the 3-way task)."""
-        vecs = {v: self.column_for(v)(views[v]) for v in VIEW_ORDER}
-        return self.fuse(vecs)
+        class probabilities for the 3-way task). In eval mode the four
+        column calls run on ``seeding._map_blas``, with the loop's bytes;
+        train mode and ``fuse`` run on the calling thread."""
+        def column(v):
+            return self.column_for(v)(views[v])
+        vecs = [column(v) for v in VIEW_ORDER] if self.training else \
+            _map_blas(column, VIEW_ORDER)
+        return self.fuse(dict(zip(VIEW_ORDER, vecs)))
 
     def fuse(self, vecs):
         """Fusion over per-view 256-vectors (Tensors shaped (N, 256)), by

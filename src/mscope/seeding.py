@@ -4,7 +4,10 @@ Every randomized stage derives its generator from (run seed, purpose tags),
 so work items can be processed in any order or on any worker while still
 producing identical bytes. ``_map_threads`` runs them on threads of the
 calling process, each with one BLAS thread: ``--jobs`` of them for the
-per-exam stages, as many as OpenBLAS has for the validation pass.
+per-exam stages, and as many as OpenBLAS has (``_map_blas``) for the
+validation pass's chunks and for an exam's four views, in an eval forward
+and in its heatmaps. A map made inside a mapped task is the plain loop on
+that task's thread, so ``--jobs 2`` keeps two threads in all.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -42,18 +46,22 @@ def _openblas():
     return None
 
 
+_worker = threading.local()      # .mapped is set on the map's own threads
+
+
 def _map_threads(task, items, workers):
     """``[task(x) for x in items]`` on min(workers, usable cores, items)
-    threads; at one thread, or without numpy's OpenBLAS, that loop on the
-    calling thread. OpenBLAS runs one thread each until all have joined,
-    and the threads share one malloc arena. Results, and the first failing
-    item's error, come in item order.
+    threads; at one thread, without numpy's OpenBLAS, or when called from
+    a task of another map, that loop on the calling thread. OpenBLAS runs
+    one thread each until all have joined, and the threads share one
+    malloc arena. Results, and the first failing item's error, come in
+    item order.
 
     Tasks share the nets they close over read-only: those nets are in
     eval mode before the map, so a task's forward writes nothing to them."""
     blas = _openblas()
     threads = min(workers, len(os.sched_getaffinity(0)), len(items)) \
-        if blas else 1
+        if blas and not getattr(_worker, "mapped", False) else 1
     if threads <= 1:
         return [task(x) for x in items]
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -62,7 +70,14 @@ def _map_threads(task, items, workers):
     old = blas[0]()
     blas[1](1)
     try:
-        with ThreadPoolExecutor(threads) as pool:
+        with ThreadPoolExecutor(threads, initializer=setattr,
+                                initargs=(_worker, "mapped", True)) as pool:
             return list(pool.map(task, items))
     finally:
         blas[1](old)
+
+
+def _map_blas(task, items):
+    """``_map_threads`` onto as many threads as OpenBLAS runs."""
+    blas = _openblas()
+    return _map_threads(task, items, blas[0]() if blas else 1)

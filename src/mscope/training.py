@@ -10,11 +10,12 @@ what differs by task (output columns, target row, loss) from ``TASKS``.
 A view is an (H, W, C) stack from its file to its column: C is 1, or 3
 with the heatmap planes exactly when a heatmap directory is given.
 
-The validation pass, ``predict_exams``, maps its chunks with
-``seeding._map_threads`` onto as many threads as OpenBLAS has in the
-calling process, each with one BLAS thread. The train steps and
-``predict_tta`` run on the thread that calls them; ``predict`` maps its
-exams onto ``--jobs`` threads.
+The validation pass, ``predict_exams``, maps its chunks onto as many
+threads as OpenBLAS has in the calling process (``seeding._map_blas``),
+each with one BLAS thread. The train steps run on the thread that calls
+them; ``predict_tta``'s eval forward maps its four column calls the same
+way (``MultiViewNet.forward``), unless it already runs in a mapped task,
+such as an exam of ``predict``'s ``--jobs`` map or a validation chunk.
 
 All randomness flows through substreams of the run seed keyed by purpose
 (epoch index, exam id, member id), so a rerun with the same config and
@@ -38,7 +39,7 @@ from .multiview import (MultiViewNet, OUTPUT_ORDER, VIEW_ORDER,
 from .optim import _fit, binary_cross_entropy, nll_on_probs
 from .phantom import load_image
 from .resample import bicubic_resize
-from .seeding import _map_threads, _openblas, substream
+from .seeding import _map_blas, substream
 
 TRAIN_LOG_HEADER = "epoch,split,label,auc,loss"
 # an epoch improves only when its validation metric beats the best so far
@@ -176,7 +177,7 @@ def predict_exams(net, records, data_dir, heatmap_dir):
     """Deterministic eval-mode probabilities, (N, 4) aligned with records.
 
     The ``PREDICT_BATCH`` chunks run on the process's BLAS threads, one
-    BLAS thread each (``seeding._map_threads``); every chunk is the same
+    BLAS thread each (``seeding._map_blas``); every chunk is the same
     forward as on one thread, so the bytes do not depend on where it ran.
     """
     net.eval()
@@ -184,10 +185,8 @@ def predict_exams(net, records, data_dir, heatmap_dir):
     def forward(chunk):
         return _forward_batch(net, chunk, data_dir, heatmap_dir, rng=None,
                               max_offset=0).data
-    blas = _openblas()
-    return np.concatenate(_map_threads(
-        forward, list(_batched(list(records), PREDICT_BATCH)),
-        blas[0]() if blas else 1), axis=0)
+    return np.concatenate(_map_blas(
+        forward, list(_batched(list(records), PREDICT_BATCH))), axis=0)
 
 
 def mean_column_auc(probs, targets, names, log):

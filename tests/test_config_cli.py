@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscope import cli, layers, multiview, patches, phantom, training
+from mscope import cli, heatmaps, layers, multiview, patches, phantom
+from mscope import training
 from mscope import config as cfgmod
 from mscope.checkpoint import load_checkpoint, save_checkpoint
 from mscope.cli import main
@@ -470,19 +471,30 @@ def test_first_epoch_divergence_names_lr(pipeline, tmp_path, capsys, command,
     assert key in err and "diverged" in err
 
 
+def _record_threads(monkeypatch, owner, name, where):
+    """Append the thread of every call of ``owner.name`` to ``where``."""
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        where.append(threading.get_ident())
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+
+
 def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path, monkeypatch):
     """gen-data, gen-heatmaps and predict write the same bytes on two
     threads as on one. The threads share each net read-only: only the
     calling thread switches a net's mode (``Module.train``), once, before
-    the map."""
+    the map. Every view of an exam, its heatmaps and its column calls,
+    runs on its exam's thread: two threads in all, never a third."""
     p = pipeline
     switched = []                       # the thread of each Module.train
-    real_train = layers.Module.train
-
-    def train(net, flag=True):
-        switched.append(threading.get_ident())
-        return real_train(net, flag)
-    monkeypatch.setattr(layers.Module, "train", train)
+    exams, views = [], []               # the threads of exam and view calls
+    _record_threads(monkeypatch, layers.Module, "train", switched)
+    for name in ("heatmaps_for_exam", "ensemble_predict"):
+        _record_threads(monkeypatch, cli, name, exams)
+    _record_threads(monkeypatch, heatmaps, "generate_heatmaps", views)
+    _record_threads(monkeypatch, multiview.ResNetColumn, "forward", views)
     runs = {
         "data": ["gen-data"],
         "heatmaps": ["gen-heatmaps", "--data", str(p["data"]),
@@ -492,12 +504,14 @@ def test_jobs_2_outputs_equal_jobs_1(pipeline, tmp_path, monkeypatch):
     }
     for key, argv in runs.items():
         out = tmp_path / key
-        switched.clear()
+        for seen in (switched, exams, views):
+            seen.clear()
         assert main([*argv, "--out", str(out), "--seed", "5", "--jobs", "2",
                      *sets()]) == 0, key
         assert tree_hash(out) == tree_hash(p[key]), key
         assert set(switched) <= {threading.get_ident()}, key
-        assert (key == "data") == (not switched), key
+        assert (key == "data") == (not switched) == (not views), key
+        assert set(views) <= set(exams) and len(set(exams)) <= 2, key
 
 
 @pytest.mark.skipif(
@@ -547,6 +561,33 @@ def test_jobs_run_exams_on_threads_of_one_blas_thread(pipeline, tmp_path,
             assert threading.get_ident() not in ran_on
             assert inside == {1} and get_blas() == before, (key, jobs)
             assert tree_hash(out) == tree_hash(p[key]), (key, jobs)
+
+
+@pytest.mark.skipif(
+    _openblas() is None or len(os.sched_getaffinity(0)) < 2
+    or _openblas()[0]() < 2,
+    reason="the views map onto one thread at one BLAS thread")
+def test_checkpoint_selection_scores_views_on_two_threads(pipeline,
+                                                          tmp_path,
+                                                          monkeypatch):
+    """train-patch's checkpoint selection makes each exam's heatmaps on
+    worker threads of one BLAS thread, never on the calling thread, and
+    writes the bytes of the pipeline's run."""
+    get_blas = _openblas()[0]
+    seen = []
+    real = heatmaps.generate_heatmaps
+
+    def spy(*args, **kwargs):
+        seen.append((threading.get_ident(), get_blas()))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(heatmaps, "generate_heatmaps", spy)
+    out = tmp_path / "patch"
+    assert main(["train-patch", "--data", str(pipeline["data"]), "--out",
+                 str(out), "--seed", "5", *sets()]) == 0
+    ran_on, inside = map(set, zip(*seen))
+    assert len(ran_on) >= 2 and threading.get_ident() not in ran_on
+    assert inside == {1}
+    assert tree_hash(out) == tree_hash(pipeline["patch"])
 
 
 def test_loaded_nets_draw_no_weights(pipeline, tmp_path, monkeypatch):
@@ -1242,21 +1283,33 @@ def test_biopsy_task_scores_the_larger_head(pipeline):
 
 
 # sha256 of trainer artifacts of the tiny pipeline (TINY_SETS, seed 5), as
-# written before pretrain-birads and train-cancer shared one training body
+# written before pretrain-birads and train-cancer shared one training body,
+# by the number of threads OpenBLAS runs: a train step's GEMMs split their
+# sums by it, so the checkpoints differ between one thread and two
+LOG_DIGEST = "f9caac54d77c16cf5b118c13ad921d828d48efadc0ea381f06326bf1ef75acae"
 PINNED_DIGESTS = {
-    ("birads", "best.ckpt"):
+    1: {("birads", "best.ckpt"): "81c1895f40ffbba52aeee0814533526c"
+                                 "941c5e918c232c761217be6963fbdafa",
+        ("cancer", "best.ckpt"): "4d0e45040fe952f478d6110e6a1e15e2"
+                                 "1612f76f1eaf3a06762600203eb54c3c",
+        ("cancer", "log.csv"): LOG_DIGEST},
+    2: {("birads", "best.ckpt"):
         "eb0a771ec3bded65d0539ace5779eecccf052dab6fb632b832db89b0a31354c5",
-    ("cancer", "best.ckpt"):
+        ("cancer", "best.ckpt"):
         "88d77d1e9242ad38f7a606be1c76f2f1de249b565acdb5e946f316bed29d81b4",
-    ("cancer", "log.csv"):
-        "f9caac54d77c16cf5b118c13ad921d828d48efadc0ea381f06326bf1ef75acae",
+        ("cancer", "log.csv"): LOG_DIGEST},
 }
 
 
-@pytest.mark.parametrize("run,name", sorted(PINNED_DIGESTS))
+@pytest.mark.parametrize("run,name", sorted(PINNED_DIGESTS[2]))
 def test_trainer_artifacts_keep_their_bytes(pipeline, run, name):
+    blas = _openblas()
+    threads = blas[0]() if blas else None
+    if threads not in PINNED_DIGESTS:
+        pytest.fail(f"no trainer digests pinned for {threads} OpenBLAS "
+                    f"threads; pinned: {sorted(PINNED_DIGESTS)}")
     digest = hashlib.sha256((pipeline[run] / name).read_bytes()).hexdigest()
-    assert digest == PINNED_DIGESTS[run, name]
+    assert digest == PINNED_DIGESTS[threads][run, name]
 
 
 def _data_with(pipeline, tmp_path, edit):

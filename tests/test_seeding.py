@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mscope.seeding import _map_threads, _openblas
+from mscope.seeding import _map_blas, _map_threads, _openblas
 
 BLAS = _openblas()
 two_cores = pytest.mark.skipif(
@@ -93,3 +93,42 @@ def test_openblas_gets_its_thread_count_back(threads):
         with pytest.raises(ValueError):
             _map_threads(fail, [0, 1, 2], 2)
         assert BLAS[0]() == threads
+
+
+
+def _nested(inner_map):
+    """An outer ``_map_blas`` of two items that meet at a barrier of as
+    many threads as OpenBLAS runs, each running ``inner_map`` over three:
+    [(outer item, its thread, [(inner item, its thread)])]."""
+    barrier = threading.Barrier(BLAS[0]() if BLAS else 1, timeout=30)
+
+    def inner(j):
+        return j, threading.get_ident()
+
+    def outer(i):
+        barrier.wait()
+        return i, threading.get_ident(), inner_map(inner, [0, 1, 2])
+    return _map_blas(outer, [0, 1])
+
+
+@two_cores
+def test_a_map_inside_a_mapped_task_is_that_tasks_loop():
+    """An exam's view map inside the ``--jobs`` exam map, or a forward's
+    column map inside a validation chunk: each inner item runs on its
+    outer item's thread, even when the inner map asks for two workers.
+    Results come in item order, and OpenBLAS gets its count back."""
+    with blas_at(2):
+        got = _nested(lambda task, items: _map_threads(task, items, 2))
+        assert BLAS[0]() == 2
+    assert [i for i, _, _ in got] == [0, 1]
+    for _, ran_on, inner_got in got:
+        assert inner_got == [(j, ran_on) for j in range(3)]
+    ran_on = {t for _, t, _ in got}
+    assert len(ran_on) == 2 and threading.get_ident() not in ran_on
+
+
+def test_nested_maps_at_one_blas_thread_run_on_the_calling_thread():
+    with blas_at(1):
+        got = _nested(_map_blas)
+    main = threading.get_ident()
+    assert got == [(i, main, [(j, main) for j in range(3)]) for i in (0, 1)]

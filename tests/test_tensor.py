@@ -306,17 +306,23 @@ def test_split_layers_keep_large_bands(monkeypatch):
 
 # One desk-dims view_wise eval forward (3 channels, a TTA batch) and one
 # PatchNet batch of a desk CC view's windows; three desk-dims batches of two
-# exams through the net, once by ``seeding._map_threads`` and once in a
+# exams through the net, once by ``seeding._map_blas`` and once in a
 # loop; saves the raw outputs, the number of threads numpy's OpenBLAS runs
 # (-1 where it cannot be queried) and whether the map ran on the main thread.
+# Then the view maps: an eval forward of every fusion variant at 1 and 3
+# channels and a desk exam's heatmaps, each beside its per-view loop, with
+# the threads their column and window-batch calls ran on (the first two of
+# a map meet at a barrier at two BLAS threads), and the threads of a
+# train-mode forward's column calls.
 EVAL_FORWARDS = """
-import sys, threading
+import itertools, sys, threading, types
 import numpy as np
 from mscope import config, heatmaps
 from mscope import tensor as T
-from mscope.multiview import VIEW_ORDER, MultiViewNet
+from mscope.multiview import (FUSION_VARIANTS, VIEW_ORDER, MultiViewNet,
+                              ResNetColumn)
 from mscope.patches import PatchNet
-from mscope.seeding import _map_threads, _openblas
+from mscope.seeding import _map_blas, _openblas, substream
 
 cfg = config.resolve()
 rng = np.random.default_rng(8)
@@ -340,14 +346,70 @@ def forward(batch):
     return net(batch).data
 
 blas = _openblas()
-mapped = _map_threads(forward, batches, blas[0]() if blas else 1)
-np.savez(sys.argv[1], threads=blas[0]() if blas else -1,
-         on_main=threading.get_ident() in ran_on,
-         probs=net.fuse(vecs).data, mapped=np.stack(mapped),
-         looped=np.stack([net(b).data for b in batches]),
-         patches=PatchNet(patch_size=p, seed=10).eval().predict_proba(
-             windows),
-         **{v: vec.data for v, vec in vecs.items()})
+threads = blas[0]() if blas else -1
+mapped = _map_blas(forward, batches)
+out = dict(threads=threads, on_main=threading.get_ident() in ran_on,
+           probs=net.fuse(vecs).data, mapped=np.stack(mapped),
+           looped=np.stack([net(b).data for b in batches]),
+           patches=PatchNet(patch_size=p, seed=10).eval().predict_proba(
+               windows),
+           **{v: vec.data for v, vec in vecs.items()})
+
+seen = []            # the thread of each column or window-batch call
+meet = None          # the barrier of a watched map's first two calls
+
+def spy(real):
+    def call(*args):
+        seen.append(threading.get_ident())
+        if meet is not None and next(calls) < 2:
+            meet.wait()
+        return real(*args)
+    return call
+
+def watch(run, mapped):
+    global calls, meet
+    calls = itertools.count()
+    meet = threading.Barrier(2, timeout=60) if mapped else None
+    seen.clear()
+    try:
+        return run(), len(set(seen)), threading.get_ident() in seen
+    finally:
+        meet = None
+
+ResNetColumn.forward = spy(ResNetColumn.forward)
+out["column_threads"], out["columns_on_main"] = [], []
+for c in (1, 3):
+    views = {v: T.Tensor(rng.uniform(0, 1, (2, *dims[v[1:]], c)).astype(
+                 np.float32)) for v in VIEW_ORDER}
+    for variant in FUSION_VARIANTS:
+        vnet = MultiViewNet(variant=variant, input_channels=c,
+                            task="cancer", seed=11).eval()
+        probs, count, on_main = watch(lambda: vnet(views).data,
+                                      threads == 2)
+        out["column_threads"].append(count)
+        out["columns_on_main"].append(on_main)
+        out[f"{variant}{c}"] = probs
+        out[f"{variant}{c}_loop"] = vnet.fuse(
+            {v: vnet.column_for(v)(views[v]) for v in VIEW_ORDER}).data
+tnet = MultiViewNet(variant="view_wise", input_channels=1, task="cancer",
+                    seed=12)
+_, count, on_main = watch(lambda: tnet({v: T.Tensor(rng.uniform(
+    0, 1, (2, 40, 32, 1)).astype(np.float32)) for v in VIEW_ORDER}), False)
+out["train_threads"], out["train_on_main"] = count, on_main
+
+patch = PatchNet(patch_size=p, seed=13).eval()
+images = {v: rng.uniform(0, 1, dims[v[1:]]).astype(np.float32)
+          for v in VIEW_ORDER}
+maps, count, on_main = watch(lambda: heatmaps.heatmaps_for_exam(
+    types.SimpleNamespace(exam_id="e7"), images, spy(patch.predict_proba),
+    p, cfg["heatmap.stride"], 14), threads == 2)
+out["heatmap_threads"], out["heatmaps_on_main"] = count, on_main
+for v in VIEW_ORDER:
+    out[f"heatmap_{v}"] = np.stack(maps[v])
+    out[f"heatmap_{v}_loop"] = np.stack(heatmaps.generate_heatmaps(
+        images[v], patch.predict_proba, p, cfg["heatmap.stride"],
+        substream(14, "strides", "e7", v)))
+np.savez(sys.argv[1], **out)
 """
 
 
@@ -358,7 +420,11 @@ def test_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
     one BLAS thread as on two: each conv band is one GEMM whose rows do not
     depend on how OpenBLAS splits it. So the validation pass's map gives
     the loop's bytes: on the main thread alone at one BLAS thread, and on
-    helper threads at two."""
+    helper threads at two. So do the view maps: an eval forward of every
+    fusion variant and an exam's heatmaps equal their per-view loops, with
+    the views on two helper threads at two BLAS threads and on the main
+    thread at one; a train-mode forward runs its columns on the main
+    thread."""
     out = {}
     for threads in (1, 2):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
@@ -370,12 +436,20 @@ def test_eval_outputs_do_not_depend_on_blas_threads(tmp_path):
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
-        out[threads] = dict(np.load(path))
-        found = out[threads].pop("threads")
+        got = out[threads] = dict(np.load(path))
+        found = got.pop("threads")
         assert found in (-1, threads)
-        assert out[threads].pop("on_main") == (found != 2)
-        assert out[threads]["mapped"].tobytes() == \
-            out[threads]["looped"].tobytes()
+        mapped = found == 2
+        assert got.pop("on_main") == (not mapped)
+        assert got["mapped"].tobytes() == got["looped"].tobytes()
+        assert list(got.pop("column_threads")) == [1 + mapped] * 8
+        assert not any(got.pop("columns_on_main")) == mapped
+        assert (got.pop("heatmap_threads"), got.pop("heatmaps_on_main")) \
+            == (1 + mapped, not mapped)
+        assert (got.pop("train_threads"), got.pop("train_on_main")) == \
+            (1, True)
+        for key in [k for k in got if k.endswith("_loop")]:
+            assert got[key].tobytes() == got[key[:-5]].tobytes(), key
     assert out[1].keys() == out[2].keys()
     for key in out[1]:
         np.testing.assert_array_equal(out[1][key], out[2][key], err_msg=key)
